@@ -351,7 +351,7 @@ def _cmd_spectrum(scn: Scenario, rp: Report, convention: str) -> None:
     rp.add("shift_hz", shift / TWO_PI, "Hz", "shift/(2*pi)")
     if dw_ec != 0.0:
         rp.add("enhancement_numeric", shift / dw_ec, "", "eta = shift/dw_ec")
-    rp.add("fwhm", result.fwhm, "rad/s", "width between half-maximum brentq roots")
+    rp.add("fwhm", result.fwhm, "rad/s", "width between the roots of Psi = +-2*asin(sqrt(s_half))")
     rp.add("fwhm_hz", result.fwhm / TWO_PI, "Hz", "fwhm/(2*pi)")
     rp.add_table(
         "spectrum",

@@ -27,7 +27,13 @@ import numpy as np
 
 
 def _check_omega(omega) -> None:
-    if np.any(np.asarray(omega) <= 0.0):
+    # Python and numpy float scalars skip the array round trip; like the
+    # array test, the comparison lets NaN through.
+    if isinstance(omega, float):
+        bad = omega <= 0.0
+    else:
+        bad = np.any(np.asarray(omega) <= 0.0)
+    if bad:
         raise ValueError("optical frequency must be positive")
 
 

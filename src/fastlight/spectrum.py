@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .constants import C0
 from .dispersion import DispersionProfile, group_index, refractive_index
@@ -101,25 +100,113 @@ def transmission(profile: DispersionProfile, cavity: RingCavity, delta_length: f
     return 1.0 / (1.0 + k * np.sin(0.5 * psi) ** 2)
 
 
-def _sine_term(profile, cavity, delta_length, omega) -> float:
-    # Minimization objective: sin^2(Psi/2) reaches exact zero at resonance,
-    # whereas 1 - T underflows long before the vertex is resolved.
-    psi = round_trip_dephasing(profile, cavity, delta_length, omega)
-    return math.sin(0.5 * psi) ** 2
-
-
 def _psi_slope(profile, cavity, delta_length, omega) -> float:
     length = cavity.round_trip_length
     ng_path = cavity.fill_fraction * group_index(profile, omega) + (1.0 - cavity.fill_fraction) * cavity.n0
     return (length * ng_path + cavity.n0 * delta_length) / C0
 
 
+# Bisection alone takes the widest bracket used here (ten width estimates,
+# tolerance 1e-9 of one) to its tolerance in 34 steps.
+_ROOT_ITERATIONS = 100
+
+
+def _nearest_mode(psi: float) -> float:
+    """The resonance level 2*pi*m nearest to a round-trip phase."""
+    return 2.0 * math.pi * round(psi / (2.0 * math.pi))
+
+
+def _psi_root(profile, cavity, delta_length, base: float, target: float, lo: float, hi: float, xtol: float):
+    """Offset u in [lo, hi] where Psi(base + u) = target.
+
+    Returns None when Psi - target has the same sign at both ends.
+
+    Safeguarded Newton-bisection (rtsafe, Numerical Recipes 9.4) on the exact
+    slope `_psi_slope`, falling back to halving the bracket wherever a Newton
+    step would leave it or converge too slowly. Psi can only be evaluated at
+    the double nearest base + u, so each Newton step starts from that point;
+    the steps, and the offset returned, are therefore not quantised to the
+    ulp of omega. Stops once an iterate moves by less than xtol, or once the
+    bracket is down to two ulps of base, below which Psi cannot tell its
+    points apart.
+    """
+
+    def evaluate(u: float) -> tuple[float, float, float]:
+        # (the offset actually evaluated, omega, Psi(omega) - target);
+        # the subtraction is exact since omega and base are close
+        omega = base + u
+        return omega - base, omega, round_trip_dephasing(profile, cavity, delta_length, omega) - target
+
+    lo, _, f_lo = evaluate(lo)
+    hi, _, f_hi = evaluate(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if not (f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo):
+        return None
+    neg, pos = (lo, hi) if f_lo < 0.0 else (hi, lo)
+    floor = 2.0 * math.ulp(base)
+    u = 0.5 * (lo + hi)
+    step = step_old = abs(hi - lo)
+    for _ in range(_ROOT_ITERATIONS):
+        at, omega, f = evaluate(u)
+        if f == 0.0:
+            # also the white-light centre, where the slope is 0 as well
+            return at
+        if f < 0.0:
+            neg = at
+        else:
+            pos = at
+        slope = _psi_slope(profile, cavity, delta_length, omega)
+        # Newton only if it lands inside the bracket (a zero or non-finite
+        # slope fails this) and at least halves the step before last
+        inside = ((at - neg) * slope - f) * ((at - pos) * slope - f) < 0.0
+        if inside and abs(2.0 * f) <= abs(step_old * slope):
+            nxt = at - f / slope
+        else:
+            nxt = neg + 0.5 * (pos - neg)
+        step_old, step = step, nxt - u
+        u = nxt
+        if abs(step) < xtol or abs(pos - neg) <= floor:
+            return u
+    raise ComputationError("round-trip phase root did not converge")
+
+
+def _psi_turn(profile, cavity, delta_length, base: float, lo: float, hi: float, xtol: float) -> float:
+    """Offset u in [lo, hi] where the slope of Psi(base + u) changes sign.
+
+    Bisection to xtol (at least two ulps of base); raises ComputationError
+    when the slope has one sign at both ends.
+    """
+
+    def slope(u: float) -> float:
+        return _psi_slope(profile, cavity, delta_length, base + u)
+
+    s_lo, s_hi = slope(lo), slope(hi)
+    if not (s_lo < 0.0 < s_hi or s_hi < 0.0 < s_lo):
+        raise ComputationError(
+            "round-trip phase neither crosses zero nor turns next to the transmission peak"
+        )
+    tol = max(xtol, 2.0 * math.ulp(base))
+    while abs(hi - lo) > tol:
+        mid = 0.5 * (lo + hi)
+        if (slope(mid) < 0.0) == (s_lo < 0.0):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def find_resonance(profile: DispersionProfile, cavity: RingCavity, delta_length: float, grid: SweepGrid) -> float:
     """Locate the transmission maximum inside the grid.
 
     Scans the grid, demands exactly one significant local maximum away from
-    the edges, then refines by bounded minimization of sin^2(Psi/2) to an
-    absolute tolerance of resolution/1e4.
+    the edges, then solves Psi = 2*pi*m between the neighbouring samples to
+    an absolute tolerance of resolution/1e4, with m the mode order nearest
+    the peak sample (0 for the mode of omega0). Where Psi only touches that
+    level without crossing it, sin^2(Psi/2) is smallest where the slope of
+    Psi changes sign, and that point is returned instead.
     """
     w = grid.omegas
     t = transmission(profile, cavity, delta_length, w)
@@ -136,17 +223,14 @@ def find_resonance(profile: DispersionProfile, cavity: RingCavity, delta_length:
         raise ComputationError(
             f"expected exactly one significant transmission maximum, found {count}"
         )
-    # Refine in offset coordinates: the minimizer's internal tolerance carries
-    # a sqrt(eps)*|x| term, which at optical magnitudes (~1e15) would swamp
-    # xatol by eight orders.
     center = w[i]
-    res = minimize_scalar(
-        lambda d: _sine_term(profile, cavity, delta_length, center + d),
-        bounds=(w[i - 1] - center, w[i + 1] - center),
-        method="bounded",
-        options={"xatol": grid.resolution / 1e4, "maxiter": 500},
-    )
-    return float(center + res.x)
+    order = _nearest_mode(round_trip_dephasing(profile, cavity, delta_length, center))
+    lo, hi = w[i - 1] - center, w[i + 1] - center
+    xtol = grid.resolution / 1e4
+    u = _psi_root(profile, cavity, delta_length, center, order, lo, hi, xtol)
+    if u is None:
+        u = _psi_turn(profile, cavity, delta_length, center, lo, hi, xtol)
+    return float(center + u)
 
 
 def _width_estimate(profile: DispersionProfile, cavity: RingCavity, shift: float) -> float:
@@ -240,36 +324,41 @@ def measure_fwhm(
 ) -> float:
     """Full width at half maximum of the transmission resonance.
 
-    Works on sin^2(Psi/2) directly: the half-maximum level relative to the
-    peak value T_res is s_half = (1 + 2 k s_res)/k with k = (2F/pi)^2, which
-    stays exact even when the peak does not quite reach 1. Brackets each side
-    by geometric expansion (factor 1.6, up to ten width estimates) and roots
-    with brentq.
+    Works on the round-trip phase directly: the half-maximum level relative
+    to the peak value T_res is s_half = (1 + 2 k s_res)/k in sin^2(Psi/2),
+    with k = (2F/pi)^2, which stays exact even when the peak does not quite
+    reach 1. Brackets each side by geometric expansion (factor 1.6, up to ten
+    width estimates), then solves Psi = 2*pi*m +- 2*asin(sqrt(s_half)) there,
+    with the sign Psi takes at the bracket's outer end.
     """
     k = (2.0 * cavity.finesse / math.pi) ** 2
-    s_res = _sine_term(profile, cavity, delta_length, resonance)
+
+    def psi_at(u: float) -> float:
+        return round_trip_dephasing(profile, cavity, delta_length, resonance + u)
+
+    psi_res = psi_at(0.0)
+    s_res = math.sin(0.5 * psi_res) ** 2
     s_half = (1.0 + 2.0 * k * s_res) / k
+    order = _nearest_mode(psi_res)
     estimate = _width_estimate(profile, cavity, resonance - cavity.omega0)
 
     def crossing(side: float) -> float:
         lo = 0.0
         hi = estimate / 8.0
-        while _sine_term(profile, cavity, delta_length, resonance + side * hi) < s_half:
+        psi = psi_at(side * hi)
+        while math.sin(0.5 * psi) ** 2 < s_half:
             lo = hi
             hi *= 1.6
             if hi > 10.0 * estimate:
                 raise ComputationError(
                     "half-maximum crossing not bracketed within ten width estimates"
                 )
-        off = brentq(
-            lambda u: _sine_term(profile, cavity, delta_length, resonance + side * u) - s_half,
-            lo,
-            hi,
-            xtol=1e-9 * estimate,
-            rtol=4.0 * 2.220446049250313e-16,
-            maxiter=200,
-        )
-        return float(off)
+            psi = psi_at(side * hi)
+        target = order + math.copysign(2.0 * math.asin(math.sqrt(s_half)), psi - order)
+        off = _psi_root(profile, cavity, delta_length, resonance, target, side * lo, side * hi, 1e-9 * estimate)
+        if off is None:
+            raise ComputationError("round-trip phase does not cross the half-maximum level")
+        return abs(off)
 
     return crossing(+1.0) + crossing(-1.0)
 

@@ -12,7 +12,8 @@ import random
 from fastlight.dispersion import TaylorCubic
 
 
-def _bisect(f, lo: float, hi: float, rounds: int = 200) -> float:
+def bisect(f, lo: float, hi: float, rounds: int = 200) -> float:
+    """Root of f in [lo, hi] by interval bisection; f must change sign."""
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -55,15 +56,15 @@ def bisect_cubic_branch(a: float, b: float, d: float) -> float:
         hi = 1.0
         while f(hi) < 0.0:
             hi *= 2.0
-        return _bisect(f, 0.0, hi)
+        return bisect(f, 0.0, hi)
     turn = math.sqrt(-b / (3.0 * a))
     if f(-turn) > 0.0:
         # three real roots; the continuous one sits between the extrema
-        return _bisect(f, -turn, turn)
+        return bisect(f, -turn, turn)
     hi = 2.0 * turn + 1.0
     while f(hi) < 0.0:
         hi *= 2.0
-    return _bisect(f, turn, hi)
+    return bisect(f, turn, hi)
 
 
 def bisect_positive_root(a: float, b: float, d: float) -> float:
@@ -78,7 +79,7 @@ def bisect_positive_root(a: float, b: float, d: float) -> float:
     hi = 2.0 * lo + 1.0
     while f(hi) < 0.0:
         hi *= 2.0
-    return _bisect(f, lo, hi)
+    return bisect(f, lo, hi)
 
 
 def random_cubic_case(rng: random.Random) -> tuple[TaylorCubic, float]:

@@ -6,6 +6,10 @@ separation are observed exactly as a shell would see them.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -252,3 +256,18 @@ def test_fig5_hits_target(tmp_path, capsys):
         0.5 * results["half_linewidth_derived"]["value"], rel=1e-15
     )
     assert set(doc["tables"]) == {"fig5_vacuum", "fig5_dispersive"}
+
+
+def test_cli_import_does_not_load_scipy():
+    # a fresh interpreter, so modules imported by other tests do not count
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", "import fastlight.cli, sys; print('scipy' in sys.modules)"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "False"

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
+from oracle_utils import bisect
 
 from fastlight.constants import C0
-from fastlight.dispersion import ConstantIndex, TaylorCubic, cad_tune, taylor_coefficients
+from fastlight.dispersion import ConstantIndex, TaylorCubic, cad_tune, group_index, taylor_coefficients
 from fastlight.errors import ComputationError
 from fastlight.resonator import (
     RingCavity,
@@ -17,8 +18,10 @@ from fastlight.resonator import (
     shifted_linewidth,
 )
 from fastlight.sagnac import LoopGeometry
+from fastlight.scenario import load_scenario
 from fastlight.spectrum import (
     SweepGrid,
+    _width_estimate,
     auto_grid,
     find_resonance,
     measure_fwhm,
@@ -44,14 +47,21 @@ def cad_cavity(gamma_over_g: float) -> RingCavity:
 
 
 VACUUM = ConstantIndex(1.0)
+CAD_SWEEP = Path(__file__).resolve().parents[1] / "scenarios" / "cad_sweep.scenario"
 
 
 def full_model_shift(dw_ec: float) -> float:
     # self-consistency against the complete line: u^3/(1 + u^2) = dw_ec/G,
     # solved by an independent bracketing root finder
     r = dw_ec / G
-    u = brentq(lambda v: v ** 3 / (1.0 + v * v) - r, 0.0, 2.0 + 2.0 * r, xtol=1e-300, rtol=1e-14)
+    u = bisect(lambda v: v ** 3 / (1.0 + v * v) - r, 0.0, 2.0 + 2.0 * r)
     return u * G
+
+
+def half_maximum_level(profile, cav: RingCavity, dl: float, res: float) -> float:
+    # sin^2(Psi/2) at half the peak transmission T_res, from the Airy form
+    k = (2.0 * cav.finesse / math.pi) ** 2
+    return (1.0 + 2.0 * k * math.sin(0.5 * round_trip_dephasing(profile, cav, dl, res)) ** 2) / k
 
 
 # ------------------------------------------------------------- dephasing
@@ -96,6 +106,20 @@ def test_vacuum_resonance_found_exactly():
     assert find_resonance(VACUUM, cav, 0.0, grid) == pytest.approx(W0, abs=1.0)
 
 
+@pytest.mark.parametrize("dl", [0.0, 1e-8, -2.0 * math.pi * 3.0e5 * 2.0 * math.pi / W0])
+def test_vacuum_resonance_and_width_are_exact(dl):
+    # In vacuum Psi = (L + dL)*(omega - omega_res)/c0 exactly, so the
+    # resonance is the double nearest omega0*L/(L + dL) and the half-maximum
+    # points sit 2*asin(sqrt(s_half))/slope either side of it.
+    cav = cavity()
+    length = cav.round_trip_length
+    res = find_resonance(VACUUM, cav, dl, auto_grid(VACUUM, cav, dl))
+    assert abs((res - W0) + W0 * dl / (length + dl)) <= 0.5 * math.ulp(res) * (1.0 + 1e-6)
+    s_half = half_maximum_level(VACUUM, cav, dl, res)
+    exact = 4.0 * math.asin(math.sqrt(s_half)) * C0 / (length + dl)
+    assert abs(measure_fwhm(VACUUM, cav, dl, res) - exact) <= 2e-9 * cav.gamma_ec
+
+
 def test_resonance_shift_linear_in_length_change():
     cav = cavity()
     dl = 1e-8  # offsets ~5e6 rad/s, far above the frequency lattice
@@ -123,6 +147,83 @@ def test_resonance_stable_under_grid_refinement():
     r1 = find_resonance(profile, cav, dl, auto_grid(profile, cav, dl))
     r2 = find_resonance(profile, cav, dl, auto_grid(profile, cav, dl, min_points=8001))
     assert abs(r2 - r1) <= 3e-6 * abs(r1 - W0)
+
+
+def oracle_cases():
+    """(profile, cavity, delta_length) on the vacuum and cad_sweep cavities.
+
+    delta_length = 0 on the cad_sweep cavity is the white-light centre, where
+    Psi and its slope both vanish at omega0.
+    """
+    scn = load_scenario(CAD_SWEEP)
+    cad, cad_cav = scn.profile(), scn.cavity()
+    vac = cavity()
+    cases = [(VACUUM, vac, 0.0), (VACUUM, vac, 1e-8)]
+    for dw_ec in (0.0, 1e-6 * G, 1e-3 * G, 1e-1 * G):
+        cases.append((cad, cad_cav, -dw_ec * cad_cav.round_trip_length / cad_cav.omega0))
+    return cases
+
+
+def ulp_floor(omega: float, tol: float) -> float:
+    # Psi is evaluated at absolute frequencies, so no root is resolved more
+    # finely than the spacing of doubles around omega.
+    return max(tol, math.ulp(omega))
+
+
+@pytest.mark.parametrize("profile, cav, dl", oracle_cases())
+def test_find_resonance_matches_bisection_of_psi(profile, cav, dl):
+    grid = auto_grid(profile, cav, dl)
+    res = find_resonance(profile, cav, dl, grid)
+    h = grid.resolution
+    u = bisect(lambda v: round_trip_dephasing(profile, cav, dl, res + v), -h, h)
+    assert abs(u) <= ulp_floor(res, h / 1e4)
+
+
+@pytest.mark.parametrize("profile, cav, dl", oracle_cases())
+def test_fwhm_ends_sit_on_the_half_maximum_level(profile, cav, dl):
+    res = find_resonance(profile, cav, dl, auto_grid(profile, cav, dl))
+    width = measure_fwhm(profile, cav, dl, res)
+    s_half = half_maximum_level(profile, cav, dl, res)
+
+    def excess(v: float) -> float:
+        return math.sin(0.5 * round_trip_dephasing(profile, cav, dl, res + v)) ** 2 - s_half
+
+    # each crossing lies within one width of the resonance
+    right = bisect(excess, 0.0, width)
+    left = bisect(excess, 0.0, -width)
+    tol = ulp_floor(res, 1e-9 * _width_estimate(profile, cav, res - cav.omega0))
+    assert abs(width - (right - left)) <= 2.0 * tol
+
+
+def test_resonance_and_width_on_a_neighbouring_mode():
+    cav = cavity()
+    fsr = cav.free_spectral_range
+    grid = SweepGrid(center=W0 + fsr + 1.0e4, half_span=5.0 * cav.gamma_ec, points=2001)
+    res = find_resonance(VACUUM, cav, 0.0, grid)
+    assert res == pytest.approx(W0 + fsr, abs=1.0)
+    assert measure_fwhm(VACUUM, cav, 0.0, res) == pytest.approx(cav.gamma_ec, rel=1e-3)
+
+
+def test_find_resonance_where_psi_only_touches_zero():
+    # n_g = -1 with curvature 1/G^2: Psi ~ (L/c0)(-d + d^3/G^2) has a local
+    # minimum at d = G/sqrt(3). Lift it to just above zero with a length
+    # change; the transmission peak is then where the slope of Psi vanishes.
+    cav = cavity()
+    profile = TaylorCubic(1.0, -2.0 / W0, 1.0 / (G * G * W0), W0)
+    turn = W0 + G / math.sqrt(3.0)
+    lift = 0.1 * math.pi / cav.finesse
+    dl = (lift - round_trip_dephasing(profile, cav, 0.0, turn)) * C0 / turn
+    # the grid is offset so that no sample sits on the turning point
+    grid = SweepGrid(center=turn + 3.3e3, half_span=0.3 * G, points=4001)
+    res = find_resonance(profile, cav, dl, grid)
+    h = grid.resolution
+
+    def slope(v: float) -> float:
+        return cav.round_trip_length * group_index(profile, res + v) + dl
+
+    u = bisect(slope, -h, h)
+    assert abs(u) <= ulp_floor(res, h / 1e4)
+    assert round_trip_dephasing(profile, cav, dl, res) > 0.0
 
 
 def test_find_resonance_rejects_edge_peak():
