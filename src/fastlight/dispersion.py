@@ -32,9 +32,17 @@ def _check_omega(omega) -> None:
     if isinstance(omega, float):
         bad = omega <= 0.0
     else:
-        bad = np.any(np.asarray(omega) <= 0.0)
+        bad = (np.asarray(omega) <= 0.0).any()
     if bad:
         raise ValueError("optical frequency must be positive")
+
+
+def _zero_like(omega):
+    # 0.0 * omega: a float for float input, an array otherwise; NaN and inf
+    # still give NaN
+    if isinstance(omega, float):
+        return 0.0 * omega
+    return 0.0 * np.asarray(omega, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -49,16 +57,16 @@ class ConstantIndex:
 
     def index(self, omega):
         _check_omega(omega)
-        return self.n0 + 0.0 * np.asarray(omega, dtype=float)
+        return self.n0 + _zero_like(omega)
 
     def dindex_domega(self, omega):
         _check_omega(omega)
-        return 0.0 * np.asarray(omega, dtype=float)
+        return _zero_like(omega)
 
     def index_change(self, omega, base):
         _check_omega(omega)
         _check_omega(base)
-        return 0.0 * np.asarray(omega, dtype=float)
+        return _zero_like(omega)
 
 
 @dataclass(frozen=True)
@@ -81,7 +89,7 @@ class LinearIndex:
 
     def dindex_domega(self, omega):
         _check_omega(omega)
-        return self.n1 + 0.0 * np.asarray(omega, dtype=float)
+        return self.n1 + _zero_like(omega)
 
     def index_change(self, omega, base):
         _check_omega(omega)

@@ -6,11 +6,11 @@ Grammar (one assignment per line):
     key = value                    whitespace around '=' is free
     empty_cavity_shift_hz = 1.0e-2:1.0e6:33:log    range: min:max:points:spacing
 
-Unknown keys, duplicate keys, malformed numbers, and inconsistent
-combinations are reported with the offending line number. A JSON document
-(either a flat object or {"inputs": {...}}, as emitted by the CLI) is
-accepted through the same entry points, so a JSON result file can be fed
-straight back in.
+Unknown keys, duplicate keys, malformed or non-finite numbers (nan, inf),
+and inconsistent combinations are reported with the offending line number.
+A JSON document (either a flat object or {"inputs": {...}}, as emitted by
+the CLI) is accepted through the same entry points, so a JSON result file
+can be fed straight back in.
 
 Exactly one of the three drive inputs must be present:
 rotation_rate_rad_s, delta_length_m, empty_cavity_shift_hz.
@@ -116,6 +116,8 @@ def _parse_range(raw: str, where: str) -> ValueRange:
         points = int(parts[2])
     except ValueError as exc:
         raise ScenarioError(f"{where}: malformed range {raw!r} ({exc})") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ScenarioError(f"{where}: range endpoints must be finite, got {raw!r}")
     spacing = parts[3].strip().lower()
     if spacing not in ("log", "lin"):
         raise ScenarioError(f"{where}: range spacing must be log or lin, got {parts[3]!r}")
@@ -134,9 +136,12 @@ def _parse_value(key: str, raw: str, where: str):
     if key in _RANGE_KEYS and ":" in raw:
         return _parse_range(raw, where)
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ScenarioError(f"{where}: value for {key} is not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ScenarioError(f"{where}: value for {key} must be finite, got {raw!r}")
+    return value
 
 
 class Scenario:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C0
-from .dispersion import DispersionProfile, group_index, refractive_index
+from .dispersion import DispersionProfile
 from .errors import ComputationError
 from .resonator import (
     RingCavity,
@@ -74,21 +74,30 @@ class SpectrumTrace:
     fwhm: float
 
 
-def round_trip_dephasing(profile: DispersionProfile, cavity: RingCavity, delta_length: float, omega):
-    """Round-trip phase relative to the unperturbed resonance (exact form)."""
+def _psi(cavity: RingCavity, delta_length: float, omega, n_at, dn):
+    """Psi at omega from n(omega) and n(omega) - n(omega0), in the exact form."""
     length = cavity.round_trip_length
     fill = cavity.fill_fraction
     nb = cavity.n0
-    delta = np.asarray(omega, dtype=float) - cavity.omega0
-    dn = profile.index_change(omega, cavity.omega0)
-    n_at = refractive_index(profile, omega)
+    delta = omega - cavity.omega0
     psi_c0 = (
         fill * length * (dn * cavity.omega0 + n_at * delta)
         + (1.0 - fill) * length * nb * delta
-        + nb * delta_length * np.asarray(omega, dtype=float)
+        + nb * delta_length * omega
     )
-    out = psi_c0 / C0
-    return float(out) if np.ndim(omega) == 0 else out
+    return psi_c0 / C0
+
+
+def round_trip_dephasing(profile: DispersionProfile, cavity: RingCavity, delta_length: float, omega):
+    """Round-trip phase relative to the unperturbed resonance (exact form).
+
+    A scalar omega is evaluated on Python floats and gives a float; an array
+    gives an array. Both run the same expression, so they agree bitwise.
+    The Newton iterations take Psi together with its slope from
+    `_psi_and_slope` instead.
+    """
+    omega = float(omega) if np.ndim(omega) == 0 else np.asarray(omega, dtype=float)
+    return _psi(cavity, delta_length, omega, profile.index(omega), profile.index_change(omega, cavity.omega0))
 
 
 def transmission(profile: DispersionProfile, cavity: RingCavity, delta_length: float, omega):
@@ -100,10 +109,18 @@ def transmission(profile: DispersionProfile, cavity: RingCavity, delta_length: f
     return 1.0 / (1.0 + k * np.sin(0.5 * psi) ** 2)
 
 
-def _psi_slope(profile, cavity, delta_length, omega) -> float:
-    length = cavity.round_trip_length
-    ng_path = cavity.fill_fraction * group_index(profile, omega) + (1.0 - cavity.fill_fraction) * cavity.n0
-    return (length * ng_path + cavity.n0 * delta_length) / C0
+def _psi_and_slope(profile, cavity, delta_length, omega) -> tuple[float, float]:
+    """(Psi, dPsi/domega) at a scalar omega, from one evaluation of n(omega).
+
+    The slope is (L*(fill*n_g + (1 - fill)*n0) + n0*dL)/c0, with the group
+    index n_g = n + omega*dn/domega sharing n(omega) with Psi.
+    """
+    omega = float(omega)
+    n_at = profile.index(omega)
+    psi = _psi(cavity, delta_length, omega, n_at, profile.index_change(omega, cavity.omega0))
+    fill = cavity.fill_fraction
+    ng_path = fill * (n_at + omega * profile.dindex_domega(omega)) + (1.0 - fill) * cavity.n0
+    return psi, (cavity.round_trip_length * ng_path + cavity.n0 * delta_length) / C0
 
 
 # Bisection alone takes the widest bracket used here (ten width estimates,
@@ -122,23 +139,24 @@ def _psi_root(profile, cavity, delta_length, base: float, target: float, lo: flo
     Returns None when Psi - target has the same sign at both ends.
 
     Safeguarded Newton-bisection (rtsafe, Numerical Recipes 9.4) on the exact
-    slope `_psi_slope`, falling back to halving the bracket wherever a Newton
-    step would leave it or converge too slowly. Psi can only be evaluated at
-    the double nearest base + u, so each Newton step starts from that point;
-    the steps, and the offset returned, are therefore not quantised to the
-    ulp of omega. Stops once an iterate moves by less than xtol, or once the
-    bracket is down to two ulps of base, below which Psi cannot tell its
-    points apart.
+    slope from `_psi_and_slope`, falling back to halving the bracket wherever
+    a Newton step would leave it or converge too slowly. The two bracket
+    ends need Psi only. Psi can only be evaluated at the double nearest
+    base + u, so each Newton step starts from that point; the steps, and the
+    offset returned, are therefore not quantised to the ulp of omega. Stops
+    once an iterate moves by less than xtol, or once the bracket is down to
+    two ulps of base, below which Psi cannot tell its points apart.
     """
+    base = float(base)
 
-    def evaluate(u: float) -> tuple[float, float, float]:
-        # (the offset actually evaluated, omega, Psi(omega) - target);
-        # the subtraction is exact since omega and base are close
+    def end(u: float) -> tuple[float, float]:
+        # (the offset actually evaluated, Psi there - target); the
+        # subtraction is exact since omega and base are close
         omega = base + u
-        return omega - base, omega, round_trip_dephasing(profile, cavity, delta_length, omega) - target
+        return omega - base, round_trip_dephasing(profile, cavity, delta_length, omega) - target
 
-    lo, _, f_lo = evaluate(lo)
-    hi, _, f_hi = evaluate(hi)
+    lo, f_lo = end(lo)
+    hi, f_hi = end(hi)
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
@@ -150,7 +168,10 @@ def _psi_root(profile, cavity, delta_length, base: float, target: float, lo: flo
     u = 0.5 * (lo + hi)
     step = step_old = abs(hi - lo)
     for _ in range(_ROOT_ITERATIONS):
-        at, omega, f = evaluate(u)
+        omega = base + u
+        at = omega - base
+        psi, slope = _psi_and_slope(profile, cavity, delta_length, omega)
+        f = psi - target
         if f == 0.0:
             # also the white-light centre, where the slope is 0 as well
             return at
@@ -158,7 +179,6 @@ def _psi_root(profile, cavity, delta_length, base: float, target: float, lo: flo
             neg = at
         else:
             pos = at
-        slope = _psi_slope(profile, cavity, delta_length, omega)
         # Newton only if it lands inside the bracket (a zero or non-finite
         # slope fails this) and at least halves the step before last
         inside = ((at - neg) * slope - f) * ((at - pos) * slope - f) < 0.0
@@ -181,7 +201,7 @@ def _psi_turn(profile, cavity, delta_length, base: float, lo: float, hi: float, 
     """
 
     def slope(u: float) -> float:
-        return _psi_slope(profile, cavity, delta_length, base + u)
+        return _psi_and_slope(profile, cavity, delta_length, base + u)[1]
 
     s_lo, s_hi = slope(lo), slope(hi)
     if not (s_lo < 0.0 < s_hi or s_hi < 0.0 < s_lo):
@@ -210,6 +230,11 @@ def find_resonance(profile: DispersionProfile, cavity: RingCavity, delta_length:
     """
     w = grid.omegas
     t = transmission(profile, cavity, delta_length, w)
+    return _locate_resonance(profile, cavity, delta_length, grid, w, t)
+
+
+def _locate_resonance(profile, cavity, delta_length, grid: SweepGrid, w: np.ndarray, t: np.ndarray) -> float:
+    """The locate step of `find_resonance`, given the grid scan w, t."""
     i = int(np.argmax(t))
     if i == 0 or i == grid.points - 1:
         raise ComputationError(
@@ -274,8 +299,7 @@ def _shift_estimate(profile: DispersionProfile, cavity: RingCavity, delta_length
     for _ in range(60):
         if not math.isfinite(omega) or abs(omega - cavity.omega0) > limit:
             return best
-        f = round_trip_dephasing(profile, cavity, delta_length, omega)
-        fp = _psi_slope(profile, cavity, delta_length, omega)
+        f, fp = _psi_and_slope(profile, cavity, delta_length, omega)
         if fp == 0.0 or not math.isfinite(fp):
             return best
         step = f / fp
@@ -372,14 +396,11 @@ def trace(
     """Sweep, locate, and width-measure a single resonance."""
     if grid is None:
         grid = auto_grid(profile, cavity, delta_length)
-    resonance = find_resonance(profile, cavity, delta_length, grid)
+    w = grid.omegas
+    t = transmission(profile, cavity, delta_length, w)
+    resonance = _locate_resonance(profile, cavity, delta_length, grid, w, t)
     fwhm = measure_fwhm(profile, cavity, delta_length, resonance)
-    return SpectrumTrace(
-        omega=grid.omegas,
-        transmission=np.asarray(transmission(profile, cavity, delta_length, grid.omegas)),
-        resonance=resonance,
-        fwhm=fwhm,
-    )
+    return SpectrumTrace(omega=w, transmission=t, resonance=resonance, fwhm=fwhm)
 
 
 @dataclass(frozen=True)

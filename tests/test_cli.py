@@ -93,6 +93,27 @@ def test_wrong_input_kind_exits_2(capsys):
     assert err.startswith("scenario error:")
 
 
+@pytest.mark.parametrize(
+    "scenario,old,new,command",
+    [
+        (TABLETOP, "rotation_rate_rad_s = 7.2921159e-5", "rotation_rate_rad_s = nan", "shift"),
+        (TABLETOP, "rotation_rate_rad_s = 7.2921159e-5", "rotation_rate_rad_s = nan", "spectrum"),
+        (DEMO, "empty_cavity_shift_hz = 3.0e5", "empty_cavity_shift_hz = inf", "shift"),
+        (TABLETOP, "radius_m = 1.0", "radius_m = inf", "shift"),
+    ],
+)
+def test_non_finite_input_exits_2(tmp_path, capsys, scenario, old, new, command):
+    text = Path(scenario).read_text(encoding="utf-8")
+    assert old in text
+    path = tmp_path / "non_finite.scenario"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    lineno = text[: text.index(old)].count("\n") + 1
+    code, out, err = run(capsys, command, "--scenario", str(path))
+    assert code == 2
+    assert err.startswith(f"scenario error: {path}:{lineno}: value for {new.split()[0]} must be finite")
+    assert out == ""
+
+
 def test_computation_failure_exits_3(tmp_path, capsys):
     # steep normal dispersion with no cubic term: group index < 0, the
     # linear linewidth has no positive solution

@@ -252,3 +252,25 @@ def test_shipped_scenarios_parse():
         # the open interferometer scenario has no cavity block
         if "finesse" in s.values:
             s.cavity()
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_non_finite_value_reports_line_number(raw):
+    with pytest.raises(ScenarioError, match=r"inline:5: value for rotation_rate_rad_s must be finite"):
+        parse(BASE.replace("7.2921159e-5", raw))
+    with pytest.raises(ScenarioError, match=r"inline:2: value for radius_m must be finite"):
+        parse(BASE.replace("radius_m = 1.0", f"radius_m = {raw}"))
+
+
+@pytest.mark.parametrize("text", ["nan:2:5:lin", "1:inf:5:log", "-inf:1:5:lin"])
+def test_non_finite_range_endpoint_reports_line_number(text):
+    with pytest.raises(ScenarioError, match=r"inline:5: range endpoints must be finite"):
+        parse(BASE.replace("7.2921159e-5", text))
+
+
+def test_non_finite_json_value_rejected():
+    # json.loads reads NaN, Infinity and overflowing literals as floats
+    for literal in ("NaN", "Infinity", "1e400"):
+        text = '{"inputs": {"radius_m": 1.0, "finesse": 1e3, "frequency_hz": 5e14, "rotation_rate_rad_s": %s}}' % literal
+        with pytest.raises(ScenarioError, match="x:rotation_rate_rad_s: value for rotation_rate_rad_s must be finite"):
+            parse_scenario_text(text, source="x")

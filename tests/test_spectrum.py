@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,15 @@ import pytest
 from oracle_utils import bisect
 
 from fastlight.constants import C0
-from fastlight.dispersion import ConstantIndex, TaylorCubic, cad_tune, group_index, taylor_coefficients
+from fastlight.dispersion import (
+    ConstantIndex,
+    LinearIndex,
+    LorentzianAbsorptive,
+    TaylorCubic,
+    cad_tune,
+    group_index,
+    taylor_coefficients,
+)
 from fastlight.errors import ComputationError
 from fastlight.resonator import (
     RingCavity,
@@ -21,6 +31,7 @@ from fastlight.sagnac import LoopGeometry
 from fastlight.scenario import load_scenario
 from fastlight.spectrum import (
     SweepGrid,
+    _psi_and_slope,
     _width_estimate,
     auto_grid,
     find_resonance,
@@ -87,6 +98,59 @@ def test_dephasing_accepts_arrays():
     assert psi.shape == (3,)
     assert psi[1] == 0.0
     assert psi[0] == -psi[2]
+
+
+SCALAR_PROFILES = [
+    ConstantIndex(1.5),
+    LinearIndex(n0=1.0, n1=4.0e-14, omega_ref=W0),
+    cad_tune(G, W0),
+    taylor_coefficients(cad_tune(G, W0)),
+]
+
+
+@pytest.mark.parametrize("profile", SCALAR_PROFILES, ids=lambda p: type(p).__name__)
+def test_scalar_dephasing_and_slope_match_the_array_path_bitwise(profile):
+    # partial fill and a background index other than 1 bring every term in
+    cav = RingCavity(geometry=CIRCLE, finesse=1.0e3, omega0=W0, n0=1.2, fill_fraction=0.6)
+    dl = -1e-3 * G * cav.round_trip_length / W0
+    omegas = W0 + np.linspace(-3.0 * G, 3.0 * G, 13)
+    psi_array = round_trip_dephasing(profile, cav, dl, omegas)
+    length, fill, nb = cav.round_trip_length, cav.fill_fraction, cav.n0
+    for w, expected in zip(omegas, psi_array):
+        for omega in (w, float(w)):
+            psi = round_trip_dephasing(profile, cav, dl, omega)
+            assert type(psi) is float
+            assert psi == expected
+            psi_n, slope = _psi_and_slope(profile, cav, dl, omega)
+            assert psi_n == expected
+            assert slope == (length * (fill * group_index(profile, w) + (1.0 - fill) * nb) + nb * dl) / C0
+
+
+@dataclass(frozen=True)
+class CountingLorentzian(LorentzianAbsorptive):
+    calls: Counter = field(default_factory=Counter, compare=False)
+
+    def index(self, omega):
+        if np.ndim(omega) == 0:
+            self.calls["index"] += 1
+        return super().index(omega)
+
+    def index_change(self, omega, base):
+        if np.ndim(omega) == 0:
+            self.calls["index_change"] += 1
+        return super().index_change(omega, base)
+
+
+@pytest.mark.parametrize("dw_ec", [0.0, 1e-6 * G, 1e-3 * G, 1e-1 * G])
+def test_one_index_evaluation_per_scalar_psi(dw_ec):
+    # every scalar Psi, with or without its slope, evaluates n(omega) once
+    scn = load_scenario(CAD_SWEEP)
+    cad, cav = scn.profile(), scn.cavity()
+    profile = CountingLorentzian(cad.strength, cad.half_linewidth, cad.center)
+    dl = -dw_ec * cav.round_trip_length / cav.omega0
+    find_resonance(profile, cav, dl, auto_grid(profile, cav, dl))
+    assert profile.calls["index"] > 0
+    assert profile.calls["index"] == profile.calls["index_change"]
 
 
 def test_transmission_peak_and_half_point():
@@ -285,6 +349,10 @@ def test_trace_fields_consistent():
     cav = cavity()
     result = trace(VACUUM, cav, 0.0)
     assert result.omega.shape == result.transmission.shape
+    grid = auto_grid(VACUUM, cav, 0.0)
+    assert np.array_equal(result.omega, grid.omegas)
+    assert np.array_equal(result.transmission, transmission(VACUUM, cav, 0.0, grid.omegas))
+    assert result.resonance == find_resonance(VACUUM, cav, 0.0, grid)
     assert result.transmission.max() <= 1.0
     assert result.resonance == pytest.approx(W0, abs=1.0)
     assert result.fwhm == pytest.approx(cav.gamma_ec, rel=1e-3)
