@@ -1,144 +1,3 @@
 """Fast-light ring cavities: Sagnac splitting, dispersive response, noise floors."""
 
-from .constants import C0, HBAR, LENSE_THIRRING_FRACTION, OMEGA_EARTH, PLANCK
-from .dispersion import (
-    ConstantIndex,
-    DispersionProfile,
-    LinearIndex,
-    LorentzianAbsorptive,
-    TaylorCubic,
-    cad_tune,
-    group_index,
-    index_change,
-    refractive_index,
-    taylor_coefficients,
-)
-from .errors import ComputationError, FastlightError, ScenarioError
-from .resonator import (
-    RingCavity,
-    ShiftResult,
-    ShiftedLinewidth,
-    airy_linewidth_cubic,
-    effective_half_linewidth,
-    effective_taylor,
-    enhancement_eta,
-    feedback_gain,
-    length_to_rotation,
-    linewidth_cubic,
-    linewidth_linear,
-    rotation_response,
-    rotation_to_length,
-    shift_cubic,
-    shift_linear,
-    shifted_linewidth,
-    splitting_no_dispersion,
-    vacuum_profile,
-)
-from .sagnac import (
-    LoopGeometry,
-    RotationState,
-    SagnacPhase,
-    comoving_phase,
-    fresnel_drag,
-    laub_drag,
-    matter_wave_phase,
-    relativistic_compose,
-    relative_rotation_phase,
-    vacuum_sagnac,
-)
-from .scenario import Scenario, ValueRange, load_scenario, parse_scenario_text
-from .sensitivity import (
-    NoiseBudget,
-    laser_linewidth,
-    lens_thirring_margin,
-    lens_thirring_rate,
-    min_length,
-    min_length_passive_dispersive,
-    min_rotation,
-    min_shift_passive,
-)
-from .spectrum import (
-    EnhancementSample,
-    SpectrumTrace,
-    SweepGrid,
-    auto_grid,
-    find_resonance,
-    measure_fwhm,
-    round_trip_dephasing,
-    sweep_enhancement,
-    trace,
-    transmission,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "C0",
-    "HBAR",
-    "LENSE_THIRRING_FRACTION",
-    "OMEGA_EARTH",
-    "PLANCK",
-    "ConstantIndex",
-    "DispersionProfile",
-    "LinearIndex",
-    "LorentzianAbsorptive",
-    "TaylorCubic",
-    "cad_tune",
-    "group_index",
-    "index_change",
-    "refractive_index",
-    "taylor_coefficients",
-    "ComputationError",
-    "FastlightError",
-    "ScenarioError",
-    "RingCavity",
-    "ShiftResult",
-    "ShiftedLinewidth",
-    "airy_linewidth_cubic",
-    "effective_half_linewidth",
-    "effective_taylor",
-    "enhancement_eta",
-    "feedback_gain",
-    "length_to_rotation",
-    "linewidth_cubic",
-    "linewidth_linear",
-    "rotation_response",
-    "rotation_to_length",
-    "shift_cubic",
-    "shift_linear",
-    "shifted_linewidth",
-    "splitting_no_dispersion",
-    "vacuum_profile",
-    "LoopGeometry",
-    "RotationState",
-    "SagnacPhase",
-    "comoving_phase",
-    "fresnel_drag",
-    "laub_drag",
-    "matter_wave_phase",
-    "relativistic_compose",
-    "relative_rotation_phase",
-    "vacuum_sagnac",
-    "Scenario",
-    "ValueRange",
-    "load_scenario",
-    "parse_scenario_text",
-    "NoiseBudget",
-    "laser_linewidth",
-    "lens_thirring_margin",
-    "lens_thirring_rate",
-    "min_length",
-    "min_length_passive_dispersive",
-    "min_rotation",
-    "min_shift_passive",
-    "EnhancementSample",
-    "SpectrumTrace",
-    "SweepGrid",
-    "auto_grid",
-    "find_resonance",
-    "measure_fwhm",
-    "round_trip_dephasing",
-    "sweep_enhancement",
-    "trace",
-    "transmission",
-]

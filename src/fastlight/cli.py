@@ -17,10 +17,11 @@ import math
 import sys
 from pathlib import Path
 
-from .constants import C0, LENSE_THIRRING_FRACTION, OMEGA_EARTH
-from .dispersion import ConstantIndex, group_index, refractive_index, taylor_coefficients, cad_tune
+from .constants import LENSE_THIRRING_FRACTION, OMEGA_EARTH
+from .dispersion import ConstantIndex, cad_tune, group_index
 from .errors import ComputationError, ScenarioError
 from .resonator import (
+    ETA_CONVENTIONS,
     airy_linewidth_cubic,
     effective_half_linewidth,
     effective_taylor,
@@ -73,12 +74,18 @@ class Report:
         self.lines.append(text)
 
     def add(self, key: str, value: float, unit: str, tag: str) -> None:
+        if not math.isfinite(value):
+            raise ComputationError(f"{key} is not finite ({value}) for these inputs")
         self.results[key] = {"value": float(value), "unit": unit, "formula": tag}
         suffix = f" {unit}" if unit else ""
         self.lines.append(f"{key} = {value:.12g}{suffix}  [{tag}]")
 
     def add_table(self, name: str, header: list[str], rows) -> None:
         self.tables[name] = (list(header), [tuple(float(x) for x in r) for r in rows])
+
+    def add_trace(self, name: str, trace) -> None:
+        rows = zip(trace.omega.tolist(), trace.transmission.tolist())
+        self.add_table(name, ["omega_rad_s", "transmission"], rows)
 
     def render(self, wrote: list[Path]) -> str:
         out = [
@@ -155,9 +162,7 @@ def _dw_ec_scalar(scn: Scenario, cavity) -> tuple[float, str]:
     """Empty-cavity resonance shift (ccw direction for rotation drives)."""
     kind, value = scn.input_scalar()
     if kind == "rotation_rate_rad_s":
-        geom = cavity.geometry
-        dw = (cavity.omega0 / (C0 * cavity.n0)) * (2.0 * value * geom.area / geom.perimeter)
-        return dw, "dw_ec = (w0/(c0*n0))*2*Omega*A/P, ccw direction"
+        return cavity.rotation_scale * value, "dw_ec = (w0/(c0*n0))*2*Omega*A/P, ccw direction"
     if kind == "delta_length_m":
         dw = -cavity.omega0 * value / cavity.round_trip_length
         return dw, "dw_ec = -w0*dL/L"
@@ -171,6 +176,11 @@ def _effective_profile(scn: Scenario, cavity):
 
 def _medium_taylor(scn: Scenario, cavity):
     return effective_taylor(_effective_profile(scn, cavity), cavity)
+
+
+def _eta_tag(convention: str, against: str) -> str:
+    scale = "2*G" if convention == "paper" else "G"
+    return f"eta = ({scale}/{against})^(2/3), {convention} convention"
 
 
 # --------------------------------------------------------------------------
@@ -192,7 +202,7 @@ def _cmd_sagnac(scn: Scenario, rp: Report, convention: str) -> None:
 
     profile = scn.profile()
     if profile is not None:
-        n0 = float(refractive_index(profile, omega))
+        n0 = float(profile.index(omega))
         n_g = float(group_index(profile, omega))
         rp.add("medium_index", n0, "", "n(w0)")
         rp.add("medium_group_index", n_g, "", "n_g = n + w0*(dn/dw)")
@@ -266,8 +276,7 @@ def _cmd_shift(scn: Scenario, rp: Report, convention: str) -> None:
     dw_ec, tag = _dw_ec_scalar(scn, cavity)
     rp.add("dw_ec", dw_ec, "rad/s", tag)
     t = _medium_taylor(scn, cavity)
-    n_g = t.n0 + t.n1 * t.omega_ref
-    rp.add("group_index", n_g, "", "n_g = n0_eff + w0*n1_eff")
+    rp.add("group_index", t.ng0, "", "n_g = n0_eff + w0*n1_eff")
     dw_dis = shift_cubic(dw_ec, t)
     rp.add("dw_dis", dw_dis, "rad/s", "root of n3*w0*x^3 + n_g*x = dw_ec")
     rp.add("dw_dis_hz", dw_dis / TWO_PI, "Hz", "dw_dis/(2*pi)")
@@ -275,12 +284,11 @@ def _cmd_shift(scn: Scenario, rp: Report, convention: str) -> None:
         rp.add("enhancement", dw_dis / dw_ec, "", "eta = dw_dis/dw_ec")
     g = effective_half_linewidth(t)
     if g is not None and dw_ec > 0.0:
-        scale = "2*G" if convention == "paper" else "G"
         rp.add(
             "enhancement_analytic",
             enhancement_eta(g, dw_ec, convention),
             "",
-            f"eta = ({scale}/dw_ec)^(2/3), {convention} convention",
+            _eta_tag(convention, "dw_ec"),
         )
     rp.add("feedback_gain", feedback_gain(t), "", "G_fb = 1 - n_g/n0")
     try:
@@ -301,8 +309,7 @@ def _cmd_linewidth(scn: Scenario, rp: Report, convention: str) -> None:
     rp.add("gamma_ec", cavity.gamma_ec, "rad/s", "gamma_ec = 2*pi*c0/(n0*L*F)")
     rp.add("ring_down_time", cavity.ring_down_time, "s", "tau_c = 1/gamma_ec")
     t = _medium_taylor(scn, cavity)
-    n_g = t.n0 + t.n1 * t.omega_ref
-    rp.add("group_index", n_g, "", "n_g = n0_eff + w0*n1_eff")
+    rp.add("group_index", t.ng0, "", "n_g = n0_eff + w0*n1_eff")
     gamma_self = linewidth_cubic(cavity.gamma_ec, t)
     rp.add(
         "gamma_dis",
@@ -353,11 +360,7 @@ def _cmd_spectrum(scn: Scenario, rp: Report, convention: str) -> None:
         rp.add("enhancement_numeric", shift / dw_ec, "", "eta = shift/dw_ec")
     rp.add("fwhm", result.fwhm, "rad/s", "width between the roots of Psi = +-2*asin(sqrt(s_half))")
     rp.add("fwhm_hz", result.fwhm / TWO_PI, "Hz", "fwhm/(2*pi)")
-    rp.add_table(
-        "spectrum",
-        ["omega_rad_s", "transmission"],
-        list(zip(result.omega.tolist(), result.transmission.tolist())),
-    )
+    rp.add_trace("spectrum", result)
 
 
 def _cmd_fig4(scn: Scenario, rp: Report, convention: str) -> None:
@@ -446,19 +449,11 @@ def _cmd_fig5(scn: Scenario, rp: Report, convention: str) -> None:
         "",
         "shift_dispersive/dw_target - 1",
     )
-    rp.add_table(
-        "fig5_vacuum",
-        ["omega_rad_s", "transmission"],
-        list(zip(trace_vac.omega.tolist(), trace_vac.transmission.tolist())),
-    )
-    rp.add_table(
-        "fig5_dispersive",
-        ["omega_rad_s", "transmission"],
-        list(zip(trace_dis.omega.tolist(), trace_dis.transmission.tolist())),
-    )
+    rp.add_trace("fig5_vacuum", trace_vac)
+    rp.add_trace("fig5_dispersive", trace_dis)
 
 
-def _sensitivity_core(scn: Scenario, rp: Report, convention: str):
+def _sensitivity_core(scn: Scenario, rp: Report):
     cavity = scn.cavity()
     budget = scn.budget()
     if budget is None:
@@ -477,11 +472,20 @@ def _sensitivity_core(scn: Scenario, rp: Report, convention: str):
     return cavity, budget, g
 
 
+def _dispersive_floor(
+    rp: Report, cavity, budget, g: float, dw_laser: float, convention: str, key: str
+) -> tuple[float, float]:
+    """Add the enhancement at dw_ec = dw_laser and the rotation floor it gives, as `key`."""
+    eta = enhancement_eta(g, dw_laser, convention)
+    rp.add("enhancement", eta, "", _eta_tag(convention, "dw_laser"))
+    floor = min_rotation(cavity, budget, "rlg_dispersive", g, convention)
+    rp.add(key, floor, "rad/s", f"Omega_min = dw_laser/(eta*scale), {convention} convention")
+    return eta, floor
+
+
 def _cmd_sensitivity(scn: Scenario, rp: Report, convention: str) -> None:
-    cavity, budget, g = _sensitivity_core(scn, rp, convention)
-    geom = cavity.geometry
-    scale = (cavity.omega0 / (C0 * cavity.n0)) * (2.0 * geom.area / geom.perimeter)
-    rp.add("rotation_scale", scale, "rad/s per rad/s", "(w0/(c0*n0))*2*A/P, per direction")
+    cavity, budget, g = _sensitivity_core(scn, rp)
+    rp.add("rotation_scale", cavity.rotation_scale, "rad/s per rad/s", "(w0/(c0*n0))*2*A/P, per direction")
 
     dw_passive = min_shift_passive(cavity, budget)
     rp.add("min_shift_passive", dw_passive, "rad/s", "dw_min = gamma_ec/SNR")
@@ -501,20 +505,8 @@ def _cmd_sensitivity(scn: Scenario, rp: Report, convention: str) -> None:
             "Omega_min/Omega_earth",
         )
         if g is not None:
-            eta = enhancement_eta(g, dw_laser, convention)
-            scale_txt = "2*G" if convention == "paper" else "G"
-            rp.add(
-                "enhancement",
-                eta,
-                "",
-                f"eta = ({scale_txt}/dw_laser)^(2/3), {convention} convention",
-            )
-            omega_dis = min_rotation(cavity, budget, "rlg_dispersive", g, convention)
-            rp.add(
-                "min_rotation_rlg_dispersive",
-                omega_dis,
-                "rad/s",
-                f"Omega_min = dw_laser/(eta*scale), {convention} convention",
+            eta, omega_dis = _dispersive_floor(
+                rp, cavity, budget, g, dw_laser, convention, "min_rotation_rlg_dispersive"
             )
             rp.add(
                 "min_rotation_rlg_dispersive_earth",
@@ -541,7 +533,7 @@ def _cmd_sensitivity(scn: Scenario, rp: Report, convention: str) -> None:
 
 
 def _cmd_lens_thirring(scn: Scenario, rp: Report, convention: str) -> None:
-    cavity, budget, g = _sensitivity_core(scn, rp, convention)
+    cavity, budget, g = _sensitivity_core(scn, rp)
     rp.add("omega_earth", OMEGA_EARTH, "rad/s", "sidereal rotation rate")
     rp.add("surface_fraction", LENSE_THIRRING_FRACTION, "", "frame-dragging to spin ratio at the surface")
     rp.add(
@@ -555,21 +547,7 @@ def _cmd_lens_thirring(scn: Scenario, rp: Report, convention: str) -> None:
     dw_laser = laser_linewidth(cavity, budget)
     rp.add("laser_linewidth", dw_laser, "rad/s", "dw_laser = gamma_ec/sqrt(N)")
     if g is not None:
-        eta = enhancement_eta(g, dw_laser, convention)
-        scale_txt = "2*G" if convention == "paper" else "G"
-        rp.add(
-            "enhancement",
-            eta,
-            "",
-            f"eta = ({scale_txt}/dw_laser)^(2/3), {convention} convention",
-        )
-        floor = min_rotation(cavity, budget, "rlg_dispersive", g, convention)
-        rp.add(
-            "min_rotation",
-            floor,
-            "rad/s",
-            f"Omega_min = dw_laser/(eta*scale), {convention} convention",
-        )
+        _, floor = _dispersive_floor(rp, cavity, budget, g, dw_laser, convention, "min_rotation")
     else:
         floor = min_rotation(cavity, budget, "rlg_empty")
         rp.add("min_rotation", floor, "rad/s", "Omega_min = dw_laser/scale")
@@ -609,7 +587,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--convention",
-            choices=("derived", "paper"),
+            choices=ETA_CONVENTIONS,
             default=None,
             help="enhancement convention (default: scenario convention or derived)",
         )
@@ -636,7 +614,7 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    except (ComputationError, ValueError) as exc:
+    except (ComputationError, ValueError, ArithmeticError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 3
 

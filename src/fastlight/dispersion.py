@@ -175,18 +175,17 @@ class TaylorCubic:
         xb = base - self.omega_ref
         return (x - xb) * (self.n1 + self.n3 * (x * x + x * xb + xb * xb))
 
+    @property
+    def ng0(self) -> float:
+        """Group index at the expansion point: n_g = n0 + omega_ref*n1."""
+        return self.n0 + self.n1 * self.omega_ref
+
+    def local_ng(self, dw: float) -> float:
+        """Group index n_g(w0) + 3*n3*w0*dw^2 at w0 + dw, to leading order in dw/w0."""
+        return self.ng0 + 3.0 * self.n3 * self.omega_ref * dw * dw
+
 
 DispersionProfile = ConstantIndex | LinearIndex | LorentzianAbsorptive | TaylorCubic
-
-
-def refractive_index(profile: DispersionProfile, omega):
-    """Phase index n(omega) for any profile variant."""
-    return profile.index(omega)
-
-
-def index_change(profile: DispersionProfile, omega, base: float):
-    """n(omega) - n(base), computed without large-number cancellation."""
-    return profile.index_change(omega, base)
 
 
 def group_index(profile: DispersionProfile, omega):

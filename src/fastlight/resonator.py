@@ -34,13 +34,7 @@ import warnings
 from dataclasses import dataclass
 
 from .constants import C0
-from .dispersion import (
-    ConstantIndex,
-    DispersionProfile,
-    TaylorCubic,
-    refractive_index,
-    taylor_coefficients,
-)
+from .dispersion import DispersionProfile, TaylorCubic, taylor_coefficients
 from .errors import ComputationError
 from .sagnac import LoopGeometry
 
@@ -89,6 +83,11 @@ class RingCavity:
     @property
     def ring_down_time(self) -> float:
         return 1.0 / self.gamma_ec
+
+    @property
+    def rotation_scale(self) -> float:
+        """Per-direction resonance shift per unit rotation rate: (w0/(c0*n0))*2A/P."""
+        return (self.omega0 / (C0 * self.n0)) * self.geometry.effective_radius
 
 
 @dataclass(frozen=True)
@@ -167,6 +166,21 @@ def _residual_ok(a: float, b: float, d: float, x: float) -> bool:
     return abs(x * (a * x * x + b) - d) <= 1e-10 * scale + 1e-300
 
 
+def _cardano(p: float, q: float, disc: float) -> float:
+    # The one real root of x^3 + p*x - q = 0 where disc = q^2/4 + p^3/27 > 0.
+    # The square root takes the sign of q so the two terms of u never cancel.
+    u = _cbrt(0.5 * q + math.copysign(math.sqrt(disc), q))
+    return u - p / (3.0 * u)
+
+
+def _trig_roots(p: float, q: float) -> list[float]:
+    # The three real roots of x^3 + p*x - q = 0 where disc <= 0 (so p < 0),
+    # in the order k = 0, 1, 2 of m*cos(phi/3 - 2*pi*k/3).
+    m = 2.0 * math.sqrt(-p / 3.0)
+    phi = math.acos(min(1.0, max(-1.0, -3.0 * q / (p * m))))
+    return [m * math.cos(phi / 3.0 - 2.0 * math.pi * k / 3.0) for k in range(3)]
+
+
 def _continuous_root(a: float, b: float, d: float) -> tuple[float, bool]:
     """Root of a*x^3 + b*x - d = 0 on the branch continuous from d -> 0.
 
@@ -190,34 +204,21 @@ def _continuous_root(a: float, b: float, d: float) -> tuple[float, bool]:
 
     p = b / a
     q = d / a
-    if p >= 0.0:
-        s = math.sqrt(0.25 * q * q + p ** 3 / 27.0)
-        u = _cbrt(0.5 * q + s)
-        x = u - p / (3.0 * u)
-        x = _newton_polish(a, b, d, x)
-        if not _residual_ok(a, b, d, x):
-            x = _bisect_root(a, b, d)
-        return x, False
-
     disc = 0.25 * q * q + p ** 3 / 27.0
-    if disc > 0.0:
-        u = _cbrt(0.5 * q + math.sqrt(disc))
-        x = u - p / (3.0 * u)
-        x = _newton_polish(a, b, d, x)
+    # p >= 0 gives disc > 0 unless q*q underflows
+    if disc > 0.0 or p >= 0.0:
+        x = _newton_polish(a, b, d, _cardano(p, q, disc))
         if not _residual_ok(a, b, d, x):
             x = _bisect_root(a, b, d)
         return x, False
 
     # Three real roots; k = 1 of the trigonometric form is the branch that
     # equals 0 at d = 0 and moves continuously with d.
-    m = 2.0 * math.sqrt(-p / 3.0)
-    arg = -3.0 * q / (p * m)
-    arg = min(1.0, max(-1.0, arg))
-    phi = math.acos(arg)
-    x = m * math.cos(phi / 3.0 - 2.0 * math.pi / 3.0)
+    x = _trig_roots(p, q)[1]
     # the angle carries an absolute rounding ~eps, which is a poor relative
     # error when the middle root sits near zero; polish within the branch
-    turn = 0.5 * m
+    # between the turning points +-turn
+    turn = math.sqrt(-p / 3.0)
     x = _newton_polish(a, b, d, x, bound=turn)
     if not _residual_ok(a, b, d, x):
         # descending segment: f(-turn) >= 0 >= f(turn)
@@ -240,18 +241,10 @@ def _real_roots(a: float, b: float, d: float) -> list[float]:
     q = d / a
     disc = 0.25 * q * q + p ** 3 / 27.0
     if disc > 0.0:
-        u = _cbrt(0.5 * q + math.sqrt(disc))
-        if u == 0.0:
-            return [0.0]
-        x = _newton_polish(a, b, d, u - p / (3.0 * u))
-        return [x]
+        return [_newton_polish(a, b, d, _cardano(p, q, disc))]
     if p >= 0.0:
         return [0.0]
-    m = 2.0 * math.sqrt(-p / 3.0)
-    arg = min(1.0, max(-1.0, -3.0 * q / (p * m)))
-    phi = math.acos(arg)
-    roots = [m * math.cos(phi / 3.0 - 2.0 * math.pi * k / 3.0) for k in range(3)]
-    return sorted(roots)
+    return sorted(_trig_roots(p, q))
 
 
 # --------------------------------------------------------------------------
@@ -261,9 +254,7 @@ def _real_roots(a: float, b: float, d: float) -> list[float]:
 
 def splitting_no_dispersion(cavity: RingCavity, omega_rot: float) -> ShiftResult:
     """Counterpropagating resonance shifts of the bare (dispersionless) ring."""
-    per_direction = (cavity.omega0 / (C0 * cavity.n0)) * (
-        2.0 * omega_rot * cavity.geometry.area / cavity.geometry.perimeter
-    )
+    per_direction = cavity.rotation_scale * omega_rot
     return ShiftResult(
         dw_plus=-per_direction,
         dw_minus=per_direction,
@@ -308,10 +299,7 @@ def shift_cubic(dw_ec: float, taylor: TaylorCubic) -> float:
     When n_g < 0 admits three real roots a UserWarning flags the
     multivaluedness and the continuous branch is returned.
     """
-    w0 = taylor.omega_ref
-    a = taylor.n3 * w0
-    b = taylor.n0 + taylor.n1 * w0
-    root, multi = _continuous_root(a, b, dw_ec)
+    root, multi = _continuous_root(taylor.n3 * taylor.omega_ref, taylor.ng0, dw_ec)
     if multi:
         warnings.warn(
             "response is multivalued (three real roots); returning the branch "
@@ -361,6 +349,8 @@ def linewidth_linear(gamma_ec: float, n_g: float) -> float:
 
 
 def _positive_linewidth_root(a: float, b: float, gamma_ec: float) -> float:
+    if gamma_ec <= 0.0:
+        raise ValueError("empty-cavity linewidth must be positive")
     if a == 0.0:
         return linewidth_linear(gamma_ec, b)
     roots = [r for r in _real_roots(a, b, gamma_ec) if r > 0.0]
@@ -377,10 +367,7 @@ def linewidth_cubic(gamma_ec: float, taylor: TaylorCubic) -> float:
     Positive root of n3*w0 * g^3 + n_g * g = gamma_ec; at n_g = 0 this is
     (G^2 * gamma_ec)^(1/3) for the tuned Lorentzian coefficients.
     """
-    if gamma_ec <= 0.0:
-        raise ValueError("empty-cavity linewidth must be positive")
-    w0 = taylor.omega_ref
-    return _positive_linewidth_root(taylor.n3 * w0, taylor.n0 + taylor.n1 * w0, gamma_ec)
+    return _positive_linewidth_root(taylor.n3 * taylor.omega_ref, taylor.ng0, gamma_ec)
 
 
 def airy_linewidth_cubic(gamma_ec: float, taylor: TaylorCubic) -> float:
@@ -391,10 +378,7 @@ def airy_linewidth_cubic(gamma_ec: float, taylor: TaylorCubic) -> float:
     (n3*w0/4) * g^3 + n_g * g = gamma_ec. Exceeds `linewidth_cubic` by exactly
     2^(2/3) at the white-light point and matches it in the linear regime.
     """
-    if gamma_ec <= 0.0:
-        raise ValueError("empty-cavity linewidth must be positive")
-    w0 = taylor.omega_ref
-    return _positive_linewidth_root(0.25 * taylor.n3 * w0, taylor.n0 + taylor.n1 * w0, gamma_ec)
+    return _positive_linewidth_root(0.25 * taylor.n3 * taylor.omega_ref, taylor.ng0, gamma_ec)
 
 
 def effective_half_linewidth(taylor: TaylorCubic) -> float | None:
@@ -414,9 +398,7 @@ def shifted_linewidth(gamma_ec: float, taylor: TaylorCubic, dw_dis: float) -> Sh
     """
     if gamma_ec <= 0.0:
         raise ValueError("empty-cavity linewidth must be positive")
-    w0 = taylor.omega_ref
-    ng0 = taylor.n0 + taylor.n1 * w0
-    local_ng = ng0 + 3.0 * taylor.n3 * w0 * dw_dis * dw_dis
+    local_ng = taylor.local_ng(dw_dis)
     if local_ng <= 0.0:
         raise ComputationError(
             "local group index is not positive at the shifted resonance "
@@ -435,8 +417,7 @@ def feedback_gain(taylor: TaylorCubic) -> float:
     The closed-loop factor 1/(1 - G) = n0/n_g reproduces the linear shift
     scaling (exactly 1/n_g for n0 = 1).
     """
-    w0 = taylor.omega_ref
-    return 1.0 - (taylor.n0 + taylor.n1 * w0) / taylor.n0
+    return 1.0 - taylor.ng0 / taylor.n0
 
 
 # --------------------------------------------------------------------------
@@ -470,7 +451,7 @@ def effective_taylor(profile: DispersionProfile, cavity: RingCavity) -> TaylorCu
 
 def _path_index(profile: DispersionProfile, cavity: RingCavity, omega):
     fill = cavity.fill_fraction
-    return fill * refractive_index(profile, omega) + (1.0 - fill) * cavity.n0
+    return fill * profile.index(omega) + (1.0 - fill) * cavity.n0
 
 
 def rotation_response(profile: DispersionProfile, cavity: RingCavity, omega_rot: float) -> ShiftResult:
@@ -488,13 +469,12 @@ def rotation_response(profile: DispersionProfile, cavity: RingCavity, omega_rot:
             "path-averaged phase index disagrees with the cavity background index"
         )
 
-    ng0 = t.n0 + t.n1 * t.omega_ref
     if omega_rot == 0.0:
         try:
             gamma = linewidth_cubic(cavity.gamma_ec, t)
         except ComputationError:
-            gamma = linewidth_linear(cavity.gamma_ec, ng0)
-        return ShiftResult(0.0, 0.0, 0.0, 1.0, ng0, gamma)
+            gamma = linewidth_linear(cavity.gamma_ec, t.ng0)
+        return ShiftResult(0.0, 0.0, 0.0, 1.0, t.ng0, gamma)
 
     # The self-consistent cubic is normalized to n0 = 1; a general background
     # enters through the resonance condition d(n*w)/dw = n_g as an n0 factor
@@ -512,7 +492,7 @@ def rotation_response(profile: DispersionProfile, cavity: RingCavity, omega_rot:
         widths = shifted_linewidth(cavity.gamma_ec, t, mean_shift)
         local_ng, gamma = widths.local_ng, widths.gamma_dis
     except ComputationError:
-        local_ng = ng0 + 3.0 * t.n3 * t.omega_ref * mean_shift * mean_shift
+        local_ng = t.local_ng(mean_shift)
         gamma = linewidth_cubic(cavity.gamma_ec, t)
     return ShiftResult(
         dw_plus=dw_plus,
@@ -522,8 +502,3 @@ def rotation_response(profile: DispersionProfile, cavity: RingCavity, omega_rot:
         local_ng=local_ng,
         gamma_dis=gamma,
     )
-
-
-def vacuum_profile(cavity: RingCavity) -> ConstantIndex:
-    """Dispersionless profile matching the cavity background index."""
-    return ConstantIndex(cavity.n0)

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import C0, PLANCK
-from .dispersion import DispersionProfile, group_index, refractive_index
+from .dispersion import DispersionProfile, group_index
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ def relative_rotation_phase(
     the slow-light (n_g > n0) case positive; only the magnitude is anchored by
     the underlying model.
     """
-    n0 = float(refractive_index(profile, omega))
+    n0 = float(profile.index(omega))
     n_g = float(group_index(profile, omega))
     base = vacuum_sagnac(geometry, rotation, omega)
     scale = n0 * n0 * (1.0 - fresnel_drag(n0)) + (n_g - n0)

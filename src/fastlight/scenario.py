@@ -39,13 +39,15 @@ from .dispersion import (
     cad_tune,
 )
 from .errors import ScenarioError
-from .resonator import RingCavity
+from .resonator import ETA_CONVENTIONS, RingCavity
 from .sagnac import LoopGeometry
 from .sensitivity import NoiseBudget
 
 GEOMETRY_KEYS = ("radius_m", "area_m2", "perimeter_m")
 INPUT_KEYS = ("rotation_rate_rad_s", "delta_length_m", "empty_cavity_shift_hz")
 MEDIUM_KINDS = ("none", "constant", "linear", "lorentzian", "taylor", "cad")
+# most points a range input may ask for
+MAX_RANGE_POINTS = 10_000
 
 _FLOAT_KEYS = {
     "radius_m",
@@ -82,14 +84,7 @@ _MEDIUM_USES = {
     "taylor": {"medium_index", "medium_n1_s_per_rad", "medium_n3_s3_per_rad3"},
     "cad": {"medium_linewidth_fwhm_hz", "medium_target_group_index"},
 }
-_ALL_MEDIUM_KEYS = {
-    "medium_index",
-    "medium_n1_s_per_rad",
-    "medium_n3_s3_per_rad3",
-    "medium_strength",
-    "medium_linewidth_fwhm_hz",
-    "medium_target_group_index",
-}
+_ALL_MEDIUM_KEYS = set().union(*_MEDIUM_USES.values())
 
 
 @dataclass(frozen=True)
@@ -123,6 +118,10 @@ def _parse_range(raw: str, where: str) -> ValueRange:
         raise ScenarioError(f"{where}: range spacing must be log or lin, got {parts[3]!r}")
     if points < 2:
         raise ScenarioError(f"{where}: range needs at least 2 points")
+    if points > MAX_RANGE_POINTS:
+        raise ScenarioError(
+            f"{where}: range allows at most {MAX_RANGE_POINTS} points, got {points}"
+        )
     if not lo < hi:
         raise ScenarioError(f"{where}: range min must be below max")
     if spacing == "log" and lo <= 0.0:
@@ -193,7 +192,7 @@ class Scenario:
                     f"{self.source}: key {key!r} is not used by medium {medium!r}"
                 )
         convention = v.get("convention", "derived")
-        if convention not in ("derived", "paper"):
+        if convention not in ETA_CONVENTIONS:
             raise ScenarioError(
                 f"{self.source}: convention must be derived or paper, got {convention!r}"
             )

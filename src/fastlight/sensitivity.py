@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import C0, HBAR, LENSE_THIRRING_FRACTION, OMEGA_EARTH
+from .constants import HBAR, LENSE_THIRRING_FRACTION, OMEGA_EARTH
 from .errors import ComputationError
 from .resonator import RingCavity, enhancement_eta
 
@@ -96,11 +96,10 @@ class NoiseBudget:
             )
 
 
-def laser_linewidth(cavity: RingCavity, budget: NoiseBudget, omega: float | None = None) -> float:
-    """Quantum-limited beat-note resolution gamma_ec / sqrt(N)."""
-    w = cavity.omega0 if omega is None else omega
-    budget.check_consistency(w)
-    return cavity.gamma_ec / math.sqrt(budget.photon_number(w))
+def laser_linewidth(cavity: RingCavity, budget: NoiseBudget) -> float:
+    """Quantum-limited beat-note resolution gamma_ec / sqrt(N) at the cavity resonance."""
+    budget.check_consistency(cavity.omega0)
+    return cavity.gamma_ec / math.sqrt(budget.photon_number(cavity.omega0))
 
 
 def min_shift_passive(cavity: RingCavity, budget: NoiseBudget) -> float:
@@ -124,13 +123,7 @@ def min_length_passive_dispersive(cavity: RingCavity, budget: NoiseBudget, eta: 
     if eta <= 0.0:
         raise ValueError("enhancement must be positive")
     dw_dis_min = (eta / 3.0) * min_shift_passive(cavity, budget)
-    return (dw_dis_min / eta) * cavity.round_trip_length / cavity.omega0
-
-
-def _rotation_scale(cavity: RingCavity) -> float:
-    """Per-direction resonance shift per unit rotation rate."""
-    geom = cavity.geometry
-    return (cavity.omega0 / (C0 * cavity.n0)) * (2.0 * geom.area / geom.perimeter)
+    return min_length(dw_dis_min / eta, cavity)
 
 
 def min_rotation(
@@ -151,7 +144,7 @@ def min_rotation(
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    scale = _rotation_scale(cavity)
+    scale = cavity.rotation_scale
     if mode == "passive_empty":
         return min_shift_passive(cavity, budget) / scale
     dw_laser = laser_linewidth(cavity, budget)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C0
-from .dispersion import DispersionProfile
+from .dispersion import DispersionProfile, TaylorCubic
 from .errors import ComputationError
 from .resonator import (
     RingCavity,
@@ -258,25 +258,31 @@ def _locate_resonance(profile, cavity, delta_length, grid: SweepGrid, w: np.ndar
     return float(center + u)
 
 
-def _width_estimate(profile: DispersionProfile, cavity: RingCavity, shift: float) -> float:
+def _cubic_model(profile: DispersionProfile, cavity: RingCavity) -> TaylorCubic | None:
+    """The path-averaged cubic of `resonator`, or None where it does not apply."""
+    try:
+        return effective_taylor(profile, cavity)
+    except ComputationError:
+        return None
+
+
+def _width_estimate(cavity: RingCavity, taylor: TaylorCubic | None, shift: float) -> float:
     gamma_ec = cavity.gamma_ec
     candidates = []
-    try:
-        t = effective_taylor(profile, cavity)
+    if taylor is not None:
         try:
-            candidates.append(airy_linewidth_cubic(gamma_ec, t))
+            candidates.append(airy_linewidth_cubic(gamma_ec, taylor))
         except (ComputationError, ValueError):
             pass
-        w0 = t.omega_ref
-        local_ng = t.n0 + t.n1 * w0 + 3.0 * t.n3 * w0 * shift * shift
+        local_ng = taylor.local_ng(shift)
         if local_ng > 0.0:
             candidates.append(gamma_ec / local_ng)
-    except ComputationError:
-        pass
     return min(candidates) if candidates else gamma_ec
 
 
-def _shift_estimate(profile: DispersionProfile, cavity: RingCavity, delta_length: float) -> float:
+def _shift_estimate(
+    profile: DispersionProfile, cavity: RingCavity, delta_length: float, taylor: TaylorCubic | None
+) -> float:
     """Estimated displacement of the resonance caused by delta_length.
 
     A cubic-model seed polished by guarded Newton iteration on Psi = 0; the
@@ -285,13 +291,14 @@ def _shift_estimate(profile: DispersionProfile, cavity: RingCavity, delta_length
     """
     length = cavity.round_trip_length
     dw_ec = -cavity.n0 * delta_length * cavity.omega0 / (cavity.n0 * length)
-    try:
-        t = effective_taylor(profile, cavity)
+    seed = dw_ec
+    if taylor is not None:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            seed = shift_cubic(t.n0 * dw_ec, t)
-    except ComputationError:
-        seed = dw_ec
+            try:
+                seed = shift_cubic(taylor.n0 * dw_ec, taylor)
+            except ComputationError:
+                pass
 
     omega = cavity.omega0 + seed
     best = seed
@@ -324,8 +331,9 @@ def auto_grid(
     twentieth of the width. Raises when the span would exceed 40% of the free
     spectral range (no single-resonance grid exists there).
     """
-    shift = _shift_estimate(profile, cavity, delta_length)
-    width = _width_estimate(profile, cavity, shift)
+    taylor = _cubic_model(profile, cavity)
+    shift = _shift_estimate(profile, cavity, delta_length, taylor)
+    width = _width_estimate(cavity, taylor, shift)
     half_span = max(2.5 * width, 0.1 * abs(shift))
     if half_span > 0.4 * cavity.free_spectral_range:
         raise ComputationError(
@@ -364,7 +372,7 @@ def measure_fwhm(
     s_res = math.sin(0.5 * psi_res) ** 2
     s_half = (1.0 + 2.0 * k * s_res) / k
     order = _nearest_mode(psi_res)
-    estimate = _width_estimate(profile, cavity, resonance - cavity.omega0)
+    estimate = _width_estimate(cavity, _cubic_model(profile, cavity), resonance - cavity.omega0)
 
     def crossing(side: float) -> float:
         lo = 0.0
@@ -428,11 +436,10 @@ def sweep_enhancement(
     half linewidth.
     """
     t = effective_taylor(profile, cavity)
-    ng0 = t.n0 + t.n1 * t.omega_ref
-    if abs(ng0) > 1e-6:
+    if abs(t.ng0) > 1e-6:
         raise ComputationError(
             "enhancement sweep requires a profile tuned to zero group index "
-            f"at the cavity resonance (got {ng0:.3e})"
+            f"at the cavity resonance (got {t.ng0:.3e})"
         )
     g = effective_half_linewidth(t)
     if g is None:

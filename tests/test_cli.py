@@ -128,6 +128,21 @@ def test_computation_failure_exits_3(tmp_path, capsys):
     assert err.startswith("computation error:")
 
 
+@pytest.mark.parametrize("command", ["sensitivity", "lens-thirring", "shift"])
+def test_tiny_frequency_exits_3(tmp_path, capsys, command):
+    # hbar*omega underflows to 0 (sensitivity, lens-thirring) and the analytic
+    # enhancement overflows to inf (shift): exit 3, no traceback, no inf line
+    text = Path(TABLETOP).read_text(encoding="utf-8")
+    assert "frequency_hz = 5.0e14" in text
+    path = tmp_path / "tiny_frequency.scenario"
+    path.write_text(text.replace("frequency_hz = 5.0e14", "frequency_hz = 1e-300"), encoding="utf-8")
+    code, out, err = run(capsys, command, "--scenario", str(path))
+    assert code == 3
+    assert err.startswith("computation error:")
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_scalar_results_csv(tmp_path, capsys):
     out_dir = tmp_path / "res"
     code, out, err = run(
@@ -277,6 +292,26 @@ def test_fig5_hits_target(tmp_path, capsys):
         0.5 * results["half_linewidth_derived"]["value"], rel=1e-15
     )
     assert set(doc["tables"]) == {"fig5_vacuum", "fig5_dispersive"}
+
+
+def test_package_import_loads_nothing():
+    # the package re-exports nothing: names are imported from their module
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import fastlight, sys; "
+            "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('fastlight.')))",
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_import_does_not_load_scipy():

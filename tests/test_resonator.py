@@ -36,7 +36,6 @@ from fastlight.resonator import (
     shift_linear,
     shifted_linewidth,
     splitting_no_dispersion,
-    vacuum_profile,
 )
 from fastlight.sagnac import LoopGeometry
 
@@ -332,7 +331,7 @@ def test_effective_taylor_rejects_off_center_profile():
 def test_rotation_response_vacuum_matches_bare_splitting():
     cav = tabletop()
     base = splitting_no_dispersion(cav, OMEGA_EARTH)
-    resp = rotation_response(vacuum_profile(cav), cav, OMEGA_EARTH)
+    resp = rotation_response(ConstantIndex(cav.n0), cav, OMEGA_EARTH)
     assert resp.dw_minus == pytest.approx(base.dw_minus, rel=1e-14)
     assert resp.dw_plus == pytest.approx(base.dw_plus, rel=1e-14)
     assert resp.enhancement == pytest.approx(1.0, rel=1e-12)

@@ -137,6 +137,10 @@ def test_range_error_messages():
         parse(BASE.replace("7.2921159e-5", "2:1:5:log"))
     with pytest.raises(ScenarioError, match="positive endpoints"):
         parse(BASE.replace("7.2921159e-5", "-1:2:5:log"))
+    # the cap is checked at parse time; neither range is allocated here
+    with pytest.raises(ScenarioError, match=r"inline:5: range allows at most 10000 points, got 10001"):
+        parse(BASE.replace("7.2921159e-5", "1:2:10001:log"))
+    assert parse(BASE.replace("7.2921159e-5", "1:2:10000:log")).values["rotation_rate_rad_s"].points == 10000
 
 
 def test_medium_builders():

@@ -28,9 +28,11 @@ from fastlight.resonator import (
     shifted_linewidth,
 )
 from fastlight.sagnac import LoopGeometry
+from fastlight import spectrum
 from fastlight.scenario import load_scenario
 from fastlight.spectrum import (
     SweepGrid,
+    _cubic_model,
     _psi_and_slope,
     _width_estimate,
     auto_grid,
@@ -153,6 +155,21 @@ def test_one_index_evaluation_per_scalar_psi(dw_ec):
     assert profile.calls["index"] == profile.calls["index_change"]
 
 
+def test_auto_grid_builds_the_cubic_model_once(monkeypatch):
+    # the shift and the width estimate share one path-averaged cubic
+    calls = Counter()
+    build = spectrum.effective_taylor
+
+    def counting(profile, cav):
+        calls["effective_taylor"] += 1
+        return build(profile, cav)
+
+    monkeypatch.setattr(spectrum, "effective_taylor", counting)
+    cav = cad_cavity(1e-2)
+    auto_grid(cad_tune(G, W0), cav, -1e-3 * G * cav.round_trip_length / W0)
+    assert calls["effective_taylor"] == 1
+
+
 def test_transmission_peak_and_half_point():
     cav = cavity()
     assert transmission(VACUUM, cav, 0.0, W0) == 1.0
@@ -255,7 +272,7 @@ def test_fwhm_ends_sit_on_the_half_maximum_level(profile, cav, dl):
     # each crossing lies within one width of the resonance
     right = bisect(excess, 0.0, width)
     left = bisect(excess, 0.0, -width)
-    tol = ulp_floor(res, 1e-9 * _width_estimate(profile, cav, res - cav.omega0))
+    tol = ulp_floor(res, 1e-9 * _width_estimate(cav, _cubic_model(profile, cav), res - cav.omega0))
     assert abs(width - (right - left)) <= 2.0 * tol
 
 
