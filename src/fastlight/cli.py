@@ -102,9 +102,12 @@ class Report:
         if not wrote:
             for name, (header, rows) in self.tables.items():
                 out.append(f"table {name} ({len(rows)} rows):")
-                out.append(",".join(header))
-                out += [",".join(f"{x:.16e}" for x in row) for row in rows]
+                out += _table_lines(header, rows)
         return "\n".join(out)
+
+
+def _table_lines(header: list[str], rows: list[tuple]) -> list[str]:
+    return [",".join(header)] + [",".join(f"{x:.16e}" for x in row) for row in rows]
 
 
 def _write_outputs(report: Report, out_dir: Path | None, fmt: str) -> list[Path]:
@@ -139,9 +142,7 @@ def _write_outputs(report: Report, out_dir: Path | None, fmt: str) -> list[Path]
     for name, (header, rows) in report.tables.items():
         path = out_dir / f"{name}.csv"
         with path.open("w", newline="", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(f"{x:.16e}" for x in row) + "\n")
+            fh.write("\n".join(_table_lines(header, rows)) + "\n")
         wrote.append(path)
     return wrote
 
@@ -164,8 +165,7 @@ def _dw_ec_scalar(scn: Scenario, cavity) -> tuple[float, str]:
     if kind == "rotation_rate_rad_s":
         return cavity.rotation_scale * value, "dw_ec = (w0/(c0*n0))*2*Omega*A/P, ccw direction"
     if kind == "delta_length_m":
-        dw = -cavity.omega0 * value / cavity.round_trip_length
-        return dw, "dw_ec = -w0*dL/L"
+        return cavity.shift_for_length(value), "dw_ec = -w0*dL/L"
     return TWO_PI * value, "dw_ec = 2*pi*empty_cavity_shift_hz"
 
 
@@ -183,12 +183,24 @@ def _eta_tag(convention: str, against: str) -> str:
     return f"eta = ({scale}/{against})^(2/3), {convention} convention"
 
 
+def _add_half_linewidth(rp: Report, profile, cavity) -> float | None:
+    """Add G of the path-averaged medium where it is defined, and return it."""
+    g = effective_half_linewidth(effective_taylor(profile, cavity))
+    if g is not None:
+        rp.add("half_linewidth", g, "rad/s", "G = sqrt(-n1/n3) of the path-averaged medium")
+    return g
+
+
+def _add_earth(rp: Report, key: str, rate: float) -> None:
+    rp.add(f"{key}_earth", rate / OMEGA_EARTH, "Omega_earth", "Omega_min/Omega_earth")
+
+
 # --------------------------------------------------------------------------
 # commands
 # --------------------------------------------------------------------------
 
 
-def _cmd_sagnac(scn: Scenario, rp: Report, convention: str) -> None:
+def _cmd_sagnac(scn: Scenario, rp: Report) -> None:
     geom = scn.geometry()
     omega = scn.omega0()
     omega_rot = _require_rotation(scn)
@@ -245,7 +257,7 @@ def _cmd_sagnac(scn: Scenario, rp: Report, convention: str) -> None:
             )
 
 
-def _cmd_split(scn: Scenario, rp: Report, convention: str) -> None:
+def _cmd_split(scn: Scenario, rp: Report) -> None:
     cavity = scn.cavity()
     omega_rot = _require_rotation(scn)
     base = splitting_no_dispersion(cavity, omega_rot)
@@ -271,7 +283,7 @@ def _cmd_split(scn: Scenario, rp: Report, convention: str) -> None:
         rp.add("gamma_dispersive", resp.gamma_dis, "rad/s", "gamma_ec/n_g at the shifted resonance")
 
 
-def _cmd_shift(scn: Scenario, rp: Report, convention: str) -> None:
+def _cmd_shift(scn: Scenario, rp: Report) -> None:
     cavity = scn.cavity()
     dw_ec, tag = _dw_ec_scalar(scn, cavity)
     rp.add("dw_ec", dw_ec, "rad/s", tag)
@@ -286,9 +298,9 @@ def _cmd_shift(scn: Scenario, rp: Report, convention: str) -> None:
     if g is not None and dw_ec > 0.0:
         rp.add(
             "enhancement_analytic",
-            enhancement_eta(g, dw_ec, convention),
+            enhancement_eta(g, dw_ec, rp.convention),
             "",
-            _eta_tag(convention, "dw_ec"),
+            _eta_tag(rp.convention, "dw_ec"),
         )
     rp.add("feedback_gain", feedback_gain(t), "", "G_fb = 1 - n_g/n0")
     try:
@@ -304,7 +316,7 @@ def _cmd_shift(scn: Scenario, rp: Report, convention: str) -> None:
         )
 
 
-def _cmd_linewidth(scn: Scenario, rp: Report, convention: str) -> None:
+def _cmd_linewidth(scn: Scenario, rp: Report) -> None:
     cavity = scn.cavity()
     rp.add("gamma_ec", cavity.gamma_ec, "rad/s", "gamma_ec = 2*pi*c0/(n0*L*F)")
     rp.add("ring_down_time", cavity.ring_down_time, "s", "tau_c = 1/gamma_ec")
@@ -344,11 +356,11 @@ def _cmd_linewidth(scn: Scenario, rp: Report, convention: str) -> None:
             )
 
 
-def _cmd_spectrum(scn: Scenario, rp: Report, convention: str) -> None:
+def _cmd_spectrum(scn: Scenario, rp: Report) -> None:
     cavity = scn.cavity()
     profile = _effective_profile(scn, cavity)
     dw_ec, tag = _dw_ec_scalar(scn, cavity)
-    delta_length = -dw_ec * cavity.round_trip_length / cavity.omega0
+    delta_length = cavity.length_for_shift(dw_ec)
     rp.add("dw_ec", dw_ec, "rad/s", tag)
     rp.add("delta_length", delta_length, "m", "dL = -dw_ec*L/w0")
     result = trace(profile, cavity, delta_length)
@@ -363,7 +375,7 @@ def _cmd_spectrum(scn: Scenario, rp: Report, convention: str) -> None:
     rp.add_trace("spectrum", result)
 
 
-def _cmd_fig4(scn: Scenario, rp: Report, convention: str) -> None:
+def _cmd_fig4(scn: Scenario, rp: Report) -> None:
     cavity = scn.cavity()
     kind, values = scn.input_values()
     if kind != "empty_cavity_shift_hz" or len(values) < 2:
@@ -374,9 +386,7 @@ def _cmd_fig4(scn: Scenario, rp: Report, convention: str) -> None:
     if profile is None:
         raise ScenarioError(f"{scn.source}: this command needs a dispersive medium")
     samples = sweep_enhancement(profile, cavity, TWO_PI * values)
-    t = effective_taylor(profile, cavity)
-    g = effective_half_linewidth(t)
-    rp.add("half_linewidth", g, "rad/s", "G = sqrt(-n1/n3) of the path-averaged medium")
+    _add_half_linewidth(rp, profile, cavity)
     rp.add("points", float(len(samples)), "", "sweep length")
     dev = max(abs(s.eta_numeric / s.eta_analytic_derived - 1.0) for s in samples)
     rp.add(
@@ -392,7 +402,7 @@ def _cmd_fig4(scn: Scenario, rp: Report, convention: str) -> None:
     )
 
 
-def _cmd_fig5(scn: Scenario, rp: Report, convention: str) -> None:
+def _cmd_fig5(scn: Scenario, rp: Report) -> None:
     cavity = scn.cavity()
     if cavity.fill_fraction != 1.0:
         raise ScenarioError(f"{scn.source}: this command assumes fill_fraction = 1")
@@ -433,7 +443,7 @@ def _cmd_fig5(scn: Scenario, rp: Report, convention: str) -> None:
 
     profile = cad_tune(half_linewidth=g_derived, center=cavity.omega0)
     vacuum = ConstantIndex(cavity.n0)
-    delta_length = -dw_ec * cavity.round_trip_length / cavity.omega0
+    delta_length = cavity.length_for_shift(dw_ec)
     rp.add("delta_length", delta_length, "m", "dL = -dw_ec*L/w0")
 
     trace_vac = trace(vacuum, cavity, delta_length)
@@ -464,26 +474,22 @@ def _sensitivity_core(scn: Scenario, rp: Report):
         rp.add("photon_number", n_phot, "", "N = eta_q*P*tau/(hbar*w0)")
     rp.add("snr", budget.snr_for(cavity.omega0), "", "given snr, else sqrt(N)")
     profile = scn.profile()
-    g = None
-    if profile is not None:
-        g = effective_half_linewidth(effective_taylor(profile, cavity))
-        if g is not None:
-            rp.add("half_linewidth", g, "rad/s", "G = sqrt(-n1/n3) of the path-averaged medium")
+    g = None if profile is None else _add_half_linewidth(rp, profile, cavity)
     return cavity, budget, g
 
 
 def _dispersive_floor(
-    rp: Report, cavity, budget, g: float, dw_laser: float, convention: str, key: str
+    rp: Report, cavity, budget, g: float, dw_laser: float, key: str
 ) -> tuple[float, float]:
     """Add the enhancement at dw_ec = dw_laser and the rotation floor it gives, as `key`."""
-    eta = enhancement_eta(g, dw_laser, convention)
-    rp.add("enhancement", eta, "", _eta_tag(convention, "dw_laser"))
-    floor = min_rotation(cavity, budget, "rlg_dispersive", g, convention)
-    rp.add(key, floor, "rad/s", f"Omega_min = dw_laser/(eta*scale), {convention} convention")
+    eta = enhancement_eta(g, dw_laser, rp.convention)
+    rp.add("enhancement", eta, "", _eta_tag(rp.convention, "dw_laser"))
+    floor = min_rotation(cavity, budget, "rlg_dispersive", g, rp.convention)
+    rp.add(key, floor, "rad/s", f"Omega_min = dw_laser/(eta*scale), {rp.convention} convention")
     return eta, floor
 
 
-def _cmd_sensitivity(scn: Scenario, rp: Report, convention: str) -> None:
+def _cmd_sensitivity(scn: Scenario, rp: Report) -> None:
     cavity, budget, g = _sensitivity_core(scn, rp)
     rp.add("rotation_scale", cavity.rotation_scale, "rad/s per rad/s", "(w0/(c0*n0))*2*A/P, per direction")
 
@@ -498,22 +504,12 @@ def _cmd_sensitivity(scn: Scenario, rp: Report, convention: str) -> None:
         rp.add("laser_linewidth", dw_laser, "rad/s", "dw_laser = gamma_ec/sqrt(N)")
         omega_empty = min_rotation(cavity, budget, "rlg_empty")
         rp.add("min_rotation_rlg_empty", omega_empty, "rad/s", "Omega_min = dw_laser/scale")
-        rp.add(
-            "min_rotation_rlg_empty_earth",
-            omega_empty / OMEGA_EARTH,
-            "Omega_earth",
-            "Omega_min/Omega_earth",
-        )
+        _add_earth(rp, "min_rotation_rlg_empty", omega_empty)
         if g is not None:
             eta, omega_dis = _dispersive_floor(
-                rp, cavity, budget, g, dw_laser, convention, "min_rotation_rlg_dispersive"
+                rp, cavity, budget, g, dw_laser, "min_rotation_rlg_dispersive"
             )
-            rp.add(
-                "min_rotation_rlg_dispersive_earth",
-                omega_dis / OMEGA_EARTH,
-                "Omega_earth",
-                "Omega_min/Omega_earth",
-            )
+            _add_earth(rp, "min_rotation_rlg_dispersive", omega_dis)
             rp.add(
                 "min_length_passive_dispersive",
                 min_length_passive_dispersive(cavity, budget, eta),
@@ -532,7 +528,7 @@ def _cmd_sensitivity(scn: Scenario, rp: Report, convention: str) -> None:
             )
 
 
-def _cmd_lens_thirring(scn: Scenario, rp: Report, convention: str) -> None:
+def _cmd_lens_thirring(scn: Scenario, rp: Report) -> None:
     cavity, budget, g = _sensitivity_core(scn, rp)
     rp.add("omega_earth", OMEGA_EARTH, "rad/s", "sidereal rotation rate")
     rp.add("surface_fraction", LENSE_THIRRING_FRACTION, "", "frame-dragging to spin ratio at the surface")
@@ -547,7 +543,7 @@ def _cmd_lens_thirring(scn: Scenario, rp: Report, convention: str) -> None:
     dw_laser = laser_linewidth(cavity, budget)
     rp.add("laser_linewidth", dw_laser, "rad/s", "dw_laser = gamma_ec/sqrt(N)")
     if g is not None:
-        _, floor = _dispersive_floor(rp, cavity, budget, g, dw_laser, convention, "min_rotation")
+        _, floor = _dispersive_floor(rp, cavity, budget, g, dw_laser, "min_rotation")
     else:
         floor = min_rotation(cavity, budget, "rlg_empty")
         rp.add("min_rotation", floor, "rad/s", "Omega_min = dw_laser/scale")
@@ -602,7 +598,7 @@ def run(argv=None) -> int:
     fmt = args.format or scn.output_format
     out_dir = args.out or scn.output_dir
     report = Report(args.canonical, scn, convention)
-    args.handler(scn, report, convention)
+    args.handler(scn, report)
     wrote = _write_outputs(report, Path(out_dir) if out_dir else None, fmt)
     print(report.render(wrote))
     return 0

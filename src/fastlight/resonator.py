@@ -89,6 +89,14 @@ class RingCavity:
         """Per-direction resonance shift per unit rotation rate: (w0/(c0*n0))*2A/P."""
         return (self.omega0 / (C0 * self.n0)) * self.geometry.effective_radius
 
+    def shift_for_length(self, delta_length: float) -> float:
+        """Empty-cavity resonance pull of a round-trip length change: -w0*dL/L."""
+        return -self.omega0 * delta_length / self.round_trip_length
+
+    def length_for_shift(self, dw_ec: float) -> float:
+        """Round-trip length change whose empty-cavity pull is dw_ec: -dw_ec*L/w0."""
+        return -dw_ec * self.round_trip_length / self.omega0
+
 
 @dataclass(frozen=True)
 class ShiftResult:
@@ -142,23 +150,19 @@ def _newton_polish(a: float, b: float, d: float, x: float, bound: float | None =
     return x
 
 
-def _bisect_root(a: float, b: float, d: float) -> float:
-    # Fallback for d > 0, a > 0, unique-root regime: f(0) = -d < 0 and f grows.
-    hi = 1.0
-    while hi * (a * hi * hi + b) - d < 0.0:
-        hi *= 2.0
-        if hi > 1e300:
-            raise ComputationError("cubic bisection failed to bracket a root")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid * (a * mid * mid + b) - d < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 4.0 * _EPS * hi:
+def _bisect(a: float, b: float, d: float, neg: float, pos: float) -> float:
+    # Root of f(x) = a*x^3 + b*x - d between the ends where f(neg) <= 0 <= f(pos),
+    # in either order. Halves until the midpoint equals an end; the doubles
+    # span 1,024 + 1,074 binades, so 2,200 halvings always get there.
+    for _ in range(2200):
+        mid = 0.5 * (neg + pos)
+        if mid == neg or mid == pos:
             break
-    return 0.5 * (lo + hi)
+        if mid * (a * mid * mid + b) - d < 0.0:
+            neg = mid
+        else:
+            pos = mid
+    return mid
 
 
 def _residual_ok(a: float, b: float, d: float, x: float) -> bool:
@@ -209,7 +213,13 @@ def _continuous_root(a: float, b: float, d: float) -> tuple[float, bool]:
     if disc > 0.0 or p >= 0.0:
         x = _newton_polish(a, b, d, _cardano(p, q, disc))
         if not _residual_ok(a, b, d, x):
-            x = _bisect_root(a, b, d)
+            # unique root: f(0) = -d < 0 and f grows without bound
+            hi = 1.0
+            while hi * (a * hi * hi + b) - d < 0.0:
+                hi *= 2.0
+                if hi > 1e300:
+                    raise ComputationError("cubic bisection failed to bracket a root")
+            x = _bisect(a, b, d, 0.0, hi)
         return x, False
 
     # Three real roots; k = 1 of the trigonometric form is the branch that
@@ -222,14 +232,7 @@ def _continuous_root(a: float, b: float, d: float) -> tuple[float, bool]:
     x = _newton_polish(a, b, d, x, bound=turn)
     if not _residual_ok(a, b, d, x):
         # descending segment: f(-turn) >= 0 >= f(turn)
-        lo, hi = -turn, turn
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid * (a * mid * mid + b) - d > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        x = 0.5 * (lo + hi)
+        x = _bisect(a, b, d, turn, -turn)
     return x, True
 
 

@@ -43,7 +43,6 @@ from .resonator import ETA_CONVENTIONS, RingCavity
 from .sagnac import LoopGeometry
 from .sensitivity import NoiseBudget
 
-GEOMETRY_KEYS = ("radius_m", "area_m2", "perimeter_m")
 INPUT_KEYS = ("rotation_rate_rad_s", "delta_length_m", "empty_cavity_shift_hz")
 MEDIUM_KINDS = ("none", "constant", "linear", "lorentzian", "taylor", "cad")
 # most points a range input may ask for
@@ -72,6 +71,8 @@ _FLOAT_KEYS = {
     "particle_mass_kg",
 }
 _STRING_KEYS = {"medium", "convention", "output_format", "output_dir"}
+# string keys with a fixed set of values; the first value is the default
+_CHOICES = {"medium": MEDIUM_KINDS, "convention": ETA_CONVENTIONS, "output_format": ("csv", "json")}
 _RANGE_KEYS = set(INPUT_KEYS)
 KNOWN_KEYS = _FLOAT_KEYS | _STRING_KEYS | _RANGE_KEYS
 
@@ -180,27 +181,18 @@ class Scenario:
             raise ScenarioError(
                 f"{self.source}: geometry needs radius_m, or both area_m2 and perimeter_m"
             )
-        medium = v.get("medium", "none")
-        if medium not in MEDIUM_KINDS:
-            raise ScenarioError(
-                f"{self.source}: medium must be one of {', '.join(MEDIUM_KINDS)}, got {medium!r}"
-            )
+        for key, allowed in _CHOICES.items():
+            if self._choice(key) not in allowed:
+                raise ScenarioError(
+                    f"{self.source}: {key} must be one of {', '.join(allowed)}, got {v[key]!r}"
+                )
+        medium = self._choice("medium")
         used = _MEDIUM_USES[medium]
         for key in sorted(_ALL_MEDIUM_KEYS & set(v)):
             if key not in used:
                 raise ScenarioError(
                     f"{self.source}: key {key!r} is not used by medium {medium!r}"
                 )
-        convention = v.get("convention", "derived")
-        if convention not in ETA_CONVENTIONS:
-            raise ScenarioError(
-                f"{self.source}: convention must be derived or paper, got {convention!r}"
-            )
-        fmt = v.get("output_format", "csv")
-        if fmt not in ("csv", "json"):
-            raise ScenarioError(
-                f"{self.source}: output_format must be csv or json, got {fmt!r}"
-            )
         if ("output_power_w" in v) != ("measurement_time_s" in v):
             raise ScenarioError(
                 f"{self.source}: output_power_w and measurement_time_s must be given together"
@@ -220,13 +212,16 @@ class Scenario:
             raise ScenarioError(f"{self.source}: missing required key {key!r}")
         return val
 
+    def _choice(self, key: str) -> str:
+        return str(self.values.get(key, _CHOICES[key][0]))
+
     @property
     def convention(self) -> str:
-        return str(self.values.get("convention", "derived"))
+        return self._choice("convention")
 
     @property
     def output_format(self) -> str:
-        return str(self.values.get("output_format", "csv"))
+        return self._choice("output_format")
 
     @property
     def output_dir(self) -> str | None:
@@ -308,7 +303,7 @@ class Scenario:
 
     def profile(self) -> DispersionProfile | None:
         """Medium profile, or None when medium = none."""
-        kind = str(self.values.get("medium", "none"))
+        kind = self._choice("medium")
         w0 = self.omega0()
         try:
             if kind == "none":

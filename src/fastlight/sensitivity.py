@@ -109,7 +109,7 @@ def min_shift_passive(cavity: RingCavity, budget: NoiseBudget) -> float:
 
 def min_length(dw_min: float, cavity: RingCavity) -> float:
     """Length change equivalent to a resolvable shift: dL = dw * L / omega0."""
-    return dw_min * cavity.round_trip_length / cavity.omega0
+    return -cavity.length_for_shift(dw_min)
 
 
 def min_length_passive_dispersive(cavity: RingCavity, budget: NoiseBudget, eta: float) -> float:

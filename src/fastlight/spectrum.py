@@ -100,9 +100,14 @@ def round_trip_dephasing(profile: DispersionProfile, cavity: RingCavity, delta_l
     return _psi(cavity, delta_length, omega, profile.index(omega), profile.index_change(omega, cavity.omega0))
 
 
+def _airy_k(cavity: RingCavity) -> float:
+    """The coefficient k = (2F/pi)^2 of sin^2(Psi/2) in the Airy transmission."""
+    return (2.0 * cavity.finesse / math.pi) ** 2
+
+
 def transmission(profile: DispersionProfile, cavity: RingCavity, delta_length: float, omega):
     """Airy transmission 1 / (1 + (2F/pi)^2 sin^2(Psi/2))."""
-    k = (2.0 * cavity.finesse / math.pi) ** 2
+    k = _airy_k(cavity)
     psi = round_trip_dephasing(profile, cavity, delta_length, omega)
     if np.ndim(omega) == 0:
         return 1.0 / (1.0 + k * math.sin(0.5 * psi) ** 2)
@@ -289,8 +294,7 @@ def _shift_estimate(
     polish handles regimes the cubic misses (strong saturation, off-center
     profiles) and falls back to the seed when it fails to settle.
     """
-    length = cavity.round_trip_length
-    dw_ec = -cavity.n0 * delta_length * cavity.omega0 / (cavity.n0 * length)
+    dw_ec = cavity.shift_for_length(delta_length)
     seed = dw_ec
     if taylor is not None:
         with warnings.catch_warnings():
@@ -318,11 +322,14 @@ def _shift_estimate(
     return best
 
 
+# fewest points an automatic grid gets
+_MIN_POINTS = 2001
+
+
 def auto_grid(
     profile: DispersionProfile,
     cavity: RingCavity,
     delta_length: float,
-    min_points: int = 2001,
 ) -> SweepGrid:
     """Grid sized to resolve the displaced resonance.
 
@@ -340,7 +347,7 @@ def auto_grid(
             "requested response does not fit inside a single free spectral range"
         )
     needed = int(math.ceil(2.0 * half_span / (width / 20.0))) + 1
-    points = max(min_points, needed)
+    points = max(_MIN_POINTS, needed)
     if points % 2 == 0:
         points += 1
     if points > 2_000_001:
@@ -363,7 +370,7 @@ def measure_fwhm(
     width estimates), then solves Psi = 2*pi*m +- 2*asin(sqrt(s_half)) there,
     with the sign Psi takes at the bracket's outer end.
     """
-    k = (2.0 * cavity.finesse / math.pi) ** 2
+    k = _airy_k(cavity)
 
     def psi_at(u: float) -> float:
         return round_trip_dephasing(profile, cavity, delta_length, resonance + u)
@@ -399,11 +406,9 @@ def trace(
     profile: DispersionProfile,
     cavity: RingCavity,
     delta_length: float,
-    grid: SweepGrid | None = None,
 ) -> SpectrumTrace:
-    """Sweep, locate, and width-measure a single resonance."""
-    if grid is None:
-        grid = auto_grid(profile, cavity, delta_length)
+    """Sweep, locate, and width-measure a single resonance on the `auto_grid` grid."""
+    grid = auto_grid(profile, cavity, delta_length)
     w = grid.omegas
     t = transmission(profile, cavity, delta_length, w)
     resonance = _locate_resonance(profile, cavity, delta_length, grid, w, t)
@@ -453,10 +458,9 @@ def sweep_enhancement(
     if hi > g * (1.0 + 1e-9):
         raise ComputationError("shift list must stay at or below the half linewidth")
 
-    length = cavity.round_trip_length
     samples = []
     for dw in values:
-        delta_length = -dw * length / cavity.omega0
+        delta_length = cavity.length_for_shift(dw)
         grid = auto_grid(profile, cavity, delta_length)
         resonance = find_resonance(profile, cavity, delta_length, grid)
         samples.append(

@@ -225,8 +225,10 @@ def test_resonance_stable_under_grid_refinement():
     profile = cad_tune(G, W0)
     dw_ec = 1e-2 * G
     dl = -dw_ec * cav.round_trip_length / W0
-    r1 = find_resonance(profile, cav, dl, auto_grid(profile, cav, dl))
-    r2 = find_resonance(profile, cav, dl, auto_grid(profile, cav, dl, min_points=8001))
+    grid = auto_grid(profile, cav, dl)
+    r1 = find_resonance(profile, cav, dl, grid)
+    fine = SweepGrid(center=grid.center, half_span=grid.half_span, points=8001)
+    r2 = find_resonance(profile, cav, dl, fine)
     assert abs(r2 - r1) <= 3e-6 * abs(r1 - W0)
 
 
