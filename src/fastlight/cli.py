@@ -204,7 +204,12 @@ def _cmd_sagnac(scn: Scenario, rp: Report) -> None:
     geom = scn.geometry()
     omega = scn.omega0()
     omega_rot = _require_rotation(scn)
-    rot = RotationState.from_geometry(omega_rot, geom)
+    mass = scn._float("particle_mass_kg")
+    try:
+        rot = RotationState.from_geometry(omega_rot, geom)
+        mw = None if mass is None else matter_wave_phase(mass, geom, rot)
+    except ValueError as exc:
+        raise ScenarioError(f"{scn.source}: {exc}") from None
     ph = vacuum_sagnac(geom, rot, omega)
     rp.add("beta", ph.beta, "", "beta = Omega*R_eff/c0")
     rp.add("delta_t_first_order", ph.delta_t_first_order, "s", "dt0 = 2*A*Omega/c0^2")
@@ -244,9 +249,7 @@ def _cmd_sagnac(scn: Scenario, rp: Report) -> None:
         except ValueError:
             rp.note("drag phases skipped: phase index below 1 at this frequency")
 
-    mass = scn._float("particle_mass_kg")
-    if mass is not None:
-        mw = matter_wave_phase(mass, geom, rot)
+    if mw is not None:
         rp.add("matter_wave_phase", mw, "rad", "dphi_m = 4*pi*m*A*Omega/h")
         if ph.delta_phi_first_order != 0.0:
             rp.add(
@@ -409,6 +412,8 @@ def _cmd_fig5(scn: Scenario, rp: Report) -> None:
     kind, shift_hz = scn.input_scalar()
     if kind != "empty_cavity_shift_hz":
         raise ScenarioError(f"{scn.source}: this command needs empty_cavity_shift_hz")
+    if shift_hz <= 0.0:
+        raise ScenarioError(f"{scn.source}: this command needs a positive empty_cavity_shift_hz")
     target_hz = scn.require("enhanced_shift_target_hz")
     dw_ec = TWO_PI * shift_hz
     dw_target = TWO_PI * target_hz

@@ -485,6 +485,12 @@ def rotation_response(profile: DispersionProfile, cavity: RingCavity, omega_rot:
     # splitting for every n0.
     raw_minus = shift_cubic(t.n0 * base.dw_minus, t)
     raw_plus = shift_cubic(t.n0 * base.dw_plus, t)
+    # the profile is defined only at positive frequencies
+    if min(raw_minus, raw_plus) <= -cavity.omega0:
+        raise ComputationError(
+            "the dispersive shift is below -omega0: the shifted resonance "
+            "would sit at a non-positive frequency"
+        )
     n_center = _path_index(profile, cavity, cavity.omega0)
     dw_minus = raw_minus * n_center / _path_index(profile, cavity, cavity.omega0 + raw_minus)
     dw_plus = raw_plus * n_center / _path_index(profile, cavity, cavity.omega0 + raw_plus)

@@ -238,8 +238,17 @@ class Scenario:
 
     def omega0(self) -> float:
         if "frequency_hz" in self.values:
-            return 2.0 * math.pi * self.require("frequency_hz")
-        return 2.0 * math.pi * C0 / self.require("vacuum_wavelength_m")
+            omega = 2.0 * math.pi * self.require("frequency_hz")
+        else:
+            wavelength = self.require("vacuum_wavelength_m")
+            if wavelength <= 0.0:
+                raise ScenarioError(f"{self.source}: vacuum_wavelength_m must be positive")
+            omega = 2.0 * math.pi * C0 / wavelength
+        if not 0.0 < omega < math.inf:
+            raise ScenarioError(
+                f"{self.source}: the optical frequency must be positive and finite, got {omega!r} rad/s"
+            )
+        return omega
 
     def medium_half_linewidth(self) -> float:
         """Half linewidth in angular units from the FWHM-in-Hz key."""

@@ -4,16 +4,21 @@ Everything runs in-process through cli.main so exit codes and stream
 separation are observed exactly as a shell would see them.
 """
 
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fastlight.cli import main
+from fastlight.cli import COMMANDS, main
 
 TABLETOP = "scenarios/tabletop_rlg.scenario"
 SWEEP = "scenarios/cad_sweep.scenario"
@@ -25,6 +30,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def edited(tmp_path, scenario: str, old: str, new: str) -> str:
+    """Path of a copy of a shipped scenario with one line replaced."""
+    text = Path(scenario).read_text(encoding="utf-8")
+    assert old in text
+    path = tmp_path / "edited.scenario"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    return str(path)
 
 
 def result_value(out_dir, command: str, key: str) -> float:
@@ -128,10 +142,11 @@ def test_computation_failure_exits_3(tmp_path, capsys):
     assert err.startswith("computation error:")
 
 
-@pytest.mark.parametrize("command", ["sensitivity", "lens-thirring", "shift"])
+@pytest.mark.parametrize("command", ["sensitivity", "lens-thirring", "shift", "split"])
 def test_tiny_frequency_exits_3(tmp_path, capsys, command):
-    # hbar*omega underflows to 0 (sensitivity, lens-thirring) and the analytic
-    # enhancement overflows to inf (shift): exit 3, no traceback, no inf line
+    # hbar*omega underflows to 0 (sensitivity, lens-thirring), the analytic
+    # enhancement overflows to inf (shift) and the dispersive shift exceeds
+    # omega0 (split): exit 3, no traceback, no inf line
     text = Path(TABLETOP).read_text(encoding="utf-8")
     assert "frequency_hz = 5.0e14" in text
     path = tmp_path / "tiny_frequency.scenario"
@@ -141,6 +156,44 @@ def test_tiny_frequency_exits_3(tmp_path, capsys, command):
     assert err.startswith("computation error:")
     assert "Traceback" not in err
     assert out == ""
+    if command == "split":
+        assert "dispersive shift is below -omega0" in err
+
+
+@pytest.mark.parametrize("shift", ["-1", "0"])
+def test_fig5_non_positive_shift_exits_2(tmp_path, capsys, shift):
+    path = edited(tmp_path, DEMO, "empty_cavity_shift_hz = 3.0e5", f"empty_cavity_shift_hz = {shift}")
+    code, out, err = run(capsys, "fig5", "--scenario", path)
+    assert code == 2
+    assert err.startswith("scenario error:")
+    assert "positive empty_cavity_shift_hz" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "scenario,old,new,message",
+    [
+        (TABLETOP, "frequency_hz = 5.0e14", "frequency_hz = -1", "optical frequency must be positive"),
+        (OPEN_LOOP, "vacuum_wavelength_m = 7.8e-7", "vacuum_wavelength_m = 0", "vacuum_wavelength_m must be positive"),
+        (OPEN_LOOP, "particle_mass_kg = 1.44316060e-25", "particle_mass_kg = -1", "particle mass must be positive"),
+        (TABLETOP, "rotation_rate_rad_s = 7.2921159e-5", "rotation_rate_rad_s = 1e10", "tangential speed"),
+    ],
+    ids=["frequency", "wavelength", "mass", "rim-speed"],
+)
+def test_sagnac_input_faults_exit_2(tmp_path, capsys, scenario, old, new, message):
+    code, out, err = run(capsys, "sagnac", "--scenario", edited(tmp_path, scenario, old, new))
+    assert code == 2
+    assert err.startswith("scenario error:")
+    assert message in err
+    assert out == ""
+
+
+def test_split_has_no_rim_speed_limit(tmp_path, capsys):
+    # the ring model of split has no rim-speed limit, unlike sagnac
+    path = edited(tmp_path, TABLETOP, "rotation_rate_rad_s = 7.2921159e-5", "rotation_rate_rad_s = 1e10")
+    code, out, err = run(capsys, "split", "--scenario", path)
+    assert code == 0
 
 
 def test_scalar_results_csv(tmp_path, capsys):
@@ -327,3 +380,42 @@ def test_cli_import_does_not_load_scipy():
         timeout=60,
     )
     assert out.stdout.strip() == "False"
+
+
+RESULT_LINE = re.compile(r"\w+ = (\S+)( .+)?  \[.+\]")
+
+
+@st.composite
+def edited_scenarios(draw) -> str:
+    """A shipped scenario whose single numbers are each kept, set to an edge value or rescaled."""
+    lines = Path(draw(st.sampled_from((TABLETOP, SWEEP, DEMO, OPEN_LOOP)))).read_text().splitlines()
+    for i, line in enumerate(lines):
+        key, _, rest = line.partition("=")
+        try:
+            value = float(rest.split("#", 1)[0])
+        except ValueError:
+            continue
+        edges = st.sampled_from((0.0, -1.0, 1e-300, 1e300))
+        scaled = st.integers(-6, 6).map(lambda k: value * 10.0**k)
+        lines[i] = f"{key}= {draw(st.one_of(st.just(value), edges, scaled))!r}"
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=edited_scenarios(), command=st.sampled_from(list(COMMANDS)))
+def test_any_scenario_edit_exits_cleanly(text, command):
+    # exit 0 with finite, tagged numbers, 2 for an input fault or 3 for a
+    # failed computation; no other exception escapes main
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edited.scenario"
+        path.write_text(text, encoding="utf-8")
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main([command, "--scenario", str(path)])
+    assert code in (0, 2, 3)
+    if code == 0:
+        for line in out.getvalue().splitlines():
+            if " = " in line:
+                match = RESULT_LINE.fullmatch(line)
+                assert match, line
+                assert math.isfinite(float(match.group(1))), line

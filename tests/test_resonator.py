@@ -22,6 +22,7 @@ from fastlight.dispersion import (
 from fastlight.errors import ComputationError
 from fastlight.resonator import (
     RingCavity,
+    _continuous_root,
     airy_linewidth_cubic,
     effective_half_linewidth,
     effective_taylor,
@@ -148,6 +149,28 @@ def test_shift_cubic_randomized_against_bisection():
             x = shift_cubic(d, t)
         ref = bisect_cubic_branch(a, b, d)
         assert x == pytest.approx(ref, rel=1e-10), (t, d)
+
+
+def test_shift_cubic_bisection_fallback_reaches_tiny_roots():
+    # n3*w0 is subnormal, so b/a overflows and the closed form fails; the
+    # root 1e-70 lies far below the 2^-200 floor of a fixed 200 halvings
+    t = TaylorCubic(n0=1.0, n1=3.2e-6, n3=5e-324, omega_ref=2.0 * math.pi * 5e14)
+    dw_ec = 2.0 * math.pi * 1.6e-61
+    assert shift_cubic(dw_ec, t) == pytest.approx(dw_ec / t.ng0, rel=1e-12, abs=0.0)
+
+
+def test_continuous_root_fallback_when_d_over_a_overflows():
+    a, d = 3.4975146060174276e-189, 7.72673919488669e145
+    root, multi = _continuous_root(a, 0.0, d)
+    assert not multi
+    assert root == pytest.approx(math.exp((math.log(d) - math.log(a)) / 3.0), rel=1e-12)
+
+
+def test_continuous_root_three_root_fallback_underflows_to_zero():
+    # the middle root, about -3.3e-371, is below the smallest double
+    root, multi = _continuous_root(9.04319973126187e134, -2.5451874639356627e132, 8.43416297685972e-239)
+    assert multi
+    assert root == 0.0
 
 
 def test_shift_cubic_negative_curvature_solves_its_cubic():
