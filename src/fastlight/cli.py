@@ -43,7 +43,7 @@ from .sagnac import (
     relative_rotation_phase,
     vacuum_sagnac,
 )
-from .scenario import Scenario, load_scenario
+from .scenario import OUTPUT_FORMATS, Scenario, load_scenario
 from .sensitivity import (
     NoiseBudget,
     laser_linewidth,
@@ -582,7 +582,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="directory for result files")
         p.add_argument(
             "--format",
-            choices=("csv", "json"),
+            choices=OUTPUT_FORMATS,
             default=None,
             help="result file format (default: scenario output_format or csv)",
         )

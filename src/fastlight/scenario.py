@@ -45,6 +45,7 @@ from .sensitivity import NoiseBudget
 
 INPUT_KEYS = ("rotation_rate_rad_s", "delta_length_m", "empty_cavity_shift_hz")
 MEDIUM_KINDS = ("none", "constant", "linear", "lorentzian", "taylor", "cad")
+OUTPUT_FORMATS = ("csv", "json")
 # most points a range input may ask for
 MAX_RANGE_POINTS = 10_000
 
@@ -72,7 +73,7 @@ _FLOAT_KEYS = {
 }
 _STRING_KEYS = {"medium", "convention", "output_format", "output_dir"}
 # string keys with a fixed set of values; the first value is the default
-_CHOICES = {"medium": MEDIUM_KINDS, "convention": ETA_CONVENTIONS, "output_format": ("csv", "json")}
+_CHOICES = {"medium": MEDIUM_KINDS, "convention": ETA_CONVENTIONS, "output_format": OUTPUT_FORMATS}
 _RANGE_KEYS = set(INPUT_KEYS)
 KNOWN_KEYS = _FLOAT_KEYS | _STRING_KEYS | _RANGE_KEYS
 
