@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .constants import LENSE_THIRRING_FRACTION, OMEGA_EARTH
-from .dispersion import ConstantIndex, cad_tune, group_index
+from .dispersion import TaylorCubic, cad_tune, group_index
 from .errors import ComputationError, ScenarioError
 from .resonator import (
     ETA_CONVENTIONS,
@@ -169,9 +169,14 @@ def _dw_ec_scalar(scn: Scenario, cavity) -> tuple[float, str]:
     return TWO_PI * value, "dw_ec = 2*pi*empty_cavity_shift_hz"
 
 
+def _vacuum(cavity) -> TaylorCubic:
+    """The empty cavity's background as a dispersionless cubic."""
+    return TaylorCubic(cavity.n0, 0.0, 0.0, cavity.omega0)
+
+
 def _effective_profile(scn: Scenario, cavity):
     profile = scn.profile()
-    return ConstantIndex(cavity.n0) if profile is None else profile
+    return _vacuum(cavity) if profile is None else profile
 
 
 def _medium_taylor(scn: Scenario, cavity):
@@ -447,7 +452,7 @@ def _cmd_fig5(scn: Scenario, rp: Report) -> None:
     rp.note("simulating with the derived-convention half linewidth")
 
     profile = cad_tune(half_linewidth=g_derived, center=cavity.omega0)
-    vacuum = ConstantIndex(cavity.n0)
+    vacuum = _vacuum(cavity)
     delta_length = cavity.length_for_shift(dw_ec)
     rp.add("delta_length", delta_length, "m", "dL = -dw_ec*L/w0")
 
@@ -604,7 +609,10 @@ def run(argv=None) -> int:
     out_dir = args.out or scn.output_dir
     report = Report(args.canonical, scn, convention)
     args.handler(scn, report)
-    wrote = _write_outputs(report, Path(out_dir) if out_dir else None, fmt)
+    try:
+        wrote = _write_outputs(report, Path(out_dir) if out_dir else None, fmt)
+    except OSError as exc:
+        raise ScenarioError(f"cannot write output to {out_dir}: {exc}") from None
     print(report.render(wrote))
     return 0
 

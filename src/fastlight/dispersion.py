@@ -1,7 +1,7 @@
 """Refractive-index profiles and their frequency derivatives.
 
-Four index models are provided. The workhorse is the antisymmetric Lorentzian
-profile of a gain doublet / absorptive line,
+Two index models carry the physics. The workhorse is the antisymmetric
+Lorentzian profile of a gain doublet / absorptive line,
 
     n(w) = 1 - A*G*(w - wc) / (G^2 + (w - wc)^2),
 
@@ -10,7 +10,8 @@ center it expands to the odd cubic
 
     n(w) ~= 1 + n1*(w - wc) + n3*(w - wc)^3,   n1 = -A/G,  n3 = A/G^3,
 
-so the quadratic term vanishes identically. The group index is
+so the quadratic term vanishes identically; `TaylorCubic` is that cubic, and
+with n3 = 0 it is also the constant and linear medium. The group index is
 n_g(w) = n(w) + w * dn/dw everywhere in this package; choosing A so that
 n_g(wc) hits a target (zero for critically anomalous dispersion) is what
 `cad_tune` does.
@@ -45,6 +46,8 @@ def _zero_like(omega):
     return 0.0 * np.asarray(omega, dtype=float)
 
 
+# No module in the package builds this; perfbench/layers.py, its last caller,
+# passes ConstantIndex(cavity.n0) as the vacuum profile of its traced replays.
 @dataclass(frozen=True)
 class ConstantIndex:
     """Dispersionless medium with phase index n0."""
@@ -67,34 +70,6 @@ class ConstantIndex:
         _check_omega(omega)
         _check_omega(base)
         return _zero_like(omega)
-
-
-@dataclass(frozen=True)
-class LinearIndex:
-    """Index with a constant frequency slope: n(w) = n0 + n1*(w - omega_ref)."""
-
-    n0: float
-    n1: float
-    omega_ref: float
-
-    def __post_init__(self):
-        if self.n0 <= 0.0:
-            raise ValueError("phase index must be positive")
-        if self.omega_ref <= 0.0:
-            raise ValueError("reference frequency must be positive")
-
-    def index(self, omega):
-        _check_omega(omega)
-        return self.n0 + self.n1 * (omega - self.omega_ref)
-
-    def dindex_domega(self, omega):
-        _check_omega(omega)
-        return self.n1 + _zero_like(omega)
-
-    def index_change(self, omega, base):
-        _check_omega(omega)
-        _check_omega(base)
-        return self.n1 * (omega - base)
 
 
 @dataclass(frozen=True)
@@ -185,7 +160,7 @@ class TaylorCubic:
         return self.ng0 + 3.0 * self.n3 * self.omega_ref * dw * dw
 
 
-DispersionProfile = ConstantIndex | LinearIndex | LorentzianAbsorptive | TaylorCubic
+DispersionProfile = ConstantIndex | LorentzianAbsorptive | TaylorCubic
 
 
 def group_index(profile: DispersionProfile, omega):
@@ -205,8 +180,6 @@ def taylor_coefficients(profile: DispersionProfile, omega_ref: float | None = No
     if isinstance(profile, LorentzianAbsorptive):
         a, g = profile.strength, profile.half_linewidth
         return TaylorCubic(n0=1.0, n1=-a / g, n3=a / g ** 3, omega_ref=profile.center)
-    if isinstance(profile, LinearIndex):
-        return TaylorCubic(n0=profile.n0, n1=profile.n1, n3=0.0, omega_ref=profile.omega_ref)
     if isinstance(profile, ConstantIndex):
         if omega_ref is None:
             raise ValueError("a constant profile needs an explicit reference frequency")

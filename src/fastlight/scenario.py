@@ -30,14 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .constants import C0
-from .dispersion import (
-    ConstantIndex,
-    DispersionProfile,
-    LinearIndex,
-    LorentzianAbsorptive,
-    TaylorCubic,
-    cad_tune,
-)
+from .dispersion import DispersionProfile, LorentzianAbsorptive, TaylorCubic, cad_tune
 from .errors import ScenarioError
 from .resonator import ETA_CONVENTIONS, RingCavity
 from .sagnac import LoopGeometry
@@ -318,21 +311,19 @@ class Scenario:
         try:
             if kind == "none":
                 return None
-            if kind == "constant":
-                return ConstantIndex(self.require("medium_index"))
-            if kind == "linear":
-                return LinearIndex(
-                    n0=self._float("medium_index", 1.0),
-                    n1=self.require("medium_n1_s_per_rad"),
-                    omega_ref=w0,
-                )
             if kind == "lorentzian":
                 return LorentzianAbsorptive(
                     strength=self.require("medium_strength"),
                     half_linewidth=self.medium_half_linewidth(),
                     center=w0,
                 )
-            if kind == "taylor":
+            if kind in ("constant", "linear", "taylor"):
+                # constant and linear media are cubics; each still requires
+                # the key that defines it, and _validate rejects the others
+                if kind == "constant":
+                    self.require("medium_index")
+                elif kind == "linear":
+                    self.require("medium_n1_s_per_rad")
                 return TaylorCubic(
                     n0=self._float("medium_index", 1.0),
                     n1=self._float("medium_n1_s_per_rad", 0.0),
@@ -394,16 +385,21 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> Scenario:
 
 def _from_json_text(text: str, source: str) -> Scenario:
     try:
-        doc = json.loads(text)
+        # objects come back as tuples of (key, value) pairs, repeats kept, so
+        # the duplicate-key check in Scenario sees every key
+        doc = json.loads(text, object_pairs_hook=tuple)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{source}: invalid JSON ({exc})") from None
-    if not isinstance(doc, dict):
+    if not isinstance(doc, tuple):
         raise ScenarioError(f"{source}: JSON scenario must be an object")
-    inputs = doc.get("inputs", doc)
-    if not isinstance(inputs, dict):
+    nested = [val for key, val in doc if key == "inputs"]
+    if len(nested) > 1:
+        raise ScenarioError(f"{source}: duplicate key 'inputs'")
+    inputs = nested[0] if nested else doc
+    if not isinstance(inputs, tuple):
         raise ScenarioError(f"{source}: 'inputs' must be an object")
     entries = []
-    for key, val in inputs.items():
+    for key, val in inputs:
         if isinstance(val, bool) or not isinstance(val, (int, float, str)):
             raise ScenarioError(f"{source}: value for {key!r} must be a number or string")
         entries.append((str(key), str(val), f"{source}:{key}"))
@@ -414,6 +410,6 @@ def load_scenario(path) -> Scenario:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario {p}: {exc}") from None
     return parse_scenario_text(text, source=str(p))

@@ -100,6 +100,38 @@ def test_missing_file_exits_2(capsys):
     assert "cannot read scenario" in err
 
 
+def test_undecodable_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.scenario"
+    path.write_bytes(b"\xff" + Path(TABLETOP).read_bytes())
+    code, out, err = run(capsys, "split", "--scenario", str(path))
+    assert code == 2
+    assert err.startswith(f"scenario error: cannot read scenario {path}:")
+    assert err.count("\n") == 1
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "out_rel,blocker",
+    [
+        ("taken", "taken"),  # --out is an existing file
+        ("taken/res", "taken"),  # --out lies below a file
+        ("res", "res/split_results.csv/"),  # the results file is a directory
+    ],
+    ids=["out-is-file", "out-below-file", "result-is-dir"],
+)
+def test_unwritable_output_exits_2(tmp_path, capsys, out_rel, blocker):
+    if blocker.endswith("/"):
+        (tmp_path / blocker).mkdir(parents=True)
+    else:
+        (tmp_path / blocker).write_text("not a directory\n")
+    code, out, err = run(capsys, "split", "--scenario", TABLETOP, "--out", str(tmp_path / out_rel))
+    assert code == 2
+    assert err.startswith(f"scenario error: cannot write output to {tmp_path / out_rel}:")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_wrong_input_kind_exits_2(capsys):
     # split needs a rotation rate; the sweep scenario drives a shift range
     code, out, err = run(capsys, "split", "--scenario", SWEEP)
@@ -194,6 +226,34 @@ def test_split_has_no_rim_speed_limit(tmp_path, capsys):
     path = edited(tmp_path, TABLETOP, "rotation_rate_rad_s = 7.2921159e-5", "rotation_rate_rad_s = 1e10")
     code, out, err = run(capsys, "split", "--scenario", path)
     assert code == 0
+
+
+# the CAD medium of the tabletop scenario, replaced below by other media
+CAD_LINES = "medium = cad\nmedium_linewidth_fwhm_hz = 2.0e6"
+CONSTANT_MEDIUM = "background_index = 1.5\nmedium = constant\nmedium_index = 1.5"
+
+
+def json_run(tmp_path, capsys, command: str, medium: str, name: str) -> dict:
+    """JSON result document of the tabletop scenario with its medium replaced."""
+    out_dir = tmp_path / name
+    path = edited(tmp_path, TABLETOP, CAD_LINES, medium)
+    code, _, err = run(capsys, command, "--scenario", path, "--out", str(out_dir), "--format", "json")
+    assert (code, err) == (0, "")
+    return json.loads((out_dir / f"{command}.json").read_text())
+
+
+@pytest.mark.parametrize("command", ["shift", "linewidth", "spectrum"])
+def test_constant_medium_matches_no_medium(tmp_path, capsys, command):
+    # a constant medium at the background index is the empty cavity
+    bare = json_run(tmp_path, capsys, command, "background_index = 1.5\nmedium = none", "none")
+    const = json_run(tmp_path, capsys, command, CONSTANT_MEDIUM, "constant")
+    assert const["results"] == bare["results"]
+    assert const["tables"] == bare["tables"]
+
+
+def test_constant_medium_split_enhancement_is_one(tmp_path, capsys):
+    doc = json_run(tmp_path, capsys, "split", CONSTANT_MEDIUM, "constant")
+    assert doc["results"]["enhancement"]["value"] == 1.0
 
 
 def test_scalar_results_csv(tmp_path, capsys):

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from fastlight.dispersion import (
     ConstantIndex,
-    LinearIndex,
     LorentzianAbsorptive,
     TaylorCubic,
     cad_tune,
@@ -53,7 +52,7 @@ def random_profile(rng: random.Random):
     if kind == "linear":
         n0 = rng.uniform(1.0, 2.0)
         ng = 10.0 ** rng.uniform(-2.0, 6.0)
-        return LinearIndex(n0, (ng - n0) / w0, w0), w0 * rng.uniform(0.99, 1.01)
+        return TaylorCubic(n0, (ng - n0) / w0, 0.0, w0), w0 * rng.uniform(0.99, 1.01)
     g = 10.0 ** rng.uniform(4.0, 9.0)
     # keep A*w0/g within [1e-3, 3]: spans weak lines through past-critical
     a = g / w0 * 10.0 ** rng.uniform(-3.0, math.log10(3.0))
@@ -74,7 +73,7 @@ def test_group_index_matches_finite_differences():
 
 def test_group_index_linear_slow_light():
     ng = 100.0
-    profile = LinearIndex(1.0, (ng - 1.0) / W0, W0)
+    profile = TaylorCubic(1.0, (ng - 1.0) / W0, 0.0, W0)
     assert float(group_index(profile, W0)) == pytest.approx(ng, rel=1e-12)
 
 
@@ -175,7 +174,7 @@ def test_cad_tune_rejects_unreachable_target():
 def test_taylor_coefficients_passthrough_and_mapping():
     t = TaylorCubic(1.0, -1e-16, 1e-30, W0)
     assert taylor_coefficients(t) is t
-    lin = LinearIndex(1.2, 3e-16, W0)
+    lin = TaylorCubic(1.2, 3e-16, 0.0, W0)
     tl = taylor_coefficients(lin)
     assert (tl.n0, tl.n1, tl.n3, tl.omega_ref) == (1.2, 3e-16, 0.0, W0)
     const = ConstantIndex(1.5)
@@ -193,7 +192,7 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         LorentzianAbsorptive(-1e-9, G, W0)
     with pytest.raises(ValueError):
-        LinearIndex(1.0, 0.0, -W0)
+        TaylorCubic(1.0, 0.0, 0.0, -W0)
     profile = ConstantIndex(1.0)
     with pytest.raises(ValueError):
         profile.index(-1.0)

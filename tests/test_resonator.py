@@ -13,7 +13,6 @@ from oracle_utils import bisect_cubic_branch, bisect_positive_root, random_cubic
 from fastlight.constants import C0, OMEGA_EARTH
 from fastlight.dispersion import (
     ConstantIndex,
-    LinearIndex,
     LorentzianAbsorptive,
     TaylorCubic,
     cad_tune,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fastlight.constants import C0, HBAR, OMEGA_EARTH
-from fastlight.dispersion import ConstantIndex, LinearIndex
+from fastlight.dispersion import ConstantIndex, TaylorCubic
 from fastlight.sagnac import (
     LoopGeometry,
     RotationState,
@@ -112,7 +112,7 @@ def test_comoving_phase_is_index_free(n):
 def test_relative_rotation_scales_with_group_index():
     base = vacuum_sagnac(SQUARE, spin(OMEGA_EARTH), OMEGA_1UM).delta_phi
     for ng in (1e2, 1e4, 1e8):
-        profile = LinearIndex(1.0, (ng - 1.0) / OMEGA_1UM, OMEGA_1UM)
+        profile = TaylorCubic(1.0, (ng - 1.0) / OMEGA_1UM, 0.0, OMEGA_1UM)
         phi = relative_rotation_phase(profile, SQUARE, spin(OMEGA_EARTH), OMEGA_1UM)
         assert phi / base == pytest.approx(ng, rel=1e-9)
 
@@ -127,10 +127,10 @@ def test_relative_rotation_collapses_for_dispersionless_media():
 def test_relative_rotation_sign_tracks_group_index():
     base = vacuum_sagnac(SQUARE, spin(OMEGA_EARTH), OMEGA_1UM).delta_phi
     # n_g = 0: fringe vanishes
-    flat = LinearIndex(1.0, -1.0 / OMEGA_1UM, OMEGA_1UM)
+    flat = TaylorCubic(1.0, -1.0 / OMEGA_1UM, 0.0, OMEGA_1UM)
     assert abs(relative_rotation_phase(flat, SQUARE, spin(OMEGA_EARTH), OMEGA_1UM)) < 1e-12 * base
     # n_g < 0: fringe reverses
-    fast = LinearIndex(1.0, -3.0 / OMEGA_1UM, OMEGA_1UM)
+    fast = TaylorCubic(1.0, -3.0 / OMEGA_1UM, 0.0, OMEGA_1UM)
     assert relative_rotation_phase(fast, SQUARE, spin(OMEGA_EARTH), OMEGA_1UM) < 0.0
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fastlight.constants import C0
-from fastlight.dispersion import ConstantIndex, LinearIndex, LorentzianAbsorptive, TaylorCubic
+from fastlight.dispersion import LorentzianAbsorptive, TaylorCubic
 from fastlight.errors import ScenarioError
 from fastlight.scenario import ValueRange, load_scenario, parse_scenario_text
 
@@ -145,11 +145,11 @@ def test_range_error_messages():
 
 def test_medium_builders():
     s = parse(BASE + "medium = constant\nmedium_index = 1.5\nbackground_index = 1.5\n")
-    assert isinstance(s.profile(), ConstantIndex)
+    assert isinstance(s.profile(), TaylorCubic)
 
     s = parse(BASE + "medium = linear\nmedium_index = 1.0\nmedium_n1_s_per_rad = 1e-16\n")
     p = s.profile()
-    assert isinstance(p, LinearIndex)
+    assert isinstance(p, TaylorCubic)
     assert p.n1 == 1e-16
 
     s = parse(BASE + "medium = lorentzian\nmedium_strength = 2e-9\nmedium_linewidth_fwhm_hz = 2e6\n")
@@ -165,6 +165,13 @@ def test_medium_builders():
     p = s.profile()
     assert isinstance(p, LorentzianAbsorptive)
     assert p.strength == pytest.approx(math.pi * 2e6 / s.omega0(), rel=1e-12)
+
+
+@pytest.mark.parametrize("medium,key", [("constant", "medium_index"), ("linear", "medium_n1_s_per_rad")])
+def test_cubic_media_require_their_defining_key(medium, key):
+    s = parse(BASE + f"medium = {medium}\n")
+    with pytest.raises(ScenarioError, match=f"missing required key '{key}'"):
+        s.profile()
 
 
 def test_cad_medium_partial_fill_targets_path_average():
@@ -237,11 +244,24 @@ def test_json_errors():
         parse_scenario_text("{not json", source="x")
     with pytest.raises(ScenarioError, match="'inputs' must be an object"):
         parse_scenario_text('{"inputs": [1, 2]}', source="x")
+    # json.loads alone would keep the last value of a repeated key
+    doc = '{"radius_m": 1, "finesse": 1000, "frequency_hz": 5e14, "rotation_rate_rad_s": 1e-4, "radius_m": 2}'
+    with pytest.raises(ScenarioError, match="x:radius_m: duplicate key 'radius_m'"):
+        parse_scenario_text(doc, source="x")
+    with pytest.raises(ScenarioError, match="x: duplicate key 'inputs'"):
+        parse_scenario_text(f'{{"inputs": {doc}, "inputs": {{}}}}', source="x")
 
 
 def test_load_missing_file():
     with pytest.raises(ScenarioError, match="cannot read scenario"):
         load_scenario("/nonexistent/path.scenario")
+
+
+def test_load_undecodable_file(tmp_path):
+    path = tmp_path / "latin1.scenario"
+    path.write_bytes(b"\xffradius_m = 1.0\n")
+    with pytest.raises(ScenarioError, match="cannot read scenario .*can't decode byte 0xff"):
+        load_scenario(path)
 
 
 def test_shipped_scenarios_parse():
