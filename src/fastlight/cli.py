@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
+import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -110,11 +113,8 @@ def _table_lines(header: list[str], rows: list[tuple]) -> list[str]:
     return [",".join(header)] + [",".join(f"{x:.16e}" for x in row) for row in rows]
 
 
-def _write_outputs(report: Report, out_dir: Path | None, fmt: str) -> list[Path]:
-    if out_dir is None:
-        return []
-    out_dir.mkdir(parents=True, exist_ok=True)
-    wrote = []
+def _output_files(report: Report, fmt: str) -> dict[str, str]:
+    """Name and text of every file the report writes."""
     if fmt == "json":
         doc = {
             "command": report.command,
@@ -126,25 +126,50 @@ def _write_outputs(report: Report, out_dir: Path | None, fmt: str) -> list[Path]
                 for name, (header, rows) in report.tables.items()
             },
         }
-        path = out_dir / f"{report.command}.json"
-        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-        wrote.append(path)
-        return wrote
+        return {f"{report.command}.json": json.dumps(doc, sort_keys=True, indent=2) + "\n"}
+    files = {}
     if report.results:
         # scalar results; tables get their own files named after themselves
-        path = out_dir / f"{report.command}_results.csv"
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["quantity", "value", "unit", "formula"])
-            for key, entry in report.results.items():
-                writer.writerow([key, f"{entry['value']:.16e}", entry["unit"], entry["formula"]])
-        wrote.append(path)
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["quantity", "value", "unit", "formula"])
+        for key, entry in report.results.items():
+            writer.writerow([key, f"{entry['value']:.16e}", entry["unit"], entry["formula"]])
+        files[f"{report.command}_results.csv"] = buf.getvalue()
     for name, (header, rows) in report.tables.items():
-        path = out_dir / f"{name}.csv"
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            fh.write("\n".join(_table_lines(header, rows)) + "\n")
-        wrote.append(path)
-    return wrote
+        files[f"{name}.csv"] = "\n".join(_table_lines(header, rows)) + "\n"
+    return files
+
+
+def _write_outputs(report: Report, out_dir: Path | None, fmt: str) -> list[Path]:
+    """Write all of the report's files or none of them.
+
+    Each file goes to a temporary name beside its target first. The
+    temporaries are renamed onto the targets only after every write has
+    succeeded, and are removed if one fails. A target that is a directory is
+    refused before anything is written, so no rename fails on it.
+    """
+    if out_dir is None:
+        return []
+    files = {out_dir / name: text for name, text in _output_files(report, fmt).items()}
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for path in files:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    temps = []
+    try:
+        for path, text in files.items():
+            tmp = path.with_name(f".{path.name}.tmp")
+            with tmp.open("w", newline="", encoding="utf-8") as fh:
+                temps.append(tmp)
+                fh.write(text)
+        for tmp, path in zip(temps, files):
+            tmp.replace(path)
+    except OSError:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
+        raise
+    return list(files)
 
 
 # --------------------------------------------------------------------------

@@ -294,6 +294,12 @@ def shift_linear(dw_ec: float, n_g: float) -> float:
     return dw_ec / n_g
 
 
+def shift_cubic_branch(dw_ec: float, taylor: TaylorCubic) -> tuple[float, bool]:
+    """(root, multivalued): the `shift_cubic` root, and whether the cubic has
+    three real roots, without a warning."""
+    return _continuous_root(taylor.n3 * taylor.omega_ref, taylor.ng0, dw_ec)
+
+
 def shift_cubic(dw_ec: float, taylor: TaylorCubic) -> float:
     """Self-consistent dispersion-modified shift for the odd-cubic index model.
 
@@ -302,7 +308,7 @@ def shift_cubic(dw_ec: float, taylor: TaylorCubic) -> float:
     When n_g < 0 admits three real roots a UserWarning flags the
     multivaluedness and the continuous branch is returned.
     """
-    root, multi = _continuous_root(taylor.n3 * taylor.omega_ref, taylor.ng0, dw_ec)
+    root, multi = shift_cubic_branch(dw_ec, taylor)
     if multi:
         warnings.warn(
             "response is multivalued (three real roots); returning the branch "

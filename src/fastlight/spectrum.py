@@ -23,7 +23,6 @@ background segment of the loop.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +36,7 @@ from .resonator import (
     effective_half_linewidth,
     effective_taylor,
     enhancement_eta,
-    shift_cubic,
+    shift_cubic_branch,
 )
 
 
@@ -96,7 +95,11 @@ def round_trip_dephasing(profile: DispersionProfile, cavity: RingCavity, delta_l
     The Newton iterations take Psi together with its slope from
     `_psi_and_slope` instead.
     """
-    omega = float(omega) if np.ndim(omega) == 0 else np.asarray(omega, dtype=float)
+    # isinstance first: np.ndim costs about a microsecond on a float
+    if isinstance(omega, float) or np.ndim(omega) == 0:
+        omega = float(omega)
+    else:
+        omega = np.asarray(omega, dtype=float)
     return _psi(cavity, delta_length, omega, profile.index(omega), profile.index_change(omega, cavity.omega0))
 
 
@@ -105,13 +108,24 @@ def _airy_k(cavity: RingCavity) -> float:
     return (2.0 * cavity.finesse / math.pi) ** 2
 
 
-def transmission(profile: DispersionProfile, cavity: RingCavity, delta_length: float, omega):
-    """Airy transmission 1 / (1 + (2F/pi)^2 sin^2(Psi/2))."""
+def _airy(cavity: RingCavity, psi):
+    """Airy transmission at round-trip phase psi (a float or an array)."""
     k = _airy_k(cavity)
-    psi = round_trip_dephasing(profile, cavity, delta_length, omega)
-    if np.ndim(omega) == 0:
+    if isinstance(psi, float):
         return 1.0 / (1.0 + k * math.sin(0.5 * psi) ** 2)
     return 1.0 / (1.0 + k * np.sin(0.5 * psi) ** 2)
+
+
+def transmission(profile: DispersionProfile, cavity: RingCavity, delta_length: float, omega):
+    """Airy transmission 1 / (1 + (2F/pi)^2 sin^2(Psi/2))."""
+    return _airy(cavity, round_trip_dephasing(profile, cavity, delta_length, omega))
+
+
+def _scan(profile, cavity, delta_length, grid: SweepGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(omega, Psi, T) over the grid, Psi kept for the locate step."""
+    w = grid.omegas
+    psi = round_trip_dephasing(profile, cavity, delta_length, w)
+    return w, psi, _airy(cavity, psi)
 
 
 def _psi_and_slope(profile, cavity, delta_length, omega) -> tuple[float, float]:
@@ -138,30 +152,28 @@ def _nearest_mode(psi: float) -> float:
     return 2.0 * math.pi * round(psi / (2.0 * math.pi))
 
 
-def _psi_root(profile, cavity, delta_length, base: float, target: float, lo: float, hi: float, xtol: float):
+def _psi_root(
+    profile, cavity, delta_length, base: float, target: float,
+    lo: float, psi_lo: float, hi: float, psi_hi: float, xtol: float,
+):
     """Offset u in [lo, hi] where Psi(base + u) = target.
 
-    Returns None when Psi - target has the same sign at both ends.
+    The caller passes Psi at both bracket ends, which it has already
+    evaluated; lo and hi must be the offsets actually evaluated, i.e.
+    (base + u) - base, not the nominal u. Returns None when Psi - target has
+    the same sign at both ends.
 
     Safeguarded Newton-bisection (rtsafe, Numerical Recipes 9.4) on the exact
     slope from `_psi_and_slope`, falling back to halving the bracket wherever
-    a Newton step would leave it or converge too slowly. The two bracket
-    ends need Psi only. Psi can only be evaluated at the double nearest
-    base + u, so each Newton step starts from that point; the steps, and the
-    offset returned, are therefore not quantised to the ulp of omega. Stops
-    once an iterate moves by less than xtol, or once the bracket is down to
-    two ulps of base, below which Psi cannot tell its points apart.
+    a Newton step would leave it or converge too slowly. Psi can only be
+    evaluated at the double nearest base + u, so each Newton step starts from
+    that point; the steps, and the offset returned, are therefore not
+    quantised to the ulp of omega. Stops once an iterate moves by less than
+    xtol, or once the bracket is down to two ulps of base, below which Psi
+    cannot tell its points apart.
     """
-    base = float(base)
-
-    def end(u: float) -> tuple[float, float]:
-        # (the offset actually evaluated, Psi there - target); the
-        # subtraction is exact since omega and base are close
-        omega = base + u
-        return omega - base, round_trip_dephasing(profile, cavity, delta_length, omega) - target
-
-    lo, f_lo = end(lo)
-    hi, f_hi = end(hi)
+    f_lo = psi_lo - target
+    f_hi = psi_hi - target
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
@@ -233,13 +245,17 @@ def find_resonance(profile: DispersionProfile, cavity: RingCavity, delta_length:
     level without crossing it, sin^2(Psi/2) is smallest where the slope of
     Psi changes sign, and that point is returned instead.
     """
-    w = grid.omegas
-    t = transmission(profile, cavity, delta_length, w)
-    return _locate_resonance(profile, cavity, delta_length, grid, w, t)
+    w, psi, t = _scan(profile, cavity, delta_length, grid)
+    return _locate_resonance(profile, cavity, delta_length, grid, w, psi, t)
 
 
-def _locate_resonance(profile, cavity, delta_length, grid: SweepGrid, w: np.ndarray, t: np.ndarray) -> float:
-    """The locate step of `find_resonance`, given the grid scan w, t."""
+def _locate_resonance(profile, cavity, delta_length, grid: SweepGrid, w, psi, t) -> float:
+    """The locate step of `find_resonance`, given the grid scan w, Psi, T.
+
+    The scalar and array paths of Psi agree bitwise, and centre plus the
+    exact difference of two neighbouring samples is the neighbour itself, so
+    the scan's Psi serves as Psi at the peak sample and at both bracket ends.
+    """
     i = int(np.argmax(t))
     if i == 0 or i == grid.points - 1:
         raise ComputationError(
@@ -253,11 +269,11 @@ def _locate_resonance(profile, cavity, delta_length, grid: SweepGrid, w: np.ndar
         raise ComputationError(
             f"expected exactly one significant transmission maximum, found {count}"
         )
-    center = w[i]
-    order = _nearest_mode(round_trip_dephasing(profile, cavity, delta_length, center))
-    lo, hi = w[i - 1] - center, w[i + 1] - center
+    center = float(w[i])
+    order = _nearest_mode(float(psi[i]))
+    lo, hi = float(w[i - 1]) - center, float(w[i + 1]) - center
     xtol = grid.resolution / 1e4
-    u = _psi_root(profile, cavity, delta_length, center, order, lo, hi, xtol)
+    u = _psi_root(profile, cavity, delta_length, center, order, lo, float(psi[i - 1]), hi, float(psi[i + 1]), xtol)
     if u is None:
         u = _psi_turn(profile, cavity, delta_length, center, lo, hi, xtol)
     return float(center + u)
@@ -297,12 +313,10 @@ def _shift_estimate(
     dw_ec = cavity.shift_for_length(delta_length)
     seed = dw_ec
     if taylor is not None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            try:
-                seed = shift_cubic(taylor.n0 * dw_ec, taylor)
-            except ComputationError:
-                pass
+        try:
+            seed, _ = shift_cubic_branch(taylor.n0 * dw_ec, taylor)
+        except ComputationError:
+            pass
 
     omega = cavity.omega0 + seed
     best = seed
@@ -338,7 +352,11 @@ def auto_grid(
     twentieth of the width. Raises when the span would exceed 40% of the free
     spectral range (no single-resonance grid exists there).
     """
-    taylor = _cubic_model(profile, cavity)
+    return _grid(profile, cavity, delta_length, _cubic_model(profile, cavity))
+
+
+def _grid(profile, cavity, delta_length, taylor: TaylorCubic | None) -> SweepGrid:
+    """`auto_grid` given the path-averaged cubic (None where it does not apply)."""
     shift = _shift_estimate(profile, cavity, delta_length, taylor)
     width = _width_estimate(cavity, taylor, shift)
     half_span = max(2.5 * width, 0.1 * abs(shift))
@@ -371,30 +389,34 @@ def measure_fwhm(
     with the sign Psi takes at the bracket's outer end.
     """
     k = _airy_k(cavity)
+    resonance = float(resonance)
 
-    def psi_at(u: float) -> float:
-        return round_trip_dephasing(profile, cavity, delta_length, resonance + u)
+    def psi_at(u: float) -> tuple[float, float]:
+        # (the offset actually evaluated, Psi there); the subtraction is
+        # exact since omega and resonance are close
+        omega = resonance + u
+        return omega - resonance, round_trip_dephasing(profile, cavity, delta_length, omega)
 
-    psi_res = psi_at(0.0)
+    psi_res = round_trip_dephasing(profile, cavity, delta_length, resonance)
     s_res = math.sin(0.5 * psi_res) ** 2
     s_half = (1.0 + 2.0 * k * s_res) / k
     order = _nearest_mode(psi_res)
     estimate = _width_estimate(cavity, _cubic_model(profile, cavity), resonance - cavity.omega0)
 
     def crossing(side: float) -> float:
-        lo = 0.0
+        lo, psi_lo = 0.0, psi_res
         hi = estimate / 8.0
-        psi = psi_at(side * hi)
+        at, psi = psi_at(side * hi)
         while math.sin(0.5 * psi) ** 2 < s_half:
-            lo = hi
+            lo, psi_lo = at, psi
             hi *= 1.6
             if hi > 10.0 * estimate:
                 raise ComputationError(
                     "half-maximum crossing not bracketed within ten width estimates"
                 )
-            psi = psi_at(side * hi)
+            at, psi = psi_at(side * hi)
         target = order + math.copysign(2.0 * math.asin(math.sqrt(s_half)), psi - order)
-        off = _psi_root(profile, cavity, delta_length, resonance, target, side * lo, side * hi, 1e-9 * estimate)
+        off = _psi_root(profile, cavity, delta_length, resonance, target, lo, psi_lo, at, psi, 1e-9 * estimate)
         if off is None:
             raise ComputationError("round-trip phase does not cross the half-maximum level")
         return abs(off)
@@ -409,9 +431,8 @@ def trace(
 ) -> SpectrumTrace:
     """Sweep, locate, and width-measure a single resonance on the `auto_grid` grid."""
     grid = auto_grid(profile, cavity, delta_length)
-    w = grid.omegas
-    t = transmission(profile, cavity, delta_length, w)
-    resonance = _locate_resonance(profile, cavity, delta_length, grid, w, t)
+    w, psi, t = _scan(profile, cavity, delta_length, grid)
+    resonance = _locate_resonance(profile, cavity, delta_length, grid, w, psi, t)
     fwhm = measure_fwhm(profile, cavity, delta_length, resonance)
     return SpectrumTrace(omega=w, transmission=t, resonance=resonance, fwhm=fwhm)
 
@@ -450,8 +471,9 @@ def sweep_enhancement(
     if g is None:
         raise ComputationError("enhancement sweep requires anomalous cubic coefficients")
     values = [float(v) for v in dw_ec_values]
-    if not values or any(v <= 0.0 for v in values):
-        raise ValueError("shift values must be positive")
+    # the comparison also rejects NaN and inf, which would pass a v <= 0 test
+    if not values or not all(0.0 < v < math.inf for v in values):
+        raise ValueError("shift values must be positive and finite")
     lo, hi = min(values), max(values)
     if hi / lo < 1e4 * (1.0 - 1e-12):
         raise ComputationError("shift list must span at least four decades")
@@ -461,7 +483,7 @@ def sweep_enhancement(
     samples = []
     for dw in values:
         delta_length = cavity.length_for_shift(dw)
-        grid = auto_grid(profile, cavity, delta_length)
+        grid = _grid(profile, cavity, delta_length, t)
         resonance = find_resonance(profile, cavity, delta_length, grid)
         samples.append(
             EnhancementSample(

@@ -132,6 +132,37 @@ def test_unwritable_output_exits_2(tmp_path, capsys, out_rel, blocker):
     assert out == ""
 
 
+def _tree(root: Path) -> dict:
+    """Every entry below root with its bytes (None for a directory) and mtime."""
+    return {
+        p.relative_to(root): (None if p.is_dir() else p.read_bytes(), p.stat().st_mtime_ns)
+        for p in sorted(root.rglob("*"))
+    }
+
+
+@pytest.mark.parametrize(
+    "blocker,earlier",
+    [
+        ("spectrum.csv", False),  # the second file's target is a directory
+        (".spectrum.csv.tmp", True),  # its temporary name is, after the first write
+    ],
+    ids=["target-is-dir", "temporary-is-dir"],
+)
+def test_failed_write_leaves_the_output_directory_unchanged(tmp_path, capsys, blocker, earlier):
+    # spectrum writes spectrum_results.csv before spectrum.csv; a run that
+    # cannot write the second must not leave the first behind
+    out = tmp_path / "o"
+    (out / blocker).mkdir(parents=True)
+    if earlier:
+        (out / "spectrum_results.csv").write_text("an earlier run\n")
+    before = _tree(out)
+    code, stdout, err = run(capsys, "spectrum", "--scenario", TABLETOP, "--out", str(out))
+    assert code == 2
+    assert err.startswith(f"scenario error: cannot write output to {out}:")
+    assert stdout == ""
+    assert _tree(out) == before
+
+
 def test_wrong_input_kind_exits_2(capsys):
     # split needs a rotation rate; the sweep scenario drives a shift range
     code, out, err = run(capsys, "split", "--scenario", SWEEP)

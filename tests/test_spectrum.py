@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 from oracle_utils import bisect
 
 from fastlight.constants import C0
@@ -24,6 +25,9 @@ from fastlight.errors import ComputationError
 from fastlight.resonator import (
     RingCavity,
     airy_linewidth_cubic,
+    effective_half_linewidth,
+    effective_taylor,
+    shift_cubic,
     shifted_linewidth,
 )
 from fastlight.sagnac import LoopGeometry
@@ -127,20 +131,36 @@ def test_scalar_dephasing_and_slope_match_the_array_path_bitwise(profile):
             psi_n, slope = _psi_and_slope(profile, cav, dl, omega)
             assert psi_n == expected
             assert slope == (length * (fill * group_index(profile, w) + (1.0 - fill) * nb) + nb * dl) / C0
+    # the locate step takes Psi at the peak sample and its neighbours from
+    # the scan: on a real auto_grid grid every scan value is the scalar Psi,
+    # and centre + (neighbour - centre) is the neighbour itself
+    w, psi_scan, _ = spectrum._scan(profile, cav, dl, auto_grid(profile, cav, dl))
+    assert [round_trip_dephasing(profile, cav, dl, float(x)) for x in w] == psi_scan.tolist()
+    centre, neighbour = w[1:], w[:-1]
+    assert np.array_equal(centre + (neighbour - centre), neighbour)
+    assert np.array_equal(neighbour + (centre - neighbour), centre)
 
 
 @dataclass(frozen=True)
 class CountingLorentzian(LorentzianAbsorptive):
     calls: Counter = field(default_factory=Counter, compare=False)
+    scalar: list = field(default_factory=list, compare=False)  # (method, omega)
+
+    def _seen(self, method: str, omega) -> None:
+        if np.ndim(omega) == 0:
+            self.calls[method] += 1
+            self.scalar.append((method, float(omega)))
 
     def index(self, omega):
-        if np.ndim(omega) == 0:
-            self.calls["index"] += 1
+        self._seen("index", omega)
         return super().index(omega)
 
+    def dindex_domega(self, omega):
+        self._seen("dindex_domega", omega)
+        return super().dindex_domega(omega)
+
     def index_change(self, omega, base):
-        if np.ndim(omega) == 0:
-            self.calls["index_change"] += 1
+        self._seen("index_change", omega)
         return super().index_change(omega, base)
 
 
@@ -151,13 +171,23 @@ def test_one_index_evaluation_per_scalar_psi(dw_ec):
     cad, cav = scn.profile(), scn.cavity()
     profile = CountingLorentzian(cad.strength, cad.half_linewidth, cad.center)
     dl = -dw_ec * cav.round_trip_length / cav.omega0
-    find_resonance(profile, cav, dl, auto_grid(profile, cav, dl))
+    grid = auto_grid(profile, cav, dl)
+    start = len(profile.scalar)
+    find_resonance(profile, cav, dl, grid)
     assert profile.calls["index"] > 0
     assert profile.calls["index"] == profile.calls["index_change"]
+    # find_resonance evaluates no scalar Psi without its slope: Psi at the
+    # peak sample and at both neighbours comes from the grid scan
+    located = profile.scalar[start:]
+    bare = Counter(w for m, w in located if m == "index") - Counter(w for m, w in located if m == "dindex_domega")
+    assert not bare
+    i = int(np.argmax(transmission(cad, cav, dl, grid.omegas)))
+    assert not {w for _, w in located} & {float(grid.omegas[i - 1]), float(grid.omegas[i + 1])}
 
 
 def test_auto_grid_builds_the_cubic_model_once(monkeypatch):
-    # the shift and the width estimate share one path-averaged cubic
+    # the shift and the width estimate share one path-averaged cubic, and a
+    # sweep builds one cubic for all of its shifts
     calls = Counter()
     build = spectrum.effective_taylor
 
@@ -168,6 +198,9 @@ def test_auto_grid_builds_the_cubic_model_once(monkeypatch):
     monkeypatch.setattr(spectrum, "effective_taylor", counting)
     cav = cad_cavity(1e-2)
     auto_grid(cad_tune(G, W0), cav, -1e-3 * G * cav.round_trip_length / W0)
+    assert calls["effective_taylor"] == 1
+    calls.clear()
+    sweep_enhancement(cad_tune(G, W0), cav, [1e-6 * G, 1e-4 * G, 1e-3 * G, 1e-2 * G])
     assert calls["effective_taylor"] == 1
 
 
@@ -439,3 +472,111 @@ def test_sweep_enhancement_validation():
         sweep_enhancement(profile, cav, [1e-4 * G, 2.0 * G])
     with pytest.raises(ValueError):
         sweep_enhancement(profile, cav, [])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("where", [0, 1, 2], ids=["first", "middle", "last"])
+def test_sweep_enhancement_rejects_non_finite_shifts(monkeypatch, bad, where):
+    # NaN passes both a v <= 0 test and the four-decade test; it must be
+    # refused before any grid is built
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(spectrum, "_grid", no_grid)
+    scn = load_scenario(CAD_SWEEP)
+    values = [1e-3, 100.0]
+    values.insert(where, bad)
+    with pytest.raises(ValueError, match="positive and finite"):
+        sweep_enhancement(scn.profile(), scn.cavity(), values)
+
+
+# ------------------------------------------- spectrum against the cubic
+
+# Every ComputationError a trace may raise for a cavity it cannot resolve.
+KNOWN_REFUSALS = (
+    "requested response does not fit inside a single free spectral range",
+    "grid would need more than 2e6 points",
+    "transmission maximum sits on the grid edge",
+    "expected exactly one significant transmission maximum",
+    "round-trip phase neither crosses zero nor turns",
+    "round-trip phase root did not converge",
+    "half-maximum crossing not bracketed",
+    "round-trip phase does not cross the half-maximum level",
+)
+
+# (log10 gamma_ec/G range, log10 dw_ec/G range or None for dw_ec = 0), per
+# regime the acceptance criteria pin:
+#   sweep   - criterion 4: the resonance within 1% of shift_cubic for
+#             dw_ec <= 1e-3 G and within 5% up to G/27, on the sweep
+#             cavities of perfbench/gen.py;
+#   white   - criterion 6: at dw_ec = 0 and n_g = 0 the FWHM within 5% of
+#             airy_linewidth_cubic, for gamma_ec/G in [1e-4, 1e-2];
+#   linear  - criterion 6: at dw_ec = 0 and n_g in [0.01, 1] the FWHM within
+#             1% of gamma_ec/n_g;
+#   shifted - criterion 7: on the trace cavities of perfbench/gen.py, for
+#             dw_ec in [1e-4, 1e-3] G, the FWHM within 10% of
+#             gamma_ec/n_g(w0 + dw_dis), and the resonance within 1%.
+REGIMES = {
+    "sweep": ((-2.3, -1.3), (-8.0, math.log10(1.0 / 27.0))),
+    "white": ((-4.0, -2.0), None),
+    "linear": ((-5.0, -4.0), None),
+    "shifted": ((-5.0, -4.0), (-4.0, -3.0)),
+}
+
+
+@st.composite
+def cad_traces(draw):
+    """(regime, profile, cavity, dw_ec) of a CAD cavity in one regime.
+
+    Radius, frequency and line FWHM span the sweep ranges of
+    perfbench/gen.py; the medium fills all or part of the loop and is tuned
+    so that the path-averaged group index is 0 (or n_g in the linear regime).
+    The background index stays 1: at n0 != 1 the analytic widths miss a
+    factor n0 against the spectrum (see CHANGES.md).
+    """
+    regime = draw(st.sampled_from(sorted(REGIMES)))
+    ratios, shifts = REGIMES[regime]
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    radius = 10.0 ** (-0.5 + 0.8 * draw(unit))
+    w0 = 2.0 * math.pi * (3.0e14 + 3.0e14 * draw(unit))
+    g = math.pi * 10.0 ** (5.7 + draw(unit))
+    fill = draw(st.one_of(st.just(1.0), st.floats(min_value=0.2, max_value=1.0)))
+    ng = 10.0 ** (-2.0 * draw(unit)) if regime == "linear" else 0.0
+    ratio = 10.0 ** (ratios[0] + (ratios[1] - ratios[0]) * draw(unit))
+    geom = LoopGeometry.circular(radius)
+    # gamma_ec = FSR/F and FSR = 2*pi*c0/L at background index 1
+    finesse = 2.0 * math.pi * C0 / (geom.perimeter * ratio * g)
+    cav = RingCavity(geometry=geom, finesse=finesse, omega0=w0, fill_fraction=fill)
+    # path group index fill*n_g(medium) + (1 - fill) = ng; the min undoes
+    # rounding above 1 at ng = 1
+    profile = cad_tune(g, w0, group_index_target=min(1.0, (ng - (1.0 - fill)) / fill))
+    dw_ec = 0.0 if shifts is None else g * 10.0 ** (shifts[0] + (shifts[1] - shifts[0]) * draw(unit))
+    return regime, profile, cav, dw_ec
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cad_traces())
+def test_trace_matches_the_cubic_over_the_cad_cavity_space(case):
+    regime, profile, cav, dw_ec = case
+    event(f"regime: {regime}")
+    try:
+        result = trace(profile, cav, cav.length_for_shift(dw_ec))
+    except ComputationError as exc:
+        assert str(exc).startswith(KNOWN_REFUSALS), str(exc)
+        event(f"refused: {exc}")
+        return
+    t = effective_taylor(profile, cav)
+    g = effective_half_linewidth(t)
+    shift = result.resonance - cav.omega0
+    dw_dis = shift_cubic(dw_ec, t)
+    if dw_ec == 0.0:
+        assert shift == dw_dis == 0.0
+    else:
+        band = 0.01 if dw_ec <= 1e-3 * g else 0.05
+        assert abs(shift / dw_dis - 1.0) <= band
+    if regime == "white":
+        assert abs(result.fwhm / airy_linewidth_cubic(cav.gamma_ec, t) - 1.0) <= 0.05
+    elif regime == "linear":
+        assert abs(result.fwhm * t.ng0 / cav.gamma_ec - 1.0) <= 0.01
+    elif regime == "shifted":
+        assert abs(result.fwhm / shifted_linewidth(cav.gamma_ec, t, dw_dis).gamma_dis - 1.0) <= 0.10
