@@ -144,7 +144,7 @@ def _output_files(report: Report, fmt: str) -> dict[str, str]:
 def _write_outputs(report: Report, out_dir: Path | None, fmt: str) -> list[Path]:
     """Write all of the report's files or none of them.
 
-    Each file goes to a temporary name beside its target first. The
+    Each file goes to a temporary `.<name>.tmp` beside its target first. The
     temporaries are renamed onto the targets only after every write has
     succeeded, and are removed if one fails. A target that is a directory is
     refused before anything is written, so no rename fails on it.
