@@ -12,11 +12,14 @@ the odd-cubic index model the dispersion-modified shift x solves
 
     n3*w0 * x^3 + n_g * x = dw_ec,
 
-whose x/dw_ec ratio is the enhancement. At the critically anomalous dispersion
-point (n_g = 0) the root is (dw_ec * G^2)^(1/3), i.e. eta = (G/dw_ec)^(2/3) in
-the convention that follows from the cubic coefficients ("derived"); the
-commonly quoted headline form (2G/dw_ec)^(2/3) is exactly 2^(2/3) larger and is
-available as the "paper" convention. Both are first class throughout.
+whose x/dw_ec ratio is the enhancement. The cubic's indices are relative
+to the background index n_b (`effective_taylor`), so n_g here is the group
+index over n_b and the drive is the empty-cavity shift as it stands. At
+the critically anomalous dispersion point (n_g = 0) the root is
+(dw_ec * G^2)^(1/3), i.e. eta = (G/dw_ec)^(2/3) in the convention that
+follows from the cubic coefficients ("derived"); the commonly quoted headline
+form (2G/dw_ec)^(2/3) is exactly 2^(2/3) larger and is available as the
+"paper" convention. Both are first class throughout.
 
 Linewidths follow the same cubic with two flavors: `linewidth_cubic` solves
 the printed self-consistent form n3*w0*g^3 + n_g*g = gamma_ec, while
@@ -100,7 +103,11 @@ class RingCavity:
 
 @dataclass(frozen=True)
 class ShiftResult:
-    """Per-direction resonance shifts and the derived splitting figures."""
+    """Per-direction resonance shifts and the derived splitting figures.
+
+    `local_ng` is the group index at the shifted resonance over the
+    background index, as in `effective_taylor`.
+    """
 
     dw_plus: float
     dw_minus: float
@@ -263,7 +270,7 @@ def splitting_no_dispersion(cavity: RingCavity, omega_rot: float) -> ShiftResult
         dw_minus=per_direction,
         splitting=2.0 * per_direction,
         enhancement=1.0,
-        local_ng=cavity.n0,
+        local_ng=1.0,
         gamma_dis=cavity.gamma_ec,
     )
 
@@ -435,12 +442,15 @@ def feedback_gain(taylor: TaylorCubic) -> float:
 
 
 def effective_taylor(profile: DispersionProfile, cavity: RingCavity) -> TaylorCubic:
-    """Path-averaged cubic coefficients of the medium across the round trip.
+    """Path-averaged cubic of the round trip, relative to the background index.
 
     The medium occupies fill_fraction of the loop and the cavity background
     the rest, so n1 and n3 scale by the fill fraction and the center index
-    averages accordingly. The profile must be centered on the cavity
-    resonance for the expansion to apply.
+    averages accordingly. All three are then divided by the background index
+    n_b: the cubic is measured against the background-filled empty cavity,
+    whose resonance pull and linewidth are dw_ec and gamma_ec, so those are
+    its drives as they stand and its group index is n_g/n_b. The profile must
+    be centered on the cavity resonance for the expansion to apply.
     """
     t = taylor_coefficients(profile, omega_ref=cavity.omega0)
     if abs(t.omega_ref - cavity.omega0) > 1e-9 * cavity.omega0:
@@ -451,9 +461,9 @@ def effective_taylor(profile: DispersionProfile, cavity: RingCavity) -> TaylorCu
         )
     fill = cavity.fill_fraction
     return TaylorCubic(
-        n0=fill * t.n0 + (1.0 - fill) * cavity.n0,
-        n1=fill * t.n1,
-        n3=fill * t.n3,
+        n0=(fill * t.n0 + (1.0 - fill) * cavity.n0) / cavity.n0,
+        n1=fill * t.n1 / cavity.n0,
+        n3=fill * t.n3 / cavity.n0,
         omega_ref=cavity.omega0,
     )
 
@@ -473,7 +483,7 @@ def rotation_response(profile: DispersionProfile, cavity: RingCavity, omega_rot:
     """
     base = splitting_no_dispersion(cavity, omega_rot)
     t = effective_taylor(profile, cavity)
-    if abs(t.n0 - cavity.n0) > 1e-6 * cavity.n0:
+    if abs(t.n0 - 1.0) > 1e-6:
         raise ComputationError(
             "path-averaged phase index disagrees with the cavity background index"
         )
@@ -485,12 +495,8 @@ def rotation_response(profile: DispersionProfile, cavity: RingCavity, omega_rot:
             gamma = linewidth_linear(cavity.gamma_ec, t.ng0)
         return ShiftResult(0.0, 0.0, 0.0, 1.0, t.ng0, gamma)
 
-    # The self-consistent cubic is normalized to n0 = 1; a general background
-    # enters through the resonance condition d(n*w)/dw = n_g as an n0 factor
-    # on the driving shift, so a dispersionless medium reduces to the bare
-    # splitting for every n0.
-    raw_minus = shift_cubic(t.n0 * base.dw_minus, t)
-    raw_plus = shift_cubic(t.n0 * base.dw_plus, t)
+    raw_minus = shift_cubic(base.dw_minus, t)
+    raw_plus = shift_cubic(base.dw_plus, t)
     # the profile is defined only at positive frequencies
     if min(raw_minus, raw_plus) <= -cavity.omega0:
         raise ComputationError(

@@ -314,7 +314,7 @@ def _shift_estimate(
     seed = dw_ec
     if taylor is not None:
         try:
-            seed, _ = shift_cubic_branch(taylor.n0 * dw_ec, taylor)
+            seed, _ = shift_cubic_branch(dw_ec, taylor)
         except ComputationError:
             pass
 
@@ -370,7 +370,16 @@ def _grid(profile, cavity, delta_length, taylor: TaylorCubic | None) -> SweepGri
         points += 1
     if points > 2_000_001:
         raise ComputationError("grid would need more than 2e6 points")
-    return SweepGrid(center=cavity.omega0 + shift, half_span=half_span, points=points)
+    center = cavity.omega0 + shift
+    # a finer step repeats samples, and the scan then sees many maxima
+    step = 2.0 * half_span / (points - 1)
+    spacing = math.ulp(center + half_span)
+    if step < spacing:
+        raise ComputationError(
+            "linewidth below the spacing of doubles at this frequency: "
+            f"grid step {step:.3g} rad/s, spacing {spacing:.3g} rad/s"
+        )
+    return SweepGrid(center=center, half_span=half_span, points=points)
 
 
 def measure_fwhm(

@@ -287,6 +287,37 @@ def test_constant_medium_split_enhancement_is_one(tmp_path, capsys):
     assert doc["results"]["enhancement"]["value"] == 1.0
 
 
+@pytest.mark.parametrize(
+    "medium", ["background_index = 1.5\nmedium = none", CONSTANT_MEDIUM], ids=["none", "constant"]
+)
+def test_background_index_alone_neither_enhances_nor_narrows(tmp_path, capsys, medium):
+    # the analytic response is relative to the background-filled empty cavity
+    shift = json_run(tmp_path, capsys, "shift", medium, "shift")["results"]
+    width = json_run(tmp_path, capsys, "linewidth", medium, "linewidth")["results"]
+    gamma_ec = width["gamma_ec"]["value"]
+    assert shift["enhancement"]["value"] == 1.0
+    assert shift["gamma_dis"]["value"] == gamma_ec
+    assert width["gamma_dis"]["value"] == gamma_ec
+
+
+def test_background_index_leaves_the_cad_response_unchanged(tmp_path, capsys):
+    # A CAD line at fill 1 sets the whole path; a background index only
+    # rescales the empty-cavity drive and width, which the cubic undoes.
+    commands = ("shift", "linewidth")
+    bare = {c: json_run(tmp_path, capsys, c, CAD_LINES, f"{c}-bare")["results"] for c in commands}
+    nb_lines = "background_index = 1.45\n" + CAD_LINES
+    filled = {c: json_run(tmp_path, capsys, c, nb_lines, f"{c}-nb")["results"] for c in commands}
+    for command, key in [
+        ("shift", "dw_dis"),
+        ("shift", "gamma_dis"),
+        ("linewidth", "dw_dis"),
+        ("linewidth", "gamma_dis"),
+        ("linewidth", "gamma_dis_airy"),
+        ("linewidth", "gamma_shifted"),
+    ]:
+        assert filled[command][key]["value"] == pytest.approx(bare[command][key]["value"], rel=1e-12)
+
+
 def test_scalar_results_csv(tmp_path, capsys):
     out_dir = tmp_path / "res"
     code, out, err = run(

@@ -359,6 +359,40 @@ def test_find_resonance_rejects_multiple_peaks():
         find_resonance(profile, cav, 0.0, grid)
 
 
+@pytest.mark.parametrize("ratio", [1e-5, 3e-5])
+def test_auto_grid_refuses_a_step_below_the_spacing_of_doubles(ratio):
+    # ulp(w0) is 0.5 rad/s at 500 THz; resolving gamma_ec = 3e-5 G (188
+    # rad/s) would take a 0.47 rad/s step, so samples would repeat
+    cav = cad_cavity(ratio)
+    profile = cad_tune(G, W0, group_index_target=1.0)
+    with pytest.raises(ComputationError, match="^linewidth below the spacing of doubles at this frequency"):
+        trace(profile, cav, 0.0)
+
+
+def test_linewidth_above_the_spacing_of_doubles_still_resolves():
+    cav = cad_cavity(1e-4)
+    result = trace(cad_tune(G, W0, group_index_target=1.0), cav, 0.0)
+    assert result.fwhm == pytest.approx(cav.gamma_ec, rel=1e-9)
+
+
+@pytest.mark.parametrize("dw_ec", [0.0, 1.0e4])
+@pytest.mark.parametrize("offset", [2.0 * G, -3.0 * G], ids=["plus-2G", "minus-3G"])
+def test_trace_of_an_off_centre_line(offset, dw_ec):
+    # Off centre the cubic does not apply (0.5 G would still pass the
+    # centring check of effective_taylor), so the grid estimates fall back
+    # on the empty cavity and the Newton polish on Psi.
+    cav = cad_cavity(1e-3)
+    profile = cad_tune(G, W0 + offset)
+    assert _cubic_model(profile, cav) is None
+    dl = cav.length_for_shift(dw_ec)
+    h = auto_grid(profile, cav, dl).resolution
+    result = trace(profile, cav, dl)
+    u = bisect(lambda v: round_trip_dephasing(profile, cav, dl, result.resonance + v), -h, h)
+    assert abs(u) <= math.ulp(result.resonance)
+    ng = float(group_index(profile, result.resonance))
+    assert result.fwhm == pytest.approx(cav.gamma_ec / ng, rel=1e-2)
+
+
 # ----------------------------------------------------------------- width
 
 
@@ -497,7 +531,7 @@ KNOWN_REFUSALS = (
     "requested response does not fit inside a single free spectral range",
     "grid would need more than 2e6 points",
     "transmission maximum sits on the grid edge",
-    "expected exactly one significant transmission maximum",
+    "linewidth below the spacing of doubles at this frequency",
     "round-trip phase neither crosses zero nor turns",
     "round-trip phase root did not converge",
     "half-maximum crossing not bracketed",
@@ -529,10 +563,9 @@ def cad_traces(draw):
     """(regime, profile, cavity, dw_ec) of a CAD cavity in one regime.
 
     Radius, frequency and line FWHM span the sweep ranges of
-    perfbench/gen.py; the medium fills all or part of the loop and is tuned
-    so that the path-averaged group index is 0 (or n_g in the linear regime).
-    The background index stays 1: at n0 != 1 the analytic widths miss a
-    factor n0 against the spectrum (see CHANGES.md).
+    perfbench/gen.py; the background index is 1 or 1.45, and the medium
+    fills all or part of the loop and is tuned so that the path-averaged
+    group index over the background index is 0 (or n_g in the linear regime).
     """
     regime = draw(st.sampled_from(sorted(REGIMES)))
     ratios, shifts = REGIMES[regime]
@@ -541,15 +574,16 @@ def cad_traces(draw):
     w0 = 2.0 * math.pi * (3.0e14 + 3.0e14 * draw(unit))
     g = math.pi * 10.0 ** (5.7 + draw(unit))
     fill = draw(st.one_of(st.just(1.0), st.floats(min_value=0.2, max_value=1.0)))
+    nb = draw(st.sampled_from([1.0, 1.45]))
     ng = 10.0 ** (-2.0 * draw(unit)) if regime == "linear" else 0.0
     ratio = 10.0 ** (ratios[0] + (ratios[1] - ratios[0]) * draw(unit))
     geom = LoopGeometry.circular(radius)
-    # gamma_ec = FSR/F and FSR = 2*pi*c0/L at background index 1
-    finesse = 2.0 * math.pi * C0 / (geom.perimeter * ratio * g)
-    cav = RingCavity(geometry=geom, finesse=finesse, omega0=w0, fill_fraction=fill)
-    # path group index fill*n_g(medium) + (1 - fill) = ng; the min undoes
-    # rounding above 1 at ng = 1
-    profile = cad_tune(g, w0, group_index_target=min(1.0, (ng - (1.0 - fill)) / fill))
+    # gamma_ec = FSR/F and FSR = 2*pi*c0/(nb*L)
+    finesse = 2.0 * math.pi * C0 / (nb * geom.perimeter * ratio * g)
+    cav = RingCavity(geometry=geom, finesse=finesse, omega0=w0, n0=nb, fill_fraction=fill)
+    # path group index fill*n_g(medium) + (1 - fill)*nb = ng*nb; a line
+    # cannot reach a group index above 1, so the min caps the target there
+    profile = cad_tune(g, w0, group_index_target=min(1.0, (ng * nb - (1.0 - fill) * nb) / fill))
     dw_ec = 0.0 if shifts is None else g * 10.0 ** (shifts[0] + (shifts[1] - shifts[0]) * draw(unit))
     return regime, profile, cav, dw_ec
 
