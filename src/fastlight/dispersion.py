@@ -38,40 +38,6 @@ def _check_omega(omega) -> None:
         raise ValueError("optical frequency must be positive")
 
 
-def _zero_like(omega):
-    # 0.0 * omega: a float for float input, an array otherwise; NaN and inf
-    # still give NaN
-    if isinstance(omega, float):
-        return 0.0 * omega
-    return 0.0 * np.asarray(omega, dtype=float)
-
-
-# No module in the package builds this; perfbench/layers.py, its last caller,
-# passes ConstantIndex(cavity.n0) as the vacuum profile of its traced replays.
-@dataclass(frozen=True)
-class ConstantIndex:
-    """Dispersionless medium with phase index n0."""
-
-    n0: float
-
-    def __post_init__(self):
-        if self.n0 <= 0.0:
-            raise ValueError("phase index must be positive")
-
-    def index(self, omega):
-        _check_omega(omega)
-        return self.n0 + _zero_like(omega)
-
-    def dindex_domega(self, omega):
-        _check_omega(omega)
-        return _zero_like(omega)
-
-    def index_change(self, omega, base):
-        _check_omega(omega)
-        _check_omega(base)
-        return _zero_like(omega)
-
-
 @dataclass(frozen=True)
 class LorentzianAbsorptive:
     """Antisymmetric index profile of a Lorentzian line centered at `center`.
@@ -117,6 +83,14 @@ class LorentzianAbsorptive:
         num = (x - xb) * (g * g - x * xb)
         return -self.strength * g * num / ((g * g + x * x) * (g * g + xb * xb))
 
+    def taylor(self) -> TaylorCubic:
+        """Exact third-order series about the line center: n1 = -A/G, n3 = A/G^3.
+
+        The quadratic term vanishes identically.
+        """
+        a, g = self.strength, self.half_linewidth
+        return TaylorCubic(n0=1.0, n1=-a / g, n3=a / g ** 3, omega_ref=self.center)
+
 
 @dataclass(frozen=True)
 class TaylorCubic:
@@ -150,6 +124,10 @@ class TaylorCubic:
         xb = base - self.omega_ref
         return (x - xb) * (self.n1 + self.n3 * (x * x + x * xb + xb * xb))
 
+    def taylor(self) -> TaylorCubic:
+        """The cubic is its own expansion."""
+        return self
+
     @property
     def ng0(self) -> float:
         """Group index at the expansion point: n_g = n0 + omega_ref*n1."""
@@ -160,7 +138,7 @@ class TaylorCubic:
         return self.ng0 + 3.0 * self.n3 * self.omega_ref * dw * dw
 
 
-DispersionProfile = ConstantIndex | LorentzianAbsorptive | TaylorCubic
+DispersionProfile = LorentzianAbsorptive | TaylorCubic
 
 
 def group_index(profile: DispersionProfile, omega):
@@ -168,23 +146,15 @@ def group_index(profile: DispersionProfile, omega):
     return profile.index(omega) + omega * profile.dindex_domega(omega)
 
 
-def taylor_coefficients(profile: DispersionProfile, omega_ref: float | None = None) -> TaylorCubic:
-    """Odd-cubic expansion of a profile about its natural reference frequency.
+def ConstantIndex(n0: float) -> TaylorCubic:
+    """Dispersionless medium of phase index n0: a cubic with n1 = n3 = 0.
 
-    For the Lorentzian this is the exact third-order series about the line
-    center (n1 = -A/G, n3 = A/G^3, quadratic term identically zero). Constant
-    profiles need an explicit omega_ref since they carry none of their own.
+    Its only caller is perfbench/layers.py; delete it once that file builds
+    the `TaylorCubic` itself. The reference frequency of 1 rad/s is
+    arbitrary: the index is n0 for any |omega - 1| below about 5e102 rad/s,
+    where d^3 stays finite.
     """
-    if isinstance(profile, TaylorCubic):
-        return profile
-    if isinstance(profile, LorentzianAbsorptive):
-        a, g = profile.strength, profile.half_linewidth
-        return TaylorCubic(n0=1.0, n1=-a / g, n3=a / g ** 3, omega_ref=profile.center)
-    if isinstance(profile, ConstantIndex):
-        if omega_ref is None:
-            raise ValueError("a constant profile needs an explicit reference frequency")
-        return TaylorCubic(n0=profile.n0, n1=0.0, n3=0.0, omega_ref=omega_ref)
-    raise TypeError(f"unsupported profile type: {type(profile).__name__}")
+    return TaylorCubic(n0, 0.0, 0.0, 1.0)
 
 
 def cad_tune(half_linewidth: float, center: float, group_index_target: float = 0.0) -> LorentzianAbsorptive:

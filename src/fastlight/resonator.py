@@ -37,7 +37,7 @@ import warnings
 from dataclasses import dataclass
 
 from .constants import C0
-from .dispersion import DispersionProfile, TaylorCubic, taylor_coefficients
+from .dispersion import DispersionProfile, TaylorCubic
 from .errors import ComputationError
 from .sagnac import LoopGeometry
 
@@ -51,7 +51,7 @@ class RingCavity:
     `fill_fraction` is the fraction of the round trip occupied by the
     dispersive medium; it enters the analytic algebra only through
     path-averaged Taylor coefficients (and through the CAD tuning target
-    n_g = 1 - 1/fill_fraction).
+    n_g = -(1 - fill_fraction)*n0/fill_fraction of the medium itself).
     """
 
     geometry: LoopGeometry
@@ -450,10 +450,12 @@ def effective_taylor(profile: DispersionProfile, cavity: RingCavity) -> TaylorCu
     n_b: the cubic is measured against the background-filled empty cavity,
     whose resonance pull and linewidth are dw_ec and gamma_ec, so those are
     its drives as they stand and its group index is n_g/n_b. The profile must
-    be centered on the cavity resonance for the expansion to apply.
+    be centered on the cavity resonance for the expansion to apply; one
+    without dispersion has no centre to match.
     """
-    t = taylor_coefficients(profile, omega_ref=cavity.omega0)
-    if abs(t.omega_ref - cavity.omega0) > 1e-9 * cavity.omega0:
+    t = profile.taylor()
+    off_centre = abs(t.omega_ref - cavity.omega0) > 1e-9 * cavity.omega0
+    if off_centre and (t.n1 != 0.0 or t.n3 != 0.0):
         raise ComputationError(
             "profile reference frequency must match the cavity resonance "
             "for the analytic response (the numeric spectrum path has no "

@@ -9,12 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fastlight.dispersion import (
-    ConstantIndex,
     LorentzianAbsorptive,
     TaylorCubic,
     cad_tune,
     group_index,
-    taylor_coefficients,
 )
 
 W0 = 2.0 * math.pi * 5.0e14
@@ -48,7 +46,7 @@ def random_profile(rng: random.Random):
     kind = rng.choice(("constant", "linear", "lorentzian", "taylor"))
     w0 = 10.0 ** rng.uniform(14.5, 15.8)
     if kind == "constant":
-        return ConstantIndex(rng.uniform(1.0, 3.0)), w0
+        return TaylorCubic(rng.uniform(1.0, 3.0), 0.0, 0.0, w0), w0
     if kind == "linear":
         n0 = rng.uniform(1.0, 2.0)
         ng = 10.0 ** rng.uniform(-2.0, 6.0)
@@ -79,7 +77,7 @@ def test_group_index_linear_slow_light():
 
 def test_lorentzian_taylor_coefficients_frozen():
     profile = LorentzianAbsorptive(2.0e-9, G, W0)
-    t = taylor_coefficients(profile)
+    t = profile.taylor()
     assert t.n0 == 1.0
     assert t.omega_ref == W0
     assert t.n1 == pytest.approx(-3.183098861837907e-16, rel=1e-12)
@@ -91,7 +89,7 @@ def test_taylor_is_third_order_series_of_lorentzian():
     # A*u^5/(1 + u^2); a strong line keeps the difference above rounding.
     a = 1e-3
     profile = LorentzianAbsorptive(a, G, W0)
-    t = taylor_coefficients(profile)
+    t = profile.taylor()
     for u in (0.05, 0.1, 0.2, 0.3):
         w = W0 + u * G
         diff = float(t.index(w)) - float(profile.index(w))
@@ -173,26 +171,24 @@ def test_cad_tune_rejects_unreachable_target():
 
 def test_taylor_coefficients_passthrough_and_mapping():
     t = TaylorCubic(1.0, -1e-16, 1e-30, W0)
-    assert taylor_coefficients(t) is t
+    assert t.taylor() is t
     lin = TaylorCubic(1.2, 3e-16, 0.0, W0)
-    tl = taylor_coefficients(lin)
+    tl = lin.taylor()
     assert (tl.n0, tl.n1, tl.n3, tl.omega_ref) == (1.2, 3e-16, 0.0, W0)
-    const = ConstantIndex(1.5)
-    tc = taylor_coefficients(const, omega_ref=W0)
+    const = TaylorCubic(1.5, 0.0, 0.0, W0)
+    tc = const.taylor()
     assert (tc.n0, tc.n1, tc.n3) == (1.5, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        taylor_coefficients(const)
 
 
 def test_validation_errors():
     with pytest.raises(ValueError):
-        ConstantIndex(0.0)
+        TaylorCubic(0.0, 0.0, 0.0, W0)
     with pytest.raises(ValueError):
         LorentzianAbsorptive(1e-9, -G, W0)
     with pytest.raises(ValueError):
         LorentzianAbsorptive(-1e-9, G, W0)
     with pytest.raises(ValueError):
         TaylorCubic(1.0, 0.0, 0.0, -W0)
-    profile = ConstantIndex(1.0)
+    profile = TaylorCubic(1.0, 0.0, 0.0, W0)
     with pytest.raises(ValueError):
         profile.index(-1.0)

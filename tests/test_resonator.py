@@ -12,11 +12,9 @@ from oracle_utils import bisect_cubic_branch, bisect_positive_root, random_cubic
 
 from fastlight.constants import C0, OMEGA_EARTH
 from fastlight.dispersion import (
-    ConstantIndex,
     LorentzianAbsorptive,
     TaylorCubic,
     cad_tune,
-    taylor_coefficients,
 )
 from fastlight.errors import ComputationError
 from fastlight.resonator import (
@@ -49,7 +47,7 @@ def tabletop() -> RingCavity:
 
 
 def cad_taylor() -> TaylorCubic:
-    return taylor_coefficients(cad_tune(G, W0))
+    return cad_tune(G, W0).taylor()
 
 
 # ---------------------------------------------------------------- cavity
@@ -328,7 +326,7 @@ def test_feedback_gain():
 def test_effective_taylor_scales_with_fill():
     cav = RingCavity(geometry=CIRCLE, finesse=1e3, omega0=W0, fill_fraction=0.5)
     profile = LorentzianAbsorptive(2e-9, G, W0)
-    t_full = taylor_coefficients(profile)
+    t_full = profile.taylor()
     t_half = effective_taylor(profile, cav)
     assert t_half.n1 == pytest.approx(0.5 * t_full.n1, rel=1e-12)
     assert t_half.n3 == pytest.approx(0.5 * t_full.n3, rel=1e-12)
@@ -350,10 +348,16 @@ def test_effective_taylor_rejects_off_center_profile():
         effective_taylor(profile, cav)
 
 
+def test_effective_taylor_accepts_off_centre_dispersionless_profile():
+    # without dispersion the cubic has no centre to match
+    t = effective_taylor(TaylorCubic(1.5, 0.0, 0.0, 1.01 * W0), tabletop())
+    assert (t.n0, t.n1, t.n3, t.omega_ref) == (1.5, 0.0, 0.0, W0)
+
+
 def test_rotation_response_vacuum_matches_bare_splitting():
     cav = tabletop()
     base = splitting_no_dispersion(cav, OMEGA_EARTH)
-    resp = rotation_response(ConstantIndex(cav.n0), cav, OMEGA_EARTH)
+    resp = rotation_response(TaylorCubic(cav.n0, 0.0, 0.0, W0), cav, OMEGA_EARTH)
     assert resp.dw_minus == pytest.approx(base.dw_minus, rel=1e-14)
     assert resp.dw_plus == pytest.approx(base.dw_plus, rel=1e-14)
     assert resp.enhancement == pytest.approx(1.0, rel=1e-12)
@@ -363,7 +367,7 @@ def test_rotation_response_constant_medium_any_background():
     # a dispersionless medium cannot alter the splitting, whatever n0 is
     cav = RingCavity(geometry=CIRCLE, finesse=1e3, omega0=W0, n0=1.5)
     base = splitting_no_dispersion(cav, OMEGA_EARTH)
-    resp = rotation_response(ConstantIndex(1.5), cav, OMEGA_EARTH)
+    resp = rotation_response(TaylorCubic(1.5, 0.0, 0.0, W0), cav, OMEGA_EARTH)
     assert resp.dw_minus == pytest.approx(base.dw_minus, rel=1e-14)
     assert resp.enhancement == pytest.approx(1.0, rel=1e-12)
 
@@ -391,4 +395,4 @@ def test_rotation_response_zero_rate():
 def test_rotation_response_rejects_mismatched_background():
     cav = tabletop()  # n0 = 1
     with pytest.raises(ComputationError):
-        rotation_response(ConstantIndex(1.5), cav, OMEGA_EARTH)
+        rotation_response(TaylorCubic(1.5, 0.0, 0.0, W0), cav, OMEGA_EARTH)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fastlight.constants import C0, HBAR, OMEGA_EARTH
-from fastlight.dispersion import ConstantIndex, TaylorCubic
+from fastlight.dispersion import TaylorCubic
 from fastlight.sagnac import (
     LoopGeometry,
     RotationState,
@@ -120,7 +120,7 @@ def test_relative_rotation_scales_with_group_index():
 def test_relative_rotation_collapses_for_dispersionless_media():
     base = vacuum_sagnac(SQUARE, spin(OMEGA_EARTH), OMEGA_1UM).delta_phi
     for n in (1.0, 1.5, 3.0):
-        phi = relative_rotation_phase(ConstantIndex(n), SQUARE, spin(OMEGA_EARTH), OMEGA_1UM)
+        phi = relative_rotation_phase(TaylorCubic(n, 0.0, 0.0, OMEGA_1UM), SQUARE, spin(OMEGA_EARTH), OMEGA_1UM)
         assert phi == pytest.approx(base, rel=1e-12)
 
 

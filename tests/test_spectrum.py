@@ -12,14 +12,13 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 from oracle_utils import bisect
 
-from fastlight.constants import C0
+from fastlight.constants import C0, OMEGA_EARTH
 from fastlight.dispersion import (
     ConstantIndex,
     LorentzianAbsorptive,
     TaylorCubic,
     cad_tune,
     group_index,
-    taylor_coefficients,
 )
 from fastlight.errors import ComputationError
 from fastlight.resonator import (
@@ -27,6 +26,7 @@ from fastlight.resonator import (
     airy_linewidth_cubic,
     effective_half_linewidth,
     effective_taylor,
+    rotation_response,
     shift_cubic,
     shifted_linewidth,
 )
@@ -62,7 +62,7 @@ def cad_cavity(gamma_over_g: float) -> RingCavity:
     return RingCavity(geometry=CIRCLE, finesse=C0 / gamma_ec, omega0=W0)
 
 
-VACUUM = ConstantIndex(1.0)
+VACUUM = TaylorCubic(1.0, 0.0, 0.0, W0)
 CAD_SWEEP = Path(__file__).resolve().parents[1] / "scenarios" / "cad_sweep.scenario"
 
 
@@ -106,15 +106,15 @@ def test_dephasing_accepts_arrays():
 
 
 SCALAR_PROFILES = [
-    ConstantIndex(1.5),
+    TaylorCubic(1.5, 0.0, 0.0, W0),
     TaylorCubic(n0=1.0, n1=4.0e-14, n3=0.0, omega_ref=W0),
     cad_tune(G, W0),
-    taylor_coefficients(cad_tune(G, W0)),
+    cad_tune(G, W0).taylor(),
 ]
 
 
 @pytest.mark.parametrize(
-    "profile", SCALAR_PROFILES, ids=["ConstantIndex", "TaylorCubic-linear", "LorentzianAbsorptive", "TaylorCubic"]
+    "profile", SCALAR_PROFILES, ids=["TaylorCubic-constant", "TaylorCubic-linear", "LorentzianAbsorptive", "TaylorCubic"]
 )
 def test_scalar_dephasing_and_slope_match_the_array_path_bitwise(profile):
     # partial fill and a background index other than 1 bring every term in
@@ -408,7 +408,7 @@ def test_wlc_fwhm_matches_cubic_broadening_law():
         cav = cad_cavity(ratio)
         profile = cad_tune(G, W0)
         result = trace(profile, cav, 0.0)
-        t = taylor_coefficients(profile)
+        t = profile.taylor()
         analytic = airy_linewidth_cubic(cav.gamma_ec, t)
         assert result.fwhm == pytest.approx(analytic, rel=1e-2)
 
@@ -423,7 +423,7 @@ def test_linear_regime_fwhm():
 def test_shifted_resonance_fwhm():
     cav = cad_cavity(1e-5)
     profile = cad_tune(G, W0)
-    t = taylor_coefficients(profile)
+    t = profile.taylor()
     dw_ec = 1e-3 * G
     dl = -dw_ec * cav.round_trip_length / W0
     result = trace(profile, cav, dl)
@@ -443,6 +443,20 @@ def test_trace_fields_consistent():
     assert result.transmission.max() <= 1.0
     assert result.resonance == pytest.approx(W0, abs=1.0)
     assert result.fwhm == pytest.approx(cav.gamma_ec, rel=1e-3)
+
+
+@pytest.mark.parametrize("fill", [1.0, 0.3])
+@pytest.mark.parametrize("nb", [1.0, 1.45])
+def test_constant_index_matches_a_centred_dispersionless_cubic_bitwise(nb, fill):
+    # ConstantIndex expands about 1 rad/s, not about the cavity resonance;
+    # a cubic without dispersion must not care where it is expanded
+    cav = RingCavity(geometry=CIRCLE, finesse=1.0e3, omega0=W0, n0=nb, fill_fraction=fill)
+    shim, cubic = ConstantIndex(nb), TaylorCubic(nb, 0.0, 0.0, W0)
+    assert effective_taylor(shim, cav) == effective_taylor(cubic, cav)
+    dl = cav.length_for_shift(0.3 * cav.gamma_ec)
+    got, want = trace(shim, cav, dl), trace(cubic, cav, dl)
+    assert (got.resonance, got.fwhm) == (want.resonance, want.fwhm)
+    assert rotation_response(shim, cav, OMEGA_EARTH) == rotation_response(cubic, cav, OMEGA_EARTH)
 
 
 # ------------------------------------------------------------------ grids
@@ -468,7 +482,7 @@ def test_auto_grid_resolves_the_width():
     dl = -dw_ec * cav.round_trip_length / W0
     grid = auto_grid(profile, cav, dl)
     shift = full_model_shift(dw_ec)
-    width = shifted_linewidth(cav.gamma_ec, taylor_coefficients(profile), shift).gamma_dis
+    width = shifted_linewidth(cav.gamma_ec, profile.taylor(), shift).gamma_dis
     assert grid.resolution < width / 10.0
     assert abs(grid.center - (W0 + shift)) < grid.half_span / 2.0
 
