@@ -48,7 +48,6 @@ from .sagnac import (
 )
 from .scenario import OUTPUT_FORMATS, Scenario, load_scenario
 from .sensitivity import (
-    NoiseBudget,
     laser_linewidth,
     lens_thirring_margin,
     lens_thirring_rate,
@@ -57,7 +56,7 @@ from .sensitivity import (
     min_rotation,
     min_shift_passive,
 )
-from .spectrum import auto_grid, sweep_enhancement, trace
+from .spectrum import sweep_enhancement, trace
 
 TWO_PI = 2.0 * math.pi
 
@@ -313,7 +312,12 @@ def _cmd_split(scn: Scenario, rp: Report) -> None:
         rp.add("splitting_dispersive", resp.splitting, "rad/s", "dw_ccw_dis - dw_cw_dis")
         rp.add("enhancement", resp.enhancement, "", "eta = splitting_dispersive/splitting")
         rp.add("local_group_index", resp.local_ng, "", "n_g(w0) + 3*n3*w0*dw^2")
-        rp.add("gamma_dispersive", resp.gamma_dis, "rad/s", "gamma_ec/n_g at the shifted resonance")
+        gamma_tag = (
+            "positive root of n3*w0*g^3 + n_g*g = gamma_ec"
+            if resp.gamma_from_cubic
+            else "gamma_ec/n_g at the shifted resonance"
+        )
+        rp.add("gamma_dispersive", resp.gamma_dis, "rad/s", gamma_tag)
 
 
 def _cmd_shift(scn: Scenario, rp: Report) -> None:

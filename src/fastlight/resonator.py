@@ -106,7 +106,9 @@ class ShiftResult:
     """Per-direction resonance shifts and the derived splitting figures.
 
     `local_ng` is the group index at the shifted resonance over the
-    background index, as in `effective_taylor`.
+    background index, as in `effective_taylor`. `gamma_dis` is
+    gamma_ec/local_ng, unless `gamma_from_cubic` says it is the
+    `linewidth_cubic` root.
     """
 
     dw_plus: float
@@ -115,6 +117,7 @@ class ShiftResult:
     enhancement: float
     local_ng: float
     gamma_dis: float
+    gamma_from_cubic: bool = False
 
 
 @dataclass(frozen=True)
@@ -492,10 +495,9 @@ def rotation_response(profile: DispersionProfile, cavity: RingCavity, omega_rot:
 
     if omega_rot == 0.0:
         try:
-            gamma = linewidth_cubic(cavity.gamma_ec, t)
+            return ShiftResult(0.0, 0.0, 0.0, 1.0, t.ng0, linewidth_cubic(cavity.gamma_ec, t), True)
         except ComputationError:
-            gamma = linewidth_linear(cavity.gamma_ec, t.ng0)
-        return ShiftResult(0.0, 0.0, 0.0, 1.0, t.ng0, gamma)
+            return ShiftResult(0.0, 0.0, 0.0, 1.0, t.ng0, linewidth_linear(cavity.gamma_ec, t.ng0))
 
     raw_minus = shift_cubic(base.dw_minus, t)
     raw_plus = shift_cubic(base.dw_plus, t)
@@ -513,10 +515,10 @@ def rotation_response(profile: DispersionProfile, cavity: RingCavity, omega_rot:
     mean_shift = 0.5 * (abs(dw_minus) + abs(dw_plus))
     try:
         widths = shifted_linewidth(cavity.gamma_ec, t, mean_shift)
-        local_ng, gamma = widths.local_ng, widths.gamma_dis
+        local_ng, gamma, from_cubic = widths.local_ng, widths.gamma_dis, False
     except ComputationError:
         local_ng = t.local_ng(mean_shift)
-        gamma = linewidth_cubic(cavity.gamma_ec, t)
+        gamma, from_cubic = linewidth_cubic(cavity.gamma_ec, t), True
     return ShiftResult(
         dw_plus=dw_plus,
         dw_minus=dw_minus,
@@ -524,4 +526,5 @@ def rotation_response(profile: DispersionProfile, cavity: RingCavity, omega_rot:
         enhancement=splitting / base.splitting,
         local_ng=local_ng,
         gamma_dis=gamma,
+        gamma_from_cubic=from_cubic,
     )

@@ -349,14 +349,17 @@ def auto_grid(
 
     Centered on the estimated resonance, spanning the larger of 2.5 predicted
     widths and 10% of the predicted shift, with resolution finer than a
-    twentieth of the width. Raises when the span would exceed 40% of the free
-    spectral range (no single-resonance grid exists there).
+    twentieth of the width. Raises when the length change leaves no positive
+    round trip, or when the span would exceed 40% of the free spectral range
+    (no single-resonance grid exists there).
     """
     return _grid(profile, cavity, delta_length, _cubic_model(profile, cavity))
 
 
 def _grid(profile, cavity, delta_length, taylor: TaylorCubic | None) -> SweepGrid:
     """`auto_grid` given the path-averaged cubic (None where it does not apply)."""
+    if cavity.round_trip_length + delta_length <= 0.0:
+        raise ComputationError("the length change leaves no positive round trip")
     shift = _shift_estimate(profile, cavity, delta_length, taylor)
     width = _width_estimate(cavity, taylor, shift)
     half_span = max(2.5 * width, 0.1 * abs(shift))

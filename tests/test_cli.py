@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -223,6 +224,20 @@ def test_tiny_frequency_exits_3(tmp_path, capsys, command):
         assert "dispersive shift is below -omega0" in err
 
 
+@pytest.mark.parametrize("command", ["spectrum", "fig5"])
+def test_pull_beyond_omega0_leaves_no_round_trip_and_exits_3(tmp_path, capsys, command):
+    # the 300 kHz pull exceeds omega0, so dL = -dw_ec*L/w0 lies below -L;
+    # refused before any scan, with no numpy warning
+    path = edited(tmp_path, DEMO, "frequency_hz = 5.0e14", "frequency_hz = 1e-300")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, command, "--scenario", path)
+    assert code == 3
+    assert err == "computation error: the length change leaves no positive round trip\n"
+    assert out == ""
+    assert caught == []
+
+
 @pytest.mark.parametrize("shift", ["-1", "0"])
 def test_fig5_non_positive_shift_exits_2(tmp_path, capsys, shift):
     path = edited(tmp_path, DEMO, "empty_cavity_shift_hz = 3.0e5", f"empty_cavity_shift_hz = {shift}")
@@ -285,6 +300,28 @@ def test_constant_medium_matches_no_medium(tmp_path, capsys, command):
 def test_constant_medium_split_enhancement_is_one(tmp_path, capsys):
     doc = json_run(tmp_path, capsys, "split", CONSTANT_MEDIUM, "constant")
     assert doc["results"]["enhancement"]["value"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "old,new,gamma",
+    [
+        ("rotation_rate_rad_s = 7.2921159e-5", "rotation_rate_rad_s = 0", 2278908.10621),
+        ("medium = cad", "medium = cad\nmedium_target_group_index = -0.5", 3896705.84945),
+    ],
+    ids=["at-rest", "negative-group-index"],
+)
+@pytest.mark.parametrize("command,key", [("split", "gamma_dispersive"), ("shift", "gamma_dis")])
+def test_linewidth_fallback_is_tagged_as_the_cubic_root(tmp_path, capsys, command, key, old, new, gamma):
+    # at rest, or where the local group index is not positive, both commands
+    # report the linewidth_cubic root and must tag it as such
+    path = edited(tmp_path, TABLETOP, old, new)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the multivalued-branch warning
+        code, _, _ = run(capsys, command, "--scenario", path, "--out", str(tmp_path), "--format", "json")
+    assert code == 0
+    entry = json.loads((tmp_path / f"{command}.json").read_text())["results"][key]
+    assert entry["formula"] == "positive root of n3*w0*g^3 + n_g*g = gamma_ec"
+    assert entry["value"] == pytest.approx(gamma, rel=1e-11)
 
 
 @pytest.mark.parametrize(
