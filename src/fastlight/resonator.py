@@ -495,9 +495,10 @@ def rotation_response(profile: DispersionProfile, cavity: RingCavity, omega_rot:
 
     if omega_rot == 0.0:
         try:
-            return ShiftResult(0.0, 0.0, 0.0, 1.0, t.ng0, linewidth_cubic(cavity.gamma_ec, t), True)
+            gamma, from_cubic = linewidth_cubic(cavity.gamma_ec, t), True
         except ComputationError:
-            return ShiftResult(0.0, 0.0, 0.0, 1.0, t.ng0, linewidth_linear(cavity.gamma_ec, t.ng0))
+            gamma, from_cubic = linewidth_linear(cavity.gamma_ec, t.ng0), False
+        return ShiftResult(0.0, 0.0, 0.0, 1.0, t.ng0, gamma, from_cubic)
 
     raw_minus = shift_cubic(base.dw_minus, t)
     raw_plus = shift_cubic(base.dw_plus, t)
