@@ -58,11 +58,24 @@ class SweepGrid:
 
     @property
     def omegas(self) -> np.ndarray:
-        return np.linspace(self.center - self.half_span, self.center + self.half_span, self.points)
+        return _sample_rows([self.center], [self.half_span], self.points)[0]
 
     @property
     def resolution(self) -> float:
         return 2.0 * self.half_span / (self.points - 1)
+
+
+def _sample_rows(centers, half_spans, points: int) -> np.ndarray:
+    """Uniform samples, one row per (center, half_span) pair.
+
+    Each row is np.linspace(center - half_span, center + half_span, points)
+    bit for bit: the same step, multiply, add and endpoint store.
+    """
+    start = np.subtract(centers, half_spans)[:, None]
+    stop = np.add(centers, half_spans)[:, None]
+    w = np.arange(points) * ((stop - start) / (points - 1)) + start
+    w[:, -1:] = stop
+    return w
 
 
 @dataclass(frozen=True)
@@ -121,10 +134,26 @@ def transmission(profile: DispersionProfile, cavity: RingCavity, delta_length: f
     return _airy(cavity, round_trip_dephasing(profile, cavity, delta_length, omega))
 
 
-def _scan(profile, cavity, delta_length, grid: SweepGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(omega, Psi, T) over the grid, Psi kept for the locate step."""
-    w = grid.omegas
-    psi = round_trip_dephasing(profile, cavity, delta_length, w)
+# Most samples one scan pass holds: four 2,001-point grids, 64 KiB per array.
+# A pass pays numpy's per-call cost once for all of its rows. Larger passes
+# were slower under glibc on Linux: the allocator handed their temporaries
+# back to the system, and every pass faulted them in again (about 500 page
+# faults per sweep of about 38 shifts at 10,240 samples or more, none at
+# 8,192).
+_SCAN_SAMPLES = 8_192
+
+
+def _scan(profile, cavity, delta_lengths, grids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(omega, Psi, T), one row per grid, Psi kept for the locate step.
+
+    The grids share one point count, and row j has length change
+    delta_lengths[j]. Every element runs the expressions of the array path
+    of `round_trip_dephasing` and `_airy`, so a row equals the scan of its
+    grid alone bit for bit.
+    """
+    w = _sample_rows([g.center for g in grids], [g.half_span for g in grids], grids[0].points)
+    delta_length = np.array(delta_lengths, dtype=float)[:, None]
+    psi = _psi(cavity, delta_length, w, profile.index(w), profile.index_change(w, cavity.omega0))
     return w, psi, _airy(cavity, psi)
 
 
@@ -245,8 +274,8 @@ def find_resonance(profile: DispersionProfile, cavity: RingCavity, delta_length:
     level without crossing it, sin^2(Psi/2) is smallest where the slope of
     Psi changes sign, and that point is returned instead.
     """
-    w, psi, t = _scan(profile, cavity, delta_length, grid)
-    return _locate_resonance(profile, cavity, delta_length, grid, w, psi, t)
+    w, psi, t = _scan(profile, cavity, [delta_length], [grid])
+    return _locate_resonance(profile, cavity, delta_length, grid, w[0], psi[0], t[0])
 
 
 def _locate_resonance(profile, cavity, delta_length, grid: SweepGrid, w, psi, t) -> float:
@@ -443,10 +472,10 @@ def trace(
 ) -> SpectrumTrace:
     """Sweep, locate, and width-measure a single resonance on the `auto_grid` grid."""
     grid = auto_grid(profile, cavity, delta_length)
-    w, psi, t = _scan(profile, cavity, delta_length, grid)
-    resonance = _locate_resonance(profile, cavity, delta_length, grid, w, psi, t)
+    w, psi, t = _scan(profile, cavity, [delta_length], [grid])
+    resonance = _locate_resonance(profile, cavity, delta_length, grid, w[0], psi[0], t[0])
     fwhm = measure_fwhm(profile, cavity, delta_length, resonance)
-    return SpectrumTrace(omega=w, transmission=t, resonance=resonance, fwhm=fwhm)
+    return SpectrumTrace(omega=w[0], transmission=t[0], resonance=resonance, fwhm=fwhm)
 
 
 @dataclass(frozen=True)
@@ -492,17 +521,37 @@ def sweep_enhancement(
     if hi > g * (1.0 + 1e-9):
         raise ComputationError("shift list must stay at or below the half linewidth")
 
-    samples = []
+    # consecutive grids of one point count are scanned in one pass of at
+    # most _SCAN_SAMPLES samples, then located one by one in order
+    resonances = []
+    run = []  # (delta_length, grid) of the pass being gathered
+
+    def locate_run():
+        if run:
+            lengths, grids = zip(*run)
+            for dl, grid, row in zip(lengths, grids, zip(*_scan(profile, cavity, lengths, grids))):
+                resonances.append(_locate_resonance(profile, cavity, dl, grid, *row))
+            run.clear()
+
     for dw in values:
         delta_length = cavity.length_for_shift(dw)
-        grid = _grid(profile, cavity, delta_length, t)
-        resonance = find_resonance(profile, cavity, delta_length, grid)
-        samples.append(
-            EnhancementSample(
-                dw_ec=dw,
-                eta_numeric=(resonance - cavity.omega0) / dw,
-                eta_analytic_derived=enhancement_eta(g, dw, "derived"),
-                eta_analytic_paper=enhancement_eta(g, dw, "paper"),
-            )
+        try:
+            grid = _grid(profile, cavity, delta_length, t)
+        except Exception:
+            # whatever the grid raises, a locate failure at an earlier
+            # shift is reported first, as when each shift ran alone
+            locate_run()
+            raise
+        if run and (grid.points != run[0][1].points or (len(run) + 1) * grid.points > _SCAN_SAMPLES):
+            locate_run()
+        run.append((delta_length, grid))
+    locate_run()
+    return [
+        EnhancementSample(
+            dw_ec=dw,
+            eta_numeric=(resonance - cavity.omega0) / dw,
+            eta_analytic_derived=enhancement_eta(g, dw, "derived"),
+            eta_analytic_paper=enhancement_eta(g, dw, "paper"),
         )
-    return samples
+        for dw, resonance in zip(values, resonances)
+    ]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 from oracle_utils import bisect
 
 from fastlight.constants import C0, OMEGA_EARTH
@@ -26,6 +26,7 @@ from fastlight.resonator import (
     airy_linewidth_cubic,
     effective_half_linewidth,
     effective_taylor,
+    enhancement_eta,
     rotation_response,
     shift_cubic,
     shifted_linewidth,
@@ -34,6 +35,7 @@ from fastlight.sagnac import LoopGeometry
 from fastlight import spectrum
 from fastlight.scenario import load_scenario
 from fastlight.spectrum import (
+    EnhancementSample,
     SweepGrid,
     _cubic_model,
     _psi_and_slope,
@@ -134,7 +136,8 @@ def test_scalar_dephasing_and_slope_match_the_array_path_bitwise(profile):
     # the locate step takes Psi at the peak sample and its neighbours from
     # the scan: on a real auto_grid grid every scan value is the scalar Psi,
     # and centre + (neighbour - centre) is the neighbour itself
-    w, psi_scan, _ = spectrum._scan(profile, cav, dl, auto_grid(profile, cav, dl))
+    scan = spectrum._scan(profile, cav, [dl], [auto_grid(profile, cav, dl)])
+    w, psi_scan = scan[0][0], scan[1][0]
     assert [round_trip_dephasing(profile, cav, dl, float(x)) for x in w] == psi_scan.tolist()
     centre, neighbour = w[1:], w[:-1]
     assert np.array_equal(centre + (neighbour - centre), neighbour)
@@ -150,6 +153,8 @@ class CountingLorentzian(LorentzianAbsorptive):
         if np.ndim(omega) == 0:
             self.calls[method] += 1
             self.scalar.append((method, float(omega)))
+        else:
+            self.calls[f"array {method}"] += 1
 
     def index(self, omega):
         self._seen("index", omega)
@@ -475,6 +480,36 @@ def test_sweep_grid_validation():
     assert grid.omegas[-1] == pytest.approx(W0 + 1e6, rel=1e-12)
 
 
+@st.composite
+def sample_rows(draw):
+    """(centers, half_spans, points): one to eight grids of one point count.
+
+    Centres span 1e12 to 1e16 rad/s and half spans run from a few ulps of
+    the centre up to 40% of it.
+    """
+    points = draw(st.one_of(st.just(2001), st.integers(1001, 40_000).map(lambda n: 2 * n + 1)))
+    centers, half_spans = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        center = 10.0 ** draw(st.floats(12.0, 16.0))
+        ulps = math.log10(0.4 * center / math.ulp(center))
+        centers.append(center)
+        half_spans.append(math.ulp(center) * 10.0 ** draw(st.floats(0.3, ulps)))
+    return centers, half_spans, points
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=sample_rows())
+# a rare grid whose last sample needs the endpoint store: start + 2000*step
+# misses the stop by 0.25 rad/s
+@example(case=([1530768657771612.5], [558967330912315.8], 2001))
+def test_sample_rows_are_linspace_bit_for_bit(case):
+    centers, half_spans, points = case
+    rows = spectrum._sample_rows(centers, half_spans, points)
+    assert rows.shape == (len(centers), points)
+    for row, center, half_span in zip(rows, centers, half_spans):
+        assert np.array_equal(row, np.linspace(center - half_span, center + half_span, points))
+
+
 def test_auto_grid_resolves_the_width():
     cav = cavity()
     profile = cad_tune(G, W0)
@@ -536,6 +571,116 @@ def test_sweep_enhancement_rejects_non_finite_shifts(monkeypatch, bad, where):
     values.insert(where, bad)
     with pytest.raises(ValueError, match="positive and finite"):
         sweep_enhancement(scn.profile(), scn.cavity(), values)
+
+
+def per_shift_sweep(profile, cav: RingCavity, values) -> list[EnhancementSample]:
+    """`sweep_enhancement` as one grid, one np.linspace scan and one locate
+    per shift, the loop that the batched scan replaces."""
+    t = effective_taylor(profile, cav)
+    g = effective_half_linewidth(t)
+    samples = []
+    for dw in values:
+        dl = cav.length_for_shift(dw)
+        grid = spectrum._grid(profile, cav, dl, t)
+        w = np.linspace(grid.center - grid.half_span, grid.center + grid.half_span, grid.points)
+        psi = round_trip_dephasing(profile, cav, dl, w)
+        res = spectrum._locate_resonance(profile, cav, dl, grid, w, psi, transmission(profile, cav, dl, w))
+        eta = (res - cav.omega0) / dw
+        samples.append(EnhancementSample(dw, eta, enhancement_eta(g, dw, "derived"), enhancement_eta(g, dw, "paper")))
+    return samples
+
+
+@st.composite
+def cad_sweeps(draw):
+    """(profile, cavity, shifts) of a CAD sweep like those of perfbench/gen.py.
+
+    Radius 0.3-2 m, 300-600 THz, line FWHM 0.5-5 MHz, gamma_ec/G 5e-3-5e-2,
+    background index 1 or 1.45 and a full or partial fill tuned to zero
+    path group index; 17, 33 or 65 log-spaced shifts over 4-8 decades up
+    to G. Long sweeps fill several passes, and their largest shifts get
+    grids above 2,001 points.
+    """
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    radius = 10.0 ** (-0.5 + 0.8 * draw(unit))
+    w0 = 2.0 * math.pi * (3.0e14 + 3.0e14 * draw(unit))
+    g = math.pi * 10.0 ** (5.7 + draw(unit))
+    ratio = 10.0 ** (-2.3 + draw(unit))
+    nb = draw(st.sampled_from([1.0, 1.45]))
+    fill = draw(st.one_of(st.just(1.0), st.floats(min_value=0.2, max_value=1.0)))
+    geom = LoopGeometry.circular(radius)
+    finesse = 2.0 * math.pi * C0 / (nb * geom.perimeter * ratio * g)
+    cav = RingCavity(geometry=geom, finesse=finesse, omega0=w0, n0=nb, fill_fraction=fill)
+    profile = cad_tune(g, w0, group_index_target=-(1.0 - fill) * nb / fill)
+    points = draw(st.sampled_from([17, 33, 65]))
+    lo = g * 10.0 ** -(4.0 + 4.0 * draw(unit))
+    shifts = [lo * (g / lo) ** (k / (points - 1)) for k in range(points - 1)] + [g]
+    return profile, cav, shifts
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=cad_sweeps())
+def test_batched_sweep_equals_the_per_shift_loop_bit_for_bit(case):
+    profile, cav, shifts = case
+    try:
+        want = per_shift_sweep(profile, cav, shifts)
+    except ComputationError as exc:
+        event("refused")
+        with pytest.raises(ComputationError) as got:
+            sweep_enhancement(profile, cav, shifts)
+        assert str(got.value) == str(exc)
+        return
+    t = effective_taylor(profile, cav)
+    if any(spectrum._grid(profile, cav, cav.length_for_shift(dw), t).points > 2001 for dw in shifts):
+        event("grids above 2,001 points")
+    assert sweep_enhancement(profile, cav, shifts) == want
+
+
+@pytest.mark.parametrize(
+    "locate_fails, grid_fails, message",
+    [(1, 3, "locate"), (2, 6, "locate"), (5, 2, "grid"), (None, 3, "grid")],
+    ids=["same-pass", "earlier-pass", "grid-first", "grid-only"],
+)
+def test_sweep_reports_the_first_failing_shift(monkeypatch, locate_fails, grid_fails, message):
+    # a locate failure at shift j comes before a grid failure at a later
+    # shift k, though the pass holding j is scanned only once k's grid is due
+    scn = load_scenario(CAD_SWEEP)
+    profile, cav = scn.profile(), scn.cavity()
+    shifts = [2.0 * math.pi * 1e-2 * 10.0 ** (k / 4.0) for k in range(33)]
+    locate, grid = spectrum._locate_resonance, spectrum._grid
+
+    def failing_locate(prof, c, dl, *rest):
+        if locate_fails is not None and dl == cav.length_for_shift(shifts[locate_fails]):
+            raise ComputationError("locate")
+        return locate(prof, c, dl, *rest)
+
+    def failing_grid(prof, c, dl, t):
+        if dl == cav.length_for_shift(shifts[grid_fails]):
+            raise ComputationError("grid")
+        return grid(prof, c, dl, t)
+
+    monkeypatch.setattr(spectrum, "_locate_resonance", failing_locate)
+    monkeypatch.setattr(spectrum, "_grid", failing_grid)
+    with pytest.raises(ComputationError, match=f"^{message}$"):
+        sweep_enhancement(profile, cav, shifts)
+
+
+def test_sweep_scans_its_grids_in_passes_not_one_per_shift():
+    # one array index call per pass of consecutive same-size grids, up to
+    # the sample budget of a pass; a per-shift scan would make 33
+    scn = load_scenario(CAD_SWEEP)
+    cad, cav = scn.profile(), scn.cavity()
+    profile = CountingLorentzian(cad.strength, cad.half_linewidth, cad.center)
+    shifts = 2.0 * math.pi * scn.input_values()[1]
+    assert len(shifts) == 33
+    t = effective_taylor(cad, cav)
+    passes, rows, points = 0, 0, None
+    for dw in shifts:
+        grid = spectrum._grid(cad, cav, cav.length_for_shift(dw), t)
+        if grid.points != points or (rows + 1) * grid.points > spectrum._SCAN_SAMPLES:
+            passes, rows, points = passes + 1, 0, grid.points
+        rows += 1
+    sweep_enhancement(profile, cav, shifts)
+    assert profile.calls["array index"] <= passes < len(shifts)
 
 
 # ------------------------------------------- spectrum against the cubic
