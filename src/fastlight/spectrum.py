@@ -55,6 +55,9 @@ class SweepGrid:
             raise ValueError("half span must be positive and keep the grid above zero")
         if self.points < 1001 or self.points % 2 == 0:
             raise ValueError("grid needs an odd point count of at least 1001")
+        # a finer step repeats samples, and a zero step leaves only one
+        if self.resolution < math.ulp(self.center + self.half_span):
+            raise ValueError("grid step must not fall below the spacing of doubles")
 
     @property
     def omegas(self) -> np.ndarray:

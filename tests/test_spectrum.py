@@ -474,6 +474,11 @@ def test_sweep_grid_validation():
         SweepGrid(center=W0, half_span=1e6, points=501)  # too coarse
     with pytest.raises(ValueError):
         SweepGrid(center=W0, half_span=2.0 * W0, points=1001)
+    # a step below the spacing of doubles (0.5 rad/s at W0) repeats samples
+    with pytest.raises(ValueError, match="spacing of doubles"):
+        SweepGrid(center=W0, half_span=1e-3, points=2001)
+    with pytest.raises(ValueError, match="spacing of doubles"):
+        SweepGrid(center=W0, half_span=5e-324, points=2001)  # the step is 0.0
     grid = SweepGrid(center=W0, half_span=1e6, points=1001)
     assert grid.resolution == pytest.approx(2e6 / 1000.0, rel=1e-12)
     assert grid.omegas[0] == pytest.approx(W0 - 1e6, rel=1e-12)
