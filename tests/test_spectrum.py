@@ -578,68 +578,6 @@ def test_sweep_enhancement_rejects_non_finite_shifts(monkeypatch, bad, where):
         sweep_enhancement(scn.profile(), scn.cavity(), values)
 
 
-def per_shift_sweep(profile, cav: RingCavity, values) -> list[EnhancementSample]:
-    """`sweep_enhancement` as one grid, one np.linspace scan and one locate
-    per shift, the loop that the batched scan replaces."""
-    t = effective_taylor(profile, cav)
-    g = effective_half_linewidth(t)
-    samples = []
-    for dw in values:
-        dl = cav.length_for_shift(dw)
-        grid = spectrum._grid(profile, cav, dl, t)
-        w = np.linspace(grid.center - grid.half_span, grid.center + grid.half_span, grid.points)
-        psi = round_trip_dephasing(profile, cav, dl, w)
-        res = spectrum._locate_resonance(profile, cav, dl, grid, w, psi, transmission(profile, cav, dl, w))
-        eta = (res - cav.omega0) / dw
-        samples.append(EnhancementSample(dw, eta, enhancement_eta(g, dw, "derived"), enhancement_eta(g, dw, "paper")))
-    return samples
-
-
-@st.composite
-def cad_sweeps(draw):
-    """(profile, cavity, shifts) of a CAD sweep like those of perfbench/gen.py.
-
-    Radius 0.3-2 m, 300-600 THz, line FWHM 0.5-5 MHz, gamma_ec/G 5e-3-5e-2,
-    background index 1 or 1.45 and a full or partial fill tuned to zero
-    path group index; 17, 33 or 65 log-spaced shifts over 4-8 decades up
-    to G. Long sweeps fill several passes, and their largest shifts get
-    grids above 2,001 points.
-    """
-    unit = st.floats(min_value=0.0, max_value=1.0)
-    radius = 10.0 ** (-0.5 + 0.8 * draw(unit))
-    w0 = 2.0 * math.pi * (3.0e14 + 3.0e14 * draw(unit))
-    g = math.pi * 10.0 ** (5.7 + draw(unit))
-    ratio = 10.0 ** (-2.3 + draw(unit))
-    nb = draw(st.sampled_from([1.0, 1.45]))
-    fill = draw(st.one_of(st.just(1.0), st.floats(min_value=0.2, max_value=1.0)))
-    geom = LoopGeometry.circular(radius)
-    finesse = 2.0 * math.pi * C0 / (nb * geom.perimeter * ratio * g)
-    cav = RingCavity(geometry=geom, finesse=finesse, omega0=w0, n0=nb, fill_fraction=fill)
-    profile = cad_tune(g, w0, group_index_target=-(1.0 - fill) * nb / fill)
-    points = draw(st.sampled_from([17, 33, 65]))
-    lo = g * 10.0 ** -(4.0 + 4.0 * draw(unit))
-    shifts = [lo * (g / lo) ** (k / (points - 1)) for k in range(points - 1)] + [g]
-    return profile, cav, shifts
-
-
-@settings(max_examples=60, deadline=None)
-@given(case=cad_sweeps())
-def test_batched_sweep_equals_the_per_shift_loop_bit_for_bit(case):
-    profile, cav, shifts = case
-    try:
-        want = per_shift_sweep(profile, cav, shifts)
-    except ComputationError as exc:
-        event("refused")
-        with pytest.raises(ComputationError) as got:
-            sweep_enhancement(profile, cav, shifts)
-        assert str(got.value) == str(exc)
-        return
-    t = effective_taylor(profile, cav)
-    if any(spectrum._grid(profile, cav, cav.length_for_shift(dw), t).points > 2001 for dw in shifts):
-        event("grids above 2,001 points")
-    assert sweep_enhancement(profile, cav, shifts) == want
-
-
 @pytest.mark.parametrize(
     "locate_fails, grid_fails, message",
     [(1, 3, "locate"), (2, 6, "locate"), (5, 2, "grid"), (None, 3, "grid")],
@@ -723,15 +661,16 @@ REGIMES = {
 
 
 @st.composite
-def cad_traces(draw):
+def cad_traces(draw, regimes=tuple(sorted(REGIMES))):
     """(regime, profile, cavity, dw_ec) of a CAD cavity in one regime.
 
     Radius, frequency and line FWHM span the sweep ranges of
     perfbench/gen.py; the background index is 1 or 1.45, and the medium
     fills all or part of the loop and is tuned so that the path-averaged
     group index over the background index is 0 (or n_g in the linear regime).
+    The regime is one of `regimes`.
     """
-    regime = draw(st.sampled_from(sorted(REGIMES)))
+    regime = draw(st.sampled_from(regimes))
     ratios, shifts = REGIMES[regime]
     unit = st.floats(min_value=0.0, max_value=1.0)
     radius = 10.0 ** (-0.5 + 0.8 * draw(unit))
@@ -778,3 +717,56 @@ def test_trace_matches_the_cubic_over_the_cad_cavity_space(case):
         assert abs(result.fwhm * t.ng0 / cav.gamma_ec - 1.0) <= 0.01
     elif regime == "shifted":
         assert abs(result.fwhm / shifted_linewidth(cav.gamma_ec, t, dw_dis).gamma_dis - 1.0) <= 0.10
+
+
+# ------------------------------------------------ batched sweep scan
+
+
+def per_shift_sweep(profile, cav: RingCavity, values) -> list[EnhancementSample]:
+    """`sweep_enhancement` as one grid, one np.linspace scan and one locate
+    per shift, the loop that the batched scan replaces."""
+    t = effective_taylor(profile, cav)
+    g = effective_half_linewidth(t)
+    samples = []
+    for dw in values:
+        dl = cav.length_for_shift(dw)
+        grid = spectrum._grid(profile, cav, dl, t)
+        w = np.linspace(grid.center - grid.half_span, grid.center + grid.half_span, grid.points)
+        psi = round_trip_dephasing(profile, cav, dl, w)
+        res = spectrum._locate_resonance(profile, cav, dl, grid, w, psi, spectrum._airy(cav, psi))
+        eta = (res - cav.omega0) / dw
+        samples.append(EnhancementSample(dw, eta, enhancement_eta(g, dw, "derived"), enhancement_eta(g, dw, "paper")))
+    return samples
+
+
+@st.composite
+def cad_sweeps(draw):
+    """(profile, cavity, shifts): a cavity of the `sweep` regime above with
+    17, 33 or 65 log-spaced shifts over 4-8 decades up to G, as
+    perfbench/gen.py draws them. Long sweeps fill several passes, and their
+    largest shifts get grids above 2,001 points.
+    """
+    _, profile, cav, _ = draw(cad_traces(regimes=["sweep"]))
+    g = profile.half_linewidth
+    points = draw(st.sampled_from([17, 33, 65]))
+    lo = g * 10.0 ** -(4.0 + 4.0 * draw(st.floats(min_value=0.0, max_value=1.0)))
+    shifts = [lo * (g / lo) ** (k / (points - 1)) for k in range(points - 1)] + [g]
+    return profile, cav, shifts
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=cad_sweeps())
+def test_batched_sweep_equals_the_per_shift_loop_bit_for_bit(case):
+    profile, cav, shifts = case
+    try:
+        want = per_shift_sweep(profile, cav, shifts)
+    except ComputationError as exc:
+        event("refused")
+        with pytest.raises(ComputationError) as got:
+            sweep_enhancement(profile, cav, shifts)
+        assert str(got.value) == str(exc)
+        return
+    t = effective_taylor(profile, cav)
+    if any(spectrum._grid(profile, cav, cav.length_for_shift(dw), t).points > 2001 for dw in shifts):
+        event("grids above 2,001 points")
+    assert sweep_enhancement(profile, cav, shifts) == want
