@@ -642,7 +642,12 @@ def run(argv=None) -> int:
         wrote = _write_outputs(report, Path(out_dir) if out_dir else None, fmt)
     except OSError as exc:
         raise ScenarioError(f"cannot write output to {out_dir}: {exc}") from None
-    print(report.render(wrote))
+    try:
+        print(report.render(wrote), flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout (say `| head -1`) after the files were
+        # written; point the flush at exit to devnull and end quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

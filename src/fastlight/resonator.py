@@ -288,22 +288,6 @@ def rotation_to_length(cavity: RingCavity, omega_rot: float) -> float:
     return -geom.perimeter * omega_rot * geom.effective_radius / (cavity.n0 * C0)
 
 
-def length_to_rotation(cavity: RingCavity, delta_length: float) -> float:
-    """Inverse of rotation_to_length."""
-    geom = cavity.geometry
-    return -delta_length * cavity.n0 * C0 / (geom.perimeter * geom.effective_radius)
-
-
-def shift_linear(dw_ec: float, n_g: float) -> float:
-    """Linear dispersion scaling of a resonance shift: dw_dis = dw_ec / n_g."""
-    if n_g == 0.0:
-        raise ComputationError(
-            "group index is zero: the linear response diverges at the "
-            "critically anomalous dispersion point, use shift_cubic"
-        )
-    return dw_ec / n_g
-
-
 def shift_cubic_branch(dw_ec: float, taylor: TaylorCubic) -> tuple[float, bool]:
     """(root, multivalued): the `shift_cubic` root, and whether the cubic has
     three real roots, without a warning."""

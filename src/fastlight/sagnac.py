@@ -86,15 +86,6 @@ class SagnacPhase:
     beta: float
 
 
-def relativistic_compose(v_phase: float, v_boost: float) -> float:
-    """Relativistic velocity composition (v_phase + v_boost)/(1 + v_phase*v_boost/c0^2)."""
-    if abs(v_phase) > C0:
-        raise ValueError("phase velocity magnitude cannot exceed c0")
-    if abs(v_boost) >= C0:
-        raise ValueError("boost speed must stay below c0")
-    return (v_phase + v_boost) / (1.0 + v_phase * v_boost / (C0 * C0))
-
-
 def vacuum_sagnac(geometry: LoopGeometry, rotation: RotationState, omega: float) -> SagnacPhase:
     """Exact empty-loop splitting, plus its beta << 1 approximation."""
     if omega <= 0.0:

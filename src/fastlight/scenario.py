@@ -256,9 +256,6 @@ class Scenario:
                 return key
         raise ScenarioError(f"{self.source}: no drive input set")  # unreachable
 
-    def input_is_range(self) -> bool:
-        return isinstance(self.values[self.input_kind()], ValueRange)
-
     def input_scalar(self) -> tuple[str, float]:
         kind = self.input_kind()
         val = self.values[kind]

@@ -53,8 +53,8 @@ class SweepGrid:
             raise ValueError("grid center must be positive")
         if not 0.0 < self.half_span < self.center:
             raise ValueError("half span must be positive and keep the grid above zero")
-        if self.points < 1001 or self.points % 2 == 0:
-            raise ValueError("grid needs an odd point count of at least 1001")
+        if self.points < _SWEEP_MIN_POINTS or self.points % 2 == 0:
+            raise ValueError(f"grid needs an odd point count of at least {_SWEEP_MIN_POINTS}")
         # a finer step repeats samples, and a zero step leaves only one
         if self.resolution < math.ulp(self.center + self.half_span):
             raise ValueError("grid step must not fall below the spacing of doubles")
@@ -137,12 +137,15 @@ def transmission(profile: DispersionProfile, cavity: RingCavity, delta_length: f
     return _airy(cavity, round_trip_dephasing(profile, cavity, delta_length, omega))
 
 
-# Most samples one scan pass holds: four 2,001-point grids, 64 KiB per array.
-# A pass pays numpy's per-call cost once for all of its rows. Larger passes
-# were slower under glibc on Linux: the allocator handed their temporaries
-# back to the system, and every pass faulted them in again (about 500 page
-# faults per sweep of about 38 shifts at 10,240 samples or more, none at
-# 8,192).
+# Most samples one scan pass holds: 64 KiB per array, or 81 rows of 101
+# points, more than the longest sweep `perfbench` draws (65 shifts). A pass
+# pays numpy's per-call cost once for all of its rows. Sweep passes end where
+# the point count changes long before this (3.3 rows on average, and a budget
+# of 65,536 gave the same passes and time); it bounds passes of larger grids.
+# Larger passes of 2,001-point grids were slower under glibc on Linux: the
+# allocator handed their temporaries back to the system, and every pass
+# faulted them in again (about 500 page faults per sweep of about 38 shifts
+# at 10,240 samples or more, none at 8,192).
 _SCAN_SAMPLES = 8_192
 
 
@@ -271,11 +274,14 @@ def find_resonance(profile: DispersionProfile, cavity: RingCavity, delta_length:
     """Locate the transmission maximum inside the grid.
 
     Scans the grid, demands exactly one significant local maximum away from
-    the edges, then solves Psi = 2*pi*m between the neighbouring samples to
-    an absolute tolerance of resolution/1e4, with m the mode order nearest
-    the peak sample (0 for the mode of omega0). Where Psi only touches that
-    level without crossing it, sin^2(Psi/2) is smallest where the slope of
-    Psi changes sign, and that point is returned instead.
+    the edges, then solves Psi = 2*pi*m between the neighbouring samples,
+    with m the mode order nearest the peak sample (0 for the mode of
+    omega0). The absolute tolerance is the grid step over 1e4, but never
+    coarser than the step of 2,001 points over the same span (half_span/1e7),
+    so a coarse sweep grid locates as finely as an `auto_grid` grid with its
+    2,001-point floor. Where Psi only touches that level without crossing
+    it, sin^2(Psi/2) is smallest where the slope of Psi changes sign, and
+    that point is returned instead.
     """
     w, psi, t = _scan(profile, cavity, [delta_length], [grid])
     return _locate_resonance(profile, cavity, delta_length, grid, w[0], psi[0], t[0])
@@ -304,7 +310,8 @@ def _locate_resonance(profile, cavity, delta_length, grid: SweepGrid, w, psi, t)
     center = float(w[i])
     order = _nearest_mode(float(psi[i]))
     lo, hi = float(w[i - 1]) - center, float(w[i + 1]) - center
-    xtol = grid.resolution / 1e4
+    # the step of 2,001 points over this span, or this grid's step if finer
+    xtol = min(grid.resolution, grid.half_span / 1000.0) / 1e4
     u = _psi_root(profile, cavity, delta_length, center, order, lo, float(psi[i - 1]), hi, float(psi[i + 1]), xtol)
     if u is None:
         u = _psi_turn(profile, cavity, delta_length, center, lo, hi, xtol)
@@ -368,8 +375,11 @@ def _shift_estimate(
     return best
 
 
-# fewest points an automatic grid gets
+# fewest points an `auto_grid` grid gets; `trace` returns its samples
 _MIN_POINTS = 2001
+# fewest points a sweep grid, or any grid, gets; a sweep reports only the
+# resonances
+_SWEEP_MIN_POINTS = 101
 
 
 def auto_grid(
@@ -381,15 +391,23 @@ def auto_grid(
 
     Centered on the estimated resonance, spanning the larger of 2.5 predicted
     widths and 10% of the predicted shift, with resolution finer than a
-    twentieth of the width. Raises when the length change leaves no positive
-    round trip, or when the span would exceed 40% of the free spectral range
-    (no single-resonance grid exists there).
+    twentieth of the width and at least 2,001 points, so that `trace` shows
+    the line finely. Raises when the length change leaves no positive round
+    trip, or when the span would exceed 40% of the free spectral range (no
+    single-resonance grid exists there).
     """
-    return _grid(profile, cavity, delta_length, _cubic_model(profile, cavity))
+    return _grid(profile, cavity, delta_length, _cubic_model(profile, cavity), _MIN_POINTS)
 
 
-def _grid(profile, cavity, delta_length, taylor: TaylorCubic | None) -> SweepGrid:
-    """`auto_grid` given the path-averaged cubic (None where it does not apply)."""
+def _grid(profile, cavity, delta_length, taylor: TaylorCubic | None, min_points: int) -> SweepGrid:
+    """`auto_grid` given the path-averaged cubic (None where it does not apply)
+    and the fewest points the grid may have.
+
+    `sweep_enhancement` passes 101. Its grids span what `auto_grid`'s span,
+    so the single-peak check covers the same 2.5 widths or more, at a step
+    of up to a twentieth of the width instead of the 2,001-point floor's
+    four-hundredth on a span of 2.5 widths.
+    """
     if cavity.round_trip_length + delta_length <= 0.0:
         raise ComputationError("the length change leaves no positive round trip")
     shift = _shift_estimate(profile, cavity, delta_length, taylor)
@@ -400,7 +418,7 @@ def _grid(profile, cavity, delta_length, taylor: TaylorCubic | None) -> SweepGri
             "requested response does not fit inside a single free spectral range"
         )
     needed = int(math.ceil(2.0 * half_span / (width / 20.0))) + 1
-    points = max(_MIN_POINTS, needed)
+    points = max(min_points, needed)
     if points % 2 == 0:
         points += 1
     if points > 2_000_001:
@@ -539,7 +557,7 @@ def sweep_enhancement(
     for dw in values:
         delta_length = cavity.length_for_shift(dw)
         try:
-            grid = _grid(profile, cavity, delta_length, t)
+            grid = _grid(profile, cavity, delta_length, t, _SWEEP_MIN_POINTS)
         except Exception:
             # whatever the grid raises, a locate failure at an earlier
             # shift is reported first, as when each shift ran alone

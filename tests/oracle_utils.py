@@ -1,7 +1,11 @@
-"""Independent root-finding oracles shared by the test modules.
+"""Independent oracles shared by the test modules.
 
 The library solves its depressed cubics in closed form with a Newton polish;
-everything here is interval bisection only, so agreement is meaningful.
+the root finders here are interval bisection only, so agreement is
+meaningful. The closed forms at the end are ones the library never
+evaluates: relativistic velocity composition, whose first order is the
+Fresnel drag, and the rotation rate of a length change, the inverse of
+`resonator.rotation_to_length`.
 """
 
 from __future__ import annotations
@@ -9,7 +13,9 @@ from __future__ import annotations
 import math
 import random
 
+from fastlight.constants import C0
 from fastlight.dispersion import TaylorCubic
+from fastlight.resonator import RingCavity
 
 
 def bisect(f, lo: float, hi: float, rounds: int = 200) -> float:
@@ -104,3 +110,19 @@ def random_cubic_case(rng: random.Random) -> tuple[TaylorCubic, float]:
     x = math.copysign(10.0 ** rng.uniform(-6.0, 1.0) * g, rng.random() - 0.5)
     d = a * x ** 3 + b * x
     return t, d
+
+
+def relativistic_compose(v_phase: float, v_boost: float) -> float:
+    """Relativistic velocity composition (v_phase + v_boost)/(1 + v_phase*v_boost/c0^2)."""
+    if abs(v_phase) > C0:
+        raise ValueError("phase velocity magnitude cannot exceed c0")
+    if abs(v_boost) >= C0:
+        raise ValueError("boost speed must stay below c0")
+    return (v_phase + v_boost) / (1.0 + v_phase * v_boost / (C0 * C0))
+
+
+def length_to_rotation(cavity: RingCavity, delta_length: float) -> float:
+    """Rotation rate whose per-direction length change is delta_length:
+    Omega = -dL*n0*c0/(P*R) with R = 2A/P."""
+    geom = cavity.geometry
+    return -delta_length * cavity.n0 * C0 / (geom.perimeter * geom.effective_radius)

@@ -541,6 +541,29 @@ def test_cli_import_does_not_load_scipy():
     assert out.stdout.strip() == "False"
 
 
+def test_closed_stdout_ends_quietly_after_the_files_are_written(tmp_path):
+    # `fastlight fig5 ... | head -1` with the reader gone before the report
+    # is printed: no traceback, exit 0, and every result file in place
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "fastlight.cli", "fig5", "--scenario", DEMO, "--out", str(tmp_path)],
+            cwd=root,
+            env=env,
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fig5_dispersive.csv", "fig5_results.csv", "fig5_vacuum.csv"]
+
+
 RESULT_LINE = re.compile(r"\w+ = (\S+)( .+)?  \[.+\]")
 
 

@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from oracle_utils import bisect_cubic_branch, bisect_positive_root, random_cubic_case
+from oracle_utils import bisect_cubic_branch, bisect_positive_root, length_to_rotation, random_cubic_case
 
 from fastlight.constants import C0, OMEGA_EARTH
 from fastlight.dispersion import (
@@ -25,13 +25,11 @@ from fastlight.resonator import (
     effective_taylor,
     enhancement_eta,
     feedback_gain,
-    length_to_rotation,
     linewidth_cubic,
     linewidth_linear,
     rotation_response,
     rotation_to_length,
     shift_cubic,
-    shift_linear,
     shifted_linewidth,
     splitting_no_dispersion,
 )
@@ -216,12 +214,6 @@ def test_shift_cubic_warns_when_multivalued():
     with pytest.warns(UserWarning, match="multivalued"):
         x = shift_cubic(0.1 * d_fold, t)
     assert abs(x) <= turn * (1.0 + 1e-12)
-
-
-def test_shift_linear_matches_cubic_limit():
-    assert shift_linear(100.0, 4.0) == pytest.approx(25.0, rel=1e-15)
-    with pytest.raises(ComputationError):
-        shift_linear(1.0, 0.0)
 
 
 # ------------------------------------------------------------- eta laws

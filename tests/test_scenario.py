@@ -33,7 +33,6 @@ def test_minimal_scenario_defaults():
     assert s.background_index == 1.0
     assert s.omega0() == pytest.approx(2.0 * math.pi * 5.0e14, rel=1e-15)
     assert s.input_kind() == "rotation_rate_rad_s"
-    assert not s.input_is_range()
     kind, value = s.input_scalar()
     assert kind == "rotation_rate_rad_s"
     assert value == 7.2921159e-5
@@ -116,7 +115,6 @@ def test_range_parsing_and_values():
 def test_range_syntax_in_scenario():
     s = parse(BASE.replace("rotation_rate_rad_s = 7.2921159e-5",
                            "empty_cavity_shift_hz = 1.0e-2:1.0e6:33:log"))
-    assert s.input_is_range()
     kind, values = s.input_values()
     assert kind == "empty_cavity_shift_hz"
     assert len(values) == 33

@@ -155,6 +155,7 @@ class CountingLorentzian(LorentzianAbsorptive):
             self.scalar.append((method, float(omega)))
         else:
             self.calls[f"array {method}"] += 1
+            self.calls[f"array {method} points"] += int(np.size(omega))
 
     def index(self, omega):
         self._seen("index", omega)
@@ -471,7 +472,10 @@ def test_sweep_grid_validation():
     with pytest.raises(ValueError):
         SweepGrid(center=W0, half_span=1e6, points=1000)  # even
     with pytest.raises(ValueError):
-        SweepGrid(center=W0, half_span=1e6, points=501)  # too coarse
+        SweepGrid(center=W0, half_span=1e6, points=100)  # even
+    with pytest.raises(ValueError):
+        SweepGrid(center=W0, half_span=1e6, points=99)  # too coarse
+    assert SweepGrid(center=W0, half_span=1e6, points=101).resolution == pytest.approx(2e4, rel=1e-12)
     with pytest.raises(ValueError):
         SweepGrid(center=W0, half_span=2.0 * W0, points=1001)
     # a step below the spacing of doubles (0.5 rad/s at W0) repeats samples
@@ -596,10 +600,10 @@ def test_sweep_reports_the_first_failing_shift(monkeypatch, locate_fails, grid_f
             raise ComputationError("locate")
         return locate(prof, c, dl, *rest)
 
-    def failing_grid(prof, c, dl, t):
+    def failing_grid(prof, c, dl, t, min_points):
         if dl == cav.length_for_shift(shifts[grid_fails]):
             raise ComputationError("grid")
-        return grid(prof, c, dl, t)
+        return grid(prof, c, dl, t, min_points)
 
     monkeypatch.setattr(spectrum, "_locate_resonance", failing_locate)
     monkeypatch.setattr(spectrum, "_grid", failing_grid)
@@ -618,12 +622,63 @@ def test_sweep_scans_its_grids_in_passes_not_one_per_shift():
     t = effective_taylor(cad, cav)
     passes, rows, points = 0, 0, None
     for dw in shifts:
-        grid = spectrum._grid(cad, cav, cav.length_for_shift(dw), t)
+        grid = spectrum._grid(cad, cav, cav.length_for_shift(dw), t, spectrum._SWEEP_MIN_POINTS)
         if grid.points != points or (rows + 1) * grid.points > spectrum._SCAN_SAMPLES:
             passes, rows, points = passes + 1, 0, grid.points
         rows += 1
     sweep_enhancement(profile, cav, shifts)
     assert profile.calls["array index"] <= passes < len(shifts)
+
+
+def test_sweep_grids_are_sized_to_the_line_not_to_2001_points():
+    # a sweep grid keeps a step of a twentieth of the width, not the
+    # 2,001-point floor of a trace, so cad_sweep scans under a fifth of the
+    # samples 33 floor-sized grids would hold
+    scn = load_scenario(CAD_SWEEP)
+    cad, cav = scn.profile(), scn.cavity()
+    profile = CountingLorentzian(cad.strength, cad.half_linewidth, cad.center)
+    shifts = 2.0 * math.pi * scn.input_values()[1]
+    assert sweep_enhancement(profile, cav, shifts) == sweep_enhancement(cad, cav, shifts)
+    scanned = profile.calls["array index points"]
+    assert scanned == profile.calls["array index_change points"]
+    assert 5 * scanned <= len(shifts) * 2001
+
+
+def captured_xtols(monkeypatch) -> list[float]:
+    """The tolerances `_psi_root` is called with from now on."""
+    xtols = []
+    root = spectrum._psi_root
+
+    def capturing(*args):
+        xtols.append(args[-1])
+        return root(*args)
+
+    monkeypatch.setattr(spectrum, "_psi_root", capturing)
+    return xtols
+
+
+@pytest.mark.parametrize("dw_ec", [0.0, 1e-6 * G, 1e-4 * G, 1e-3 * G])
+def test_a_101_point_grid_locates_at_its_2001_point_twins_double(monkeypatch, dw_ec):
+    # the locate tolerance is the 2,001-point step over 1e4 on both grids,
+    # so the coarser scan changes only the bracket the root starts from
+    scn = load_scenario(CAD_SWEEP)
+    profile, cav = scn.profile(), scn.cavity()
+    dl = cav.length_for_shift(dw_ec)
+    coarse = spectrum._grid(profile, cav, dl, effective_taylor(profile, cav), spectrum._SWEEP_MIN_POINTS)
+    assert coarse.points == 101
+    twin = SweepGrid(center=coarse.center, half_span=coarse.half_span, points=2001)
+    xtols = captured_xtols(monkeypatch)
+    assert find_resonance(profile, cav, dl, coarse) == find_resonance(profile, cav, dl, twin)
+    assert xtols == [twin.resolution / 1e4] * 2
+
+
+def test_locate_tolerance_above_2001_points_is_the_grid_step(monkeypatch):
+    cav = cavity()
+    grid = SweepGrid(center=W0, half_span=2.5 * cav.gamma_ec, points=4001)
+    xtols = captured_xtols(monkeypatch)
+    assert find_resonance(VACUUM, cav, 0.0, grid) == pytest.approx(W0, abs=1.0)
+    assert xtols == [grid.resolution / 1e4]
+    assert grid.resolution < grid.half_span / 1000.0
 
 
 # ------------------------------------------- spectrum against the cubic
@@ -724,13 +779,18 @@ def test_trace_matches_the_cubic_over_the_cad_cavity_space(case):
 
 def per_shift_sweep(profile, cav: RingCavity, values) -> list[EnhancementSample]:
     """`sweep_enhancement` as one grid, one np.linspace scan and one locate
-    per shift, the loop that the batched scan replaces."""
+    per shift, the loop that the batched scan replaces.
+
+    Its grids keep the 2,001-point floor of `auto_grid`, where the sweep's
+    own grids start at 101 points, so it is also the oracle that the coarser
+    sweep grids locate every resonance at the same double as the old ones.
+    """
     t = effective_taylor(profile, cav)
     g = effective_half_linewidth(t)
     samples = []
     for dw in values:
         dl = cav.length_for_shift(dw)
-        grid = spectrum._grid(profile, cav, dl, t)
+        grid = spectrum._grid(profile, cav, dl, t, spectrum._MIN_POINTS)
         w = np.linspace(grid.center - grid.half_span, grid.center + grid.half_span, grid.points)
         psi = round_trip_dephasing(profile, cav, dl, w)
         res = spectrum._locate_resonance(profile, cav, dl, grid, w, psi, spectrum._airy(cav, psi))
@@ -767,6 +827,6 @@ def test_batched_sweep_equals_the_per_shift_loop_bit_for_bit(case):
         assert str(got.value) == str(exc)
         return
     t = effective_taylor(profile, cav)
-    if any(spectrum._grid(profile, cav, cav.length_for_shift(dw), t).points > 2001 for dw in shifts):
+    if any(spectrum._grid(profile, cav, cav.length_for_shift(dw), t, spectrum._MIN_POINTS).points > 2001 for dw in shifts):
         event("grids above 2,001 points")
     assert sweep_enhancement(profile, cav, shifts) == want
