@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ComputationError
+
 
 def _check_omega(omega) -> None:
     # Python and numpy float scalars skip the array round trip; like the
@@ -89,7 +91,12 @@ class LorentzianAbsorptive:
         The quadratic term vanishes identically.
         """
         a, g = self.strength, self.half_linewidth
-        return TaylorCubic(n0=1.0, n1=-a / g, n3=a / g ** 3, omega_ref=self.center)
+        g3 = g ** 3
+        if g3 == 0.0:
+            raise ComputationError(
+                f"medium linewidth too narrow for the cubic expansion: G^3 underflows to 0 (G = {g:.3g} rad/s)"
+            )
+        return TaylorCubic(n0=1.0, n1=-a / g, n3=a / g3, omega_ref=self.center)
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,14 @@ class LoopGeometry:
 
     @classmethod
     def circular(cls, radius: float) -> "LoopGeometry":
-        return cls(area=math.pi * radius ** 2, perimeter=2.0 * math.pi * radius, radius=radius)
+        # the sign first: squaring -1e300 overflows before any other check
+        if radius <= 0.0:
+            raise ValueError("loop radius must be positive")
+        # radius ** 2 raises OverflowError from about 1.34e154 m on
+        area = math.pi * radius ** 2 if radius < 1e154 else math.inf
+        if area == math.inf:
+            raise ValueError(f"loop radius {radius:g} m is too large: the loop area overflows")
+        return cls(area=area, perimeter=2.0 * math.pi * radius, radius=radius)
 
     @property
     def effective_radius(self) -> float:

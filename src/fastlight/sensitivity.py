@@ -76,7 +76,11 @@ class NoiseBudget:
             raise ComputationError("no photon budget in this noise model")
         if omega <= 0.0:
             raise ValueError("frequency must be positive")
-        return self.quantum_efficiency * self.output_power * self.measurement_time / (HBAR * omega)
+        photons = self.quantum_efficiency * self.output_power * self.measurement_time / (HBAR * omega)
+        if photons == 0.0:
+            # every shot-noise limit divides by the SNR sqrt(N)
+            raise ComputationError("the shot-noise SNR underflows to 0: the photon budget detects no photons")
+        return photons
 
     def snr_for(self, omega: float) -> float:
         """Effective SNR: the explicit value, else shot-noise sqrt(N)."""

@@ -22,6 +22,7 @@ background segment of the loop.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -61,23 +62,28 @@ class SweepGrid:
 
     @property
     def omegas(self) -> np.ndarray:
-        return _sample_rows([self.center], [self.half_span], self.points)[0]
+        return _sample_rows([self.center], [self.half_span], [self.points])
 
     @property
     def resolution(self) -> float:
         return 2.0 * self.half_span / (self.points - 1)
 
 
-def _sample_rows(centers, half_spans, points: int) -> np.ndarray:
-    """Uniform samples, one row per (center, half_span) pair.
+def _sample_rows(centers, half_spans, points) -> np.ndarray:
+    """Uniform samples of rows of any point counts, laid end to end.
 
-    Each row is np.linspace(center - half_span, center + half_span, points)
-    bit for bit: the same step, multiply, add and endpoint store.
+    Row j is np.linspace(centers[j] - half_spans[j], centers[j] +
+    half_spans[j], points[j]) bit for bit: linspace's step (stop - start) /
+    (points - 1), the index within the row times that step, plus start, and
+    then the endpoint store.
     """
-    start = np.subtract(centers, half_spans)[:, None]
-    stop = np.add(centers, half_spans)[:, None]
-    w = np.arange(points) * ((stop - start) / (points - 1)) + start
-    w[:, -1:] = stop
+    ends = np.cumsum(points)
+    start = np.subtract(centers, half_spans)
+    stop = np.add(centers, half_spans)
+    step = (stop - start) / np.subtract(points, 1)
+    k = np.arange(ends[-1]) - np.repeat(ends - points, points)
+    w = k * np.repeat(step, points) + np.repeat(start, points)
+    w[ends - 1] = stop
     return w
 
 
@@ -138,29 +144,64 @@ def transmission(profile: DispersionProfile, cavity: RingCavity, delta_length: f
 
 
 # Most samples one scan pass holds: 64 KiB per array, or 81 rows of 101
-# points, more than the longest sweep `perfbench` draws (65 shifts). A pass
-# pays numpy's per-call cost once for all of its rows. Sweep passes end where
-# the point count changes long before this (3.3 rows on average, and a budget
-# of 65,536 gave the same passes and time); it bounds passes of larger grids.
-# Larger passes of 2,001-point grids were slower under glibc on Linux: the
-# allocator handed their temporaries back to the system, and every pass
-# faulted them in again (about 500 page faults per sweep of about 38 shifts
-# at 10,240 samples or more, none at 8,192).
+# points. A pass pays numpy's per-call cost once for all of its rows, of
+# whatever point counts, so a sweep ends a pass only here: a `perfbench`
+# `sweep` op (17 to 65 shifts and a trace) takes 2.9 passes, where ending a
+# pass also at a change of point count took 12.2 (the first 200 seed-7
+# ops). Larger passes were slower under glibc on Linux: the allocator handed
+# their temporaries back to the system, and every pass faulted them in
+# again (about 500 page faults per sweep of about 38 shifts at 10,240
+# samples or more). At 8,192 those 200 ops take 11 minor page faults in all
+# on a first run (0.055 per op) and none on repeats.
 _SCAN_SAMPLES = 8_192
 
 
-def _scan(profile, cavity, delta_lengths, grids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(omega, Psi, T), one row per grid, Psi kept for the locate step.
+def _scan(profile, cavity, delta_lengths, grids) -> list[tuple]:
+    """(omega, Psi, T, peak, count) per grid, Psi kept for the locate step.
 
-    The grids share one point count, and row j has length change
-    delta_lengths[j]. Every element runs the expressions of the array path
-    of `round_trip_dephasing` and `_airy`, so a row equals the scan of its
-    grid alone bit for bit.
+    One pass over grids of any point counts: their rows lie end to end in
+    flat arrays, and row j has length change delta_lengths[j]. Every element
+    runs the expressions of the array path of `round_trip_dephasing` and
+    `_airy`, so a row equals the scan of its grid alone bit for bit. peak
+    and count come from `_peaks`.
     """
-    w = _sample_rows([g.center for g in grids], [g.half_span for g in grids], grids[0].points)
-    delta_length = np.array(delta_lengths, dtype=float)[:, None]
+    points = [g.points for g in grids]
+    w = _sample_rows([g.center for g in grids], [g.half_span for g in grids], points)
+    delta_length = np.repeat(delta_lengths, points)
     psi = _psi(cavity, delta_length, w, profile.index(w), profile.index_change(w, cavity.omega0))
-    return w, psi, _airy(cavity, psi)
+    t = _airy(cavity, psi)
+    ends = itertools.accumulate(points)
+    return [
+        (w[end - n:end], psi[end - n:end], t[end - n:end], peak, count)
+        for n, end, peak, count in zip(points, ends, *_peaks(t, points))
+    ]
+
+
+def _peaks(t, points) -> tuple[list[int], list[int]]:
+    """Each row's peak sample and its number of significant maxima.
+
+    t holds rows of the given point counts (three or more) end to end. A
+    row's peak is np.argmax of the row alone, its first largest sample. Its
+    significant maxima are the interior samples above the one before, at
+    least the one after, and at least half the peak. Segment reductions find
+    both for every row at once; comparisons across a row boundary are masked
+    out. A row holding NaN has a NaN maximum that no sample equals, so a row
+    whose maximum is not finite takes np.argmax directly.
+    """
+    ends = list(itertools.accumulate(points))
+    first = [end - n for end, n in zip(ends, points)]
+    t_max = np.maximum.reduceat(t, first)
+    t_top = np.repeat(t_max, points)
+    top = np.flatnonzero(t == t_top)
+    mid = t[1:-1]
+    significant = (mid > t[:-2]) & (mid >= t[2:]) & (mid >= 0.5 * t_top[1:-1])
+    # the last sample of each row but the last, and the first of the next
+    significant[[end - k for end in ends[:-1] for k in (2, 1)]] = False
+    counts = np.add.reduceat(significant, first).tolist()
+    peaks = []
+    for a, b, at, m in zip(first, ends, np.searchsorted(top, first).tolist(), t_max.tolist()):
+        peaks.append(int(top[at]) - a if math.isfinite(m) else int(np.argmax(t[a:b])))
+    return peaks, counts
 
 
 def _psi_and_slope(profile, cavity, delta_length, omega) -> tuple[float, float]:
@@ -283,26 +324,22 @@ def find_resonance(profile: DispersionProfile, cavity: RingCavity, delta_length:
     it, sin^2(Psi/2) is smallest where the slope of Psi changes sign, and
     that point is returned instead.
     """
-    w, psi, t = _scan(profile, cavity, [delta_length], [grid])
-    return _locate_resonance(profile, cavity, delta_length, grid, w[0], psi[0], t[0])
+    ((w, psi, _, i, count),) = _scan(profile, cavity, [delta_length], [grid])
+    return _locate_resonance(profile, cavity, delta_length, grid, w, psi, i, count)
 
 
-def _locate_resonance(profile, cavity, delta_length, grid: SweepGrid, w, psi, t) -> float:
-    """The locate step of `find_resonance`, given the grid scan w, Psi, T.
+def _locate_resonance(profile, cavity, delta_length, grid: SweepGrid, w, psi, i: int, count: int) -> float:
+    """The locate step of `find_resonance`, given the grid scan w and Psi,
+    the peak sample i and the count of significant maxima from `_peaks`.
 
     The scalar and array paths of Psi agree bitwise, and centre plus the
     exact difference of two neighbouring samples is the neighbour itself, so
     the scan's Psi serves as Psi at the peak sample and at both bracket ends.
     """
-    i = int(np.argmax(t))
     if i == 0 or i == grid.points - 1:
         raise ComputationError(
             "transmission maximum sits on the grid edge: resonance not bracketed"
         )
-    t_max = t[i]
-    interior = t[1:-1]
-    peaks = (interior > t[:-2]) & (interior >= t[2:]) & (interior >= 0.5 * t_max)
-    count = int(np.count_nonzero(peaks))
     if count != 1:
         raise ComputationError(
             f"expected exactly one significant transmission maximum, found {count}"
@@ -493,10 +530,10 @@ def trace(
 ) -> SpectrumTrace:
     """Sweep, locate, and width-measure a single resonance on the `auto_grid` grid."""
     grid = auto_grid(profile, cavity, delta_length)
-    w, psi, t = _scan(profile, cavity, [delta_length], [grid])
-    resonance = _locate_resonance(profile, cavity, delta_length, grid, w[0], psi[0], t[0])
+    ((w, psi, t, i, count),) = _scan(profile, cavity, [delta_length], [grid])
+    resonance = _locate_resonance(profile, cavity, delta_length, grid, w, psi, i, count)
     fwhm = measure_fwhm(profile, cavity, delta_length, resonance)
-    return SpectrumTrace(omega=w[0], transmission=t[0], resonance=resonance, fwhm=fwhm)
+    return SpectrumTrace(omega=w, transmission=t, resonance=resonance, fwhm=fwhm)
 
 
 @dataclass(frozen=True)
@@ -542,18 +579,19 @@ def sweep_enhancement(
     if hi > g * (1.0 + 1e-9):
         raise ComputationError("shift list must stay at or below the half linewidth")
 
-    # consecutive grids of one point count are scanned in one pass of at
-    # most _SCAN_SAMPLES samples, then located one by one in order
+    # consecutive grids are scanned in one pass of at most _SCAN_SAMPLES
+    # samples, then located one by one in order
     resonances = []
     run = []  # (delta_length, grid) of the pass being gathered
 
     def locate_run():
         if run:
             lengths, grids = zip(*run)
-            for dl, grid, row in zip(lengths, grids, zip(*_scan(profile, cavity, lengths, grids))):
-                resonances.append(_locate_resonance(profile, cavity, dl, grid, *row))
+            for dl, grid, (w, psi, _, i, count) in zip(lengths, grids, _scan(profile, cavity, lengths, grids)):
+                resonances.append(_locate_resonance(profile, cavity, dl, grid, w, psi, i, count))
             run.clear()
 
+    samples = 0
     for dw in values:
         delta_length = cavity.length_for_shift(dw)
         try:
@@ -563,9 +601,11 @@ def sweep_enhancement(
             # shift is reported first, as when each shift ran alone
             locate_run()
             raise
-        if run and (grid.points != run[0][1].points or (len(run) + 1) * grid.points > _SCAN_SAMPLES):
+        if samples + grid.points > _SCAN_SAMPLES:
             locate_run()
+            samples = 0
         run.append((delta_length, grid))
+        samples += grid.points
     locate_run()
     return [
         EnhancementSample(

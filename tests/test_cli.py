@@ -224,6 +224,60 @@ def test_tiny_frequency_exits_3(tmp_path, capsys, command):
         assert "dispersive shift is below -omega0" in err
 
 
+@pytest.mark.parametrize("command", ["shift", "sagnac"])
+@pytest.mark.parametrize(
+    "radius, message",
+    [
+        ("-1e300", "loop radius must be positive"),
+        ("1e300", "loop radius 1e+300 m is too large: the loop area overflows"),
+    ],
+    ids=["negative", "positive"],
+)
+def test_huge_radius_is_an_input_fault(tmp_path, capsys, command, radius, message):
+    # squaring either radius overflows; the sign is checked first, and the
+    # overflow is named, instead of Python's bare "Numerical result out of
+    # range" at exit 3
+    path = edited(tmp_path, TABLETOP, "radius_m = 1.0", f"radius_m = {radius}")
+    code, out, err = run(capsys, command, "--scenario", path)
+    assert code == 2
+    assert err == f"scenario error: {path}: {message}\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "old, new, command, message",
+    [
+        (
+            "medium_linewidth_fwhm_hz = 2.0e6",
+            "medium_linewidth_fwhm_hz = 1e-300",
+            "shift",
+            "medium linewidth too narrow for the cubic expansion: G^3 underflows to 0 (G = 3.14e-300 rad/s)",
+        ),
+        (
+            "measurement_time_s = 1.0",
+            "measurement_time_s = 5e-324",
+            "sensitivity",
+            "the shot-noise SNR underflows to 0: the photon budget detects no photons",
+        ),
+        (
+            "measurement_time_s = 1.0",
+            "measurement_time_s = 5e-324",
+            "lens-thirring",
+            "the shot-noise SNR underflows to 0: the photon budget detects no photons",
+        ),
+    ],
+    ids=["medium-linewidth", "snr-sensitivity", "snr-lens-thirring"],
+)
+def test_an_underflowing_divisor_is_named(tmp_path, capsys, old, new, command, message):
+    # G^3 in the cubic's n3 = A/G^3 and the shot-noise SNR sqrt(N) underflow
+    # to 0; each is named, where a bare "float division by zero" named nothing
+    path = edited(tmp_path, TABLETOP, old, new)
+    code, out, err = run(capsys, command, "--scenario", path)
+    assert code == 3
+    assert err == f"computation error: {message}\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("command", ["spectrum", "fig5"])
 def test_pull_beyond_omega0_leaves_no_round_trip_and_exits_3(tmp_path, capsys, command):
     # the 300 kHz pull exceeds omega0, so dL = -dw_ec*L/w0 lies below -L;

@@ -136,8 +136,7 @@ def test_scalar_dephasing_and_slope_match_the_array_path_bitwise(profile):
     # the locate step takes Psi at the peak sample and its neighbours from
     # the scan: on a real auto_grid grid every scan value is the scalar Psi,
     # and centre + (neighbour - centre) is the neighbour itself
-    scan = spectrum._scan(profile, cav, [dl], [auto_grid(profile, cav, dl)])
-    w, psi_scan = scan[0][0], scan[1][0]
+    ((w, psi_scan, _, _, _),) = spectrum._scan(profile, cav, [dl], [auto_grid(profile, cav, dl)])
     assert [round_trip_dephasing(profile, cav, dl, float(x)) for x in w] == psi_scan.tolist()
     centre, neighbour = w[1:], w[:-1]
     assert np.array_equal(centre + (neighbour - centre), neighbour)
@@ -491,18 +490,19 @@ def test_sweep_grid_validation():
 
 @st.composite
 def sample_rows(draw):
-    """(centers, half_spans, points): one to eight grids of one point count.
+    """(centers, half_spans, points): one to eight grids of mixed point counts.
 
+    Each grid draws its own count: 101, 2,001 or any odd count up to 80,001.
     Centres span 1e12 to 1e16 rad/s and half spans run from a few ulps of
     the centre up to 40% of it.
     """
-    points = draw(st.one_of(st.just(2001), st.integers(1001, 40_000).map(lambda n: 2 * n + 1)))
-    centers, half_spans = [], []
+    centers, half_spans, points = [], [], []
     for _ in range(draw(st.integers(1, 8))):
         center = 10.0 ** draw(st.floats(12.0, 16.0))
         ulps = math.log10(0.4 * center / math.ulp(center))
         centers.append(center)
         half_spans.append(math.ulp(center) * 10.0 ** draw(st.floats(0.3, ulps)))
+        points.append(draw(st.one_of(st.sampled_from([101, 2001]), st.integers(50, 40_000).map(lambda n: 2 * n + 1))))
     return centers, half_spans, points
 
 
@@ -510,13 +510,66 @@ def sample_rows(draw):
 @given(case=sample_rows())
 # a rare grid whose last sample needs the endpoint store: start + 2000*step
 # misses the stop by 0.25 rad/s
-@example(case=([1530768657771612.5], [558967330912315.8], 2001))
+@example(case=([1530768657771612.5], [558967330912315.8], [2001]))
 def test_sample_rows_are_linspace_bit_for_bit(case):
     centers, half_spans, points = case
-    rows = spectrum._sample_rows(centers, half_spans, points)
-    assert rows.shape == (len(centers), points)
-    for row, center, half_span in zip(rows, centers, half_spans):
-        assert np.array_equal(row, np.linspace(center - half_span, center + half_span, points))
+    w = spectrum._sample_rows(centers, half_spans, points)
+    assert w.shape == (sum(points),)
+    rows = np.split(w, np.cumsum(points)[:-1])
+    for row, center, half_span, n in zip(rows, centers, half_spans, points):
+        assert np.array_equal(row, np.linspace(center - half_span, center + half_span, n))
+
+
+def per_row_peak(t) -> tuple[int, int]:
+    """np.argmax of one row and its count of significant maxima, as the
+    locate step computed them one row at a time."""
+    i = int(np.argmax(t))
+    interior = t[1:-1]
+    peaks = (interior > t[:-2]) & (interior >= t[2:]) & (interior >= 0.5 * t[i])
+    return i, int(np.count_nonzero(peaks))
+
+
+def airy_row(points: int, offset: float) -> np.ndarray:
+    """An Airy line over +-2.5 widths, its centre offset by a fraction of a step."""
+    x = np.linspace(-2.5, 2.5, points) - offset * 5.0 / (points - 1)
+    return 1.0 / (1.0 + x * x)
+
+
+PEAK_ROWS = {
+    "tie": [0.0, 1.0, 1.0, 0.5, 0.0],
+    "plateau": [0.0, 0.2, 0.9, 0.9, 0.9, 0.1, 0.0],
+    "two peaks": [0.0, 1.0, 0.0, 0.8, 0.0],
+    "small second peak": [0.0, 1.0, 0.0, 0.4, 0.0],
+    "first sample": [1.0, 0.5, 0.2, 0.6, 0.1],
+    "last sample": [0.1, 0.5, 0.2, 0.3, 1.0],
+    "rising to the boundary": [0.0, 0.2, 0.5, 0.9, 0.95],
+    "falling from the boundary": [0.9, 0.1, 0.5, 0.2, 0.1],
+    "flat": [0.5, 0.5, 0.5, 0.5, 0.5],
+    "NaN inside": [0.0, 0.5, math.nan, 0.9, 0.1],
+    "NaN first": [math.nan, 0.5, 0.9, 0.5, 0.1],
+    "NaN last": [0.1, 0.5, 0.9, 0.5, math.nan],
+    "inf": [0.0, 0.5, math.inf, 0.9, 0.1],
+    "-inf": [-math.inf, 0.5, 0.9, 0.5, 0.1],
+    "signed zeros": [-0.0, 0.0, -0.0, 0.0, -0.0],
+    "101 points": airy_row(101, 0.3),
+    "2,001 points": airy_row(2001, -0.4),
+}
+
+
+@pytest.mark.parametrize("order", ["table", "reversed"])
+def test_pass_wide_peaks_equal_per_row_argmax_and_count(order):
+    # every row of the table in one pass, in two orders, so each row meets
+    # different neighbours across its boundaries; then each row alone
+    rows = [np.array(r, dtype=float) for r in PEAK_ROWS.values()]
+    if order == "reversed":
+        rows.reverse()
+    want = [per_row_peak(r) for r in rows]
+    peaks, counts = spectrum._peaks(np.concatenate(rows), [len(r) for r in rows])
+    assert list(zip(peaks, counts)) == want
+    assert want[-1 if order == "table" else 0] == (1000, 1)
+    for row, expected in zip(rows, want):
+        (peak,), (count,) = spectrum._peaks(row, [len(row)])
+        assert (peak, count) == expected
 
 
 def test_auto_grid_resolves_the_width():
@@ -607,27 +660,29 @@ def test_sweep_reports_the_first_failing_shift(monkeypatch, locate_fails, grid_f
 
     monkeypatch.setattr(spectrum, "_locate_resonance", failing_locate)
     monkeypatch.setattr(spectrum, "_grid", failing_grid)
+    # passes of four of the leading 101-point grids: shifts 1 and 3 share
+    # the first pass, and shifts 2 and 6 fall in different passes
+    monkeypatch.setattr(spectrum, "_SCAN_SAMPLES", 4 * 101)
     with pytest.raises(ComputationError, match=f"^{message}$"):
         sweep_enhancement(profile, cav, shifts)
 
 
 def test_sweep_scans_its_grids_in_passes_not_one_per_shift():
-    # one array index call per pass of consecutive same-size grids, up to
-    # the sample budget of a pass; a per-shift scan would make 33
+    # a pass ends only at the sample budget, whatever the grids' point
+    # counts: cad_sweep's 33 grids of mixed sizes hold 4,261 samples, one
+    # pass and one array index call; a per-shift scan would make 33
     scn = load_scenario(CAD_SWEEP)
     cad, cav = scn.profile(), scn.cavity()
     profile = CountingLorentzian(cad.strength, cad.half_linewidth, cad.center)
     shifts = 2.0 * math.pi * scn.input_values()[1]
     assert len(shifts) == 33
     t = effective_taylor(cad, cav)
-    passes, rows, points = 0, 0, None
-    for dw in shifts:
-        grid = spectrum._grid(cad, cav, cav.length_for_shift(dw), t, spectrum._SWEEP_MIN_POINTS)
-        if grid.points != points or (rows + 1) * grid.points > spectrum._SCAN_SAMPLES:
-            passes, rows, points = passes + 1, 0, grid.points
-        rows += 1
+    points = [spectrum._grid(cad, cav, cav.length_for_shift(dw), t, spectrum._SWEEP_MIN_POINTS).points for dw in shifts]
+    assert len(set(points)) > 1
+    assert sum(points) == 4261 <= spectrum._SCAN_SAMPLES
     sweep_enhancement(profile, cav, shifts)
-    assert profile.calls["array index"] <= passes < len(shifts)
+    assert profile.calls["array index"] == 1
+    assert profile.calls["array index points"] == 4261
 
 
 def test_sweep_grids_are_sized_to_the_line_not_to_2001_points():
@@ -778,8 +833,9 @@ def test_trace_matches_the_cubic_over_the_cad_cavity_space(case):
 
 
 def per_shift_sweep(profile, cav: RingCavity, values) -> list[EnhancementSample]:
-    """`sweep_enhancement` as one grid, one np.linspace scan and one locate
-    per shift, the loop that the batched scan replaces.
+    """`sweep_enhancement` as one grid, one np.linspace scan, one argmax and
+    peak count, and one locate per shift, the loop that the batched scan
+    replaces.
 
     Its grids keep the 2,001-point floor of `auto_grid`, where the sweep's
     own grids start at 101 points, so it is also the oracle that the coarser
@@ -793,7 +849,8 @@ def per_shift_sweep(profile, cav: RingCavity, values) -> list[EnhancementSample]
         grid = spectrum._grid(profile, cav, dl, t, spectrum._MIN_POINTS)
         w = np.linspace(grid.center - grid.half_span, grid.center + grid.half_span, grid.points)
         psi = round_trip_dephasing(profile, cav, dl, w)
-        res = spectrum._locate_resonance(profile, cav, dl, grid, w, psi, spectrum._airy(cav, psi))
+        i, count = per_row_peak(spectrum._airy(cav, psi))
+        res = spectrum._locate_resonance(profile, cav, dl, grid, w, psi, i, count)
         eta = (res - cav.omega0) / dw
         samples.append(EnhancementSample(dw, eta, enhancement_eta(g, dw, "derived"), enhancement_eta(g, dw, "paper")))
     return samples
