@@ -16,12 +16,15 @@ n_g(w) = n(w) + w * dn/dw everywhere in this package; choosing A so that
 n_g(wc) hits a target (zero for critically anomalous dispersion) is what
 `cad_tune` does.
 
-All frequencies are angular (rad/s). Evaluation accepts scalars or numpy
-arrays.
+Each profile evaluates n(w), n(w) - n(base) and dn/dw together in
+`response`, which computes their shared terms once; `index`,
+`index_change` and `dindex_domega` are its parts. All frequencies are
+angular (rad/s). Evaluation accepts scalars or numpy arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,19 +32,33 @@ import numpy as np
 from .errors import ComputationError
 
 
-def _check_omega(omega) -> None:
+def _check_omega(omega, base) -> None:
     # Python and numpy float scalars skip the array round trip; like the
     # array test, the comparison lets NaN through.
-    if isinstance(omega, float):
-        bad = omega <= 0.0
+    if isinstance(omega, float) and isinstance(base, float):
+        bad = omega <= 0.0 or base <= 0.0
     else:
-        bad = (np.asarray(omega) <= 0.0).any()
+        bad = (np.asarray(omega) <= 0.0).any() or (np.asarray(base) <= 0.0).any()
     if bad:
         raise ValueError("optical frequency must be positive")
 
 
+class _Projections:
+    """index, index_change and dindex_domega, each one part of the profile's
+    fused `response`, so that each formula is written once."""
+
+    def index(self, omega):
+        return self.response(omega, omega)[0]
+
+    def index_change(self, omega, base):
+        return self.response(omega, base)[1]
+
+    def dindex_domega(self, omega):
+        return self.response(omega, omega)[2]
+
+
 @dataclass(frozen=True)
-class LorentzianAbsorptive:
+class LorentzianAbsorptive(_Projections):
     """Antisymmetric index profile of a Lorentzian line centered at `center`.
 
     `half_linewidth` is half the absorption FWHM (rad/s); `strength` is the
@@ -61,29 +78,39 @@ class LorentzianAbsorptive:
         if self.center <= 0.0:
             raise ValueError("line center must be positive")
 
-    def index(self, omega):
-        _check_omega(omega)
-        x = omega - self.center
-        g = self.half_linewidth
-        return 1.0 - self.strength * g * x / (g * g + x * x)
+    def response(self, omega, base):
+        """(n(omega), n(omega) - n(base), dn/domega), sharing x = omega - wc
+        and G^2 + x^2.
 
-    def dindex_domega(self, omega):
-        _check_omega(omega)
-        x = omega - self.center
+        The change is written proportional to (omega - base), so the small
+        difference never comes from cancelling two near-equal values. A
+        float division by zero is handled where it is raised, so no
+        evaluation pays a check for it: G^2 + x^2 is G^2 at the line centre,
+        and G^2 underflowing to 0 is refused; where only (G^2)^2 underflows,
+        the parts that divide by it take the inf or nan that numpy's floats,
+        and an array, give there, and the index keeps its value.
+        """
+        _check_omega(omega, base)
         g = self.half_linewidth
-        den = g * g + x * x
-        return -self.strength * g * (g * g - x * x) / (den * den)
-
-    def index_change(self, omega, base):
-        # n(omega) - n(base) in a form proportional to (omega - base), so the
-        # small difference never comes from cancelling two near-equal values.
-        _check_omega(omega)
-        _check_omega(base)
+        ag = self.strength * g
+        gg = g * g
         x = omega - self.center
         xb = base - self.center
-        g = self.half_linewidth
-        num = (x - xb) * (g * g - x * xb)
-        return -self.strength * g * num / ((g * g + x * x) * (g * g + xb * xb))
+        den = gg + x * x
+        try:
+            return (
+                1.0 - ag * x / den,
+                -ag * ((x - xb) * (gg - x * xb)) / (den * (gg + xb * xb)),
+                -ag * (gg - x * x) / (den * den),
+            )
+        except ZeroDivisionError:
+            if gg == 0.0:
+                raise ComputationError(
+                    "medium linewidth too narrow for the Lorentzian line: G^2 + (w - wc)^2 "
+                    f"underflows to 0 at the line centre (G = {g:.3g} rad/s)"
+                ) from None
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return tuple(float(part) for part in self.response(np.float64(omega), np.float64(base)))
 
     def taylor(self) -> TaylorCubic:
         """Exact third-order series about the line center: n1 = -A/G, n3 = A/G^3.
@@ -100,7 +127,7 @@ class LorentzianAbsorptive:
 
 
 @dataclass(frozen=True)
-class TaylorCubic:
+class TaylorCubic(_Projections):
     """Odd cubic index model: n(w) = n0 + n1*d + n3*d^3 with d = w - omega_ref."""
 
     n0: float
@@ -114,22 +141,17 @@ class TaylorCubic:
         if self.omega_ref <= 0.0:
             raise ValueError("reference frequency must be positive")
 
-    def index(self, omega):
-        _check_omega(omega)
+    def response(self, omega, base):
+        """(n(omega), n(omega) - n(base), dn/domega), sharing d = omega - omega_ref."""
+        _check_omega(omega, base)
+        n1, n3 = self.n1, self.n3
         d = omega - self.omega_ref
-        return self.n0 + self.n1 * d + self.n3 * d * d * d
-
-    def dindex_domega(self, omega):
-        _check_omega(omega)
-        d = omega - self.omega_ref
-        return self.n1 + 3.0 * self.n3 * d * d
-
-    def index_change(self, omega, base):
-        _check_omega(omega)
-        _check_omega(base)
-        x = omega - self.omega_ref
-        xb = base - self.omega_ref
-        return (x - xb) * (self.n1 + self.n3 * (x * x + x * xb + xb * xb))
+        db = base - self.omega_ref
+        return (
+            self.n0 + n1 * d + n3 * d * d * d,
+            (d - db) * (n1 + n3 * (d * d + d * db + db * db)),
+            n1 + 3.0 * n3 * d * d,
+        )
 
     def taylor(self) -> TaylorCubic:
         """The cubic is its own expansion."""
@@ -150,7 +172,8 @@ DispersionProfile = LorentzianAbsorptive | TaylorCubic
 
 def group_index(profile: DispersionProfile, omega):
     """Group index n_g = n + omega * dn/domega, from the analytic derivative."""
-    return profile.index(omega) + omega * profile.dindex_domega(omega)
+    n, _, slope = profile.response(omega, omega)
+    return n + omega * slope
 
 
 def ConstantIndex(n0: float) -> TaylorCubic:
@@ -178,4 +201,9 @@ def cad_tune(half_linewidth: float, center: float, group_index_target: float = 0
     if group_index_target > 1.0:
         raise ValueError("a Lorentzian of this sign cannot reach group index above 1 at center")
     strength = half_linewidth * (1.0 - group_index_target) / center
+    if not math.isfinite(strength):
+        raise ComputationError(
+            "line centre frequency too low for the CAD tuning: the strength "
+            f"G*(1 - target)/w0 overflows (w0 = {center:.3g} rad/s)"
+        )
     return LorentzianAbsorptive(strength=strength, half_linewidth=half_linewidth, center=center)

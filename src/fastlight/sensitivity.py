@@ -76,7 +76,10 @@ class NoiseBudget:
             raise ComputationError("no photon budget in this noise model")
         if omega <= 0.0:
             raise ValueError("frequency must be positive")
-        photons = self.quantum_efficiency * self.output_power * self.measurement_time / (HBAR * omega)
+        energy = HBAR * omega
+        if energy == 0.0:
+            raise ComputationError(f"the photon energy hbar*w0 underflows to 0 (w0 = {omega:.3g} rad/s)")
+        photons = self.quantum_efficiency * self.output_power * self.measurement_time / energy
         if photons == 0.0:
             # every shot-noise limit divides by the SNR sqrt(N)
             raise ComputationError("the shot-noise SNR underflows to 0: the photon budget detects no photons")

@@ -18,6 +18,13 @@ which is algebraically exact (no subtraction of two 1e15-scale phases) and
 keeps Psi accurate to machine epsilon near resonance, where sin^2(Psi/2)
 lives on scales as small as 1e-40. The length change dL is applied to the
 background segment of the loop.
+
+Each public call binds its medium and cavity once into a `_RoundTrip`
+kernel, which reads the cavity's constants once and takes Psi, at a float
+for a Newton step or over the samples of a scan pass, from one `response`
+of the medium per evaluation. A scan pass lays its grids end to end in one
+flat array and builds Psi and T in place in the arrays that response
+returned.
 """
 
 from __future__ import annotations
@@ -81,8 +88,11 @@ def _sample_rows(centers, half_spans, points) -> np.ndarray:
     start = np.subtract(centers, half_spans)
     stop = np.add(centers, half_spans)
     step = (stop - start) / np.subtract(points, 1)
-    k = np.arange(ends[-1]) - np.repeat(ends - points, points)
-    w = k * np.repeat(step, points) + np.repeat(start, points)
+    k = np.arange(ends[-1])
+    k -= np.repeat(ends - points, points)
+    w = np.repeat(step, points)
+    np.multiply(k, w, out=w)
+    w += np.repeat(start, points)
     w[ends - 1] = stop
     return w
 
@@ -95,18 +105,110 @@ class SpectrumTrace:
     fwhm: float
 
 
-def _psi(cavity: RingCavity, delta_length: float, omega, n_at, dn):
-    """Psi at omega from n(omega) and n(omega) - n(omega0), in the exact form."""
-    length = cavity.round_trip_length
-    fill = cavity.fill_fraction
-    nb = cavity.n0
-    delta = omega - cavity.omega0
-    psi_c0 = (
-        fill * length * (dn * cavity.omega0 + n_at * delta)
-        + (1.0 - fill) * length * nb * delta
-        + nb * delta_length * omega
+def _airy_k(cavity: RingCavity) -> float:
+    """The coefficient k = (2F/pi)^2 of sin^2(Psi/2) in the Airy transmission."""
+    return (2.0 * cavity.finesse / math.pi) ** 2
+
+
+class _RoundTrip:
+    """Psi and T of one medium in one cavity, with the cavity's constants
+    bound once, and the path-averaged cubic that sizes the grids.
+
+    `sweep_enhancement`, `trace`, `auto_grid`, `find_resonance`,
+    `measure_fwhm` and the public dephasing functions each bind one per
+    call. Every Psi, at a float (`psi_and_slope`) or over an array
+    (`psi_array`), takes one `response` of the medium and runs the
+    expression of the module docstring in the same order, so the two agree
+    bitwise. The arrays a call builds belong to that call alone. `taylor` is
+    the cubic (None where the call sizes no grid or the cubic does not
+    apply), and `airy` its `airy_linewidth_cubic` (None where that has no
+    root), which does not depend on the shift.
+    """
+
+    __slots__ = (
+        "cavity", "response", "omega0", "length", "nb", "fill", "medium", "background",
+        "background_index", "fsr", "gamma_ec", "k", "taylor", "airy",
     )
-    return psi_c0 / C0
+
+    def __init__(self, profile: DispersionProfile, cavity: RingCavity, taylor: TaylorCubic | None):
+        length, fill, nb = cavity.round_trip_length, cavity.fill_fraction, cavity.n0
+        self.cavity = cavity
+        self.response = profile.response
+        self.omega0 = cavity.omega0
+        self.length, self.nb, self.fill = length, nb, fill
+        # the factors fill*L and (1 - fill)*L*n_b of Psi*c0, and the
+        # background's share (1 - fill)*n_b of the path's group index
+        self.medium = fill * length
+        self.background = (1.0 - fill) * length * nb
+        self.background_index = (1.0 - fill) * nb
+        self.fsr = cavity.free_spectral_range
+        self.gamma_ec = cavity.gamma_ec
+        self.k = _airy_k(cavity)
+        self.taylor = taylor
+        self.airy = None
+        if taylor is not None:
+            try:
+                self.airy = airy_linewidth_cubic(self.gamma_ec, taylor)
+            except (ComputationError, ValueError):
+                pass
+
+    def psi_and_slope(self, delta_length: float, omega: float) -> tuple[float, float]:
+        """(Psi, dPsi/domega) at a float omega.
+
+        The slope is (L*(fill*n_g + (1 - fill)*n_b) + n_b*dL)/c0, with the
+        group index n_g = n + omega*dn/domega from the response that gives Psi.
+        """
+        omega0 = self.omega0
+        n_at, dn, dn_domega = self.response(omega, omega0)
+        delta = omega - omega0
+        nb_dl = self.nb * delta_length
+        psi = (self.medium * (dn * omega0 + n_at * delta) + self.background * delta + nb_dl * omega) / C0
+        slope = (self.length * (self.fill * (n_at + omega * dn_domega) + self.background_index) + nb_dl) / C0
+        return psi, slope
+
+    def psi_array(self, omega: np.ndarray, delta_lengths, points) -> tuple[np.ndarray, np.ndarray]:
+        """Psi over an array omega of rows of the given point counts, row j
+        with length change delta_lengths[j]: (Psi, a spare array of the same
+        length).
+
+        Psi is built in the arrays of the medium's response, whose slope goes
+        unused and is let go at once; n_b*dL per sample is laid out only
+        after the response, so that its temporaries are gone by then.
+        """
+        n_at, psi = self.response(omega, self.omega0)[:2]
+        nb_dl = np.repeat([self.nb * dl for dl in delta_lengths], points)
+        delta = omega - self.omega0
+        psi *= self.omega0
+        n_at *= delta
+        psi += n_at
+        psi *= self.medium
+        delta *= self.background
+        psi += delta
+        nb_dl *= omega
+        psi += nb_dl
+        psi /= C0
+        return psi, n_at
+
+    def transmission(self, psi, out):
+        """Airy transmission 1 / (1 + k sin^2(Psi/2)) of a float Psi, or of an
+        array Psi built in the array `out`, which may be Psi itself."""
+        if isinstance(psi, float):
+            return 1.0 / (1.0 + self.k * math.sin(0.5 * psi) ** 2)
+        t = np.multiply(psi, 0.5, out=out)
+        np.sin(t, out=t)
+        np.square(t, out=t)
+        t *= self.k
+        t += 1.0
+        return np.divide(1.0, t, out=t)
+
+
+def _dephasing(rt: _RoundTrip, delta_length: float, omega):
+    """Psi at a scalar omega as a float, or over an array as a new array."""
+    # isinstance first: np.ndim costs about a microsecond on a float
+    if isinstance(omega, float) or np.ndim(omega) == 0:
+        return rt.psi_and_slope(delta_length, float(omega))[0]
+    omega = np.asarray(omega, dtype=float)
+    return rt.psi_array(omega.ravel(), [delta_length], [omega.size])[0].reshape(omega.shape)
 
 
 def round_trip_dephasing(profile: DispersionProfile, cavity: RingCavity, delta_length: float, omega):
@@ -114,33 +216,15 @@ def round_trip_dephasing(profile: DispersionProfile, cavity: RingCavity, delta_l
 
     A scalar omega is evaluated on Python floats and gives a float; an array
     gives an array. Both run the same expression, so they agree bitwise.
-    The Newton iterations take Psi together with its slope from
-    `_psi_and_slope` instead.
     """
-    # isinstance first: np.ndim costs about a microsecond on a float
-    if isinstance(omega, float) or np.ndim(omega) == 0:
-        omega = float(omega)
-    else:
-        omega = np.asarray(omega, dtype=float)
-    return _psi(cavity, delta_length, omega, profile.index(omega), profile.index_change(omega, cavity.omega0))
-
-
-def _airy_k(cavity: RingCavity) -> float:
-    """The coefficient k = (2F/pi)^2 of sin^2(Psi/2) in the Airy transmission."""
-    return (2.0 * cavity.finesse / math.pi) ** 2
-
-
-def _airy(cavity: RingCavity, psi):
-    """Airy transmission at round-trip phase psi (a float or an array)."""
-    k = _airy_k(cavity)
-    if isinstance(psi, float):
-        return 1.0 / (1.0 + k * math.sin(0.5 * psi) ** 2)
-    return 1.0 / (1.0 + k * np.sin(0.5 * psi) ** 2)
+    return _dephasing(_RoundTrip(profile, cavity, None), delta_length, omega)
 
 
 def transmission(profile: DispersionProfile, cavity: RingCavity, delta_length: float, omega):
     """Airy transmission 1 / (1 + (2F/pi)^2 sin^2(Psi/2))."""
-    return _airy(cavity, round_trip_dephasing(profile, cavity, delta_length, omega))
+    rt = _RoundTrip(profile, cavity, None)
+    psi = _dephasing(rt, delta_length, omega)
+    return rt.transmission(psi, psi)
 
 
 # Most samples one scan pass holds: 64 KiB per array, or 81 rows of 101
@@ -148,28 +232,30 @@ def transmission(profile: DispersionProfile, cavity: RingCavity, delta_length: f
 # whatever point counts, so a sweep ends a pass only here: a `perfbench`
 # `sweep` op (17 to 65 shifts and a trace) takes 2.9 passes, where ending a
 # pass also at a change of point count took 12.2 (the first 200 seed-7
-# ops). Larger passes were slower under glibc on Linux: the allocator handed
-# their temporaries back to the system, and every pass faulted them in
-# again (about 500 page faults per sweep of about 38 shifts at 10,240
-# samples or more). At 8,192 those 200 ops take 11 minor page faults in all
-# on a first run (0.055 per op) and none on repeats.
+# ops). Psi and T are built in place, so a pass of 8,192 samples holds at
+# most eight such arrays (513 KiB) at once. Whether glibc hands them back to
+# the system after a pass, for the next pass to fault in again, depends on
+# the heap around them: in the `perfbench` worker's loop those 200 ops take
+# no minor page fault on repeat at 4,096 to 16,384 samples, while a loop of
+# `perfbench`'s `sweep_plain` alone takes 1.4 per op at 8,192 and 23 at
+# 10,240. At seed 29, 50 s `sweep` runs on 2 vCPUs gave 594 and 596 op/s at
+# 4,096, 636 to 689 at 8,192, and 616 and 687 at 12,288.
 _SCAN_SAMPLES = 8_192
 
 
-def _scan(profile, cavity, delta_lengths, grids) -> list[tuple]:
+def _scan(rt: _RoundTrip, delta_lengths, grids) -> list[tuple]:
     """(omega, Psi, T, peak, count) per grid, Psi kept for the locate step.
 
     One pass over grids of any point counts: their rows lie end to end in
     flat arrays, and row j has length change delta_lengths[j]. Every element
-    runs the expressions of the array path of `round_trip_dephasing` and
-    `_airy`, so a row equals the scan of its grid alone bit for bit. peak
-    and count come from `_peaks`.
+    runs the array expressions of `round_trip_dephasing` and `transmission`,
+    so a row equals the scan of its grid alone bit for bit. peak and count
+    come from `_peaks`.
     """
     points = [g.points for g in grids]
     w = _sample_rows([g.center for g in grids], [g.half_span for g in grids], points)
-    delta_length = np.repeat(delta_lengths, points)
-    psi = _psi(cavity, delta_length, w, profile.index(w), profile.index_change(w, cavity.omega0))
-    t = _airy(cavity, psi)
+    psi, spare = rt.psi_array(w, delta_lengths, points)
+    t = rt.transmission(psi, spare)
     ends = itertools.accumulate(points)
     return [
         (w[end - n:end], psi[end - n:end], t[end - n:end], peak, count)
@@ -194,7 +280,11 @@ def _peaks(t, points) -> tuple[list[int], list[int]]:
     t_top = np.repeat(t_max, points)
     top = np.flatnonzero(t == t_top)
     mid = t[1:-1]
-    significant = (mid > t[:-2]) & (mid >= t[2:]) & (mid >= 0.5 * t_top[1:-1])
+    half = np.multiply(t_top[1:-1], 0.5, out=t_top[1:-1])
+    significant = mid > t[:-2]
+    above = mid >= t[2:]
+    significant &= above
+    significant &= np.greater_equal(mid, half, out=above)
     # the last sample of each row but the last, and the first of the next
     significant[[end - k for end in ends[:-1] for k in (2, 1)]] = False
     counts = np.add.reduceat(significant, first).tolist()
@@ -202,20 +292,6 @@ def _peaks(t, points) -> tuple[list[int], list[int]]:
     for a, b, at, m in zip(first, ends, np.searchsorted(top, first).tolist(), t_max.tolist()):
         peaks.append(int(top[at]) - a if math.isfinite(m) else int(np.argmax(t[a:b])))
     return peaks, counts
-
-
-def _psi_and_slope(profile, cavity, delta_length, omega) -> tuple[float, float]:
-    """(Psi, dPsi/domega) at a scalar omega, from one evaluation of n(omega).
-
-    The slope is (L*(fill*n_g + (1 - fill)*n0) + n0*dL)/c0, with the group
-    index n_g = n + omega*dn/domega sharing n(omega) with Psi.
-    """
-    omega = float(omega)
-    n_at = profile.index(omega)
-    psi = _psi(cavity, delta_length, omega, n_at, profile.index_change(omega, cavity.omega0))
-    fill = cavity.fill_fraction
-    ng_path = fill * (n_at + omega * profile.dindex_domega(omega)) + (1.0 - fill) * cavity.n0
-    return psi, (cavity.round_trip_length * ng_path + cavity.n0 * delta_length) / C0
 
 
 # Bisection alone takes the widest bracket used here (ten width estimates,
@@ -229,7 +305,7 @@ def _nearest_mode(psi: float) -> float:
 
 
 def _psi_root(
-    profile, cavity, delta_length, base: float, target: float,
+    rt: _RoundTrip, delta_length, base: float, target: float,
     lo: float, psi_lo: float, hi: float, psi_hi: float, xtol: float,
 ):
     """Offset u in [lo, hi] where Psi(base + u) = target.
@@ -240,13 +316,13 @@ def _psi_root(
     the same sign at both ends.
 
     Safeguarded Newton-bisection (rtsafe, Numerical Recipes 9.4) on the exact
-    slope from `_psi_and_slope`, falling back to halving the bracket wherever
-    a Newton step would leave it or converge too slowly. Psi can only be
-    evaluated at the double nearest base + u, so each Newton step starts from
-    that point; the steps, and the offset returned, are therefore not
-    quantised to the ulp of omega. Stops once an iterate moves by less than
-    xtol, or once the bracket is down to two ulps of base, below which Psi
-    cannot tell its points apart.
+    slope from `_RoundTrip.psi_and_slope`, falling back to halving the
+    bracket wherever a Newton step would leave it or converge too slowly.
+    Psi can only be evaluated at the double nearest base + u, so each Newton
+    step starts from that point; the steps, and the offset returned, are
+    therefore not quantised to the ulp of omega. Stops once an iterate moves
+    by less than xtol, or once the bracket is down to two ulps of base, below
+    which Psi cannot tell its points apart.
     """
     f_lo = psi_lo - target
     f_hi = psi_hi - target
@@ -256,6 +332,7 @@ def _psi_root(
         return hi
     if not (f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo):
         return None
+    psi_and_slope = rt.psi_and_slope
     neg, pos = (lo, hi) if f_lo < 0.0 else (hi, lo)
     floor = 2.0 * math.ulp(base)
     u = 0.5 * (lo + hi)
@@ -263,7 +340,7 @@ def _psi_root(
     for _ in range(_ROOT_ITERATIONS):
         omega = base + u
         at = omega - base
-        psi, slope = _psi_and_slope(profile, cavity, delta_length, omega)
+        psi, slope = psi_and_slope(delta_length, omega)
         f = psi - target
         if f == 0.0:
             # also the white-light centre, where the slope is 0 as well
@@ -286,7 +363,7 @@ def _psi_root(
     raise ComputationError("round-trip phase root did not converge")
 
 
-def _psi_turn(profile, cavity, delta_length, base: float, lo: float, hi: float, xtol: float) -> float:
+def _psi_turn(rt: _RoundTrip, delta_length, base: float, lo: float, hi: float, xtol: float) -> float:
     """Offset u in [lo, hi] where the slope of Psi(base + u) changes sign.
 
     Bisection to xtol (at least two ulps of base); raises ComputationError
@@ -294,7 +371,7 @@ def _psi_turn(profile, cavity, delta_length, base: float, lo: float, hi: float, 
     """
 
     def slope(u: float) -> float:
-        return _psi_and_slope(profile, cavity, delta_length, base + u)[1]
+        return rt.psi_and_slope(delta_length, base + u)[1]
 
     s_lo, s_hi = slope(lo), slope(hi)
     if not (s_lo < 0.0 < s_hi or s_hi < 0.0 < s_lo):
@@ -324,11 +401,12 @@ def find_resonance(profile: DispersionProfile, cavity: RingCavity, delta_length:
     it, sin^2(Psi/2) is smallest where the slope of Psi changes sign, and
     that point is returned instead.
     """
-    ((w, psi, _, i, count),) = _scan(profile, cavity, [delta_length], [grid])
-    return _locate_resonance(profile, cavity, delta_length, grid, w, psi, i, count)
+    rt = _RoundTrip(profile, cavity, None)
+    ((w, psi, _, i, count),) = _scan(rt, [delta_length], [grid])
+    return _locate_resonance(rt, delta_length, grid, w, psi, i, count)
 
 
-def _locate_resonance(profile, cavity, delta_length, grid: SweepGrid, w, psi, i: int, count: int) -> float:
+def _locate_resonance(rt: _RoundTrip, delta_length, grid: SweepGrid, w, psi, i: int, count: int) -> float:
     """The locate step of `find_resonance`, given the grid scan w and Psi,
     the peak sample i and the count of significant maxima from `_peaks`.
 
@@ -344,14 +422,15 @@ def _locate_resonance(profile, cavity, delta_length, grid: SweepGrid, w, psi, i:
         raise ComputationError(
             f"expected exactly one significant transmission maximum, found {count}"
         )
-    center = float(w[i])
-    order = _nearest_mode(float(psi[i]))
-    lo, hi = float(w[i - 1]) - center, float(w[i + 1]) - center
+    w_lo, center, w_hi = w[i - 1:i + 2].tolist()
+    psi_lo, psi_at, psi_hi = psi[i - 1:i + 2].tolist()
+    order = _nearest_mode(psi_at)
+    lo, hi = w_lo - center, w_hi - center
     # the step of 2,001 points over this span, or this grid's step if finer
     xtol = min(grid.resolution, grid.half_span / 1000.0) / 1e4
-    u = _psi_root(profile, cavity, delta_length, center, order, lo, float(psi[i - 1]), hi, float(psi[i + 1]), xtol)
+    u = _psi_root(rt, delta_length, center, order, lo, psi_lo, hi, psi_hi, xtol)
     if u is None:
-        u = _psi_turn(profile, cavity, delta_length, center, lo, hi, xtol)
+        u = _psi_turn(rt, delta_length, center, lo, hi, xtol)
     return float(center + u)
 
 
@@ -363,50 +442,49 @@ def _cubic_model(profile: DispersionProfile, cavity: RingCavity) -> TaylorCubic 
         return None
 
 
-def _width_estimate(cavity: RingCavity, taylor: TaylorCubic | None, shift: float) -> float:
-    gamma_ec = cavity.gamma_ec
-    candidates = []
+def _width_estimate(rt: _RoundTrip, shift: float) -> float:
+    """Predicted FWHM at a resonance shifted by `shift`: the smaller of the
+    cubic's Airy width and gamma_ec over its local group index, of those
+    that apply, or else gamma_ec."""
+    gamma_ec, taylor = rt.gamma_ec, rt.taylor
+    candidates = [] if rt.airy is None else [rt.airy]
     if taylor is not None:
-        try:
-            candidates.append(airy_linewidth_cubic(gamma_ec, taylor))
-        except (ComputationError, ValueError):
-            pass
         local_ng = taylor.local_ng(shift)
         if local_ng > 0.0:
             candidates.append(gamma_ec / local_ng)
     return min(candidates) if candidates else gamma_ec
 
 
-def _shift_estimate(
-    profile: DispersionProfile, cavity: RingCavity, delta_length: float, taylor: TaylorCubic | None
-) -> float:
+def _shift_estimate(rt: _RoundTrip, delta_length: float) -> float:
     """Estimated displacement of the resonance caused by delta_length.
 
     A cubic-model seed polished by guarded Newton iteration on Psi = 0; the
     polish handles regimes the cubic misses (strong saturation, off-center
     profiles) and falls back to the seed when it fails to settle.
     """
-    dw_ec = cavity.shift_for_length(delta_length)
+    dw_ec = rt.cavity.shift_for_length(delta_length)
     seed = dw_ec
-    if taylor is not None:
+    if rt.taylor is not None:
         try:
-            seed, _ = shift_cubic_branch(dw_ec, taylor)
+            seed, _ = shift_cubic_branch(dw_ec, rt.taylor)
         except ComputationError:
             pass
 
-    omega = cavity.omega0 + seed
+    psi_and_slope = rt.psi_and_slope
+    omega0 = rt.omega0
+    omega = omega0 + seed
     best = seed
-    limit = 0.35 * cavity.free_spectral_range
+    limit = 0.35 * rt.fsr
     for _ in range(60):
-        if not math.isfinite(omega) or abs(omega - cavity.omega0) > limit:
+        if not math.isfinite(omega) or abs(omega - omega0) > limit:
             return best
-        f, fp = _psi_and_slope(profile, cavity, delta_length, omega)
+        f, fp = psi_and_slope(delta_length, omega)
         if fp == 0.0 or not math.isfinite(fp):
             return best
         step = f / fp
         omega -= step
         if math.isfinite(omega):
-            best = omega - cavity.omega0
+            best = omega - omega0
         if abs(step) <= 1e-12 * abs(omega):
             break
     return best
@@ -433,24 +511,24 @@ def auto_grid(
     trip, or when the span would exceed 40% of the free spectral range (no
     single-resonance grid exists there).
     """
-    return _grid(profile, cavity, delta_length, _cubic_model(profile, cavity), _MIN_POINTS)
+    return _grid(_RoundTrip(profile, cavity, _cubic_model(profile, cavity)), delta_length, _MIN_POINTS)
 
 
-def _grid(profile, cavity, delta_length, taylor: TaylorCubic | None, min_points: int) -> SweepGrid:
-    """`auto_grid` given the path-averaged cubic (None where it does not apply)
-    and the fewest points the grid may have.
+def _grid(rt: _RoundTrip, delta_length, min_points: int) -> SweepGrid:
+    """`auto_grid` given the call's round trip, with its cubic, and the
+    fewest points the grid may have.
 
     `sweep_enhancement` passes 101. Its grids span what `auto_grid`'s span,
     so the single-peak check covers the same 2.5 widths or more, at a step
     of up to a twentieth of the width instead of the 2,001-point floor's
     four-hundredth on a span of 2.5 widths.
     """
-    if cavity.round_trip_length + delta_length <= 0.0:
+    if rt.length + delta_length <= 0.0:
         raise ComputationError("the length change leaves no positive round trip")
-    shift = _shift_estimate(profile, cavity, delta_length, taylor)
-    width = _width_estimate(cavity, taylor, shift)
+    shift = _shift_estimate(rt, delta_length)
+    width = _width_estimate(rt, shift)
     half_span = max(2.5 * width, 0.1 * abs(shift))
-    if half_span > 0.4 * cavity.free_spectral_range:
+    if half_span > 0.4 * rt.fsr:
         raise ComputationError(
             "requested response does not fit inside a single free spectral range"
         )
@@ -460,7 +538,7 @@ def _grid(profile, cavity, delta_length, taylor: TaylorCubic | None, min_points:
         points += 1
     if points > 2_000_001:
         raise ComputationError("grid would need more than 2e6 points")
-    center = cavity.omega0 + shift
+    center = rt.omega0 + shift
     # a finer step repeats samples, and the scan then sees many maxima
     step = 2.0 * half_span / (points - 1)
     spacing = math.ulp(center + half_span)
@@ -487,20 +565,25 @@ def measure_fwhm(
     width estimates), then solves Psi = 2*pi*m +- 2*asin(sqrt(s_half)) there,
     with the sign Psi takes at the bracket's outer end.
     """
-    k = _airy_k(cavity)
-    resonance = float(resonance)
+    return _measure_fwhm(_RoundTrip(profile, cavity, _cubic_model(profile, cavity)), delta_length, float(resonance))
+
+
+def _measure_fwhm(rt: _RoundTrip, delta_length: float, resonance: float) -> float:
+    """`measure_fwhm` given the call's round trip, with its cubic."""
+    k = rt.k
+    estimate = _width_estimate(rt, resonance - rt.omega0)
+    psi_and_slope = rt.psi_and_slope
 
     def psi_at(u: float) -> tuple[float, float]:
         # (the offset actually evaluated, Psi there); the subtraction is
         # exact since omega and resonance are close
         omega = resonance + u
-        return omega - resonance, round_trip_dephasing(profile, cavity, delta_length, omega)
+        return omega - resonance, psi_and_slope(delta_length, omega)[0]
 
-    psi_res = round_trip_dephasing(profile, cavity, delta_length, resonance)
+    psi_res = psi_and_slope(delta_length, resonance)[0]
     s_res = math.sin(0.5 * psi_res) ** 2
     s_half = (1.0 + 2.0 * k * s_res) / k
     order = _nearest_mode(psi_res)
-    estimate = _width_estimate(cavity, _cubic_model(profile, cavity), resonance - cavity.omega0)
 
     def crossing(side: float) -> float:
         lo, psi_lo = 0.0, psi_res
@@ -515,7 +598,7 @@ def measure_fwhm(
                 )
             at, psi = psi_at(side * hi)
         target = order + math.copysign(2.0 * math.asin(math.sqrt(s_half)), psi - order)
-        off = _psi_root(profile, cavity, delta_length, resonance, target, lo, psi_lo, at, psi, 1e-9 * estimate)
+        off = _psi_root(rt, delta_length, resonance, target, lo, psi_lo, at, psi, 1e-9 * estimate)
         if off is None:
             raise ComputationError("round-trip phase does not cross the half-maximum level")
         return abs(off)
@@ -529,10 +612,11 @@ def trace(
     delta_length: float,
 ) -> SpectrumTrace:
     """Sweep, locate, and width-measure a single resonance on the `auto_grid` grid."""
-    grid = auto_grid(profile, cavity, delta_length)
-    ((w, psi, t, i, count),) = _scan(profile, cavity, [delta_length], [grid])
-    resonance = _locate_resonance(profile, cavity, delta_length, grid, w, psi, i, count)
-    fwhm = measure_fwhm(profile, cavity, delta_length, resonance)
+    rt = _RoundTrip(profile, cavity, _cubic_model(profile, cavity))
+    grid = _grid(rt, delta_length, _MIN_POINTS)
+    ((w, psi, t, i, count),) = _scan(rt, [delta_length], [grid])
+    resonance = _locate_resonance(rt, delta_length, grid, w, psi, i, count)
+    fwhm = _measure_fwhm(rt, delta_length, resonance)
     return SpectrumTrace(omega=w, transmission=t, resonance=resonance, fwhm=fwhm)
 
 
@@ -579,6 +663,7 @@ def sweep_enhancement(
     if hi > g * (1.0 + 1e-9):
         raise ComputationError("shift list must stay at or below the half linewidth")
 
+    rt = _RoundTrip(profile, cavity, t)
     # consecutive grids are scanned in one pass of at most _SCAN_SAMPLES
     # samples, then located one by one in order
     resonances = []
@@ -587,15 +672,15 @@ def sweep_enhancement(
     def locate_run():
         if run:
             lengths, grids = zip(*run)
-            for dl, grid, (w, psi, _, i, count) in zip(lengths, grids, _scan(profile, cavity, lengths, grids)):
-                resonances.append(_locate_resonance(profile, cavity, dl, grid, w, psi, i, count))
+            for dl, grid, (w, psi, _, i, count) in zip(lengths, grids, _scan(rt, lengths, grids)):
+                resonances.append(_locate_resonance(rt, dl, grid, w, psi, i, count))
             run.clear()
 
     samples = 0
     for dw in values:
         delta_length = cavity.length_for_shift(dw)
         try:
-            grid = _grid(profile, cavity, delta_length, t, _SWEEP_MIN_POINTS)
+            grid = _grid(rt, delta_length, _SWEEP_MIN_POINTS)
         except Exception:
             # whatever the grid raises, a locate failure at an earlier
             # shift is reported first, as when each shift ran alone

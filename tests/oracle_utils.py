@@ -5,7 +5,9 @@ the root finders here are interval bisection only, so agreement is
 meaningful. The closed forms at the end are ones the library never
 evaluates: relativistic velocity composition, whose first order is the
 Fresnel drag, and the rotation rate of a length change, the inverse of
-`resonator.rotation_to_length`.
+`resonator.rotation_to_length`. `psi_and_slope` is the round-trip phase and
+its slope from three separate profile calls, with the cavity read afresh at
+every evaluation, against which the bound kernel of `spectrum` is checked.
 """
 
 from __future__ import annotations
@@ -110,6 +112,28 @@ def random_cubic_case(rng: random.Random) -> tuple[TaylorCubic, float]:
     x = math.copysign(10.0 ** rng.uniform(-6.0, 1.0) * g, rng.random() - 0.5)
     d = a * x ** 3 + b * x
     return t, d
+
+
+def psi_and_slope(profile, cavity: RingCavity, delta_length: float, omega) -> tuple[float, float]:
+    """(Psi, dPsi/domega) at a scalar omega from `index`, `index_change` and
+    `dindex_domega`, in the exact form of the `spectrum` docstring:
+
+        Psi*c0 = fill*L*(dn*w0 + n*delta) + (1 - fill)*L*n_b*delta + n_b*dL*omega
+
+    and the slope (L*(fill*n_g + (1 - fill)*n_b) + n_b*dL)/c0.
+    """
+    omega = float(omega)
+    length, fill, nb = cavity.round_trip_length, cavity.fill_fraction, cavity.n0
+    n_at = profile.index(omega)
+    dn = profile.index_change(omega, cavity.omega0)
+    delta = omega - cavity.omega0
+    psi_c0 = (
+        fill * length * (dn * cavity.omega0 + n_at * delta)
+        + (1.0 - fill) * length * nb * delta
+        + nb * delta_length * omega
+    )
+    ng_path = fill * (n_at + omega * profile.dindex_domega(omega)) + (1.0 - fill) * nb
+    return psi_c0 / C0, (length * ng_path + nb * delta_length) / C0
 
 
 def relativistic_compose(v_phase: float, v_boost: float) -> float:

@@ -265,12 +265,44 @@ def test_huge_radius_is_an_input_fault(tmp_path, capsys, command, radius, messag
             "lens-thirring",
             "the shot-noise SNR underflows to 0: the photon budget detects no photons",
         ),
+        *(
+            (
+                "medium_linewidth_fwhm_hz = 2.0e6",
+                "medium_linewidth_fwhm_hz = 1e-300",
+                command,
+                "medium linewidth too narrow for the Lorentzian line: G^2 + (w - wc)^2 "
+                "underflows to 0 at the line centre (G = 3.14e-300 rad/s)",
+            )
+            for command in ("sagnac", "spectrum")
+        ),
+        (
+            "frequency_hz = 5.0e14",
+            "frequency_hz = 5e-324",
+            "split",
+            "line centre frequency too low for the CAD tuning: the strength "
+            "G*(1 - target)/w0 overflows (w0 = 2.96e-323 rad/s)",
+        ),
+        *(
+            (
+                "frequency_hz = 5.0e14",
+                "frequency_hz = 5e-324",
+                command,
+                "the photon energy hbar*w0 underflows to 0 (w0 = 2.96e-323 rad/s)",
+            )
+            for command in ("sensitivity", "lens-thirring")
+        ),
     ],
-    ids=["medium-linewidth", "snr-sensitivity", "snr-lens-thirring"],
+    ids=[
+        "medium-linewidth", "snr-sensitivity", "snr-lens-thirring",
+        "line-centre-sagnac", "line-centre-spectrum",
+        "frequency-split", "frequency-sensitivity", "frequency-lens-thirring",
+    ],
 )
 def test_an_underflowing_divisor_is_named(tmp_path, capsys, old, new, command, message):
-    # G^3 in the cubic's n3 = A/G^3 and the shot-noise SNR sqrt(N) underflow
-    # to 0; each is named, where a bare "float division by zero" named nothing
+    # G^3 in the cubic's n3 = A/G^3, the shot-noise SNR sqrt(N), G^2 + x^2
+    # at the line centre and the photon energy hbar*w0 underflow to 0, and
+    # the CAD strength G/w0 overflows; each is named, where a bare "float
+    # division by zero" named nothing
     path = edited(tmp_path, TABLETOP, old, new)
     code, out, err = run(capsys, command, "--scenario", path)
     assert code == 3

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +15,7 @@ from fastlight.dispersion import (
     cad_tune,
     group_index,
 )
+from fastlight.errors import ComputationError
 
 W0 = 2.0 * math.pi * 5.0e14
 G = 2.0 * math.pi * 1.0e6
@@ -162,6 +164,75 @@ def test_cad_tune_target_property(g, target):
     profile = cad_tune(g, W0, group_index_target=target)
     ng = float(group_index(profile, W0))
     assert ng == pytest.approx(target, abs=1e-9 * (1.0 + abs(target)))
+
+
+def written_out(profile, omega, base):
+    """(n(omega), n(omega) - n(base), dn/domega) as three expressions that
+    share nothing, each in the operation order it had on its own."""
+    if isinstance(profile, LorentzianAbsorptive):
+        a, g = profile.strength, profile.half_linewidth
+        x, xb = omega - profile.center, base - profile.center
+        den = g * g + x * x
+        num = (x - xb) * (g * g - x * xb)
+        return (
+            1.0 - a * g * x / (g * g + x * x),
+            -a * g * num / ((g * g + x * x) * (g * g + xb * xb)),
+            -a * g * (g * g - x * x) / (den * den),
+        )
+    x, xb = omega - profile.omega_ref, base - profile.omega_ref
+    return (
+        profile.n0 + profile.n1 * x + profile.n3 * x * x * x,
+        (x - xb) * (profile.n1 + profile.n3 * (x * x + x * xb + xb * xb)),
+        profile.n1 + 3.0 * profile.n3 * x * x,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.floats(min_value=-3.0, max_value=3.0))
+def test_fused_response_equals_each_formula_alone_bitwise(rng, base_offset):
+    # sharing x, G^2 + x^2 and d between the three parts changes no bit, at
+    # a float and over an array, and each projection is its part
+    profile, omega = random_profile(rng)
+    base = omega + base_offset * fd_step(profile, omega) * 3000.0
+    assert profile.response(omega, base) == written_out(profile, omega, base)
+    omegas = omega + np.linspace(-2.0, 2.0, 9) * fd_step(profile, omega) * 3000.0
+    for got, want in zip(profile.response(omegas, base), written_out(profile, omegas, base)):
+        assert np.array_equal(got, want)
+    n, dn, slope = profile.response(omega, base)
+    assert (profile.index(omega), profile.index_change(omega, base), profile.dindex_domega(omega)) == (n, dn, slope)
+    assert group_index(profile, omega) == n + omega * slope
+
+
+def test_an_underflowing_line_centre_is_named():
+    # G^2 + x^2 underflows to 0 at the line centre; the refusal names the
+    # line width where it first divides, and the line still evaluates away
+    # from the centre
+    profile = LorentzianAbsorptive(1.0, 1e-300, W0)
+    message = r"medium linewidth too narrow for the Lorentzian line: .* \(G = 1e-300 rad/s\)"
+    for evaluate in (profile.index, profile.dindex_domega, lambda w: profile.index_change(W0 + 1.0, w)):
+        with pytest.raises(ComputationError, match=message):
+            evaluate(W0)
+    assert profile.index(W0 + 1.0) == 1.0
+
+
+def test_an_underflowing_slope_denominator_leaves_the_index():
+    # (G^2)^2 underflows at the line centre where G^2 does not: the index
+    # there is still exactly 1, and the slope takes the -inf an array gets
+    profile = LorentzianAbsorptive(1.0, 1e-100, W0)
+    n, dn, slope = profile.response(W0, W0 + 1.0)
+    assert (type(n), type(dn), type(slope)) == (float, float, float)
+    assert n == profile.index(W0) == 1.0
+    assert slope == profile.dindex_domega(W0) == -math.inf
+    assert dn == profile.index_change(W0, W0 + 1.0) == 1e-100
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert profile.dindex_domega(np.array([W0]))[0] == slope
+
+
+def test_cad_tune_refuses_an_overflowing_strength():
+    # A = G*(1 - target)/w0 overflows when w0 underflows towards 0
+    w0 = 2.0 * math.pi * 5e-324
+    with pytest.raises(ComputationError, match=r"line centre frequency too low .* \(w0 = 2.96e-323 rad/s\)"):
+        cad_tune(G, w0)
 
 
 def test_cad_tune_rejects_unreachable_target():

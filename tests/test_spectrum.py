@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
-from oracle_utils import bisect
+from oracle_utils import bisect, psi_and_slope
 
 from fastlight.constants import C0, OMEGA_EARTH
 from fastlight.dispersion import (
@@ -38,7 +39,6 @@ from fastlight.spectrum import (
     EnhancementSample,
     SweepGrid,
     _cubic_model,
-    _psi_and_slope,
     _width_estimate,
     auto_grid,
     find_resonance,
@@ -125,18 +125,19 @@ def test_scalar_dephasing_and_slope_match_the_array_path_bitwise(profile):
     omegas = W0 + np.linspace(-3.0 * G, 3.0 * G, 13)
     psi_array = round_trip_dephasing(profile, cav, dl, omegas)
     length, fill, nb = cav.round_trip_length, cav.fill_fraction, cav.n0
+    rt = spectrum._RoundTrip(profile, cav, None)
     for w, expected in zip(omegas, psi_array):
         for omega in (w, float(w)):
             psi = round_trip_dephasing(profile, cav, dl, omega)
             assert type(psi) is float
             assert psi == expected
-            psi_n, slope = _psi_and_slope(profile, cav, dl, omega)
-            assert psi_n == expected
-            assert slope == (length * (fill * group_index(profile, w) + (1.0 - fill) * nb) + nb * dl) / C0
+        psi_n, slope = rt.psi_and_slope(dl, float(w))
+        assert psi_n == expected
+        assert slope == (length * (fill * group_index(profile, w) + (1.0 - fill) * nb) + nb * dl) / C0
     # the locate step takes Psi at the peak sample and its neighbours from
     # the scan: on a real auto_grid grid every scan value is the scalar Psi,
     # and centre + (neighbour - centre) is the neighbour itself
-    ((w, psi_scan, _, _, _),) = spectrum._scan(profile, cav, [dl], [auto_grid(profile, cav, dl)])
+    ((w, psi_scan, _, _, _),) = spectrum._scan(rt, [dl], [auto_grid(profile, cav, dl)])
     assert [round_trip_dephasing(profile, cav, dl, float(x)) for x in w] == psi_scan.tolist()
     centre, neighbour = w[1:], w[:-1]
     assert np.array_equal(centre + (neighbour - centre), neighbour)
@@ -145,49 +146,47 @@ def test_scalar_dephasing_and_slope_match_the_array_path_bitwise(profile):
 
 @dataclass(frozen=True)
 class CountingLorentzian(LorentzianAbsorptive):
+    """A Lorentzian that counts its fused evaluations, `response`, which
+    `index`, `index_change` and `dindex_domega` also go through."""
+
     calls: Counter = field(default_factory=Counter, compare=False)
-    scalar: list = field(default_factory=list, compare=False)  # (method, omega)
+    scalar: list = field(default_factory=list, compare=False)  # (omega, base)
 
-    def _seen(self, method: str, omega) -> None:
+    def response(self, omega, base):
         if np.ndim(omega) == 0:
-            self.calls[method] += 1
-            self.scalar.append((method, float(omega)))
+            self.calls["response"] += 1
+            self.scalar.append((float(omega), float(base)))
         else:
-            self.calls[f"array {method}"] += 1
-            self.calls[f"array {method} points"] += int(np.size(omega))
-
-    def index(self, omega):
-        self._seen("index", omega)
-        return super().index(omega)
-
-    def dindex_domega(self, omega):
-        self._seen("dindex_domega", omega)
-        return super().dindex_domega(omega)
-
-    def index_change(self, omega, base):
-        self._seen("index_change", omega)
-        return super().index_change(omega, base)
+            self.calls["array response"] += 1
+            self.calls["array response points"] += int(np.size(omega))
+        return super().response(omega, base)
 
 
 @pytest.mark.parametrize("dw_ec", [0.0, 1e-6 * G, 1e-3 * G, 1e-1 * G])
-def test_one_index_evaluation_per_scalar_psi(dw_ec):
-    # every scalar Psi, with or without its slope, evaluates n(omega) once
+def test_one_index_evaluation_per_scalar_psi(monkeypatch, dw_ec):
+    # every scalar Psi, with its slope, evaluates the medium once
     scn = load_scenario(CAD_SWEEP)
     cad, cav = scn.profile(), scn.cavity()
     profile = CountingLorentzian(cad.strength, cad.half_linewidth, cad.center)
     dl = -dw_ec * cav.round_trip_length / cav.omega0
     grid = auto_grid(profile, cav, dl)
-    start = len(profile.scalar)
+    psis = Counter()
+    kernel = spectrum._RoundTrip.psi_and_slope
+
+    def counting(rt, delta_length, omega):
+        psis["psi"] += 1
+        return kernel(rt, delta_length, omega)
+
+    monkeypatch.setattr(spectrum._RoundTrip, "psi_and_slope", counting)
+    start, before = len(profile.scalar), profile.calls["response"]
     find_resonance(profile, cav, dl, grid)
-    assert profile.calls["index"] > 0
-    assert profile.calls["index"] == profile.calls["index_change"]
-    # find_resonance evaluates no scalar Psi without its slope: Psi at the
-    # peak sample and at both neighbours comes from the grid scan
+    assert profile.calls["response"] - before == psis["psi"] > 0
+    # each against the cavity's own resonance
     located = profile.scalar[start:]
-    bare = Counter(w for m, w in located if m == "index") - Counter(w for m, w in located if m == "dindex_domega")
-    assert not bare
+    assert {base for _, base in located} == {cav.omega0}
+    # Psi at the peak sample and at both neighbours comes from the grid scan
     i = int(np.argmax(transmission(cad, cav, dl, grid.omegas)))
-    assert not {w for _, w in located} & {float(grid.omegas[i - 1]), float(grid.omegas[i + 1])}
+    assert not {w for w, _ in located} & {float(grid.omegas[i - 1]), float(grid.omegas[i + 1])}
 
 
 def test_auto_grid_builds_the_cubic_model_once(monkeypatch):
@@ -313,7 +312,8 @@ def test_fwhm_ends_sit_on_the_half_maximum_level(profile, cav, dl):
     # each crossing lies within one width of the resonance
     right = bisect(excess, 0.0, width)
     left = bisect(excess, 0.0, -width)
-    tol = ulp_floor(res, 1e-9 * _width_estimate(cav, _cubic_model(profile, cav), res - cav.omega0))
+    rt = spectrum._RoundTrip(profile, cav, _cubic_model(profile, cav))
+    tol = ulp_floor(res, 1e-9 * _width_estimate(rt, res - cav.omega0))
     assert abs(width - (right - left)) <= 2.0 * tol
 
 
@@ -448,6 +448,19 @@ def test_trace_fields_consistent():
     assert result.transmission.max() <= 1.0
     assert result.resonance == pytest.approx(W0, abs=1.0)
     assert result.fwhm == pytest.approx(cav.gamma_ec, rel=1e-3)
+
+
+def test_a_trace_owns_its_arrays():
+    # the scan builds Psi and T in place, in arrays of its own call, so a
+    # later trace leaves an earlier one's samples as they were
+    cav, profile = cad_cavity(1e-2), cad_tune(G, W0)
+    first = trace(profile, cav, cav.length_for_shift(1e-3 * G))
+    omega, t = first.omega.copy(), first.transmission.copy()
+    second = trace(profile, cav, cav.length_for_shift(2e-3 * G))
+    for a, b in [(first.omega, first.transmission), (first.omega, second.omega), (first.transmission, second.transmission)]:
+        assert not np.shares_memory(a, b)
+    assert np.array_equal(first.omega, omega)
+    assert np.array_equal(first.transmission, t)
 
 
 @pytest.mark.parametrize("fill", [1.0, 0.3])
@@ -648,15 +661,15 @@ def test_sweep_reports_the_first_failing_shift(monkeypatch, locate_fails, grid_f
     shifts = [2.0 * math.pi * 1e-2 * 10.0 ** (k / 4.0) for k in range(33)]
     locate, grid = spectrum._locate_resonance, spectrum._grid
 
-    def failing_locate(prof, c, dl, *rest):
+    def failing_locate(rt, dl, *rest):
         if locate_fails is not None and dl == cav.length_for_shift(shifts[locate_fails]):
             raise ComputationError("locate")
-        return locate(prof, c, dl, *rest)
+        return locate(rt, dl, *rest)
 
-    def failing_grid(prof, c, dl, t, min_points):
+    def failing_grid(rt, dl, *rest):
         if dl == cav.length_for_shift(shifts[grid_fails]):
             raise ComputationError("grid")
-        return grid(prof, c, dl, t, min_points)
+        return grid(rt, dl, *rest)
 
     monkeypatch.setattr(spectrum, "_locate_resonance", failing_locate)
     monkeypatch.setattr(spectrum, "_grid", failing_grid)
@@ -670,19 +683,19 @@ def test_sweep_reports_the_first_failing_shift(monkeypatch, locate_fails, grid_f
 def test_sweep_scans_its_grids_in_passes_not_one_per_shift():
     # a pass ends only at the sample budget, whatever the grids' point
     # counts: cad_sweep's 33 grids of mixed sizes hold 4,261 samples, one
-    # pass and one array index call; a per-shift scan would make 33
+    # pass and one array evaluation of the medium; a per-shift scan would
+    # make 33
     scn = load_scenario(CAD_SWEEP)
     cad, cav = scn.profile(), scn.cavity()
     profile = CountingLorentzian(cad.strength, cad.half_linewidth, cad.center)
     shifts = 2.0 * math.pi * scn.input_values()[1]
     assert len(shifts) == 33
-    t = effective_taylor(cad, cav)
-    points = [spectrum._grid(cad, cav, cav.length_for_shift(dw), t, spectrum._SWEEP_MIN_POINTS).points for dw in shifts]
+    points = [sweep_grid(cad, cav, cav.length_for_shift(dw)).points for dw in shifts]
     assert len(set(points)) > 1
     assert sum(points) == 4261 <= spectrum._SCAN_SAMPLES
     sweep_enhancement(profile, cav, shifts)
-    assert profile.calls["array index"] == 1
-    assert profile.calls["array index points"] == 4261
+    assert profile.calls["array response"] == 1
+    assert profile.calls["array response points"] == 4261
 
 
 def test_sweep_grids_are_sized_to_the_line_not_to_2001_points():
@@ -694,9 +707,15 @@ def test_sweep_grids_are_sized_to_the_line_not_to_2001_points():
     profile = CountingLorentzian(cad.strength, cad.half_linewidth, cad.center)
     shifts = 2.0 * math.pi * scn.input_values()[1]
     assert sweep_enhancement(profile, cav, shifts) == sweep_enhancement(cad, cav, shifts)
-    scanned = profile.calls["array index points"]
-    assert scanned == profile.calls["array index_change points"]
+    scanned = profile.calls["array response points"]
+    assert profile.calls["array response"] >= 1
     assert 5 * scanned <= len(shifts) * 2001
+
+
+def sweep_grid(profile, cav: RingCavity, dl: float) -> SweepGrid:
+    """The grid `sweep_enhancement` scans for the length change dl."""
+    rt = spectrum._RoundTrip(profile, cav, effective_taylor(profile, cav))
+    return spectrum._grid(rt, dl, spectrum._SWEEP_MIN_POINTS)
 
 
 def captured_xtols(monkeypatch) -> list[float]:
@@ -719,7 +738,7 @@ def test_a_101_point_grid_locates_at_its_2001_point_twins_double(monkeypatch, dw
     scn = load_scenario(CAD_SWEEP)
     profile, cav = scn.profile(), scn.cavity()
     dl = cav.length_for_shift(dw_ec)
-    coarse = spectrum._grid(profile, cav, dl, effective_taylor(profile, cav), spectrum._SWEEP_MIN_POINTS)
+    coarse = sweep_grid(profile, cav, dl)
     assert coarse.points == 101
     twin = SweepGrid(center=coarse.center, half_span=coarse.half_span, points=2001)
     xtols = captured_xtols(monkeypatch)
@@ -846,11 +865,11 @@ def per_shift_sweep(profile, cav: RingCavity, values) -> list[EnhancementSample]
     samples = []
     for dw in values:
         dl = cav.length_for_shift(dw)
-        grid = spectrum._grid(profile, cav, dl, t, spectrum._MIN_POINTS)
+        grid = auto_grid(profile, cav, dl)
         w = np.linspace(grid.center - grid.half_span, grid.center + grid.half_span, grid.points)
         psi = round_trip_dephasing(profile, cav, dl, w)
-        i, count = per_row_peak(spectrum._airy(cav, psi))
-        res = spectrum._locate_resonance(profile, cav, dl, grid, w, psi, i, count)
+        i, count = per_row_peak(transmission(profile, cav, dl, w))
+        res = spectrum._locate_resonance(spectrum._RoundTrip(profile, cav, None), dl, grid, w, psi, i, count)
         eta = (res - cav.omega0) / dw
         samples.append(EnhancementSample(dw, eta, enhancement_eta(g, dw, "derived"), enhancement_eta(g, dw, "paper")))
     return samples
@@ -883,7 +902,62 @@ def test_batched_sweep_equals_the_per_shift_loop_bit_for_bit(case):
             sweep_enhancement(profile, cav, shifts)
         assert str(got.value) == str(exc)
         return
-    t = effective_taylor(profile, cav)
-    if any(spectrum._grid(profile, cav, cav.length_for_shift(dw), t, spectrum._MIN_POINTS).points > 2001 for dw in shifts):
+    if any(auto_grid(profile, cav, cav.length_for_shift(dw)).points > 2001 for dw in shifts):
         event("grids above 2,001 points")
     assert sweep_enhancement(profile, cav, shifts) == want
+
+
+# ------------------------------------------- the bound kernel and its oracle
+
+
+@st.composite
+def kernel_cases(draw):
+    """(profile, cavity, length change, grid): a CAD cavity of `cad_traces`,
+    any regime, or a `TaylorCubic` of SCALAR_PROFILES in a partly filled
+    cavity, and a 101-point grid of two line widths about the resonance."""
+    if draw(st.booleans()):
+        _, profile, cav, dw_ec = draw(cad_traces())
+        width = profile.half_linewidth
+    else:
+        profile = draw(st.sampled_from([p for p in SCALAR_PROFILES if isinstance(p, TaylorCubic)]))
+        nb = draw(st.sampled_from([1.0, 1.45]))
+        fill = draw(st.floats(min_value=0.2, max_value=1.0))
+        cav = RingCavity(geometry=CIRCLE, finesse=1.0e3, omega0=W0, n0=nb, fill_fraction=fill)
+        dw_ec = draw(st.floats(min_value=-1.0, max_value=1.0)) * cav.gamma_ec
+        width = cav.gamma_ec
+    grid = SweepGrid(center=cav.omega0 + dw_ec, half_span=2.0 * width, points=101)
+    return profile, cav, cav.length_for_shift(dw_ec), grid
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=kernel_cases())
+def test_bound_kernel_and_scan_equal_three_profile_calls_bit_for_bit(case):
+    # the kernel binds the cavity once and evaluates the medium once per
+    # Psi; the oracle reads the cavity afresh and calls index, index_change
+    # and dindex_domega apart. A two-row scan gives each row its own dL.
+    profile, cav, dl, grid = case
+    rt = spectrum._RoundTrip(profile, cav, None)
+    rows = spectrum._scan(rt, [dl, 0.5 * dl], [grid, grid])
+    for length, (w, psi, _, _, _) in zip([dl, 0.5 * dl], rows):
+        for omega, psi_scan in zip(w.tolist(), psi.tolist()):
+            want = psi_and_slope(profile, cav, length, omega)
+            assert rt.psi_and_slope(length, omega) == want
+            assert psi_scan == want[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=cad_sweeps())
+def test_sweeps_and_traces_raise_no_warning(case):
+    # Psi and T are built in place; no step of a sweep or a trace may
+    # overflow, divide by zero or take an invalid value on the way
+    profile, cav, shifts = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (
+            lambda: sweep_enhancement(profile, cav, shifts),
+            lambda: trace(profile, cav, cav.length_for_shift(shifts[len(shifts) // 2])),
+        ):
+            try:
+                run()
+            except ComputationError as exc:
+                event(f"refused: {exc}")
