@@ -419,6 +419,8 @@ def _cmd_fig4(scn: Scenario, rp: Report) -> None:
         raise ScenarioError(
             f"{scn.source}: this command needs empty_cavity_shift_hz as a range"
         )
+    if values.min() <= 0.0:
+        raise ScenarioError(f"{scn.source}: this command needs positive empty_cavity_shift_hz values")
     profile = scn.profile()
     if profile is None:
         raise ScenarioError(f"{scn.source}: this command needs a dispersive medium")

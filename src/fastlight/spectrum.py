@@ -23,8 +23,7 @@ Each public call binds its medium and cavity once into a `_RoundTrip`
 kernel, which reads the cavity's constants once and takes Psi, at a float
 for a Newton step or over the samples of a scan pass, from one `response`
 of the medium per evaluation. A scan pass lays its grids end to end in one
-flat array and builds Psi and T in place in the arrays that response
-returned.
+flat array and builds Psi in place in the arrays that response returned.
 """
 
 from __future__ import annotations
@@ -105,24 +104,19 @@ class SpectrumTrace:
     fwhm: float
 
 
-def _airy_k(cavity: RingCavity) -> float:
-    """The coefficient k = (2F/pi)^2 of sin^2(Psi/2) in the Airy transmission."""
-    return (2.0 * cavity.finesse / math.pi) ** 2
-
-
 class _RoundTrip:
     """Psi and T of one medium in one cavity, with the cavity's constants
     bound once, and the path-averaged cubic that sizes the grids.
 
     `sweep_enhancement`, `trace`, `auto_grid`, `find_resonance`,
-    `measure_fwhm` and the public dephasing functions each bind one per
-    call. Every Psi, at a float (`psi_and_slope`) or over an array
-    (`psi_array`), takes one `response` of the medium and runs the
-    expression of the module docstring in the same order, so the two agree
-    bitwise. The arrays a call builds belong to that call alone. `taylor` is
-    the cubic (None where the call sizes no grid or the cubic does not
-    apply), and `airy` its `airy_linewidth_cubic` (None where that has no
-    root), which does not depend on the shift.
+    `measure_fwhm` and `transmission` each bind one per call. Every Psi,
+    at a float (`psi_and_slope`) or over an array (`psi_array`), takes one
+    `response` of the medium and runs the expression of the module
+    docstring in the same order, so the two agree bitwise. The arrays a
+    call builds belong to that call alone. `taylor` is the cubic (None
+    where the call sizes no grid or the cubic does not apply), and `airy`
+    its `airy_linewidth_cubic` (None where that has no root), which does
+    not depend on the shift.
     """
 
     __slots__ = (
@@ -143,7 +137,8 @@ class _RoundTrip:
         self.background_index = (1.0 - fill) * nb
         self.fsr = cavity.free_spectral_range
         self.gamma_ec = cavity.gamma_ec
-        self.k = _airy_k(cavity)
+        # the coefficient (2F/pi)^2 of sin^2(Psi/2) in the Airy transmission
+        self.k = (2.0 * cavity.finesse / math.pi) ** 2
         self.taylor = taylor
         self.airy = None
         if taylor is not None:
@@ -166,10 +161,9 @@ class _RoundTrip:
         slope = (self.length * (self.fill * (n_at + omega * dn_domega) + self.background_index) + nb_dl) / C0
         return psi, slope
 
-    def psi_array(self, omega: np.ndarray, delta_lengths, points) -> tuple[np.ndarray, np.ndarray]:
+    def psi_array(self, omega: np.ndarray, delta_lengths, points) -> np.ndarray:
         """Psi over an array omega of rows of the given point counts, row j
-        with length change delta_lengths[j]: (Psi, a spare array of the same
-        length).
+        with length change delta_lengths[j].
 
         Psi is built in the arrays of the medium's response, whose slope goes
         unused and is let go at once; n_b*dL per sample is laid out only
@@ -187,44 +181,26 @@ class _RoundTrip:
         nb_dl *= omega
         psi += nb_dl
         psi /= C0
-        return psi, n_at
+        return psi
 
-    def transmission(self, psi, out):
-        """Airy transmission 1 / (1 + k sin^2(Psi/2)) of a float Psi, or of an
-        array Psi built in the array `out`, which may be Psi itself."""
-        if isinstance(psi, float):
-            return 1.0 / (1.0 + self.k * math.sin(0.5 * psi) ** 2)
-        t = np.multiply(psi, 0.5, out=out)
-        np.sin(t, out=t)
-        np.square(t, out=t)
-        t *= self.k
-        t += 1.0
-        return np.divide(1.0, t, out=t)
-
-
-def _dephasing(rt: _RoundTrip, delta_length: float, omega):
-    """Psi at a scalar omega as a float, or over an array as a new array."""
-    # isinstance first: np.ndim costs about a microsecond on a float
-    if isinstance(omega, float) or np.ndim(omega) == 0:
-        return rt.psi_and_slope(delta_length, float(omega))[0]
-    omega = np.asarray(omega, dtype=float)
-    return rt.psi_array(omega.ravel(), [delta_length], [omega.size])[0].reshape(omega.shape)
-
-
-def round_trip_dephasing(profile: DispersionProfile, cavity: RingCavity, delta_length: float, omega):
-    """Round-trip phase relative to the unperturbed resonance (exact form).
-
-    A scalar omega is evaluated on Python floats and gives a float; an array
-    gives an array. Both run the same expression, so they agree bitwise.
-    """
-    return _dephasing(_RoundTrip(profile, cavity, None), delta_length, omega)
+    def transmission(self, psi):
+        """Airy transmission 1 / (1 + k sin^2(Psi/2)) of a float or an array Psi."""
+        sin = math.sin if isinstance(psi, float) else np.sin
+        return 1.0 / (1.0 + self.k * sin(0.5 * psi) ** 2)
 
 
 def transmission(profile: DispersionProfile, cavity: RingCavity, delta_length: float, omega):
-    """Airy transmission 1 / (1 + (2F/pi)^2 sin^2(Psi/2))."""
+    """Airy transmission 1 / (1 + (2F/pi)^2 sin^2(Psi/2)).
+
+    A scalar omega is evaluated on Python floats and gives a float; an array
+    gives an array. Their Psi run the same expression and agree bitwise.
+    """
     rt = _RoundTrip(profile, cavity, None)
-    psi = _dephasing(rt, delta_length, omega)
-    return rt.transmission(psi, psi)
+    # isinstance first: np.ndim costs about a microsecond on a float
+    if isinstance(omega, float) or np.ndim(omega) == 0:
+        return rt.transmission(rt.psi_and_slope(delta_length, float(omega))[0])
+    omega = np.asarray(omega, dtype=float)
+    return rt.transmission(rt.psi_array(omega.ravel(), [delta_length], [omega.size]).reshape(omega.shape))
 
 
 # Most samples one scan pass holds: 64 KiB per array, or 81 rows of 101
@@ -232,14 +208,15 @@ def transmission(profile: DispersionProfile, cavity: RingCavity, delta_length: f
 # whatever point counts, so a sweep ends a pass only here: a `perfbench`
 # `sweep` op (17 to 65 shifts and a trace) takes 2.9 passes, where ending a
 # pass also at a change of point count took 12.2 (the first 200 seed-7
-# ops). Psi and T are built in place, so a pass of 8,192 samples holds at
-# most eight such arrays (513 KiB) at once. Whether glibc hands them back to
-# the system after a pass, for the next pass to fault in again, depends on
-# the heap around them: in the `perfbench` worker's loop those 200 ops take
-# no minor page fault on repeat at 4,096 to 16,384 samples, while a loop of
-# `perfbench`'s `sweep_plain` alone takes 1.4 per op at 8,192 and 23 at
-# 10,240. At seed 29, 50 s `sweep` runs on 2 vCPUs gave 594 and 596 op/s at
-# 4,096, 636 to 689 at 8,192, and 616 and 687 at 12,288.
+# ops). Psi is built in place, so a pass of 8,192 samples peaks at eight
+# such arrays (515 KiB by tracemalloc) in the medium's response, and T
+# needs four. Whether glibc hands them back to the system after a pass, for
+# the next pass to fault in again, depends on the heap around them: in the
+# `perfbench` worker's loop those 200 ops take no minor page fault on repeat
+# at 4,096 to 16,384 samples, while a loop of `perfbench`'s `sweep_plain`
+# alone takes 1.4 per op at 8,192 and 23 at 10,240. At seed 29, 50 s `sweep`
+# runs on 2 vCPUs gave 594 and 596 op/s at 4,096, 636 to 689 at 8,192, and
+# 616 and 687 at 12,288.
 _SCAN_SAMPLES = 8_192
 
 
@@ -248,14 +225,14 @@ def _scan(rt: _RoundTrip, delta_lengths, grids) -> list[tuple]:
 
     One pass over grids of any point counts: their rows lie end to end in
     flat arrays, and row j has length change delta_lengths[j]. Every element
-    runs the array expressions of `round_trip_dephasing` and `transmission`,
-    so a row equals the scan of its grid alone bit for bit. peak and count
-    come from `_peaks`.
+    runs the expressions of `_RoundTrip.psi_array` and
+    `_RoundTrip.transmission`, so a row equals the scan of its grid alone
+    bit for bit. peak and count come from `_peaks`.
     """
     points = [g.points for g in grids]
     w = _sample_rows([g.center for g in grids], [g.half_span for g in grids], points)
-    psi, spare = rt.psi_array(w, delta_lengths, points)
-    t = rt.transmission(psi, spare)
+    psi = rt.psi_array(w, delta_lengths, points)
+    t = rt.transmission(psi)
     ends = itertools.accumulate(points)
     return [
         (w[end - n:end], psi[end - n:end], t[end - n:end], peak, count)
@@ -280,11 +257,7 @@ def _peaks(t, points) -> tuple[list[int], list[int]]:
     t_top = np.repeat(t_max, points)
     top = np.flatnonzero(t == t_top)
     mid = t[1:-1]
-    half = np.multiply(t_top[1:-1], 0.5, out=t_top[1:-1])
-    significant = mid > t[:-2]
-    above = mid >= t[2:]
-    significant &= above
-    significant &= np.greater_equal(mid, half, out=above)
+    significant = (mid > t[:-2]) & (mid >= t[2:]) & (mid >= 0.5 * t_top[1:-1])
     # the last sample of each row but the last, and the first of the next
     significant[[end - k for end in ends[:-1] for k in (2, 1)]] = False
     counts = np.add.reduceat(significant, first).tolist()

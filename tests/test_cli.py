@@ -335,6 +335,18 @@ def test_fig5_non_positive_shift_exits_2(tmp_path, capsys, shift):
     assert out == ""
 
 
+@pytest.mark.parametrize("lo", ["-1", "0"])
+def test_fig4_non_positive_lin_range_exits_2(tmp_path, capsys, lo):
+    # a lin range may start at or below zero, which no shift of the sweep may
+    path = edited(
+        tmp_path, SWEEP, "empty_cavity_shift_hz = 1.0e-2:1.0e6:33:log", f"empty_cavity_shift_hz = {lo}:1.0e6:33:lin"
+    )
+    code, out, err = run(capsys, "fig4", "--scenario", path)
+    assert code == 2
+    assert err == f"scenario error: {path}: this command needs positive empty_cavity_shift_hz values\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize(
     "scenario,old,new,message",
     [

@@ -1,7 +1,7 @@
 """Static checks on the package source.
 
-No linter ships with the project, so the unused-import check stands in for
-one.
+No linter ships with the project, so the unused-import and unused-definition
+checks stand in for one.
 """
 
 import ast
@@ -29,3 +29,40 @@ def unused_imports(tree: ast.Module) -> list[str]:
 def test_no_unused_top_level_import(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert unused_imports(tree) == []
+
+
+PERFBENCH = SRC.parents[1] / "perfbench"
+
+
+def references(tree: ast.Module) -> set[str]:
+    """Names the module refers to: Name nodes, attribute names and the
+    names its imports bind or pull from another module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+    return names
+
+
+def test_every_public_definition_is_used():
+    # a public top-level function or class that neither the package nor the
+    # benchmark refers to is kept alive by tests alone
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    }
+    used = set().union(*map(references, trees.values()))
+    unused = [
+        f"{path.stem}.{node.name}"
+        for path, tree in trees.items()
+        if path.parent == SRC
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in used
+    ]
+    assert unused == []

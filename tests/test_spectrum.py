@@ -43,7 +43,6 @@ from fastlight.spectrum import (
     auto_grid,
     find_resonance,
     measure_fwhm,
-    round_trip_dephasing,
     sweep_enhancement,
     trace,
     transmission,
@@ -76,23 +75,32 @@ def full_model_shift(dw_ec: float) -> float:
     return u * G
 
 
+def oracle_psi(profile, cav: RingCavity, dl: float, omega: float) -> float:
+    # Psi from the three-call oracle, independent of the bound kernel
+    return psi_and_slope(profile, cav, dl, omega)[0]
+
+
 def half_maximum_level(profile, cav: RingCavity, dl: float, res: float) -> float:
     # sin^2(Psi/2) at half the peak transmission T_res, from the Airy form
     k = (2.0 * cav.finesse / math.pi) ** 2
-    return (1.0 + 2.0 * k * math.sin(0.5 * round_trip_dephasing(profile, cav, dl, res)) ** 2) / k
+    return (1.0 + 2.0 * k * math.sin(0.5 * oracle_psi(profile, cav, dl, res)) ** 2) / k
+
+
+def kernel(profile, cav: RingCavity):
+    return spectrum._RoundTrip(profile, cav, None)
 
 
 # ------------------------------------------------------------- dephasing
 
 
 def test_dephasing_zero_on_resonance():
-    assert round_trip_dephasing(VACUUM, cavity(), 0.0, W0) == 0.0
-    assert round_trip_dephasing(cad_tune(G, W0), cavity(), 0.0, W0) == 0.0
+    assert kernel(VACUUM, cavity()).psi_and_slope(0.0, W0)[0] == 0.0
+    assert kernel(cad_tune(G, W0), cavity()).psi_and_slope(0.0, W0)[0] == 0.0
 
 
 def test_dephasing_half_linewidth_is_pi_over_finesse():
     cav = cavity()
-    psi = round_trip_dephasing(VACUUM, cav, 0.0, W0 + cav.gamma_ec / 2.0)
+    psi, _ = kernel(VACUUM, cav).psi_and_slope(0.0, W0 + cav.gamma_ec / 2.0)
     # the offset quantizes to the frequency lattice (ulp ~ 0.5 rad/s here),
     # which caps the agreement near 1e-6
     assert psi == pytest.approx(math.pi / cav.finesse, rel=1e-5)
@@ -101,7 +109,7 @@ def test_dephasing_half_linewidth_is_pi_over_finesse():
 def test_dephasing_accepts_arrays():
     cav = cavity()
     omegas = np.array([W0 - 1e5, W0, W0 + 1e5])
-    psi = round_trip_dephasing(VACUUM, cav, 0.0, omegas)
+    psi = kernel(VACUUM, cav).psi_array(omegas, [0.0], [3])
     assert psi.shape == (3,)
     assert psi[1] == 0.0
     assert psi[0] == -psi[2]
@@ -123,22 +131,26 @@ def test_scalar_dephasing_and_slope_match_the_array_path_bitwise(profile):
     cav = RingCavity(geometry=CIRCLE, finesse=1.0e3, omega0=W0, n0=1.2, fill_fraction=0.6)
     dl = -1e-3 * G * cav.round_trip_length / W0
     omegas = W0 + np.linspace(-3.0 * G, 3.0 * G, 13)
-    psi_array = round_trip_dephasing(profile, cav, dl, omegas)
     length, fill, nb = cav.round_trip_length, cav.fill_fraction, cav.n0
-    rt = spectrum._RoundTrip(profile, cav, None)
-    for w, expected in zip(omegas, psi_array):
-        for omega in (w, float(w)):
-            psi = round_trip_dephasing(profile, cav, dl, omega)
-            assert type(psi) is float
-            assert psi == expected
-        psi_n, slope = rt.psi_and_slope(dl, float(w))
-        assert psi_n == expected
+    rt = kernel(profile, cav)
+    psi_array = rt.psi_array(omegas, [dl], [omegas.size])
+    t_array = transmission(profile, cav, dl, omegas.reshape(13, 1))
+    assert t_array.shape == (13, 1)
+    for w, expected, t_expected in zip(omegas, psi_array, t_array.ravel()):
+        psi, slope = rt.psi_and_slope(dl, float(w))
+        assert psi == expected
         assert slope == (length * (fill * group_index(profile, w) + (1.0 - fill) * nb) + nb * dl) / C0
+        # the public transmission gives a float for a scalar omega; math.sin
+        # and np.sin need not round alike
+        for omega in (w, float(w)):
+            t = transmission(profile, cav, dl, omega)
+            assert type(t) is float
+            assert t == pytest.approx(t_expected, rel=1e-14)
     # the locate step takes Psi at the peak sample and its neighbours from
     # the scan: on a real auto_grid grid every scan value is the scalar Psi,
     # and centre + (neighbour - centre) is the neighbour itself
     ((w, psi_scan, _, _, _),) = spectrum._scan(rt, [dl], [auto_grid(profile, cav, dl)])
-    assert [round_trip_dephasing(profile, cav, dl, float(x)) for x in w] == psi_scan.tolist()
+    assert [rt.psi_and_slope(dl, x)[0] for x in w.tolist()] == psi_scan.tolist()
     centre, neighbour = w[1:], w[:-1]
     assert np.array_equal(centre + (neighbour - centre), neighbour)
     assert np.array_equal(neighbour + (centre - neighbour), centre)
@@ -296,7 +308,7 @@ def test_find_resonance_matches_bisection_of_psi(profile, cav, dl):
     grid = auto_grid(profile, cav, dl)
     res = find_resonance(profile, cav, dl, grid)
     h = grid.resolution
-    u = bisect(lambda v: round_trip_dephasing(profile, cav, dl, res + v), -h, h)
+    u = bisect(lambda v: oracle_psi(profile, cav, dl, res + v), -h, h)
     assert abs(u) <= ulp_floor(res, h / 1e4)
 
 
@@ -307,7 +319,7 @@ def test_fwhm_ends_sit_on_the_half_maximum_level(profile, cav, dl):
     s_half = half_maximum_level(profile, cav, dl, res)
 
     def excess(v: float) -> float:
-        return math.sin(0.5 * round_trip_dephasing(profile, cav, dl, res + v)) ** 2 - s_half
+        return math.sin(0.5 * oracle_psi(profile, cav, dl, res + v)) ** 2 - s_half
 
     # each crossing lies within one width of the resonance
     right = bisect(excess, 0.0, width)
@@ -334,7 +346,7 @@ def test_find_resonance_where_psi_only_touches_zero():
     profile = TaylorCubic(1.0, -2.0 / W0, 1.0 / (G * G * W0), W0)
     turn = W0 + G / math.sqrt(3.0)
     lift = 0.1 * math.pi / cav.finesse
-    dl = (lift - round_trip_dephasing(profile, cav, 0.0, turn)) * C0 / turn
+    dl = (lift - oracle_psi(profile, cav, 0.0, turn)) * C0 / turn
     # the grid is offset so that no sample sits on the turning point
     grid = SweepGrid(center=turn + 3.3e3, half_span=0.3 * G, points=4001)
     res = find_resonance(profile, cav, dl, grid)
@@ -345,7 +357,7 @@ def test_find_resonance_where_psi_only_touches_zero():
 
     u = bisect(slope, -h, h)
     assert abs(u) <= ulp_floor(res, h / 1e4)
-    assert round_trip_dephasing(profile, cav, dl, res) > 0.0
+    assert oracle_psi(profile, cav, dl, res) > 0.0
 
 
 def test_find_resonance_rejects_edge_peak():
@@ -392,7 +404,7 @@ def test_trace_of_an_off_centre_line(offset, dw_ec):
     dl = cav.length_for_shift(dw_ec)
     h = auto_grid(profile, cav, dl).resolution
     result = trace(profile, cav, dl)
-    u = bisect(lambda v: round_trip_dephasing(profile, cav, dl, result.resonance + v), -h, h)
+    u = bisect(lambda v: oracle_psi(profile, cav, dl, result.resonance + v), -h, h)
     assert abs(u) <= math.ulp(result.resonance)
     ng = float(group_index(profile, result.resonance))
     assert result.fwhm == pytest.approx(cav.gamma_ec / ng, rel=1e-2)
@@ -862,14 +874,15 @@ def per_shift_sweep(profile, cav: RingCavity, values) -> list[EnhancementSample]
     """
     t = effective_taylor(profile, cav)
     g = effective_half_linewidth(t)
+    rt = kernel(profile, cav)
     samples = []
     for dw in values:
         dl = cav.length_for_shift(dw)
         grid = auto_grid(profile, cav, dl)
         w = np.linspace(grid.center - grid.half_span, grid.center + grid.half_span, grid.points)
-        psi = round_trip_dephasing(profile, cav, dl, w)
+        psi = rt.psi_array(w, [dl], [w.size])
         i, count = per_row_peak(transmission(profile, cav, dl, w))
-        res = spectrum._locate_resonance(spectrum._RoundTrip(profile, cav, None), dl, grid, w, psi, i, count)
+        res = spectrum._locate_resonance(rt, dl, grid, w, psi, i, count)
         eta = (res - cav.omega0) / dw
         samples.append(EnhancementSample(dw, eta, enhancement_eta(g, dw, "derived"), enhancement_eta(g, dw, "paper")))
     return samples
@@ -948,8 +961,8 @@ def test_bound_kernel_and_scan_equal_three_profile_calls_bit_for_bit(case):
 @settings(max_examples=30, deadline=None)
 @given(case=cad_sweeps())
 def test_sweeps_and_traces_raise_no_warning(case):
-    # Psi and T are built in place; no step of a sweep or a trace may
-    # overflow, divide by zero or take an invalid value on the way
+    # Psi is built in place in the medium's response; no step of a sweep or
+    # a trace may overflow, divide by zero or take an invalid value on the way
     profile, cav, shifts = case
     with warnings.catch_warnings():
         warnings.simplefilter("error")
