@@ -421,6 +421,12 @@ def _cmd_fig4(scn: Scenario, rp: Report) -> None:
         )
     if values.min() <= 0.0:
         raise ScenarioError(f"{scn.source}: this command needs positive empty_cavity_shift_hz values")
+    # on Python floats, so that the product overflows without a numpy warning
+    if not math.isfinite(TWO_PI * float(values.max())):
+        raise ScenarioError(
+            f"{scn.source}: empty_cavity_shift_hz up to {values.max():.6g} Hz overflows "
+            "when converted to rad/s"
+        )
     profile = scn.profile()
     if profile is None:
         raise ScenarioError(f"{scn.source}: this command needs a dispersive medium")

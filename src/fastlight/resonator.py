@@ -199,8 +199,8 @@ def _continuous_root(a: float, b: float, d: float) -> tuple[float, bool]:
     """Root of a*x^3 + b*x - d = 0 on the branch continuous from d -> 0.
 
     Returns (root, multivalued). `multivalued` is True when three real roots
-    exist (possible only for b < 0 with a > 0), in which case the branch that
-    passes through zero is returned.
+    exist (possible only where a and b differ in sign), in which case the
+    branch that passes through zero is returned.
     """
     if a == 0.0:
         if b == 0.0:
@@ -244,20 +244,6 @@ def _continuous_root(a: float, b: float, d: float) -> tuple[float, bool]:
         # descending segment: f(-turn) >= 0 >= f(turn)
         x = _bisect(a, b, d, turn, -turn)
     return x, True
-
-
-def _real_roots(a: float, b: float, d: float) -> list[float]:
-    """All real roots of a*x^3 + b*x - d = 0 (a != 0), ascending."""
-    if a < 0.0:
-        a, b, d = -a, -b, -d
-    p = b / a
-    q = d / a
-    disc = 0.25 * q * q + p ** 3 / 27.0
-    if disc > 0.0:
-        return [_newton_polish(a, b, d, _cardano(p, q, disc))]
-    if p >= 0.0:
-        return [0.0]
-    return sorted(_trig_roots(p, q))
 
 
 # --------------------------------------------------------------------------
@@ -356,12 +342,15 @@ def _positive_linewidth_root(a: float, b: float, gamma_ec: float) -> float:
         raise ValueError("empty-cavity linewidth must be positive")
     if a == 0.0:
         return linewidth_linear(gamma_ec, b)
-    roots = [r for r in _real_roots(a, b, gamma_ec) if r > 0.0]
-    if not roots:
+    # a < 0: the continuous root is the smaller of two positive roots, which
+    # continues from the linear regime; a > 0 with three real roots (b < 0):
+    # it is negative, and the width is the largest root
+    root, multivalued = _continuous_root(a, b, gamma_ec)
+    if multivalued and a > 0.0:
+        root = max(_trig_roots(b / a, gamma_ec / a))
+    if root <= 0.0:
         raise ComputationError("no positive linewidth root for these coefficients")
-    # a > 0 has a unique positive root; a < 0 can have two, of which the
-    # smaller continues from the linear regime.
-    return min(roots) if a < 0.0 else max(roots)
+    return root
 
 
 def linewidth_cubic(gamma_ec: float, taylor: TaylorCubic) -> float:

@@ -456,7 +456,7 @@ def _shift_estimate(rt: _RoundTrip, delta_length: float) -> float:
             return best
         step = f / fp
         omega -= step
-        if math.isfinite(omega):
+        if math.isfinite(omega) and abs(omega - omega0) <= limit:
             best = omega - omega0
         if abs(step) <= 1e-12 * abs(omega):
             break
@@ -615,7 +615,8 @@ def sweep_enhancement(
 
     Requires a profile tuned to zero group index at the cavity resonance and
     a shift list spanning at least four decades, none above the recovered
-    half linewidth.
+    half linewidth, whose smallest shift moves the cubic's resonance by at
+    least 1,000 spacings of doubles at omega0.
     """
     t = effective_taylor(profile, cavity)
     if abs(t.ng0) > 1e-6:
@@ -635,6 +636,15 @@ def sweep_enhancement(
         raise ComputationError("shift list must span at least four decades")
     if hi > g * (1.0 + 1e-9):
         raise ComputationError("shift list must stay at or below the half linewidth")
+    # the resonance omega0 + x is rounded to half a spacing of doubles, so
+    # eta = x/dw_ec is resolved to 0.05% at 1,000 spacings
+    smallest, _ = shift_cubic_branch(lo, t)
+    spacing = math.ulp(cavity.omega0)
+    if abs(smallest) < 1000.0 * spacing:
+        raise ComputationError(
+            f"smallest shift too close to the resonance: its cubic shift {smallest:.3g} rad/s "
+            f"is under 1,000 spacings of doubles ({spacing:.3g} rad/s) at omega0"
+        )
 
     rt = _RoundTrip(profile, cavity, t)
     # consecutive grids are scanned in one pass of at most _SCAN_SAMPLES

@@ -90,6 +90,21 @@ def bisect_positive_root(a: float, b: float, d: float) -> float:
     return bisect(f, lo, hi)
 
 
+def bisect_smaller_positive_root(a: float, b: float, d: float) -> float:
+    """The smaller positive root of a*x^3 + b*x = d for a < 0 < b, d > 0.
+
+    f(x) = a*x^3 + b*x - d is -d at 0 and rises to its maximum at the
+    turning point sqrt(b/(3|a|)), which must reach zero.
+    """
+    if a >= 0.0 or b <= 0.0 or d <= 0.0:
+        raise ValueError("needs a < 0 < b and d > 0")
+
+    def f(x: float) -> float:
+        return a * x * x * x + b * x - d
+
+    return bisect(f, 0.0, math.sqrt(b / (3.0 * -a)))
+
+
 def random_cubic_case(rng: random.Random) -> tuple[TaylorCubic, float]:
     """A random anomalous-dispersion cubic plus a driving shift.
 

@@ -347,6 +347,33 @@ def test_fig4_non_positive_lin_range_exits_2(tmp_path, capsys, lo):
     assert out == ""
 
 
+def test_fig4_shift_overflowing_in_rad_s_exits_2(tmp_path, capsys):
+    # 1e308 Hz is finite, but 2*pi times it is not; refused before the
+    # array multiply, which would warn on stderr
+    path = edited(
+        tmp_path, SWEEP, "empty_cavity_shift_hz = 1.0e-2:1.0e6:33:log", "empty_cavity_shift_hz = 1.0e-2:1.0e308:33:log"
+    )
+    code, out, err = run(capsys, "fig4", "--scenario", path)
+    assert code == 2
+    assert err == f"scenario error: {path}: empty_cavity_shift_hz up to 1e+308 Hz overflows when converted to rad/s\n"
+    assert out == ""
+
+
+def test_fig4_unresolvably_small_shifts_exit_3(tmp_path, capsys):
+    # the resonances would sit within an ulp of omega0, where eta_numeric
+    # reads nothing but rounding; the refusal names the smallest cubic shift
+    path = edited(
+        tmp_path, SWEEP, "empty_cavity_shift_hz = 1.0e-2:1.0e6:33:log", "empty_cavity_shift_hz = 1.0e-300:1.0e-290:33:log"
+    )
+    code, out, err = run(capsys, "fig4", "--scenario", path)
+    assert code == 3
+    assert err == (
+        "computation error: smallest shift too close to the resonance: its cubic shift 6.28e-96 rad/s "
+        "is under 1,000 spacings of doubles (0.5 rad/s) at omega0\n"
+    )
+    assert out == ""
+
+
 @pytest.mark.parametrize(
     "scenario,old,new,message",
     [
@@ -420,6 +447,25 @@ def test_linewidth_fallback_is_tagged_as_the_cubic_root(tmp_path, capsys, comman
     entry = json.loads((tmp_path / f"{command}.json").read_text())["results"][key]
     assert entry["formula"] == "positive root of n3*w0*g^3 + n_g*g = gamma_ec"
     assert entry["value"] == pytest.approx(gamma, rel=1e-11)
+
+
+def test_linewidth_of_a_weak_negative_cubic_term_is_gamma_ec(tmp_path, capsys):
+    # n3 < 0 at n_g = 1: both widths are the root that continues from the
+    # linear regime, gamma_ec to 1e-12, where an unpolished middle root of
+    # the trigonometric form came out 4.2 and 8.4 times gamma_ec
+    text = Path(TABLETOP).read_text(encoding="utf-8")
+    cad = "medium = cad\nmedium_linewidth_fwhm_hz = 2.0e6      # full width at half maximum of the dip\n"
+    assert cad in text
+    path = tmp_path / "negative_n3.scenario"
+    taylor = "medium = taylor\nmedium_index = 1.0\nmedium_n3_s3_per_rad3 = -1.0e-60\n"
+    path.write_text(text.replace(cad, taylor), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the multivalued-branch warning of `dw_dis`
+        code, out, _ = run(capsys, "linewidth", "--scenario", str(path))
+    assert code == 0
+    value = {key: float(v) for key, v in re.findall(r"^(\w+) = (\S+)", out, re.MULTILINE)}
+    assert value["gamma_dis"] == pytest.approx(value["gamma_ec"], rel=1e-12)
+    assert value["gamma_dis_airy"] == pytest.approx(value["gamma_ec"], rel=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
-"""Every shipped scenario x command x format against its golden output.
+"""Every shipped scenario x command x format against its golden output,
+and every generated sweep against its digest.
 
 The goldens in tests/golden/ record the exit code of all runs and, for the
 runs that exit 0, stdout (without `wrote:` lines) and every written file.
@@ -8,7 +9,17 @@ why in the change.
 """
 
 import pytest
-from golden_runs import CASES, GOLDEN, REPO, case_key, load_exit_codes, run_case
+from golden_runs import (
+    CASES,
+    GOLDEN,
+    REPO,
+    case_key,
+    load_exit_codes,
+    load_sweep_digests,
+    run_case,
+    sweep_cases,
+    sweep_digest,
+)
 
 EXIT_CODES = load_exit_codes()
 
@@ -32,3 +43,11 @@ def test_matches_golden(scenario, command, fmt, tmp_path, monkeypatch):
     assert sorted(files) == sorted(expected)
     for name, data in expected.items():
         assert files[name] == data, name
+
+
+def test_sweeps_match_their_digests():
+    cases = sweep_cases()
+    digests = load_sweep_digests()
+    assert len(digests) == len(cases)
+    for i, (case, digest) in enumerate(zip(cases, digests)):
+        assert sweep_digest(case) == digest, f"sweep {i} is the first that moved: {case}"

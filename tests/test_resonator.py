@@ -8,7 +8,13 @@ import warnings
 
 import pytest
 
-from oracle_utils import bisect_cubic_branch, bisect_positive_root, length_to_rotation, random_cubic_case
+from oracle_utils import (
+    bisect_cubic_branch,
+    bisect_positive_root,
+    bisect_smaller_positive_root,
+    length_to_rotation,
+    random_cubic_case,
+)
 
 from fastlight.constants import C0, OMEGA_EARTH
 from fastlight.dispersion import (
@@ -267,6 +273,27 @@ def test_linewidth_cubic_against_bisection():
         b = t.n0 + t.n1 * t.omega_ref
         got = linewidth_cubic(gamma_ec, t)
         assert got == pytest.approx(bisect_positive_root(a, b, gamma_ec), rel=1e-10)
+
+
+def test_linewidths_with_negative_curvature_against_bisection():
+    # n3 < 0: both widths are the smaller of two positive roots, which
+    # continues from the linear regime; the draws run from a cubic term that
+    # is negligible at the width (gamma_ec a 1e-12 share of the fold drive)
+    # to within a millionth of the fold, where the two roots merge
+    rng = random.Random(915)
+    for i in range(200):
+        w0 = 10.0 ** rng.uniform(14.0, 16.0)
+        ng = 10.0 ** rng.uniform(-2.0, 2.0)
+        gamma_ec = 10.0 ** rng.uniform(0.0, 8.0)
+        share = 10.0 ** rng.uniform(-12.0, -1.0) if i % 2 else 1.0 - 10.0 ** rng.uniform(-6.0, -0.05)
+        # the fold drive (2/3)*n_g*turn with turn = sqrt(n_g/(3|a|)) is gamma_ec/share
+        turn = 1.5 * gamma_ec / (share * ng)
+        t = TaylorCubic(1.0, (ng - 1.0) / w0, -ng / (3.0 * turn * turn * w0), w0)
+        a = t.n3 * t.omega_ref
+        b = t.n0 + t.n1 * t.omega_ref
+        assert linewidth_cubic(gamma_ec, t) == pytest.approx(bisect_smaller_positive_root(a, b, gamma_ec), rel=1e-10)
+        airy = airy_linewidth_cubic(gamma_ec, t)
+        assert airy == pytest.approx(bisect_smaller_positive_root(0.25 * a, b, gamma_ec), rel=1e-10)
 
 
 def test_linewidth_linear_regime():

@@ -615,6 +615,18 @@ def test_auto_grid_rejects_span_beyond_free_spectral_range():
         auto_grid(VACUUM, wide_open, 0.0)
 
 
+@pytest.mark.parametrize("dw_ec_hz", [1e-17, 1e-20, 1e-300])
+def test_shift_estimate_of_a_sub_ulp_shift_stays_in_the_window(dw_ec_hz):
+    # on cad_sweep's cavity the cubic seed sits below the spacing of doubles
+    # at omega0 (0.5 rad/s); a Newton step from there leaves the 0.35-FSR
+    # window, and the estimate must keep its last iterate inside it
+    scn = load_scenario(CAD_SWEEP)
+    profile, cav = scn.profile(), scn.cavity()
+    rt = spectrum._RoundTrip(profile, cav, _cubic_model(profile, cav))
+    estimate = spectrum._shift_estimate(rt, cav.length_for_shift(2.0 * math.pi * dw_ec_hz))
+    assert 0.0 <= estimate <= 0.5
+
+
 # ------------------------------------------------------------- eta sweep
 
 
@@ -640,6 +652,8 @@ def test_sweep_enhancement_validation():
         sweep_enhancement(profile, cav, [1e-3 * G, 1e-2 * G])
     with pytest.raises(ComputationError, match="half linewidth"):
         sweep_enhancement(profile, cav, [1e-4 * G, 2.0 * G])
+    with pytest.raises(ComputationError, match="under 1,000 spacings of doubles"):
+        sweep_enhancement(profile, cav, [1e-300 * G, 1e-290 * G])
     with pytest.raises(ValueError):
         sweep_enhancement(profile, cav, [])
 
