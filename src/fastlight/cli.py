@@ -20,6 +20,10 @@ import os
 import sys
 from pathlib import Path
 
+# numpy's OpenBLAS starts one worker thread per CPU when it loads; a command
+# makes no BLAS call, so one thread saves that start-up. A caller's value wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .constants import LENSE_THIRRING_FRACTION, OMEGA_EARTH
 from .dispersion import TaylorCubic, cad_tune, group_index
 from .errors import ComputationError, ScenarioError
@@ -56,7 +60,6 @@ from .sensitivity import (
     min_rotation,
     min_shift_passive,
 )
-from .spectrum import sweep_enhancement, trace
 
 TWO_PI = 2.0 * math.pi
 
@@ -228,6 +231,9 @@ def _add_earth(rp: Report, key: str, rate: float) -> None:
 # commands
 # --------------------------------------------------------------------------
 
+# `spectrum` is imported by the three commands that scan a trace or a sweep,
+# so the others start without loading it.
+
 
 def _cmd_sagnac(scn: Scenario, rp: Report) -> None:
     geom = scn.geometry()
@@ -394,6 +400,8 @@ def _cmd_linewidth(scn: Scenario, rp: Report) -> None:
 
 
 def _cmd_spectrum(scn: Scenario, rp: Report) -> None:
+    from .spectrum import trace
+
     cavity = scn.cavity()
     profile = _effective_profile(scn, cavity)
     dw_ec, tag = _dw_ec_scalar(scn, cavity)
@@ -413,6 +421,8 @@ def _cmd_spectrum(scn: Scenario, rp: Report) -> None:
 
 
 def _cmd_fig4(scn: Scenario, rp: Report) -> None:
+    from .spectrum import sweep_enhancement
+
     cavity = scn.cavity()
     kind, values = scn.input_values()
     if kind != "empty_cavity_shift_hz" or len(values) < 2:
@@ -448,6 +458,8 @@ def _cmd_fig4(scn: Scenario, rp: Report) -> None:
 
 
 def _cmd_fig5(scn: Scenario, rp: Report) -> None:
+    from .spectrum import trace
+
     cavity = scn.cavity()
     if cavity.fill_fraction != 1.0:
         raise ScenarioError(f"{scn.source}: this command assumes fill_fraction = 1")

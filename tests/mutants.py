@@ -1,0 +1,201 @@
+"""Mutation checks: each entry breaks the source on purpose, and a named test
+must then fail.
+
+Each mutant copies src/, tests/, scenarios/ and perfbench/ to a temporary
+directory, applies its exact text replacements to one source file there
+(each old text must occur exactly once), and runs its test with pytest in
+that copy. The mutant is killed when the test fails and survives when it
+passes; a replacement that no longer matches, or a test that errs or is not
+collected, is reported as an error. The working tree is never touched.
+
+    python tests/mutants.py [NAME ...]
+
+runs every mutant, or those named, and exits 1 if any survived or erred. It
+is run by hand, like golden_runs.py, and is not part of Tier-1. When a
+mutant survives, add the assertion that kills it; do not drop the entry.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "scenarios", "perfbench")
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root
+    replacements: tuple[tuple[str, str], ...]
+    test: str  # pytest node id, relative to the repository root
+
+
+CLI = "src/fastlight/cli.py"
+SPECTRUM = "src/fastlight/spectrum.py"
+TEST_SPECTRUM = "tests/test_spectrum.py"
+
+MUTANTS = (
+    Mutant(
+        "openblas-default-after-the-package-imports",
+        CLI,
+        (
+            ('os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")\n', ""),
+            ("\nTWO_PI = ", '\nos.environ.setdefault("OPENBLAS_NUM_THREADS", "1")\nTWO_PI = '),
+        ),
+        "tests/test_cli.py::test_cli_sets_one_openblas_thread_before_numpy_loads",
+    ),
+    Mutant(
+        "spectrum-imported-at-the-top-of-cli",
+        CLI,
+        (("    min_shift_passive,\n)\n", "    min_shift_passive,\n)\nfrom .spectrum import sweep_enhancement, trace\n"),),
+        "tests/test_cli.py::test_only_the_sweeping_commands_load_spectrum",
+    ),
+    Mutant(
+        "report-accepts-non-finite-results",
+        CLI,
+        (("        if not math.isfinite(value):\n", "        if False:\n"),),
+        "tests/test_cli.py::test_every_edge_value_on_every_line_exits_cleanly",
+    ),
+    Mutant(
+        "peaks-without-the-row-boundary-mask",
+        SPECTRUM,
+        (("    significant[[end - k for end in ends[:-1] for k in (2, 1)]] = False\n", ""),),
+        f"{TEST_SPECTRUM}::test_pass_wide_peaks_equal_per_row_argmax_and_count",
+    ),
+    Mutant(
+        "peaks-without-the-non-finite-fallback",
+        SPECTRUM,
+        (("int(top[at]) - a if math.isfinite(m) else int(np.argmax(t[a:b]))", "int(top[at]) - a"),),
+        f"{TEST_SPECTRUM}::test_pass_wide_peaks_equal_per_row_argmax_and_count",
+    ),
+    Mutant(
+        "sweep-pass-ends-at-a-change-of-point-count",
+        SPECTRUM,
+        (
+            (
+                "if samples + grid.points > _SCAN_SAMPLES:",
+                "if samples + grid.points > _SCAN_SAMPLES or (run and run[-1][1].points != grid.points):",
+            ),
+        ),
+        f"{TEST_SPECTRUM}::test_sweep_scans_its_grids_in_passes_not_one_per_shift",
+    ),
+    Mutant(
+        "psi-factor-regrouped",
+        SPECTRUM,
+        (
+            (
+                "psi = (self.medium * (dn * omega0 + n_at * delta) + self.background * delta",
+                "psi = (self.medium * dn * omega0 + self.medium * n_at * delta + self.background * delta",
+            ),
+        ),
+        f"{TEST_SPECTRUM}::test_bound_kernel_and_scan_equal_three_profile_calls_bit_for_bit",
+    ),
+    Mutant(
+        "every-row-given-the-first-rows-length-change",
+        SPECTRUM,
+        (
+            (
+                "np.repeat([self.nb * dl for dl in delta_lengths], points)",
+                "np.repeat([self.nb * delta_lengths[0] for dl in delta_lengths], points)",
+            ),
+        ),
+        f"{TEST_SPECTRUM}::test_bound_kernel_and_scan_equal_three_profile_calls_bit_for_bit",
+    ),
+    Mutant(
+        "locate-tolerance-reverted-to-resolution-over-1e4",
+        SPECTRUM,
+        (("xtol = min(grid.resolution, grid.half_span / 1000.0) / 1e4", "xtol = grid.resolution / 1e4"),),
+        f"{TEST_SPECTRUM}::test_a_101_point_grid_locates_at_its_2001_point_twins_double",
+    ),
+    Mutant(
+        "eta-as-a-product-with-the-reciprocal-shift",
+        SPECTRUM,
+        (("eta_numeric=(resonance - cavity.omega0) / dw,", "eta_numeric=(resonance - cavity.omega0) * (1.0 / dw),"),),
+        "tests/test_golden.py::test_sweeps_match_their_digests",
+    ),
+    Mutant(
+        "mode-order-forced-to-0",
+        SPECTRUM,
+        (("    order = _nearest_mode(psi_at)\n", "    order = 0.0\n"),),
+        f"{TEST_SPECTRUM}::test_resonance_and_width_on_a_neighbouring_mode",
+    ),
+    Mutant(
+        "no-tangential-fallback",
+        SPECTRUM,
+        (("        u = _psi_turn(rt, delta_length, center, lo, hi, xtol)\n", "        u = 0.0\n"),),
+        f"{TEST_SPECTRUM}::test_find_resonance_where_psi_only_touches_zero",
+    ),
+    Mutant(
+        "no-exact-zero-exit",
+        SPECTRUM,
+        (("        if f == 0.0:\n            # also the white-light centre", "        if False:\n            # also the white-light centre"),),
+        f"{TEST_SPECTRUM}::test_find_resonance_matches_bisection_of_psi",
+    ),
+    Mutant(
+        "newton-steps-from-the-nominal-offset",
+        SPECTRUM,
+        (("nxt = at - f / slope", "nxt = u - f / slope"),),
+        f"{TEST_SPECTRUM}::test_vacuum_resonance_and_width_are_exact",
+    ),
+)
+
+
+def mutate(text: str, mutant: Mutant) -> str:
+    for old, new in mutant.replacements:
+        found = text.count(old)
+        if found != 1:
+            raise ValueError(f"{mutant.path}: expected one {old!r}, found {found}")
+        text = text.replace(old, new)
+    return text
+
+
+def run_mutant(mutant: Mutant) -> str:
+    """'killed', 'survived' or 'error: <reason>'."""
+    source = REPO / mutant.path
+    try:
+        text = mutate(source.read_text(encoding="utf-8"), mutant)
+    except ValueError as exc:
+        return f"error: {exc}"
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name in COPIED:
+            shutil.copytree(REPO / name, root / name, ignore=shutil.ignore_patterns("__pycache__"))
+        (root / mutant.path).write_text(text, encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", mutant.test],
+            cwd=root, env=env, capture_output=True, text=True, timeout=600,
+        )
+    # pytest exits 1 when a test failed; 2 to 5 mean it could not run them
+    if proc.returncode == 1:
+        return "killed"
+    if proc.returncode == 0:
+        return "survived"
+    tail = proc.stdout.strip().splitlines()[-1:] or ["no output"]
+    return f"error: pytest exit {proc.returncode}: {tail[0]}"
+
+
+def main(names: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    failed = 0
+    for mutant in chosen:
+        outcome = run_mutant(mutant)
+        failed += outcome != "killed"
+        print(f"{outcome:>9}  {mutant.name}  ({mutant.test})", flush=True)
+    print(f"{len(chosen) - failed} of {len(chosen)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
