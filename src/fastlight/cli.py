@@ -62,6 +62,8 @@ from .sensitivity import (
 )
 
 TWO_PI = 2.0 * math.pi
+# tag of a width that is the linewidth_cubic root
+_CUBIC_WIDTH = "positive root of n3*w0*g^3 + n_g*g = gamma_ec"
 
 
 class Report:
@@ -223,6 +225,14 @@ def _add_half_linewidth(rp: Report, profile, cavity) -> float | None:
     return g
 
 
+def _add_shifted_width(rp: Report, key: str, cavity, t: TaylorCubic, dw_dis: float) -> None:
+    """Add the local group index at w0 + dw_dis and the linewidth there, as `key`."""
+    widths = shifted_linewidth(cavity.gamma_ec, t, dw_dis)
+    rp.add("local_group_index", widths.local_ng, "", "n_g(w0) + 3*n3*w0*dw_dis^2")
+    tag = _CUBIC_WIDTH if widths.from_cubic else "gamma_ec/n_g(w0 + dw_dis)"
+    rp.add(key, widths.gamma_dis, "rad/s", tag)
+
+
 def _add_earth(rp: Report, key: str, rate: float) -> None:
     rp.add(f"{key}_earth", rate / OMEGA_EARTH, "Omega_earth", "Omega_min/Omega_earth")
 
@@ -318,11 +328,7 @@ def _cmd_split(scn: Scenario, rp: Report) -> None:
         rp.add("splitting_dispersive", resp.splitting, "rad/s", "dw_ccw_dis - dw_cw_dis")
         rp.add("enhancement", resp.enhancement, "", "eta = splitting_dispersive/splitting")
         rp.add("local_group_index", resp.local_ng, "", "n_g(w0) + 3*n3*w0*dw^2")
-        gamma_tag = (
-            "positive root of n3*w0*g^3 + n_g*g = gamma_ec"
-            if resp.gamma_from_cubic
-            else "gamma_ec/n_g at the shifted resonance"
-        )
+        gamma_tag = _CUBIC_WIDTH if resp.gamma_from_cubic else "gamma_ec/n_g at the shifted resonance"
         rp.add("gamma_dispersive", resp.gamma_dis, "rad/s", gamma_tag)
 
 
@@ -346,17 +352,7 @@ def _cmd_shift(scn: Scenario, rp: Report) -> None:
             _eta_tag(rp.convention, "dw_ec"),
         )
     rp.add("feedback_gain", feedback_gain(t), "", "G_fb = 1 - n_g/n0")
-    try:
-        widths = shifted_linewidth(cavity.gamma_ec, t, dw_dis)
-        rp.add("local_group_index", widths.local_ng, "", "n_g(w0) + 3*n3*w0*dw_dis^2")
-        rp.add("gamma_dis", widths.gamma_dis, "rad/s", "gamma_ec/n_g(w0 + dw_dis)")
-    except ComputationError:
-        rp.add(
-            "gamma_dis",
-            linewidth_cubic(cavity.gamma_ec, t),
-            "rad/s",
-            "positive root of n3*w0*g^3 + n_g*g = gamma_ec",
-        )
+    _add_shifted_width(rp, "gamma_dis", cavity, t, dw_dis)
 
 
 def _cmd_linewidth(scn: Scenario, rp: Report) -> None:
@@ -366,12 +362,7 @@ def _cmd_linewidth(scn: Scenario, rp: Report) -> None:
     t = _medium_taylor(scn, cavity)
     rp.add("group_index", t.ng0, "", "n_g = n0_eff + w0*n1_eff")
     gamma_self = linewidth_cubic(cavity.gamma_ec, t)
-    rp.add(
-        "gamma_dis",
-        gamma_self,
-        "rad/s",
-        "positive root of n3*w0*g^3 + n_g*g = gamma_ec",
-    )
+    rp.add("gamma_dis", gamma_self, "rad/s", _CUBIC_WIDTH)
     try:
         gamma_airy = airy_linewidth_cubic(cavity.gamma_ec, t)
         rp.add(
@@ -387,16 +378,7 @@ def _cmd_linewidth(scn: Scenario, rp: Report) -> None:
     if dw_ec != 0.0:
         dw_dis = shift_cubic(dw_ec, t)
         rp.add("dw_dis", dw_dis, "rad/s", "root of n3*w0*x^3 + n_g*x = dw_ec")
-        widths = shifted_linewidth(cavity.gamma_ec, t, dw_dis)
-        rp.add("local_group_index", widths.local_ng, "", "n_g(w0) + 3*n3*w0*dw_dis^2")
-        rp.add("gamma_shifted", widths.gamma_dis, "rad/s", "gamma_ec/n_g(w0 + dw_dis)")
-        if widths.wlc_estimate is not None:
-            rp.add(
-                "gamma_shifted_wlc_form",
-                widths.wlc_estimate,
-                "rad/s",
-                "(eta/3)*gamma_ec with eta = (G/dw_dis)^2",
-            )
+        _add_shifted_width(rp, "gamma_shifted", cavity, t, dw_dis)
 
 
 def _cmd_spectrum(scn: Scenario, rp: Report) -> None:

@@ -33,7 +33,6 @@ white-light point; keeping both surfaces the discrepancy instead of hiding it.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from .constants import C0
@@ -122,11 +121,15 @@ class ShiftResult:
 
 @dataclass(frozen=True)
 class ShiftedLinewidth:
-    """Linewidth at a displaced resonance, from the local group index."""
+    """Linewidth at a displaced resonance, from the local group index.
+
+    `gamma_dis` is gamma_ec/local_ng, unless `from_cubic` says it is the
+    `linewidth_cubic` root.
+    """
 
     gamma_dis: float
     local_ng: float
-    wlc_estimate: float | None
+    from_cubic: bool = False
 
 
 # --------------------------------------------------------------------------
@@ -274,29 +277,18 @@ def rotation_to_length(cavity: RingCavity, omega_rot: float) -> float:
     return -geom.perimeter * omega_rot * geom.effective_radius / (cavity.n0 * C0)
 
 
-def shift_cubic_branch(dw_ec: float, taylor: TaylorCubic) -> tuple[float, bool]:
-    """(root, multivalued): the `shift_cubic` root, and whether the cubic has
-    three real roots, without a warning."""
-    return _continuous_root(taylor.n3 * taylor.omega_ref, taylor.ng0, dw_ec)
-
-
 def shift_cubic(dw_ec: float, taylor: TaylorCubic) -> float:
     """Self-consistent dispersion-modified shift for the odd-cubic index model.
 
     Solves n3*w0 * x^3 + n_g * x = dw_ec (w0 the expansion point, n_g the
     group index there) for the branch continuous from x = 0 at dw_ec = 0.
-    When n_g < 0 admits three real roots a UserWarning flags the
-    multivaluedness and the continuous branch is returned.
+    The local group index `taylor.local_ng(x)` is the cubic's slope at the
+    root, so it names the branch: it is negative where n3 > 0 and n_g < 0
+    give three real roots (x is the middle one), where n3 < 0 and the drive
+    is beyond the fold (the continuous branch has ended), and where n_g < 0
+    with n3 <= 0.
     """
-    root, multi = shift_cubic_branch(dw_ec, taylor)
-    if multi:
-        warnings.warn(
-            "response is multivalued (three real roots); returning the branch "
-            "continuous from zero shift",
-            UserWarning,
-            stacklevel=2,
-        )
-    return root
+    return _continuous_root(taylor.n3 * taylor.omega_ref, taylor.ng0, dw_ec)[0]
 
 
 def enhancement_eta(half_linewidth: float, dw_ec: float, convention: str = "derived") -> float:
@@ -384,23 +376,16 @@ def shifted_linewidth(gamma_ec: float, taylor: TaylorCubic, dw_dis: float) -> Sh
     """Linewidth at a resonance displaced by dw_dis from the expansion point.
 
     Evaluates the local group index n_g(w0 + dw_dis) = n_g(w0) + 3*n3*w0*dw_dis^2
-    and returns gamma_ec over it, together with the white-light-regime estimate
-    (eta/3)*gamma_ec expressed through the recovered half linewidth (the two are
-    identical when n_g(w0) = 0).
+    and returns gamma_ec over it. Where it is not positive (at the white-light
+    point, or on a branch `shift_cubic` names by a negative slope) the width
+    is the `linewidth_cubic` root instead, with `from_cubic` set.
     """
     if gamma_ec <= 0.0:
         raise ValueError("empty-cavity linewidth must be positive")
     local_ng = taylor.local_ng(dw_dis)
     if local_ng <= 0.0:
-        raise ComputationError(
-            "local group index is not positive at the shifted resonance "
-            "(still at the white-light condition); use linewidth_cubic"
-        )
-    g = effective_half_linewidth(taylor)
-    estimate = None
-    if g is not None and dw_dis != 0.0:
-        estimate = gamma_ec * g * g / (3.0 * dw_dis * dw_dis)
-    return ShiftedLinewidth(gamma_dis=gamma_ec / local_ng, local_ng=local_ng, wlc_estimate=estimate)
+        return ShiftedLinewidth(linewidth_cubic(gamma_ec, taylor), local_ng, from_cubic=True)
+    return ShiftedLinewidth(gamma_ec / local_ng, local_ng)
 
 
 def feedback_gain(taylor: TaylorCubic) -> float:
@@ -487,18 +472,13 @@ def rotation_response(profile: DispersionProfile, cavity: RingCavity, omega_rot:
 
     splitting = dw_minus - dw_plus
     mean_shift = 0.5 * (abs(dw_minus) + abs(dw_plus))
-    try:
-        widths = shifted_linewidth(cavity.gamma_ec, t, mean_shift)
-        local_ng, gamma, from_cubic = widths.local_ng, widths.gamma_dis, False
-    except ComputationError:
-        local_ng = t.local_ng(mean_shift)
-        gamma, from_cubic = linewidth_cubic(cavity.gamma_ec, t), True
+    widths = shifted_linewidth(cavity.gamma_ec, t, mean_shift)
     return ShiftResult(
         dw_plus=dw_plus,
         dw_minus=dw_minus,
         splitting=splitting,
         enhancement=splitting / base.splitting,
-        local_ng=local_ng,
-        gamma_dis=gamma,
-        gamma_from_cubic=from_cubic,
+        local_ng=widths.local_ng,
+        gamma_dis=widths.gamma_dis,
+        gamma_from_cubic=widths.from_cubic,
     )

@@ -43,7 +43,7 @@ from .resonator import (
     effective_half_linewidth,
     effective_taylor,
     enhancement_eta,
-    shift_cubic_branch,
+    shift_cubic,
 )
 
 
@@ -439,7 +439,7 @@ def _shift_estimate(rt: _RoundTrip, delta_length: float) -> float:
     seed = dw_ec
     if rt.taylor is not None:
         try:
-            seed, _ = shift_cubic_branch(dw_ec, rt.taylor)
+            seed = shift_cubic(dw_ec, rt.taylor)
         except ComputationError:
             pass
 
@@ -638,7 +638,7 @@ def sweep_enhancement(
         raise ComputationError("shift list must stay at or below the half linewidth")
     # the resonance omega0 + x is rounded to half a spacing of doubles, so
     # eta = x/dw_ec is resolved to 0.05% at 1,000 spacings
-    smallest, _ = shift_cubic_branch(lo, t)
+    smallest = shift_cubic(lo, t)
     spacing = math.ulp(cavity.omega0)
     if abs(smallest) < 1000.0 * spacing:
         raise ComputationError(

@@ -38,6 +38,7 @@ class Mutant:
 
 
 CLI = "src/fastlight/cli.py"
+RESONATOR = "src/fastlight/resonator.py"
 SPECTRUM = "src/fastlight/spectrum.py"
 TEST_SPECTRUM = "tests/test_spectrum.py"
 
@@ -62,6 +63,38 @@ MUTANTS = (
         CLI,
         (("        if not math.isfinite(value):\n", "        if False:\n"),),
         "tests/test_cli.py::test_every_edge_value_on_every_line_exits_cleanly",
+    ),
+    Mutant(
+        "shifted-width-tag-ignores-from-cubic",
+        CLI,
+        (('tag = _CUBIC_WIDTH if widths.from_cubic else "gamma_ec/n_g(w0 + dw_dis)"', 'tag = "gamma_ec/n_g(w0 + dw_dis)"'),),
+        "tests/test_cli.py::test_linewidth_fallback_is_tagged_as_the_cubic_root",
+    ),
+    Mutant(
+        "shifted-linewidth-raises-where-the-local-group-index-is-not-positive",
+        RESONATOR,
+        (
+            (
+                "        return ShiftedLinewidth(linewidth_cubic(gamma_ec, taylor), local_ng, from_cubic=True)\n",
+                '        raise ComputationError("local group index is not positive; use linewidth_cubic")\n',
+            ),
+        ),
+        "tests/test_resonator.py::test_shifted_linewidth_local_group_index",
+    ),
+    Mutant(
+        "shift-cubic-warns-of-three-roots-again",
+        RESONATOR,
+        (
+            ("import math\n", "import math\nimport warnings\n"),
+            (
+                "    return _continuous_root(taylor.n3 * taylor.omega_ref, taylor.ng0, dw_ec)[0]\n",
+                "    root, multi = _continuous_root(taylor.n3 * taylor.omega_ref, taylor.ng0, dw_ec)\n"
+                "    if multi:\n"
+                '        warnings.warn("response is multivalued", UserWarning, stacklevel=2)\n'
+                "    return root\n",
+            ),
+        ),
+        "tests/test_resonator.py::test_shift_cubic_names_the_multivalued_branch_by_its_local_group_index",
     ),
     Mutant(
         "peaks-without-the-row-boundary-mask",

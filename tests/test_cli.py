@@ -427,26 +427,35 @@ def test_constant_medium_split_enhancement_is_one(tmp_path, capsys):
     assert doc["results"]["enhancement"]["value"] == 1.0
 
 
-@pytest.mark.parametrize(
-    "old,new,gamma",
-    [
-        ("rotation_rate_rad_s = 7.2921159e-5", "rotation_rate_rad_s = 0", 2278908.10621),
-        ("medium = cad", "medium = cad\nmedium_target_group_index = -0.5", 3896705.84945),
-    ],
-    ids=["at-rest", "negative-group-index"],
-)
-@pytest.mark.parametrize("command,key", [("split", "gamma_dispersive"), ("shift", "gamma_dis")])
-def test_linewidth_fallback_is_tagged_as_the_cubic_root(tmp_path, capsys, command, key, old, new, gamma):
-    # at rest, or where the local group index is not positive, both commands
-    # report the linewidth_cubic root and must tag it as such
+FALLBACK_EDITS = {
+    "at-rest": ("rotation_rate_rad_s = 7.2921159e-5", "rotation_rate_rad_s = 0", 2278908.10621),
+    "negative-group-index": ("medium = cad", "medium = cad\nmedium_target_group_index = -0.5", 3896705.84945),
+}
+FALLBACK_CASES = [
+    (command, key, case)
+    for case in FALLBACK_EDITS
+    for command, key in (("split", "gamma_dispersive"), ("shift", "gamma_dis"))
+] + [("linewidth", "gamma_shifted", "negative-group-index")]  # at rest it has no shifted width
+
+
+@pytest.mark.parametrize("command,key,case", FALLBACK_CASES, ids=["-".join(c) for c in FALLBACK_CASES])
+def test_linewidth_fallback_is_tagged_as_the_cubic_root(tmp_path, capsys, command, key, case):
+    # at rest, or where the local group index is not positive, each command
+    # reports the linewidth_cubic root and must tag it as such; the printed
+    # local group index is what says so, with no warning on stderr
+    old, new, gamma = FALLBACK_EDITS[case]
     path = edited(tmp_path, TABLETOP, old, new)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the multivalued-branch warning
-        code, _, _ = run(capsys, command, "--scenario", path, "--out", str(tmp_path), "--format", "json")
-    assert code == 0
-    entry = json.loads((tmp_path / f"{command}.json").read_text())["results"][key]
-    assert entry["formula"] == "positive root of n3*w0*g^3 + n_g*g = gamma_ec"
-    assert entry["value"] == pytest.approx(gamma, rel=1e-11)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(capsys, command, "--scenario", path, "--out", str(tmp_path), "--format", "json")
+    assert (code, err, caught) == (0, "", [])
+    results = json.loads((tmp_path / f"{command}.json").read_text())["results"]
+    assert results[key]["formula"] == "positive root of n3*w0*g^3 + n_g*g = gamma_ec"
+    assert results[key]["value"] == pytest.approx(gamma, rel=1e-11)
+    if case == "at-rest":
+        assert results["local_group_index"]["value"] == 0.0  # the white-light point
+    else:
+        assert results["local_group_index"]["value"] < 0.0
 
 
 def test_linewidth_of_a_weak_negative_cubic_term_is_gamma_ec(tmp_path, capsys):
@@ -459,13 +468,16 @@ def test_linewidth_of_a_weak_negative_cubic_term_is_gamma_ec(tmp_path, capsys):
     path = tmp_path / "negative_n3.scenario"
     taylor = "medium = taylor\nmedium_index = 1.0\nmedium_n3_s3_per_rad3 = -1.0e-60\n"
     path.write_text(text.replace(cad, taylor), encoding="utf-8")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the multivalued-branch warning of `dw_dis`
-        code, out, _ = run(capsys, "linewidth", "--scenario", str(path))
-    assert code == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "linewidth", "--scenario", str(path))
+    # an ordinary medium: below the fold the branch through zero is the only
+    # one that continues from the linear regime, so nothing is flagged
+    assert (code, err, caught) == (0, "", [])
     value = {key: float(v) for key, v in re.findall(r"^(\w+) = (\S+)", out, re.MULTILINE)}
     assert value["gamma_dis"] == pytest.approx(value["gamma_ec"], rel=1e-12)
     assert value["gamma_dis_airy"] == pytest.approx(value["gamma_ec"], rel=1e-12)
+    assert value["local_group_index"] > 0.0
 
 
 @pytest.mark.parametrize(
@@ -794,27 +806,35 @@ def assert_results_finite_and_tagged(out: str) -> None:
 
 @st.composite
 def edited_scenarios(draw) -> str:
-    """A shipped scenario whose single numbers are each kept, set to an edge value or rescaled."""
+    """A shipped scenario whose single numbers are each kept, set to an edge value or rescaled.
+
+    A CAD medium may also be tuned to a target group index, negative ones
+    included, where the shift cubic has three real roots.
+    """
     lines = Path(draw(st.sampled_from(SCENARIOS))).read_text().splitlines()
     for i, key, value in list(numeric_lines(lines)):
         scaled = st.integers(-6, 6).map(lambda k: value * 10.0**k)
         lines[i] = f"{key}= {draw(st.one_of(st.just(value), st.sampled_from(EDGE_VALUES), scaled))!r}"
+    if "medium = cad" in lines and draw(st.booleans()):
+        lines.append(f"medium_target_group_index = {draw(st.floats(-1.0, 0.9))!r}")
     return "\n".join(lines) + "\n"
 
 
 @settings(max_examples=200, deadline=None)
 @given(text=edited_scenarios(), command=st.sampled_from(list(COMMANDS)))
 def test_any_scenario_edit_exits_cleanly(text, command):
-    # exit 0 with finite, tagged numbers, 2 for an input fault or 3 for a
-    # failed computation; no other exception escapes main
+    # exit 0 with finite, tagged numbers and a silent stderr, 2 for an input
+    # fault or 3 for a failed computation; no other exception escapes main
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "edited.scenario"
         path.write_text(text, encoding="utf-8")
-        out = io.StringIO()
-        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("always")
             code = main([command, "--scenario", str(path)])
     assert code in (0, 2, 3)
     if code == 0:
+        assert (err.getvalue(), caught) == ("", [])
         assert_results_finite_and_tagged(out.getvalue())
 
 

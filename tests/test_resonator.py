@@ -133,9 +133,7 @@ def test_shift_cubic_matches_bisection_in_every_regime():
         a = t.n3 * t.omega_ref
         b = t.n0 + t.n1 * t.omega_ref
         for d in (1e-4, 12.0, 5e4, -3e3):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                x = shift_cubic(d, t)
+            x = shift_cubic(d, t)
             assert x == pytest.approx(bisect_cubic_branch(a, b, d), rel=1e-10)
 
 
@@ -145,9 +143,7 @@ def test_shift_cubic_randomized_against_bisection():
         t, d = random_cubic_case(rng)
         a = t.n3 * t.omega_ref
         b = t.n0 + t.n1 * t.omega_ref
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            x = shift_cubic(d, t)
+        x = shift_cubic(d, t)
         ref = bisect_cubic_branch(a, b, d)
         assert x == pytest.approx(ref, rel=1e-10), (t, d)
 
@@ -178,25 +174,21 @@ def test_shift_cubic_negative_curvature_solves_its_cubic():
     t_neg = TaylorCubic(1.0, 0.5 / W0, -2e-29, W0)
     a = t_neg.n3 * W0
     b = t_neg.n0 + t_neg.n1 * W0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # negative curvature folds; expected
-        for d in (1e-3, 7.5, 2e3):
-            x = shift_cubic(d, t_neg)
-            residual = a * x ** 3 + b * x - d
-            assert abs(residual) <= 1e-12 * (abs(b * x) + abs(d))
-            # the normal-curvature root bends the other way around the linear
-            # one (resolvable once the cubic term clears double precision)
-            assert x >= d / b >= shift_cubic(d, TaylorCubic(1.0, 0.5 / W0, 2e-29, W0))
-            if d >= 1e3:
-                assert x > d / b > shift_cubic(d, TaylorCubic(1.0, 0.5 / W0, 2e-29, W0))
+    for d in (1e-3, 7.5, 2e3):
+        x = shift_cubic(d, t_neg)
+        residual = a * x ** 3 + b * x - d
+        assert abs(residual) <= 1e-12 * (abs(b * x) + abs(d))
+        # the normal-curvature root bends the other way around the linear
+        # one (resolvable once the cubic term clears double precision)
+        assert x >= d / b >= shift_cubic(d, TaylorCubic(1.0, 0.5 / W0, 2e-29, W0))
+        if d >= 1e3:
+            assert x > d / b > shift_cubic(d, TaylorCubic(1.0, 0.5 / W0, 2e-29, W0))
 
 
 def test_shift_cubic_odd_in_the_drive():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for t in (TaylorCubic(1.0, 0.5 / W0, 2e-29, W0), TaylorCubic(1.0, 0.5 / W0, -2e-29, W0)):
-            for d in (1e-3, 7.5, 2e3):
-                assert shift_cubic(-d, t) == -shift_cubic(d, t)
+    for t in (TaylorCubic(1.0, 0.5 / W0, 2e-29, W0), TaylorCubic(1.0, 0.5 / W0, -2e-29, W0)):
+        for d in (1e-3, 7.5, 2e3):
+            assert shift_cubic(-d, t) == -shift_cubic(d, t)
 
 
 def test_shift_cubic_zero_and_degenerate():
@@ -211,15 +203,19 @@ def test_shift_cubic_zero_and_degenerate():
     assert shift_cubic(3.0, lin) == pytest.approx(1.5, rel=1e-12)
 
 
-def test_shift_cubic_warns_when_multivalued():
+def test_shift_cubic_names_the_multivalued_branch_by_its_local_group_index():
+    # three real roots: the middle one is returned without a warning, and
+    # the negative slope of the cubic there, the local group index, says so
     t = TaylorCubic(1.0, -3.0 / W0, 1e-26, W0)  # n_g = -2, deep fold
     a = t.n3 * W0
     b = t.n0 + t.n1 * W0
     turn = math.sqrt(-b / (3.0 * a))
     d_fold = 2.0 * a * turn ** 3
-    with pytest.warns(UserWarning, match="multivalued"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         x = shift_cubic(0.1 * d_fold, t)
     assert abs(x) <= turn * (1.0 + 1e-12)
+    assert t.local_ng(x) < 0.0
 
 
 # ------------------------------------------------------------- eta laws
@@ -313,17 +309,20 @@ def test_shifted_linewidth_local_group_index():
     for dw in (1e-3 * G, 1e-2 * G, 1e-1 * G):
         res = shifted_linewidth(gamma_ec, t, dw)
         assert res.gamma_dis == pytest.approx(gamma_ec * G * G / (3.0 * dw * dw), rel=1e-9)
-        assert res.wlc_estimate == pytest.approx(res.gamma_dis, rel=1e-12)
         assert res.local_ng == pytest.approx(3.0 * t.n3 * W0 * dw * dw, rel=1e-9)
-    with pytest.raises(ComputationError):
-        shifted_linewidth(gamma_ec, t, 0.0)  # still at the white-light point
+        assert not res.from_cubic
+    # still at the white-light point: no linear width, so the cubic root
+    res = shifted_linewidth(gamma_ec, t, 0.0)
+    assert res.from_cubic
+    assert res.local_ng == t.ng0
+    assert res.gamma_dis == linewidth_cubic(gamma_ec, t)
 
 
 def test_shifted_linewidth_slow_regime():
     slow = TaylorCubic(1.0, 1.0 / W0, 1e-32, W0)
     res = shifted_linewidth(10.0, slow, 1.0)
     assert res.gamma_dis == pytest.approx(5.0, rel=1e-6)
-    assert res.wlc_estimate is None  # no anomalous line to recover
+    assert not res.from_cubic
 
 
 def test_effective_half_linewidth_roundtrip():
