@@ -22,13 +22,13 @@ background segment of the loop.
 Each public call binds its medium and cavity once into a `_RoundTrip`
 kernel, which reads the cavity's constants once and takes Psi, at a float
 for a Newton step or over the samples of a scan pass, from one `response`
-of the medium per evaluation. A scan pass lays its grids end to end in one
-flat array and builds Psi in place in the arrays that response returned.
+of the medium per evaluation. A scan pass holds grids of one point count
+as the rows of one array and builds Psi in place in the arrays that
+response returned.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -60,39 +60,34 @@ class SweepGrid:
             raise ValueError("grid center must be positive")
         if not 0.0 < self.half_span < self.center:
             raise ValueError("half span must be positive and keep the grid above zero")
-        if self.points < _SWEEP_MIN_POINTS or self.points % 2 == 0:
-            raise ValueError(f"grid needs an odd point count of at least {_SWEEP_MIN_POINTS}")
+        if self.points < _SWEEP_POINTS or self.points % 2 == 0:
+            raise ValueError(f"grid needs an odd point count of at least {_SWEEP_POINTS}")
         # a finer step repeats samples, and a zero step leaves only one
         if self.resolution < math.ulp(self.center + self.half_span):
             raise ValueError("grid step must not fall below the spacing of doubles")
 
     @property
     def omegas(self) -> np.ndarray:
-        return _sample_rows([self.center], [self.half_span], [self.points])
+        return _sample_rows([self.center], [self.half_span], self.points)[0]
 
     @property
     def resolution(self) -> float:
         return 2.0 * self.half_span / (self.points - 1)
 
 
-def _sample_rows(centers, half_spans, points) -> np.ndarray:
-    """Uniform samples of rows of any point counts, laid end to end.
+def _sample_rows(centers, half_spans, points: int) -> np.ndarray:
+    """Uniform samples, one row of `points` samples per centre.
 
     Row j is np.linspace(centers[j] - half_spans[j], centers[j] +
-    half_spans[j], points[j]) bit for bit: linspace's step (stop - start) /
+    half_spans[j], points) bit for bit: linspace's step (stop - start) /
     (points - 1), the index within the row times that step, plus start, and
     then the endpoint store.
     """
-    ends = np.cumsum(points)
-    start = np.subtract(centers, half_spans)
+    start = np.subtract(centers, half_spans)[:, None]
     stop = np.add(centers, half_spans)
-    step = (stop - start) / np.subtract(points, 1)
-    k = np.arange(ends[-1])
-    k -= np.repeat(ends - points, points)
-    w = np.repeat(step, points)
-    np.multiply(k, w, out=w)
-    w += np.repeat(start, points)
-    w[ends - 1] = stop
+    w = np.arange(points) * ((stop[:, None] - start) / (points - 1))
+    w += start
+    w[:, -1] = stop
     return w
 
 
@@ -161,16 +156,16 @@ class _RoundTrip:
         slope = (self.length * (self.fill * (n_at + omega * dn_domega) + self.background_index) + nb_dl) / C0
         return psi, slope
 
-    def psi_array(self, omega: np.ndarray, delta_lengths, points) -> np.ndarray:
-        """Psi over an array omega of rows of the given point counts, row j
-        with length change delta_lengths[j].
+    def psi_array(self, omega: np.ndarray, delta_lengths) -> np.ndarray:
+        """Psi over a (rows, points) array omega, row j with length change
+        delta_lengths[j].
 
         Psi is built in the arrays of the medium's response, whose slope goes
-        unused and is let go at once; n_b*dL per sample is laid out only
-        after the response, so that its temporaries are gone by then.
+        unused and is let go at once; n_b*dL*omega is laid out only after the
+        response, so that its temporaries are gone by then.
         """
         n_at, psi = self.response(omega, self.omega0)[:2]
-        nb_dl = np.repeat([self.nb * dl for dl in delta_lengths], points)
+        nb_dl = omega * np.array([self.nb * dl for dl in delta_lengths])[:, None]
         delta = omega - self.omega0
         psi *= self.omega0
         n_at *= delta
@@ -178,7 +173,6 @@ class _RoundTrip:
         psi *= self.medium
         delta *= self.background
         psi += delta
-        nb_dl *= omega
         psi += nb_dl
         psi /= C0
         return psi
@@ -200,71 +194,44 @@ def transmission(profile: DispersionProfile, cavity: RingCavity, delta_length: f
     if isinstance(omega, float) or np.ndim(omega) == 0:
         return rt.transmission(rt.psi_and_slope(delta_length, float(omega))[0])
     omega = np.asarray(omega, dtype=float)
-    return rt.transmission(rt.psi_array(omega.ravel(), [delta_length], [omega.size]).reshape(omega.shape))
+    return rt.transmission(rt.psi_array(omega.reshape(1, -1), [delta_length]).reshape(omega.shape))
 
 
-# Most samples one scan pass holds: 64 KiB per array, or 81 rows of 101
-# points. A pass pays numpy's per-call cost once for all of its rows, of
-# whatever point counts, so a sweep ends a pass only here: a `perfbench`
-# `sweep` op (17 to 65 shifts and a trace) takes 2.9 passes, where ending a
-# pass also at a change of point count took 12.2 (the first 200 seed-7
-# ops). Psi is built in place, so a pass of 8,192 samples peaks at eight
-# such arrays (515 KiB by tracemalloc) in the medium's response, and T
-# needs four. Whether glibc hands them back to the system after a pass, for
-# the next pass to fault in again, depends on the heap around them: in the
-# `perfbench` worker's loop those 200 ops take no minor page fault on repeat
-# at 4,096 to 16,384 samples, while a loop of `perfbench`'s `sweep_plain`
-# alone takes 1.4 per op at 8,192 and 23 at 10,240. At seed 29, 50 s `sweep`
-# runs on 2 vCPUs gave 594 and 596 op/s at 4,096, 636 to 689 at 8,192, and
-# 616 and 687 at 12,288.
+# Most samples one scan pass holds: 64 KiB per array, or 81 sweep grids. A
+# pass pays numpy's per-call cost once for all of its rows, so a `perfbench`
+# `sweep` op (17 to 65 shifts and a trace) takes two passes. Psi is built in
+# place, so a full pass peaks at eight such arrays in the medium's response
+# (512 KiB by tracemalloc for 81 grids), and T needs four.
 _SCAN_SAMPLES = 8_192
 
 
 def _scan(rt: _RoundTrip, delta_lengths, grids) -> list[tuple]:
     """(omega, Psi, T, peak, count) per grid, Psi kept for the locate step.
 
-    One pass over grids of any point counts: their rows lie end to end in
-    flat arrays, and row j has length change delta_lengths[j]. Every element
-    runs the expressions of `_RoundTrip.psi_array` and
-    `_RoundTrip.transmission`, so a row equals the scan of its grid alone
-    bit for bit. peak and count come from `_peaks`.
+    One pass over grids of one point count: each is a row of one array, and
+    row j has length change delta_lengths[j]. Every element runs the
+    expressions of `_RoundTrip.psi_array` and `_RoundTrip.transmission`, so
+    a row equals the scan of its grid alone bit for bit. peak and count come
+    from `_peaks`.
     """
-    points = [g.points for g in grids]
-    w = _sample_rows([g.center for g in grids], [g.half_span for g in grids], points)
-    psi = rt.psi_array(w, delta_lengths, points)
+    w = _sample_rows([g.center for g in grids], [g.half_span for g in grids], grids[0].points)
+    psi = rt.psi_array(w, delta_lengths)
     t = rt.transmission(psi)
-    ends = itertools.accumulate(points)
-    return [
-        (w[end - n:end], psi[end - n:end], t[end - n:end], peak, count)
-        for n, end, peak, count in zip(points, ends, *_peaks(t, points))
-    ]
+    return list(zip(w, psi, t, *_peaks(t)))
 
 
-def _peaks(t, points) -> tuple[list[int], list[int]]:
+def _peaks(t) -> tuple[list[int], list[int]]:
     """Each row's peak sample and its number of significant maxima.
 
-    t holds rows of the given point counts (three or more) end to end. A
-    row's peak is np.argmax of the row alone, its first largest sample. Its
-    significant maxima are the interior samples above the one before, at
-    least the one after, and at least half the peak. Segment reductions find
-    both for every row at once; comparisons across a row boundary are masked
-    out. A row holding NaN has a NaN maximum that no sample equals, so a row
-    whose maximum is not finite takes np.argmax directly.
+    t is a (rows, points) array, three points or more. A row's peak is its
+    np.argmax, its first largest sample. Its significant maxima are the
+    interior samples above the one before, at least the one after, and at
+    least half the row's maximum; a row holding NaN has a NaN maximum, which
+    leaves it none.
     """
-    ends = list(itertools.accumulate(points))
-    first = [end - n for end, n in zip(ends, points)]
-    t_max = np.maximum.reduceat(t, first)
-    t_top = np.repeat(t_max, points)
-    top = np.flatnonzero(t == t_top)
-    mid = t[1:-1]
-    significant = (mid > t[:-2]) & (mid >= t[2:]) & (mid >= 0.5 * t_top[1:-1])
-    # the last sample of each row but the last, and the first of the next
-    significant[[end - k for end in ends[:-1] for k in (2, 1)]] = False
-    counts = np.add.reduceat(significant, first).tolist()
-    peaks = []
-    for a, b, at, m in zip(first, ends, np.searchsorted(top, first).tolist(), t_max.tolist()):
-        peaks.append(int(top[at]) - a if math.isfinite(m) else int(np.argmax(t[a:b])))
-    return peaks, counts
+    mid = t[:, 1:-1]
+    significant = (mid > t[:, :-2]) & (mid >= t[:, 2:]) & (mid >= 0.5 * t.max(axis=1, keepdims=True))
+    return t.argmax(axis=1).tolist(), significant.sum(axis=1).tolist()
 
 
 # Bisection alone takes the widest bracket used here (ten width estimates,
@@ -465,9 +432,9 @@ def _shift_estimate(rt: _RoundTrip, delta_length: float) -> float:
 
 # fewest points an `auto_grid` grid gets; `trace` returns its samples
 _MIN_POINTS = 2001
-# fewest points a sweep grid, or any grid, gets; a sweep reports only the
-# resonances
-_SWEEP_MIN_POINTS = 101
+# points of every sweep grid, and the fewest any grid gets; a sweep reports
+# only the resonances
+_SWEEP_POINTS = 101
 
 
 def auto_grid(
@@ -480,38 +447,63 @@ def auto_grid(
     Centered on the estimated resonance, spanning the larger of 2.5 predicted
     widths and 10% of the predicted shift, with resolution finer than a
     twentieth of the width and at least 2,001 points, so that `trace` shows
-    the line finely. Raises when the length change leaves no positive round
-    trip, or when the span would exceed 40% of the free spectral range (no
-    single-resonance grid exists there).
+    the line finely. Sweep grids drop the 10% margin (see `_grid`); these
+    keep it, because `trace` returns their samples, and because the margin
+    widens the step of the 2,001 points on a line so narrow that 2.5 widths
+    alone would put it below the spacing of doubles. Raises when the length
+    change leaves no positive round trip, when the span would exceed 40% of
+    the free spectral range (no single-resonance grid exists there), or when
+    the step would fall below the spacing of doubles.
     """
-    return _grid(_RoundTrip(profile, cavity, _cubic_model(profile, cavity)), delta_length, _MIN_POINTS)
+    return _trace_grid(_RoundTrip(profile, cavity, _cubic_model(profile, cavity)), delta_length)
 
 
-def _grid(rt: _RoundTrip, delta_length, min_points: int) -> SweepGrid:
-    """`auto_grid` given the call's round trip, with its cubic, and the
-    fewest points the grid may have.
+def _trace_grid(rt: _RoundTrip, delta_length) -> SweepGrid:
+    """`auto_grid` given the call's round trip, with its cubic."""
+    shift, width = _estimates(rt, delta_length)
+    half_span = _in_one_fsr(rt, max(2.5 * width, 0.1 * abs(shift)))
+    # an odd count, so that a sample sits on the centre
+    points = max(_MIN_POINTS, int(math.ceil(2.0 * half_span / (width / 20.0))) + 1) | 1
+    if points > 2_000_001:
+        raise ComputationError("grid would need more than 2e6 points")
+    return _checked_grid(rt.omega0 + shift, half_span, points)
 
-    `sweep_enhancement` passes 101. Its grids span what `auto_grid`'s span,
-    so the single-peak check covers the same 2.5 widths or more, at a step
-    of up to a twentieth of the width instead of the 2,001-point floor's
-    four-hundredth on a span of 2.5 widths.
+
+def _grid(rt: _RoundTrip, delta_length) -> SweepGrid:
+    """The grid `sweep_enhancement` scans for one shift: 101 points over 2.5
+    predicted widths either side of the shift estimate, a step of a
+    twentieth of the width. It refuses as `auto_grid` does, and never needs
+    its cap on the point count.
+
+    `_shift_estimate` has already polished the centre by Newton steps on the
+    exact Psi, so a sweep grid needs no margin of 10% of the shift; and with
+    one point count for every sweep grid, a scan pass is one rectangular
+    array.
     """
+    shift, width = _estimates(rt, delta_length)
+    return _checked_grid(rt.omega0 + shift, _in_one_fsr(rt, 2.5 * width), _SWEEP_POINTS)
+
+
+def _estimates(rt: _RoundTrip, delta_length) -> tuple[float, float]:
+    """(shift, width): the polished shift estimate and the predicted FWHM
+    there; raises when the length change leaves no positive round trip."""
     if rt.length + delta_length <= 0.0:
         raise ComputationError("the length change leaves no positive round trip")
     shift = _shift_estimate(rt, delta_length)
-    width = _width_estimate(rt, shift)
-    half_span = max(2.5 * width, 0.1 * abs(shift))
+    return shift, _width_estimate(rt, shift)
+
+
+def _in_one_fsr(rt: _RoundTrip, half_span: float) -> float:
+    """half_span, refused where it exceeds 40% of the free spectral range."""
     if half_span > 0.4 * rt.fsr:
         raise ComputationError(
             "requested response does not fit inside a single free spectral range"
         )
-    needed = int(math.ceil(2.0 * half_span / (width / 20.0))) + 1
-    points = max(min_points, needed)
-    if points % 2 == 0:
-        points += 1
-    if points > 2_000_001:
-        raise ComputationError("grid would need more than 2e6 points")
-    center = rt.omega0 + shift
+    return half_span
+
+
+def _checked_grid(center: float, half_span: float, points: int) -> SweepGrid:
+    """The grid, refused where its step falls below the spacing of doubles."""
     # a finer step repeats samples, and the scan then sees many maxima
     step = 2.0 * half_span / (points - 1)
     spacing = math.ulp(center + half_span)
@@ -586,7 +578,7 @@ def trace(
 ) -> SpectrumTrace:
     """Sweep, locate, and width-measure a single resonance on the `auto_grid` grid."""
     rt = _RoundTrip(profile, cavity, _cubic_model(profile, cavity))
-    grid = _grid(rt, delta_length, _MIN_POINTS)
+    grid = _trace_grid(rt, delta_length)
     ((w, psi, t, i, count),) = _scan(rt, [delta_length], [grid])
     resonance = _locate_resonance(rt, delta_length, grid, w, psi, i, count)
     fwhm = _measure_fwhm(rt, delta_length, resonance)
@@ -612,6 +604,9 @@ def sweep_enhancement(
     dL = -dw_ec * L / omega0 is applied, the displaced resonance located
     numerically, and eta_numeric = (resonance - omega0) / dw_ec recorded
     beside (G/dw_ec)^(2/3) and (2G/dw_ec)^(2/3).
+
+    Each shift is scanned on a `_grid` grid of 101 points over 2.5 predicted
+    widths, up to 81 shifts per scan pass, before the locate step.
 
     Requires a profile tuned to zero group index at the cavity resonance and
     a shift list spanning at least four decades, none above the recovered
@@ -647,7 +642,7 @@ def sweep_enhancement(
         )
 
     rt = _RoundTrip(profile, cavity, t)
-    # consecutive grids are scanned in one pass of at most _SCAN_SAMPLES
+    # consecutive grids are scanned in passes of at most _SCAN_SAMPLES
     # samples, then located one by one in order
     resonances = []
     run = []  # (delta_length, grid) of the pass being gathered
@@ -659,21 +654,18 @@ def sweep_enhancement(
                 resonances.append(_locate_resonance(rt, dl, grid, w, psi, i, count))
             run.clear()
 
-    samples = 0
     for dw in values:
         delta_length = cavity.length_for_shift(dw)
         try:
-            grid = _grid(rt, delta_length, _SWEEP_MIN_POINTS)
+            grid = _grid(rt, delta_length)
         except Exception:
             # whatever the grid raises, a locate failure at an earlier
             # shift is reported first, as when each shift ran alone
             locate_run()
             raise
-        if samples + grid.points > _SCAN_SAMPLES:
-            locate_run()
-            samples = 0
         run.append((delta_length, grid))
-        samples += grid.points
+        if len(run) == _SCAN_SAMPLES // _SWEEP_POINTS:
+            locate_run()
     locate_run()
     return [
         EnhancementSample(

@@ -97,24 +97,32 @@ MUTANTS = (
         "tests/test_resonator.py::test_shift_cubic_names_the_multivalued_branch_by_its_local_group_index",
     ),
     Mutant(
-        "peaks-without-the-row-boundary-mask",
+        "peaks-held-to-half-the-maximum-of-the-flattened-pass",
         SPECTRUM,
-        (("    significant[[end - k for end in ends[:-1] for k in (2, 1)]] = False\n", ""),),
+        (("mid >= 0.5 * t.max(axis=1, keepdims=True)", "mid >= 0.5 * t.max()"),),
         f"{TEST_SPECTRUM}::test_pass_wide_peaks_equal_per_row_argmax_and_count",
     ),
     Mutant(
-        "peaks-without-the-non-finite-fallback",
+        "peak-as-the-first-sample-equal-to-the-row-maximum",
         SPECTRUM,
-        (("int(top[at]) - a if math.isfinite(m) else int(np.argmax(t[a:b]))", "int(top[at]) - a"),),
+        (("return t.argmax(axis=1).tolist(),", "return (t == t.max(axis=1, keepdims=True)).argmax(axis=1).tolist(),"),),
         f"{TEST_SPECTRUM}::test_pass_wide_peaks_equal_per_row_argmax_and_count",
     ),
     Mutant(
-        "sweep-pass-ends-at-a-change-of-point-count",
+        "sweep-scans-one-pass-per-grid",
+        SPECTRUM,
+        (("if len(run) == _SCAN_SAMPLES // _SWEEP_POINTS:", "if True:"),),
+        f"{TEST_SPECTRUM}::test_sweep_scans_its_grids_in_passes_not_one_per_shift",
+    ),
+    Mutant(
+        "sweep-grid-spans-a-tenth-of-the-shift-again",
         SPECTRUM,
         (
             (
-                "if samples + grid.points > _SCAN_SAMPLES:",
-                "if samples + grid.points > _SCAN_SAMPLES or (run and run[-1][1].points != grid.points):",
+                "    return _checked_grid(rt.omega0 + shift, _in_one_fsr(rt, 2.5 * width), _SWEEP_POINTS)\n",
+                "    half_span = _in_one_fsr(rt, max(2.5 * width, 0.1 * abs(shift)))\n"
+                "    points = max(_SWEEP_POINTS, int(math.ceil(2.0 * half_span / (width / 20.0))) + 1) | 1\n"
+                "    return _checked_grid(rt.omega0 + shift, half_span, points)\n",
             ),
         ),
         f"{TEST_SPECTRUM}::test_sweep_scans_its_grids_in_passes_not_one_per_shift",
@@ -133,12 +141,7 @@ MUTANTS = (
     Mutant(
         "every-row-given-the-first-rows-length-change",
         SPECTRUM,
-        (
-            (
-                "np.repeat([self.nb * dl for dl in delta_lengths], points)",
-                "np.repeat([self.nb * delta_lengths[0] for dl in delta_lengths], points)",
-            ),
-        ),
+        (("np.array([self.nb * dl for dl in delta_lengths])[:, None]", "(self.nb * delta_lengths[0])"),),
         f"{TEST_SPECTRUM}::test_bound_kernel_and_scan_equal_three_profile_calls_bit_for_bit",
     ),
     Mutant(

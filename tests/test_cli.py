@@ -806,15 +806,21 @@ def assert_results_finite_and_tagged(out: str) -> None:
 
 @st.composite
 def edited_scenarios(draw) -> str:
-    """A shipped scenario whose single numbers are each kept, set to an edge value or rescaled.
+    """A shipped scenario whose single numbers are each kept or rescaled, and
+    at most one of them set to an edge value.
 
-    A CAD medium may also be tuned to a target group index, negative ones
-    included, where the shift cubic has three real roots.
+    One edge value is enough: most of them are input faults, and
+    test_every_edge_value_on_every_line_exits_cleanly sets each line to each
+    of them. A CAD medium may also be tuned to a target group index,
+    negative ones included, where the shift cubic has three real roots.
     """
     lines = Path(draw(st.sampled_from(SCENARIOS))).read_text().splitlines()
-    for i, key, value in list(numeric_lines(lines)):
+    edits = list(numeric_lines(lines))
+    edge = draw(st.sampled_from([None] + [i for i, _, _ in edits]))
+    for i, key, value in edits:
         scaled = st.integers(-6, 6).map(lambda k: value * 10.0**k)
-        lines[i] = f"{key}= {draw(st.one_of(st.just(value), st.sampled_from(EDGE_VALUES), scaled))!r}"
+        choice = st.sampled_from(EDGE_VALUES) if i == edge else st.one_of(st.just(value), scaled)
+        lines[i] = f"{key}= {draw(choice)!r}"
     if "medium = cad" in lines and draw(st.booleans()):
         lines.append(f"medium_target_group_index = {draw(st.floats(-1.0, 0.9))!r}")
     return "\n".join(lines) + "\n"

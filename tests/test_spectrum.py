@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
+from unittest import mock
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -108,11 +109,11 @@ def test_dephasing_half_linewidth_is_pi_over_finesse():
 
 def test_dephasing_accepts_arrays():
     cav = cavity()
-    omegas = np.array([W0 - 1e5, W0, W0 + 1e5])
-    psi = kernel(VACUUM, cav).psi_array(omegas, [0.0], [3])
-    assert psi.shape == (3,)
-    assert psi[1] == 0.0
-    assert psi[0] == -psi[2]
+    omegas = np.array([[W0 - 1e5, W0, W0 + 1e5], [W0 - 2e5, W0, W0 + 2e5]])
+    psi = kernel(VACUUM, cav).psi_array(omegas, [0.0, 0.0])
+    assert psi.shape == (2, 3)
+    assert (psi[:, 1] == 0.0).all()
+    assert (psi[:, 0] == -psi[:, 2]).all()
 
 
 SCALAR_PROFILES = [
@@ -133,7 +134,7 @@ def test_scalar_dephasing_and_slope_match_the_array_path_bitwise(profile):
     omegas = W0 + np.linspace(-3.0 * G, 3.0 * G, 13)
     length, fill, nb = cav.round_trip_length, cav.fill_fraction, cav.n0
     rt = kernel(profile, cav)
-    psi_array = rt.psi_array(omegas, [dl], [omegas.size])
+    psi_array = rt.psi_array(omegas[None, :], [dl])[0]
     t_array = transmission(profile, cav, dl, omegas.reshape(13, 1))
     assert t_array.shape == (13, 1)
     for w, expected, t_expected in zip(omegas, psi_array, t_array.ravel()):
@@ -515,19 +516,19 @@ def test_sweep_grid_validation():
 
 @st.composite
 def sample_rows(draw):
-    """(centers, half_spans, points): one to eight grids of mixed point counts.
+    """(centers, half_spans, points): one to eight grids of one point count.
 
-    Each grid draws its own count: 101, 2,001 or any odd count up to 80,001.
-    Centres span 1e12 to 1e16 rad/s and half spans run from a few ulps of
-    the centre up to 40% of it.
+    The count is drawn once per call: 101, 2,001 or any odd count up to
+    80,001. Centres span 1e12 to 1e16 rad/s and half spans run from a few
+    ulps of the centre up to 40% of it.
     """
-    centers, half_spans, points = [], [], []
+    points = draw(st.one_of(st.sampled_from([101, 2001]), st.integers(50, 40_000).map(lambda n: 2 * n + 1)))
+    centers, half_spans = [], []
     for _ in range(draw(st.integers(1, 8))):
         center = 10.0 ** draw(st.floats(12.0, 16.0))
         ulps = math.log10(0.4 * center / math.ulp(center))
         centers.append(center)
         half_spans.append(math.ulp(center) * 10.0 ** draw(st.floats(0.3, ulps)))
-        points.append(draw(st.one_of(st.sampled_from([101, 2001]), st.integers(50, 40_000).map(lambda n: 2 * n + 1))))
     return centers, half_spans, points
 
 
@@ -535,14 +536,13 @@ def sample_rows(draw):
 @given(case=sample_rows())
 # a rare grid whose last sample needs the endpoint store: start + 2000*step
 # misses the stop by 0.25 rad/s
-@example(case=([1530768657771612.5], [558967330912315.8], [2001]))
+@example(case=([1530768657771612.5], [558967330912315.8], 2001))
 def test_sample_rows_are_linspace_bit_for_bit(case):
     centers, half_spans, points = case
     w = spectrum._sample_rows(centers, half_spans, points)
-    assert w.shape == (sum(points),)
-    rows = np.split(w, np.cumsum(points)[:-1])
-    for row, center, half_span, n in zip(rows, centers, half_spans, points):
-        assert np.array_equal(row, np.linspace(center - half_span, center + half_span, n))
+    assert w.shape == (len(centers), points)
+    for row, center, half_span in zip(w, centers, half_spans):
+        assert np.array_equal(row, np.linspace(center - half_span, center + half_span, points))
 
 
 def per_row_peak(t) -> tuple[int, int]:
@@ -581,19 +581,37 @@ PEAK_ROWS = {
 }
 
 
+def padded_rows() -> list[np.ndarray]:
+    """The rows of PEAK_ROWS, each padded at its start with copies of its
+    first sample to the length of the longest.
+
+    A copy of the first sample is never above the sample after it, so the
+    padding adds no significant maximum, and a peak on the first or last
+    sample of a row stays on its first or last sample.
+    """
+    rows = [np.array(r, dtype=float) for r in PEAK_ROWS.values()]
+    points = max(len(r) for r in rows)
+    return [np.pad(r, (points - len(r), 0), mode="edge") for r in rows]
+
+
 @pytest.mark.parametrize("order", ["table", "reversed"])
 def test_pass_wide_peaks_equal_per_row_argmax_and_count(order):
-    # every row of the table in one pass, in two orders, so each row meets
-    # different neighbours across its boundaries; then each row alone
-    rows = [np.array(r, dtype=float) for r in PEAK_ROWS.values()]
+    # every row of the table in one pass, in two orders, so each row sits
+    # among different rows; then each row alone
+    rows = padded_rows()
+    # the padding keeps each case: its count, and its peak on the first
+    # sample or, shifted by the padding, where it was
+    for original, row in zip(PEAK_ROWS.values(), rows):
+        i, count = per_row_peak(np.array(original, dtype=float))
+        assert per_row_peak(row) == (0 if i == 0 else i + len(row) - len(original), count)
     if order == "reversed":
         rows.reverse()
     want = [per_row_peak(r) for r in rows]
-    peaks, counts = spectrum._peaks(np.concatenate(rows), [len(r) for r in rows])
+    peaks, counts = spectrum._peaks(np.array(rows))
     assert list(zip(peaks, counts)) == want
     assert want[-1 if order == "table" else 0] == (1000, 1)
     for row, expected in zip(rows, want):
-        (peak,), (count,) = spectrum._peaks(row, [len(row)])
+        (peak,), (count,) = spectrum._peaks(row[None, :])
         assert (peak, count) == expected
 
 
@@ -707,21 +725,54 @@ def test_sweep_reports_the_first_failing_shift(monkeypatch, locate_fails, grid_f
 
 
 def test_sweep_scans_its_grids_in_passes_not_one_per_shift():
-    # a pass ends only at the sample budget, whatever the grids' point
-    # counts: cad_sweep's 33 grids of mixed sizes hold 4,261 samples, one
-    # pass and one array evaluation of the medium; a per-shift scan would
-    # make 33
+    # a pass ends only at the sample budget: cad_sweep's 33 grids of 101
+    # points hold 3,333 samples, one pass and one array evaluation of the
+    # medium; a per-shift scan would make 33
     scn = load_scenario(CAD_SWEEP)
     cad, cav = scn.profile(), scn.cavity()
     profile = CountingLorentzian(cad.strength, cad.half_linewidth, cad.center)
     shifts = 2.0 * math.pi * scn.input_values()[1]
     assert len(shifts) == 33
     points = [sweep_grid(cad, cav, cav.length_for_shift(dw)).points for dw in shifts]
-    assert len(set(points)) > 1
-    assert sum(points) == 4261 <= spectrum._SCAN_SAMPLES
+    assert points == [101] * 33
+    assert sum(points) == 3333 <= spectrum._SCAN_SAMPLES
     sweep_enhancement(profile, cav, shifts)
     assert profile.calls["array response"] == 1
-    assert profile.calls["array response points"] == 4261
+    assert profile.calls["array response points"] == 3333
+
+
+def margin_widened(profile, cav: RingCavity, shifts) -> int:
+    """How many of the shifts `auto_grid`'s margin of 10% of the shift would
+    give a wider grid than the sweep's 2.5 widths."""
+    rt = spectrum._RoundTrip(profile, cav, effective_taylor(profile, cav))
+    widened = 0
+    for dw in shifts:
+        shift = spectrum._shift_estimate(rt, cav.length_for_shift(dw))
+        widened += 0.1 * abs(shift) > 2.5 * _width_estimate(rt, shift)
+    return widened
+
+
+def test_sweep_grids_have_101_points_over_2_5_widths_at_the_polished_shift(monkeypatch):
+    scn = load_scenario(CAD_SWEEP)
+    profile, cav = scn.profile(), scn.cavity()
+    shifts = 2.0 * math.pi * scn.input_values()[1]
+    scanned = []
+    scan = spectrum._scan
+
+    def capturing(rt, lengths, grids):
+        scanned.extend(zip(lengths, grids))
+        return scan(rt, lengths, grids)
+
+    monkeypatch.setattr(spectrum, "_scan", capturing)
+    sweep_enhancement(profile, cav, shifts)
+    assert [dl for dl, _ in scanned] == [cav.length_for_shift(dw) for dw in shifts]
+    rt = spectrum._RoundTrip(profile, cav, effective_taylor(profile, cav))
+    for dl, grid in scanned:
+        shift = spectrum._shift_estimate(rt, dl)
+        assert grid == SweepGrid(center=cav.omega0 + shift, half_span=2.5 * _width_estimate(rt, shift), points=101)
+    # three of the 33 grids are the ones the 10% margin used to widen, to
+    # up to 793 points
+    assert margin_widened(profile, cav, shifts) == 3
 
 
 def test_sweep_grids_are_sized_to_the_line_not_to_2001_points():
@@ -741,7 +792,7 @@ def test_sweep_grids_are_sized_to_the_line_not_to_2001_points():
 def sweep_grid(profile, cav: RingCavity, dl: float) -> SweepGrid:
     """The grid `sweep_enhancement` scans for the length change dl."""
     rt = spectrum._RoundTrip(profile, cav, effective_taylor(profile, cav))
-    return spectrum._grid(rt, dl, spectrum._SWEEP_MIN_POINTS)
+    return spectrum._grid(rt, dl)
 
 
 def captured_xtols(monkeypatch) -> list[float]:
@@ -882,9 +933,11 @@ def per_shift_sweep(profile, cav: RingCavity, values) -> list[EnhancementSample]
     peak count, and one locate per shift, the loop that the batched scan
     replaces.
 
-    Its grids keep the 2,001-point floor of `auto_grid`, where the sweep's
-    own grids start at 101 points, so it is also the oracle that the coarser
-    sweep grids locate every resonance at the same double as the old ones.
+    Its grids are `auto_grid`'s: a floor of 2,001 points, and a span of 10%
+    of the shift where that is wider than 2.5 widths. The sweep's own grids
+    have 101 points over 2.5 widths, so it is also the oracle that the
+    coarser and narrower sweep grids locate every resonance at the same
+    double as the old ones.
     """
     t = effective_taylor(profile, cav)
     g = effective_half_linewidth(t)
@@ -894,7 +947,7 @@ def per_shift_sweep(profile, cav: RingCavity, values) -> list[EnhancementSample]
         dl = cav.length_for_shift(dw)
         grid = auto_grid(profile, cav, dl)
         w = np.linspace(grid.center - grid.half_span, grid.center + grid.half_span, grid.points)
-        psi = rt.psi_array(w, [dl], [w.size])
+        psi = rt.psi_array(w[None, :], [dl])[0]
         i, count = per_row_peak(transmission(profile, cav, dl, w))
         res = spectrum._locate_resonance(rt, dl, grid, w, psi, i, count)
         eta = (res - cav.omega0) / dw
@@ -906,8 +959,8 @@ def per_shift_sweep(profile, cav: RingCavity, values) -> list[EnhancementSample]
 def cad_sweeps(draw):
     """(profile, cavity, shifts): a cavity of the `sweep` regime above with
     17, 33 or 65 log-spaced shifts over 4-8 decades up to G, as
-    perfbench/gen.py draws them. Long sweeps fill several passes, and their
-    largest shifts get grids above 2,001 points.
+    perfbench/gen.py draws them. Their largest shifts get `auto_grid` grids
+    above 2,001 points.
     """
     _, profile, cav, _ = draw(cad_traces(regimes=["sweep"]))
     g = profile.half_linewidth
@@ -921,6 +974,8 @@ def cad_sweeps(draw):
 @given(case=cad_sweeps())
 def test_batched_sweep_equals_the_per_shift_loop_bit_for_bit(case):
     profile, cav, shifts = case
+    # every draw holds shifts whose sweep grid is narrower than the oracle's
+    assert margin_widened(profile, cav, shifts) > 0
     try:
         want = per_shift_sweep(profile, cav, shifts)
     except ComputationError as exc:
@@ -932,6 +987,10 @@ def test_batched_sweep_equals_the_per_shift_loop_bit_for_bit(case):
     if any(auto_grid(profile, cav, cav.length_for_shift(dw)).points > 2001 for dw in shifts):
         event("grids above 2,001 points")
     assert sweep_enhancement(profile, cav, shifts) == want
+    # a sweep of up to 81 shifts is one scan pass; at seven grids a pass,
+    # as more shifts would be, these take several
+    with mock.patch.object(spectrum, "_SCAN_SAMPLES", 7 * 101):
+        assert sweep_enhancement(profile, cav, shifts) == want
 
 
 # ------------------------------------------- the bound kernel and its oracle
