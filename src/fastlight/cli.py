@@ -326,10 +326,11 @@ def _cmd_split(scn: Scenario, rp: Report) -> None:
         rp.add("dw_ccw_dispersive", resp.dw_minus, "rad/s", "cubic root scaled by n(w0)/n(w0+dw)")
         rp.add("dw_cw_dispersive", resp.dw_plus, "rad/s", "cubic root scaled by n(w0)/n(w0+dw)")
         rp.add("splitting_dispersive", resp.splitting, "rad/s", "dw_ccw_dis - dw_cw_dis")
-        rp.add("enhancement", resp.enhancement, "", "eta = splitting_dispersive/splitting")
-        rp.add("local_group_index", resp.local_ng, "", "n_g(w0) + 3*n3*w0*dw^2")
-        gamma_tag = _CUBIC_WIDTH if resp.gamma_from_cubic else "gamma_ec/n_g at the shifted resonance"
-        rp.add("gamma_dispersive", resp.gamma_dis, "rad/s", gamma_tag)
+        if base.splitting != 0.0:
+            rp.add("enhancement", resp.splitting / base.splitting, "", "eta = splitting_dispersive/splitting")
+        rp.add("local_group_index", resp.width.local_ng, "", "n_g(w0) + 3*n3*w0*dw^2")
+        gamma_tag = _CUBIC_WIDTH if resp.width.from_cubic else "gamma_ec/n_g at the shifted resonance"
+        rp.add("gamma_dispersive", resp.width.gamma_dis, "rad/s", gamma_tag)
 
 
 def _cmd_shift(scn: Scenario, rp: Report) -> None:
@@ -459,7 +460,13 @@ def _cmd_fig5(scn: Scenario, rp: Report) -> None:
     rp.add("dw_ec", dw_ec, "rad/s", "dw_ec = 2*pi*empty_cavity_shift_hz")
     rp.add("dw_target", dw_target, "rad/s", "2*pi*enhanced_shift_target_hz")
     rp.add("eta_target", eta_target, "", "eta = dw_target/dw_ec")
-    g_derived = dw_ec * eta_target ** 1.5
+    try:
+        g_derived = dw_ec * eta_target ** 1.5
+    except OverflowError:
+        raise ScenarioError(
+            f"{scn.source}: target enhancement {eta_target:.3g} too large: "
+            "the half linewidth dw_ec*eta^(3/2) overflows"
+        ) from None
     g_paper = 0.5 * g_derived
     rp.add(
         "half_linewidth_derived",

@@ -118,7 +118,16 @@ class LorentzianAbsorptive(_Projections):
         The quadratic term vanishes identically.
         """
         a, g = self.strength, self.half_linewidth
-        g3 = g ** 3
+        try:
+            g3 = g ** 3
+        except OverflowError:
+            # still an OverflowError, which the CLI reports at exit 3: a
+            # ComputationError would tell `spectrum` only that the cubic does
+            # not apply, and it would scan a line whose G^2 may have
+            # overflowed too
+            raise OverflowError(
+                f"medium linewidth too wide for the cubic expansion: G^3 overflows (G = {g:.3g} rad/s)"
+            ) from None
         if g3 == 0.0:
             raise ComputationError(
                 f"medium linewidth too narrow for the cubic expansion: G^3 underflows to 0 (G = {g:.3g} rad/s)"

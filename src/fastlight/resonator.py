@@ -102,29 +102,26 @@ class RingCavity:
 
 @dataclass(frozen=True)
 class ShiftResult:
-    """Per-direction resonance shifts and the derived splitting figures.
+    """Per-direction resonance shifts and their splitting dw_minus - dw_plus.
 
-    `local_ng` is the group index at the shifted resonance over the
-    background index, as in `effective_taylor`. `gamma_dis` is
-    gamma_ec/local_ng, unless `gamma_from_cubic` says it is the
-    `linewidth_cubic` root.
+    `width` is the linewidth at the shifted resonances, which only
+    `rotation_response` gives; it is None for the bare ring. The enhancement
+    is this splitting over the bare one, where that is not zero.
     """
 
     dw_plus: float
     dw_minus: float
     splitting: float
-    enhancement: float
-    local_ng: float
-    gamma_dis: float
-    gamma_from_cubic: bool = False
+    width: ShiftedLinewidth | None = None
 
 
 @dataclass(frozen=True)
 class ShiftedLinewidth:
     """Linewidth at a displaced resonance, from the local group index.
 
-    `gamma_dis` is gamma_ec/local_ng, unless `from_cubic` says it is the
-    `linewidth_cubic` root.
+    `local_ng` is the group index there over the background index, as in
+    `effective_taylor`. `gamma_dis` is gamma_ec/local_ng, unless
+    `from_cubic` says it is the `linewidth_cubic` root.
     """
 
     gamma_dis: float
@@ -221,7 +218,13 @@ def _continuous_root(a: float, b: float, d: float) -> tuple[float, bool]:
 
     p = b / a
     q = d / a
-    disc = 0.25 * q * q + p ** 3 / 27.0
+    try:
+        disc = 0.25 * q * q + p ** 3 / 27.0
+    except OverflowError:
+        raise ComputationError(
+            "cubic term too weak against the linear one: (b/a)^3 overflows in "
+            f"a*x^3 + b*x = d, with a from n3*w0 and b = n_g (b/a = {p:.3g})"
+        ) from None
     # p >= 0 gives disc > 0 unless q*q underflows
     if disc > 0.0 or p >= 0.0:
         x = _newton_polish(a, b, d, _cardano(p, q, disc))
@@ -261,9 +264,6 @@ def splitting_no_dispersion(cavity: RingCavity, omega_rot: float) -> ShiftResult
         dw_plus=-per_direction,
         dw_minus=per_direction,
         splitting=2.0 * per_direction,
-        enhancement=1.0,
-        local_ng=1.0,
-        gamma_dis=cavity.gamma_ec,
     )
 
 
@@ -441,8 +441,9 @@ def rotation_response(profile: DispersionProfile, cavity: RingCavity, omega_rot:
 
     Composes the bare splitting with the self-consistent cubic per direction,
     applies the per-direction correction factors n(w0)/n(w0 + dw), and
-    assembles the splitting, enhancement, local group index, and linewidth at
-    the displaced resonances.
+    assembles the splitting and the linewidth at the displaced resonances.
+    At rest the shifts are zero and the width is the `linewidth_cubic` root,
+    or the linear width where that has none.
     """
     base = splitting_no_dispersion(cavity, omega_rot)
     t = effective_taylor(profile, cavity)
@@ -456,7 +457,7 @@ def rotation_response(profile: DispersionProfile, cavity: RingCavity, omega_rot:
             gamma, from_cubic = linewidth_cubic(cavity.gamma_ec, t), True
         except ComputationError:
             gamma, from_cubic = linewidth_linear(cavity.gamma_ec, t.ng0), False
-        return ShiftResult(0.0, 0.0, 0.0, 1.0, t.ng0, gamma, from_cubic)
+        return ShiftResult(0.0, 0.0, 0.0, ShiftedLinewidth(gamma, t.ng0, from_cubic))
 
     raw_minus = shift_cubic(base.dw_minus, t)
     raw_plus = shift_cubic(base.dw_plus, t)
@@ -470,15 +471,6 @@ def rotation_response(profile: DispersionProfile, cavity: RingCavity, omega_rot:
     dw_minus = raw_minus * n_center / _path_index(profile, cavity, cavity.omega0 + raw_minus)
     dw_plus = raw_plus * n_center / _path_index(profile, cavity, cavity.omega0 + raw_plus)
 
-    splitting = dw_minus - dw_plus
     mean_shift = 0.5 * (abs(dw_minus) + abs(dw_plus))
-    widths = shifted_linewidth(cavity.gamma_ec, t, mean_shift)
-    return ShiftResult(
-        dw_plus=dw_plus,
-        dw_minus=dw_minus,
-        splitting=splitting,
-        enhancement=splitting / base.splitting,
-        local_ng=widths.local_ng,
-        gamma_dis=widths.gamma_dis,
-        gamma_from_cubic=widths.from_cubic,
-    )
+    width = shifted_linewidth(cavity.gamma_ec, t, mean_shift)
+    return ShiftResult(dw_plus, dw_minus, dw_minus - dw_plus, width)

@@ -133,7 +133,12 @@ class _RoundTrip:
         self.fsr = cavity.free_spectral_range
         self.gamma_ec = cavity.gamma_ec
         # the coefficient (2F/pi)^2 of sin^2(Psi/2) in the Airy transmission
-        self.k = (2.0 * cavity.finesse / math.pi) ** 2
+        try:
+            self.k = (2.0 * cavity.finesse / math.pi) ** 2
+        except OverflowError:
+            raise ComputationError(
+                f"finesse too high for the Airy transmission: (2F/pi)^2 overflows (F = {cavity.finesse:.3g})"
+            ) from None
         self.taylor = taylor
         self.airy = None
         if taylor is not None:
@@ -178,21 +183,17 @@ class _RoundTrip:
         return psi
 
     def transmission(self, psi):
-        """Airy transmission 1 / (1 + k sin^2(Psi/2)) of a float or an array Psi."""
-        sin = math.sin if isinstance(psi, float) else np.sin
-        return 1.0 / (1.0 + self.k * sin(0.5 * psi) ** 2)
+        """Airy transmission 1 / (1 + k sin^2(Psi/2)) of an array Psi."""
+        return 1.0 / (1.0 + self.k * np.sin(0.5 * psi) ** 2)
 
 
 def transmission(profile: DispersionProfile, cavity: RingCavity, delta_length: float, omega):
-    """Airy transmission 1 / (1 + (2F/pi)^2 sin^2(Psi/2)).
+    """Airy transmission 1 / (1 + (2F/pi)^2 sin^2(Psi/2)) over an array omega.
 
-    A scalar omega is evaluated on Python floats and gives a float; an array
-    gives an array. Their Psi run the same expression and agree bitwise.
+    The result has omega's shape. A float is taken as a 0-d array and gives
+    a NumPy float.
     """
     rt = _RoundTrip(profile, cavity, None)
-    # isinstance first: np.ndim costs about a microsecond on a float
-    if isinstance(omega, float) or np.ndim(omega) == 0:
-        return rt.transmission(rt.psi_and_slope(delta_length, float(omega))[0])
     omega = np.asarray(omega, dtype=float)
     return rt.transmission(rt.psi_array(omega.reshape(1, -1), [delta_length]).reshape(omega.shape))
 
@@ -605,8 +606,12 @@ def sweep_enhancement(
     numerically, and eta_numeric = (resonance - omega0) / dw_ec recorded
     beside (G/dw_ec)^(2/3) and (2G/dw_ec)^(2/3).
 
-    Each shift is scanned on a `_grid` grid of 101 points over 2.5 predicted
-    widths, up to 81 shifts per scan pass, before the locate step.
+    Works in two steps. It sizes a `_grid` grid of 101 points over 2.5
+    predicted widths for each shift, up to the first that is refused; then
+    it scans those grids in passes of 81 consecutive ones and locates each
+    resonance in order. A refusal of the first step propagates only after
+    the second, so that a locate failure at an earlier shift is reported
+    first.
 
     Requires a profile tuned to zero group index at the cavity resonance and
     a shift list spanning at least four decades, none above the recovered
@@ -642,31 +647,20 @@ def sweep_enhancement(
         )
 
     rt = _RoundTrip(profile, cavity, t)
-    # consecutive grids are scanned in passes of at most _SCAN_SAMPLES
-    # samples, then located one by one in order
-    resonances = []
-    run = []  # (delta_length, grid) of the pass being gathered
-
-    def locate_run():
-        if run:
-            lengths, grids = zip(*run)
+    sized, resonances = [], []  # sized: (delta_length, grid) per shift
+    try:
+        for dw in values:
+            delta_length = cavity.length_for_shift(dw)
+            sized.append((delta_length, _grid(rt, delta_length)))
+    finally:
+        # whatever a grid raises propagates only once the grids before it
+        # are located, so that a locate failure at an earlier shift is
+        # reported first, as when each shift ran alone
+        per_pass = _SCAN_SAMPLES // _SWEEP_POINTS
+        for start in range(0, len(sized), per_pass):
+            lengths, grids = zip(*sized[start:start + per_pass])
             for dl, grid, (w, psi, _, i, count) in zip(lengths, grids, _scan(rt, lengths, grids)):
                 resonances.append(_locate_resonance(rt, dl, grid, w, psi, i, count))
-            run.clear()
-
-    for dw in values:
-        delta_length = cavity.length_for_shift(dw)
-        try:
-            grid = _grid(rt, delta_length)
-        except Exception:
-            # whatever the grid raises, a locate failure at an earlier
-            # shift is reported first, as when each shift ran alone
-            locate_run()
-            raise
-        run.append((delta_length, grid))
-        if len(run) == _SCAN_SAMPLES // _SWEEP_POINTS:
-            locate_run()
-    locate_run()
     return [
         EnhancementSample(
             dw_ec=dw,

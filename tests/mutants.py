@@ -11,8 +11,9 @@ collected, is reported as an error. The working tree is never touched.
     python tests/mutants.py [NAME ...]
 
 runs every mutant, or those named, and exits 1 if any survived or erred. It
-is run by hand, like golden_runs.py, and is not part of Tier-1. When a
-mutant survives, add the assertion that kills it; do not drop the entry.
+is run by hand, like golden_runs.py, and is not part of Tier-1; Tier-1's
+test_source.py checks only that every entry still applies. When a mutant
+survives, add the assertion that kills it; do not drop the entry.
 """
 
 from __future__ import annotations
@@ -65,6 +66,26 @@ MUTANTS = (
         "tests/test_cli.py::test_every_edge_value_on_every_line_exits_cleanly",
     ),
     Mutant(
+        "split-prints-the-enhancement-at-rest-again",
+        CLI,
+        (
+            ("        if base.splitting != 0.0:\n", "        if True:\n"),
+            ("resp.splitting / base.splitting,", "resp.splitting / base.splitting if base.splitting else 1.0,"),
+        ),
+        "tests/test_cli.py::test_split_at_rest_prints_no_enhancement",
+    ),
+    Mutant(
+        "fig5-overflow-of-eta-to-the-3-2-left-bare",
+        CLI,
+        (
+            (
+                "    try:\n        g_derived = dw_ec * eta_target ** 1.5\n    except OverflowError:\n",
+                "    g_derived = dw_ec * eta_target ** 1.5\n    if False:\n",
+            ),
+        ),
+        "tests/test_cli.py::test_an_overflow_is_named",
+    ),
+    Mutant(
         "shifted-width-tag-ignores-from-cubic",
         CLI,
         (('tag = _CUBIC_WIDTH if widths.from_cubic else "gamma_ec/n_g(w0 + dw_dis)"', 'tag = "gamma_ec/n_g(w0 + dw_dis)"'),),
@@ -80,6 +101,28 @@ MUTANTS = (
             ),
         ),
         "tests/test_resonator.py::test_shifted_linewidth_local_group_index",
+    ),
+    Mutant(
+        "cubic-discriminant-overflow-left-bare",
+        RESONATOR,
+        (
+            (
+                "    try:\n        disc = 0.25 * q * q + p ** 3 / 27.0\n    except OverflowError:\n",
+                "    disc = 0.25 * q * q + p ** 3 / 27.0\n    if False:\n",
+            ),
+        ),
+        "tests/test_cli.py::test_a_cubic_too_weak_for_its_linear_term_is_named",
+    ),
+    Mutant(
+        "lorentzian-g-cubed-overflow-left-bare",
+        "src/fastlight/dispersion.py",
+        (
+            (
+                "        try:\n            g3 = g ** 3\n        except OverflowError:\n",
+                "        g3 = g ** 3\n        if False:\n",
+            ),
+        ),
+        "tests/test_cli.py::test_an_overflow_is_named",
     ),
     Mutant(
         "shift-cubic-warns-of-three-roots-again",
@@ -111,8 +154,14 @@ MUTANTS = (
     Mutant(
         "sweep-scans-one-pass-per-grid",
         SPECTRUM,
-        (("if len(run) == _SCAN_SAMPLES // _SWEEP_POINTS:", "if True:"),),
+        (("    per_pass = _SCAN_SAMPLES // _SWEEP_POINTS\n", "    per_pass = 1\n"),),
         f"{TEST_SPECTRUM}::test_sweep_scans_its_grids_in_passes_not_one_per_shift",
+    ),
+    Mutant(
+        "sweep-raises-a-grid-refusal-before-locating-the-earlier-grids",
+        SPECTRUM,
+        (("    finally:\n        # whatever a grid raises", "    except BaseException:\n        raise\n    if True:\n        # whatever a grid raises"),),
+        f"{TEST_SPECTRUM}::test_sweep_reports_the_first_failing_shift",
     ),
     Mutant(
         "sweep-grid-spans-a-tenth-of-the-shift-again",
@@ -126,6 +175,17 @@ MUTANTS = (
             ),
         ),
         f"{TEST_SPECTRUM}::test_sweep_scans_its_grids_in_passes_not_one_per_shift",
+    ),
+    Mutant(
+        "airy-coefficient-overflow-left-bare",
+        SPECTRUM,
+        (
+            (
+                "        try:\n            self.k = (2.0 * cavity.finesse / math.pi) ** 2\n        except OverflowError:\n",
+                "        self.k = (2.0 * cavity.finesse / math.pi) ** 2\n        if False:\n",
+            ),
+        ),
+        "tests/test_cli.py::test_an_overflow_is_named",
     ),
     Mutant(
         "psi-factor-regrouped",

@@ -19,7 +19,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from golden_runs import case_key, load_exit_codes
+
 from fastlight.cli import COMMANDS, main
+from fastlight.scenario import load_scenario
 
 TABLETOP = "scenarios/tabletop_rlg.scenario"
 SWEEP = "scenarios/cad_sweep.scenario"
@@ -310,6 +313,69 @@ def test_an_underflowing_divisor_is_named(tmp_path, capsys, old, new, command, m
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "scenario, old, new, command, code, message",
+    [
+        (
+            TABLETOP, "finesse = 1.0e3", "finesse = 1e300", "spectrum", 3,
+            "computation error: finesse too high for the Airy transmission: (2F/pi)^2 overflows (F = 1e+300)",
+        ),
+        (
+            TABLETOP, "medium_linewidth_fwhm_hz = 2.0e6", "medium_linewidth_fwhm_hz = 1e300", "shift", 3,
+            "computation error: medium linewidth too wide for the cubic expansion: G^3 overflows (G = 3.14e+300 rad/s)",
+        ),
+        *(
+            (
+                DEMO, old, new, "fig5", 2,
+                f"scenario error: {{path}}: target enhancement {eta} too large: "
+                "the half linewidth dw_ec*eta^(3/2) overflows",
+            )
+            for old, new, eta in (
+                ("empty_cavity_shift_hz = 3.0e5", "empty_cavity_shift_hz = 1e-300", "9.5e+306"),
+                ("enhanced_shift_target_hz = 9.5e6", "enhanced_shift_target_hz = 1e300", "3.33e+294"),
+            )
+        ),
+    ],
+    ids=["finesse", "medium-linewidth", "fig5-shift", "fig5-target"],
+)
+def test_an_overflow_is_named(tmp_path, capsys, scenario, old, new, command, code, message):
+    # (2F/pi)^2 of the Airy transmission, G^3 of the cubic's n3 = A/G^3 and
+    # eta^(3/2) of fig5's back-derived half linewidth overflow; each is
+    # named, where Python's bare "(34, 'Numerical result out of range')"
+    # named nothing. fig5's eta is the ratio of two inputs, so it is an
+    # input fault, as fig4's overflowing shift is.
+    path = edited(tmp_path, scenario, old, new)
+    assert run(capsys, command, "--scenario", path) == (code, "", message.format(path=path) + "\n")
+
+
+@pytest.mark.parametrize("command", ["shift", "linewidth", "split", "spectrum"])
+@pytest.mark.parametrize(
+    "fwhm_hz, target, ratio", [("1e60", "0.5", "9.87e+120"), ("1e100", "0", "1.1e+185")], ids=["slow", "white-light"]
+)
+def test_a_cubic_too_weak_for_its_linear_term_is_named(tmp_path, capsys, command, fwhm_hz, target, ratio):
+    # a CAD line so wide that n3*w0 = A*w0/G^3 is negligible: (n_g/(n3*w0))^3
+    # overflows in the cubic's discriminant. The analytic commands refuse
+    # it by name; spectrum only seeds its grid with the cubic and falls
+    # back to the empty-cavity shift, which at n_g = 0.5 locates eta = 2
+    medium = f"medium = cad\nmedium_linewidth_fwhm_hz = {fwhm_hz}\nmedium_target_group_index = {target}"
+    path = edited(tmp_path, TABLETOP, CAD_LINES, medium)
+    code, out, err = run(capsys, command, "--scenario", path)
+    if command != "spectrum":
+        assert (code, out) == (3, "")
+        assert err == (
+            "computation error: cubic term too weak against the linear one: (b/a)^3 overflows in "
+            f"a*x^3 + b*x = d, with a from n3*w0 and b = n_g (b/a = {ratio})\n"
+        )
+    elif target == "0.5":
+        assert (code, err) == (0, "")
+        eta = float(re.search(r"^enhancement_numeric = (\S+)", out, re.MULTILINE).group(1))
+        assert eta == pytest.approx(2.0, rel=1e-3)
+    else:
+        # at n_g = 0 the empty-cavity seed sizes no grid that fits one FSR
+        assert (code, out) == (3, "")
+        assert err == "computation error: requested response does not fit inside a single free spectral range\n"
+
+
 @pytest.mark.parametrize("command", ["spectrum", "fig5"])
 def test_pull_beyond_omega0_leaves_no_round_trip_and_exits_3(tmp_path, capsys, command):
     # the 300 kHz pull exceeds omega0, so dL = -dw_ec*L/w0 lies below -L;
@@ -392,6 +458,19 @@ def test_sagnac_input_faults_exit_2(tmp_path, capsys, scenario, old, new, messag
     assert out == ""
 
 
+def test_split_at_rest_prints_no_enhancement(tmp_path, capsys):
+    # both splittings are 0 at rest, so their ratio is left out, as shift
+    # and spectrum leave out theirs at a zero drive; every other line stays
+    path = edited(tmp_path, TABLETOP, "rotation_rate_rad_s = 7.2921159e-5", "rotation_rate_rad_s = 0")
+    code, out, err = run(capsys, "split", "--scenario", path)
+    assert (code, err) == (0, "")
+    keys = [line.split(" = ")[0] for line in out.splitlines() if RESULT_LINE.fullmatch(line)]
+    assert keys == [
+        "gamma_ec", "dw_ccw", "dw_cw", "splitting", "splitting_hz", "equivalent_delta_length",
+        "dw_ccw_dispersive", "dw_cw_dispersive", "splitting_dispersive", "local_group_index", "gamma_dispersive",
+    ]
+
+
 def test_split_has_no_rim_speed_limit(tmp_path, capsys):
     # the ring model of split has no rim-speed limit, unlike sagnac
     path = edited(tmp_path, TABLETOP, "rotation_rate_rad_s = 7.2921159e-5", "rotation_rate_rad_s = 1e10")
@@ -411,6 +490,57 @@ def json_run(tmp_path, capsys, command: str, medium: str, name: str) -> dict:
     code, _, err = run(capsys, command, "--scenario", path, "--out", str(out_dir), "--format", "json")
     assert (code, err) == (0, "")
     return json.loads((out_dir / f"{command}.json").read_text())
+
+
+@pytest.mark.parametrize("command", ["shift", "linewidth", "spectrum"])
+def test_a_length_drive_matches_its_empty_cavity_shift(tmp_path, capsys, command):
+    # dL = -1e-12 m pulls the resonance by dw_ec = -w0*dL/L; the same pull
+    # given in Hz takes the other branch of the drive. The two can differ
+    # only by the rounding of dw_ec and of spectrum's dL = -dw_ec*L/w0, so
+    # every result agrees to 1e-12 (on this scenario, bit for bit)
+    hz = load_scenario(TABLETOP).cavity().shift_for_length(-1e-12) / (2.0 * math.pi)
+    results = []
+    for name, drive in (("length", "delta_length_m = -1e-12"), ("shift", f"empty_cavity_shift_hz = {hz!r}")):
+        path = edited(tmp_path, TABLETOP, "rotation_rate_rad_s = 7.2921159e-5", drive)
+        code, _, err = run(capsys, command, "--scenario", path, "--out", str(tmp_path / name), "--format", "json")
+        assert (code, err) == (0, "")
+        results.append(json.loads((tmp_path / name / f"{command}.json").read_text())["results"])
+    length, shift = results
+    assert length.keys() == shift.keys()
+    for key in length:
+        assert length[key]["value"] == pytest.approx(shift[key]["value"], rel=1e-12), key
+
+
+def test_lens_thirring_without_a_medium_takes_the_empty_floor(tmp_path, capsys):
+    # with no medium there is no enhancement: the floor is the laser
+    # linewidth over the per-direction rotation scale, Omega_min = dw_laser/scale
+    path = edited(tmp_path, TABLETOP, CAD_LINES, "medium = none")
+    code, out, err = run(capsys, "lens-thirring", "--scenario", path, "--out", str(tmp_path), "--format", "json")
+    assert (code, err) == (0, "")
+    results = json.loads((tmp_path / "lens-thirring.json").read_text())["results"]
+    assert "enhancement" not in results and "half_linewidth" not in results
+    scale = load_scenario(path).cavity().rotation_scale
+    floor = results["min_rotation"]
+    assert floor["formula"] == "Omega_min = dw_laser/scale"
+    assert floor["value"] == pytest.approx(results["laser_linewidth"]["value"] / scale, rel=1e-15)
+    assert results["margin"]["value"] == pytest.approx(results["omega_lense_thirring"]["value"] / floor["value"], rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "scenario, old, new, command, message",
+    [
+        (SWEEP, CAD_LINES, "medium = none", "fig4", "this command needs a dispersive medium"),
+        (DEMO, "finesse = 1.0e3", "finesse = 1.0e3\nfill_fraction = 0.5", "fig5", "this command assumes fill_fraction = 1"),
+        (
+            TABLETOP, "output_power_w = 1.0e-3\nmeasurement_time_s = 1.0", "snr = 100", "lens-thirring",
+            "this command needs output_power_w and measurement_time_s",
+        ),
+    ],
+    ids=["fig4-without-a-medium", "fig5-partly-filled", "lens-thirring-without-a-photon-budget"],
+)
+def test_a_command_without_what_it_needs_exits_2(tmp_path, capsys, scenario, old, new, command, message):
+    path = edited(tmp_path, scenario, old, new)
+    assert run(capsys, command, "--scenario", path) == (2, "", f"scenario error: {path}: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["shift", "linewidth", "spectrum"])
@@ -780,6 +910,9 @@ def test_closed_stdout_ends_quietly_after_the_files_are_written(tmp_path):
 
 
 RESULT_LINE = re.compile(r"\w+ = (\S+)( .+)?  \[.+\]")
+# Python's text of an OSError-style exception, "(34, 'Numerical result out
+# of range')", which names no quantity
+ERRNO_TEXT = re.compile(r"\(\d+, '")
 SCENARIOS = (TABLETOP, SWEEP, DEMO, OPEN_LOOP)
 # finite edge values; the sweep below adds nan and inf, which exit 2
 EDGE_VALUES = (0.0, -1.0, 1e300, -1e300, 1e-300, 5e-324)
@@ -804,31 +937,44 @@ def assert_results_finite_and_tagged(out: str) -> None:
             assert math.isfinite(float(match.group(1))), line
 
 
+# the commands each shipped scenario runs to exit 0, from the goldens
+GOLDEN_EXIT_CODES = load_exit_codes()
+RUNNABLE = {
+    scenario: [c for c in COMMANDS if GOLDEN_EXIT_CODES[case_key(Path(scenario).stem, c, "csv")] == 0]
+    for scenario in SCENARIOS
+}
+
+
 @st.composite
-def edited_scenarios(draw) -> str:
-    """A shipped scenario whose single numbers are each kept or rescaled, and
-    at most one of them set to an edge value.
+def edited_runs(draw) -> tuple[str, str]:
+    """(command, scenario text): a shipped scenario and a command it runs,
+    with its single numbers each kept or rescaled, and at most one of them
+    set to an edge value.
 
     One edge value is enough: most of them are input faults, and
     test_every_edge_value_on_every_line_exits_cleanly sets each line to each
-    of them. A CAD medium may also be tuned to a target group index,
+    of them. A finesse is only rescaled upwards, since one of 1 or below is
+    refused. A CAD medium may also be tuned to a target group index,
     negative ones included, where the shift cubic has three real roots.
     """
-    lines = Path(draw(st.sampled_from(SCENARIOS))).read_text().splitlines()
+    scenario = draw(st.sampled_from(SCENARIOS))
+    lines = Path(scenario).read_text().splitlines()
     edits = list(numeric_lines(lines))
     edge = draw(st.sampled_from([None] + [i for i, _, _ in edits]))
     for i, key, value in edits:
-        scaled = st.integers(-6, 6).map(lambda k: value * 10.0**k)
+        lowest = 0 if key.strip() == "finesse" else -6
+        scaled = st.integers(lowest, 6).map(lambda k: value * 10.0**k)
         choice = st.sampled_from(EDGE_VALUES) if i == edge else st.one_of(st.just(value), scaled)
         lines[i] = f"{key}= {draw(choice)!r}"
     if "medium = cad" in lines and draw(st.booleans()):
         lines.append(f"medium_target_group_index = {draw(st.floats(-1.0, 0.9))!r}")
-    return "\n".join(lines) + "\n"
+    return draw(st.sampled_from(RUNNABLE[scenario])), "\n".join(lines) + "\n"
 
 
 @settings(max_examples=200, deadline=None)
-@given(text=edited_scenarios(), command=st.sampled_from(list(COMMANDS)))
-def test_any_scenario_edit_exits_cleanly(text, command):
+@given(case=edited_runs())
+def test_any_scenario_edit_exits_cleanly(case):
+    command, text = case
     # exit 0 with finite, tagged numbers and a silent stderr, 2 for an input
     # fault or 3 for a failed computation; no other exception escapes main
     with tempfile.TemporaryDirectory() as tmp:
@@ -848,7 +994,8 @@ def test_any_scenario_edit_exits_cleanly(text, command):
 def test_every_edge_value_on_every_line_exits_cleanly(tmp_path, scenario):
     # each numeric line in turn set to each edge value, under every command:
     # exit 0 with finite, tagged numbers and a silent stderr, or exit 2 or 3
-    # with one stderr line; a warning would be one more stderr line
+    # with one stderr line that names what failed; a warning would be one
+    # more stderr line
     lines = Path(scenario).read_text(encoding="utf-8").splitlines()
     edits = list(numeric_lines(lines))
     assert edits
@@ -869,3 +1016,4 @@ def test_every_edge_value_on_every_line_exits_cleanly(tmp_path, scenario):
                     assert_results_finite_and_tagged(out.getvalue())
                 else:
                     assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), case
+                    assert not ERRNO_TEXT.search(err.getvalue()), case

@@ -25,6 +25,7 @@ from fastlight.dispersion import (
 from fastlight.errors import ComputationError
 from fastlight.resonator import (
     RingCavity,
+    ShiftedLinewidth,
     _continuous_root,
     airy_linewidth_cubic,
     effective_half_linewidth,
@@ -83,7 +84,7 @@ def test_splitting_scale_frozen():
     assert result.splitting == pytest.approx(20958450.219516817, rel=1e-12)
     assert result.dw_minus == pytest.approx(result.splitting / 2.0, rel=1e-15)
     assert result.dw_plus == -result.dw_minus
-    assert result.enhancement == 1.0
+    assert result.width is None
 
 
 def test_splitting_against_first_principles():
@@ -378,7 +379,7 @@ def test_rotation_response_vacuum_matches_bare_splitting():
     resp = rotation_response(TaylorCubic(cav.n0, 0.0, 0.0, W0), cav, OMEGA_EARTH)
     assert resp.dw_minus == pytest.approx(base.dw_minus, rel=1e-14)
     assert resp.dw_plus == pytest.approx(base.dw_plus, rel=1e-14)
-    assert resp.enhancement == pytest.approx(1.0, rel=1e-12)
+    assert resp.splitting / base.splitting == pytest.approx(1.0, rel=1e-12)
 
 
 def test_rotation_response_constant_medium_any_background():
@@ -387,16 +388,18 @@ def test_rotation_response_constant_medium_any_background():
     base = splitting_no_dispersion(cav, OMEGA_EARTH)
     resp = rotation_response(TaylorCubic(1.5, 0.0, 0.0, W0), cav, OMEGA_EARTH)
     assert resp.dw_minus == pytest.approx(base.dw_minus, rel=1e-14)
-    assert resp.enhancement == pytest.approx(1.0, rel=1e-12)
+    assert resp.splitting / base.splitting == pytest.approx(1.0, rel=1e-12)
 
 
 def test_rotation_response_cad_frozen():
     cav = tabletop()
     resp = rotation_response(cad_tune(G, W0), cav, OMEGA_EARTH)
+    base = splitting_no_dispersion(cav, OMEGA_EARTH)
     assert resp.dw_minus == pytest.approx(311301.2202797185, rel=1e-9)
-    assert resp.enhancement == pytest.approx(407.3784867570103, rel=1e-9)
-    assert resp.local_ng == pytest.approx(0.007364159123575452, rel=1e-9)
-    assert resp.gamma_dis == pytest.approx(40709665.960401535, rel=1e-9)
+    assert resp.splitting / base.splitting == pytest.approx(407.3784867570103, rel=1e-9)
+    assert resp.width.local_ng == pytest.approx(0.007364159123575452, rel=1e-9)
+    assert resp.width.gamma_dis == pytest.approx(40709665.960401535, rel=1e-9)
+    assert not resp.width.from_cubic
     # counter-propagating shifts mirror to well below the drag asymmetry
     assert resp.dw_plus == pytest.approx(-resp.dw_minus, rel=1e-9)
     assert resp.splitting == pytest.approx(resp.dw_minus - resp.dw_plus, rel=1e-12)
@@ -406,8 +409,23 @@ def test_rotation_response_zero_rate():
     cav = tabletop()
     resp = rotation_response(cad_tune(G, W0), cav, 0.0)
     assert resp.dw_plus == 0.0 and resp.dw_minus == 0.0 and resp.splitting == 0.0
-    assert resp.enhancement == 1.0
-    assert resp.gamma_dis == pytest.approx(linewidth_cubic(cav.gamma_ec, cad_taylor()), rel=1e-12)
+    # at the white-light point the width is the linewidth_cubic root
+    assert resp.width.from_cubic
+    assert resp.width.local_ng == cad_taylor().ng0
+    assert resp.width.gamma_dis == pytest.approx(linewidth_cubic(cav.gamma_ec, cad_taylor()), rel=1e-12)
+
+
+def test_rotation_response_at_rest_beyond_the_fold_takes_the_linear_width():
+    # n3 < 0 at n_g = 1: the cubic's fold, (2/3)*n_g*sqrt(n_g/(3*|n3|*w0)),
+    # is far below gamma_ec, so linewidth_cubic has no positive root and
+    # the width at rest is gamma_ec/n_g
+    cav = tabletop()
+    beyond = TaylorCubic(1.0, 0.0, -1e-6 / W0, W0)
+    with pytest.raises(ComputationError, match="no positive linewidth root for these coefficients"):
+        linewidth_cubic(cav.gamma_ec, beyond)
+    resp = rotation_response(beyond, cav, 0.0)
+    assert (resp.dw_plus, resp.dw_minus, resp.splitting) == (0.0, 0.0, 0.0)
+    assert resp.width == ShiftedLinewidth(cav.gamma_ec, 1.0, from_cubic=False)
 
 
 def test_rotation_response_rejects_mismatched_background():

@@ -8,6 +8,7 @@ import ast
 from pathlib import Path
 
 import pytest
+from mutants import MUTANTS, REPO, mutate
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fastlight"
 
@@ -66,3 +67,15 @@ def test_every_public_definition_is_used():
         and node.name not in used
     ]
     assert unused == []
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
+def test_every_mutant_still_applies(mutant):
+    # each old text occurs exactly once (mutate raises otherwise), the
+    # mutated file still compiles, and the named test exists; the mutants
+    # themselves are run by hand with tests/mutants.py
+    text = mutate((REPO / mutant.path).read_text(encoding="utf-8"), mutant)
+    compile(text, mutant.path, "exec")
+    test_file, _, test_name = mutant.test.partition("::")
+    tree = ast.parse((REPO / test_file).read_text(encoding="utf-8"))
+    assert test_name in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
