@@ -200,7 +200,8 @@ def _continuous_root(a: float, b: float, d: float) -> tuple[float, bool]:
 
     Returns (root, multivalued). `multivalued` is True when three real roots
     exist (possible only where a and b differ in sign), in which case the
-    branch that passes through zero is returned.
+    branch that passes through zero is returned. A cubic term too weak for
+    (b/a)^3 to be a double is solved all the same, giving d/b as a = 0 does.
     """
     if a == 0.0:
         if b == 0.0:
@@ -221,10 +222,10 @@ def _continuous_root(a: float, b: float, d: float) -> tuple[float, bool]:
     try:
         disc = 0.25 * q * q + p ** 3 / 27.0
     except OverflowError:
-        raise ComputationError(
-            "cubic term too weak against the linear one: (b/a)^3 overflows in "
-            f"a*x^3 + b*x = d, with a from n3*w0 and b = n_g (b/a = {p:.3g})"
-        ) from None
+        # a cubic term too weak to matter: for p > 0 Cardano's root fails
+        # the residual check and bisection finds it, for p < 0 the bounded
+        # polish of the middle root lands on d/b
+        disc = math.copysign(math.inf, p)
     # p >= 0 gives disc > 0 unless q*q underflows
     if disc > 0.0 or p >= 0.0:
         x = _newton_polish(a, b, d, _cardano(p, q, disc))

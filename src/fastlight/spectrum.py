@@ -23,8 +23,7 @@ Each public call binds its medium and cavity once into a `_RoundTrip`
 kernel, which reads the cavity's constants once and takes Psi, at a float
 for a Newton step or over the samples of a scan pass, from one `response`
 of the medium per evaluation. A scan pass holds grids of one point count
-as the rows of one array and builds Psi in place in the arrays that
-response returned.
+as the rows of one array.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C0
-from .dispersion import DispersionProfile, TaylorCubic
+from .dispersion import DispersionProfile
 from .errors import ComputationError
 from .resonator import (
     RingCavity,
@@ -108,10 +107,10 @@ class _RoundTrip:
     at a float (`psi_and_slope`) or over an array (`psi_array`), takes one
     `response` of the medium and runs the expression of the module
     docstring in the same order, so the two agree bitwise. The arrays a
-    call builds belong to that call alone. `taylor` is the cubic (None
-    where the call sizes no grid or the cubic does not apply), and `airy`
-    its `airy_linewidth_cubic` (None where that has no root), which does
-    not depend on the shift.
+    call builds belong to that call alone. `taylor` is the medium's
+    `effective_taylor` (None where that refuses it), and `airy` its
+    `airy_linewidth_cubic` (None where that has no root), which does not
+    depend on the shift.
     """
 
     __slots__ = (
@@ -119,7 +118,7 @@ class _RoundTrip:
         "background_index", "fsr", "gamma_ec", "k", "taylor", "airy",
     )
 
-    def __init__(self, profile: DispersionProfile, cavity: RingCavity, taylor: TaylorCubic | None):
+    def __init__(self, profile: DispersionProfile, cavity: RingCavity):
         length, fill, nb = cavity.round_trip_length, cavity.fill_fraction, cavity.n0
         self.cavity = cavity
         self.response = profile.response
@@ -139,13 +138,15 @@ class _RoundTrip:
             raise ComputationError(
                 f"finesse too high for the Airy transmission: (2F/pi)^2 overflows (F = {cavity.finesse:.3g})"
             ) from None
-        self.taylor = taylor
-        self.airy = None
-        if taylor is not None:
-            try:
-                self.airy = airy_linewidth_cubic(self.gamma_ec, taylor)
-            except (ComputationError, ValueError):
-                pass
+        self.taylor = self.airy = None
+        try:
+            self.taylor = effective_taylor(profile, cavity)
+        except ComputationError:
+            return
+        try:
+            self.airy = airy_linewidth_cubic(self.gamma_ec, self.taylor)
+        except (ComputationError, ValueError):
+            pass
 
     def psi_and_slope(self, delta_length: float, omega: float) -> tuple[float, float]:
         """(Psi, dPsi/domega) at a float omega.
@@ -163,24 +164,13 @@ class _RoundTrip:
 
     def psi_array(self, omega: np.ndarray, delta_lengths) -> np.ndarray:
         """Psi over a (rows, points) array omega, row j with length change
-        delta_lengths[j].
-
-        Psi is built in the arrays of the medium's response, whose slope goes
-        unused and is let go at once; n_b*dL*omega is laid out only after the
-        response, so that its temporaries are gone by then.
+        delta_lengths[j]: the expression of `psi_and_slope`, with n_b*dL a
+        column of one entry per row. The medium's slope goes unused.
         """
-        n_at, psi = self.response(omega, self.omega0)[:2]
-        nb_dl = omega * np.array([self.nb * dl for dl in delta_lengths])[:, None]
+        n_at, dn = self.response(omega, self.omega0)[:2]
+        nb_dl = np.array([self.nb * dl for dl in delta_lengths])[:, None]
         delta = omega - self.omega0
-        psi *= self.omega0
-        n_at *= delta
-        psi += n_at
-        psi *= self.medium
-        delta *= self.background
-        psi += delta
-        psi += nb_dl
-        psi /= C0
-        return psi
+        return (self.medium * (dn * self.omega0 + n_at * delta) + self.background * delta + nb_dl * omega) / C0
 
     def transmission(self, psi):
         """Airy transmission 1 / (1 + k sin^2(Psi/2)) of an array Psi."""
@@ -193,16 +183,16 @@ def transmission(profile: DispersionProfile, cavity: RingCavity, delta_length: f
     The result has omega's shape. A float is taken as a 0-d array and gives
     a NumPy float.
     """
-    rt = _RoundTrip(profile, cavity, None)
+    rt = _RoundTrip(profile, cavity)
     omega = np.asarray(omega, dtype=float)
     return rt.transmission(rt.psi_array(omega.reshape(1, -1), [delta_length]).reshape(omega.shape))
 
 
 # Most samples one scan pass holds: 64 KiB per array, or 81 sweep grids. A
 # pass pays numpy's per-call cost once for all of its rows, so a `perfbench`
-# `sweep` op (17 to 65 shifts and a trace) takes two passes. Psi is built in
-# place, so a full pass peaks at eight such arrays in the medium's response
-# (512 KiB by tracemalloc for 81 grids), and T needs four.
+# `sweep` op (17 to 65 shifts and a trace) takes two passes. A full pass
+# peaks at eight such arrays, in the medium's response (512 KiB by
+# tracemalloc for 81 grids).
 _SCAN_SAMPLES = 8_192
 
 
@@ -342,7 +332,7 @@ def find_resonance(profile: DispersionProfile, cavity: RingCavity, delta_length:
     it, sin^2(Psi/2) is smallest where the slope of Psi changes sign, and
     that point is returned instead.
     """
-    rt = _RoundTrip(profile, cavity, None)
+    rt = _RoundTrip(profile, cavity)
     ((w, psi, _, i, count),) = _scan(rt, [delta_length], [grid])
     return _locate_resonance(rt, delta_length, grid, w, psi, i, count)
 
@@ -375,14 +365,6 @@ def _locate_resonance(rt: _RoundTrip, delta_length, grid: SweepGrid, w, psi, i: 
     return float(center + u)
 
 
-def _cubic_model(profile: DispersionProfile, cavity: RingCavity) -> TaylorCubic | None:
-    """The path-averaged cubic of `resonator`, or None where it does not apply."""
-    try:
-        return effective_taylor(profile, cavity)
-    except ComputationError:
-        return None
-
-
 def _width_estimate(rt: _RoundTrip, shift: float) -> float:
     """Predicted FWHM at a resonance shifted by `shift`: the smaller of the
     cubic's Airy width and gamma_ec over its local group index, of those
@@ -401,7 +383,9 @@ def _shift_estimate(rt: _RoundTrip, delta_length: float) -> float:
 
     A cubic-model seed polished by guarded Newton iteration on Psi = 0; the
     polish handles regimes the cubic misses (strong saturation, off-center
-    profiles) and falls back to the seed when it fails to settle.
+    profiles) and falls back to the seed when it fails to settle. Raises
+    where Psi or its slope overflows at the seed: the scan centred there
+    would see no finite transmission.
     """
     dw_ec = rt.cavity.shift_for_length(delta_length)
     seed = dw_ec
@@ -416,10 +400,15 @@ def _shift_estimate(rt: _RoundTrip, delta_length: float) -> float:
     omega = omega0 + seed
     best = seed
     limit = 0.35 * rt.fsr
-    for _ in range(60):
+    for i in range(60):
         if not math.isfinite(omega) or abs(omega - omega0) > limit:
             return best
         f, fp = psi_and_slope(delta_length, omega)
+        if i == 0 and not (math.isfinite(f) and math.isfinite(fp)):
+            raise ComputationError(
+                "round-trip phase or its slope overflows at the estimated resonance: the medium's "
+                f"response is too strong to scan (Psi = {f:.3g}, dPsi/domega = {fp:.3g} s)"
+            )
         if fp == 0.0 or not math.isfinite(fp):
             return best
         step = f / fp
@@ -456,7 +445,7 @@ def auto_grid(
     the free spectral range (no single-resonance grid exists there), or when
     the step would fall below the spacing of doubles.
     """
-    return _trace_grid(_RoundTrip(profile, cavity, _cubic_model(profile, cavity)), delta_length)
+    return _trace_grid(_RoundTrip(profile, cavity), delta_length)
 
 
 def _trace_grid(rt: _RoundTrip, delta_length) -> SweepGrid:
@@ -531,7 +520,7 @@ def measure_fwhm(
     width estimates), then solves Psi = 2*pi*m +- 2*asin(sqrt(s_half)) there,
     with the sign Psi takes at the bracket's outer end.
     """
-    return _measure_fwhm(_RoundTrip(profile, cavity, _cubic_model(profile, cavity)), delta_length, float(resonance))
+    return _measure_fwhm(_RoundTrip(profile, cavity), delta_length, float(resonance))
 
 
 def _measure_fwhm(rt: _RoundTrip, delta_length: float, resonance: float) -> float:
@@ -578,7 +567,7 @@ def trace(
     delta_length: float,
 ) -> SpectrumTrace:
     """Sweep, locate, and width-measure a single resonance on the `auto_grid` grid."""
-    rt = _RoundTrip(profile, cavity, _cubic_model(profile, cavity))
+    rt = _RoundTrip(profile, cavity)
     grid = _trace_grid(rt, delta_length)
     ((w, psi, t, i, count),) = _scan(rt, [delta_length], [grid])
     resonance = _locate_resonance(rt, delta_length, grid, w, psi, i, count)
@@ -616,9 +605,12 @@ def sweep_enhancement(
     Requires a profile tuned to zero group index at the cavity resonance and
     a shift list spanning at least four decades, none above the recovered
     half linewidth, whose smallest shift moves the cubic's resonance by at
-    least 1,000 spacings of doubles at omega0.
+    least 1,000 spacings of doubles at omega0. The kernel's cubic serves
+    these checks and the grids alike; where it has none, `effective_taylor`
+    is called once more only to raise its refusal.
     """
-    t = effective_taylor(profile, cavity)
+    rt = _RoundTrip(profile, cavity)
+    t = rt.taylor or effective_taylor(profile, cavity)
     if abs(t.ng0) > 1e-6:
         raise ComputationError(
             "enhancement sweep requires a profile tuned to zero group index "
@@ -646,7 +638,6 @@ def sweep_enhancement(
             f"is under 1,000 spacings of doubles ({spacing:.3g} rad/s) at omega0"
         )
 
-    rt = _RoundTrip(profile, cavity, t)
     sized, resonances = [], []  # sized: (delta_length, grid) per shift
     try:
         for dw in values:

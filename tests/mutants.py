@@ -114,6 +114,17 @@ MUTANTS = (
         "tests/test_cli.py::test_a_cubic_too_weak_for_its_linear_term_is_named",
     ),
     Mutant(
+        "cubic-too-weak-refused-again",
+        RESONATOR,
+        (
+            (
+                "        disc = math.copysign(math.inf, p)\n",
+                '        raise ComputationError("cubic term too weak against the linear one") from None\n',
+            ),
+        ),
+        "tests/test_cli.py::test_a_cubic_term_too_weak_to_matter_gives_the_answer_without_it",
+    ),
+    Mutant(
         "lorentzian-g-cubed-overflow-left-bare",
         "src/fastlight/dispersion.py",
         (
@@ -188,12 +199,41 @@ MUTANTS = (
         "tests/test_cli.py::test_an_overflow_is_named",
     ),
     Mutant(
+        "kernel-leaves-its-cubic-unset",
+        SPECTRUM,
+        (("            self.taylor = effective_taylor(profile, cavity)\n", "            effective_taylor(profile, cavity)\n"),),
+        f"{TEST_SPECTRUM}::test_the_kernel_derives_its_own_cubic",
+    ),
+    Mutant(
+        "sweep-builds-a-second-cubic",
+        SPECTRUM,
+        (("    t = rt.taylor or effective_taylor(profile, cavity)\n", "    t = effective_taylor(profile, cavity)\n"),),
+        f"{TEST_SPECTRUM}::test_auto_grid_builds_the_cubic_model_once",
+    ),
+    Mutant(
+        "scan-refusal-of-an-overflowing-response-removed",
+        SPECTRUM,
+        (("        if i == 0 and not (math.isfinite(f) and math.isfinite(fp)):\n", "        if False:\n"),),
+        "tests/test_cli.py::test_a_response_too_strong_to_scan_is_refused_before_the_scan",
+    ),
+    Mutant(
         "psi-factor-regrouped",
         SPECTRUM,
         (
             (
                 "psi = (self.medium * (dn * omega0 + n_at * delta) + self.background * delta",
                 "psi = (self.medium * dn * omega0 + self.medium * n_at * delta + self.background * delta",
+            ),
+        ),
+        f"{TEST_SPECTRUM}::test_bound_kernel_and_scan_equal_three_profile_calls_bit_for_bit",
+    ),
+    Mutant(
+        "array-psi-factor-regrouped",
+        SPECTRUM,
+        (
+            (
+                "return (self.medium * (dn * self.omega0 + n_at * delta) + self.background * delta",
+                "return (self.medium * dn * self.omega0 + self.medium * n_at * delta + self.background * delta",
             ),
         ),
         f"{TEST_SPECTRUM}::test_bound_kernel_and_scan_equal_three_profile_calls_bit_for_bit",

@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from golden_runs import case_key, load_exit_codes
 
 from fastlight.cli import COMMANDS, main
+from fastlight.constants import C0
 from fastlight.scenario import load_scenario
 
 TABLETOP = "scenarios/tabletop_rlg.scenario"
@@ -349,31 +350,49 @@ def test_an_overflow_is_named(tmp_path, capsys, scenario, old, new, command, cod
 
 
 @pytest.mark.parametrize("command", ["shift", "linewidth", "split", "spectrum"])
-@pytest.mark.parametrize(
-    "fwhm_hz, target, ratio", [("1e60", "0.5", "9.87e+120"), ("1e100", "0", "1.1e+185")], ids=["slow", "white-light"]
-)
-def test_a_cubic_too_weak_for_its_linear_term_is_named(tmp_path, capsys, command, fwhm_hz, target, ratio):
+@pytest.mark.parametrize("fwhm_hz, target", [("1e60", "0.5"), ("1e100", "0")], ids=["slow", "white-light"])
+def test_a_cubic_too_weak_for_its_linear_term_is_named(tmp_path, capsys, command, fwhm_hz, target):
     # a CAD line so wide that n3*w0 = A*w0/G^3 is negligible: (n_g/(n3*w0))^3
-    # overflows in the cubic's discriminant. The analytic commands refuse
-    # it by name; spectrum only seeds its grid with the cubic and falls
-    # back to the empty-cavity shift, which at n_g = 0.5 locates eta = 2
+    # overflows in the cubic's discriminant, and the cubic is solved as the
+    # linear n_g*x = d it then is. At n_g = 0.5 that is eta = 2, which the
+    # spectrum measures too. At target 0, n_g is a rounding residue near
+    # 1e-16, so the root lies beyond omega0: split refuses the cw direction
+    # by name, and the spectrum's grid does not fit one FSR
     medium = f"medium = cad\nmedium_linewidth_fwhm_hz = {fwhm_hz}\nmedium_target_group_index = {target}"
     path = edited(tmp_path, TABLETOP, CAD_LINES, medium)
-    code, out, err = run(capsys, command, "--scenario", path)
-    if command != "spectrum":
-        assert (code, out) == (3, "")
-        assert err == (
-            "computation error: cubic term too weak against the linear one: (b/a)^3 overflows in "
-            f"a*x^3 + b*x = d, with a from n3*w0 and b = n_g (b/a = {ratio})\n"
-        )
-    elif target == "0.5":
-        assert (code, err) == (0, "")
-        eta = float(re.search(r"^enhancement_numeric = (\S+)", out, re.MULTILINE).group(1))
-        assert eta == pytest.approx(2.0, rel=1e-3)
+    code, out, err = run(capsys, command, "--scenario", path, "--out", str(tmp_path), "--format", "json")
+    refusals = {
+        "split": "the dispersive shift is below -omega0: the shifted resonance would sit at a non-positive frequency",
+        "spectrum": "requested response does not fit inside a single free spectral range",
+    }
+    if target == "0" and command in refusals:
+        assert (code, out, err) == (3, "", f"computation error: {refusals[command]}\n")
+        return
+    assert (code, err) == (0, "")
+    results = json.loads((tmp_path / f"{command}.json").read_text())["results"]
+    value = {key: entry["value"] for key, entry in results.items()}
+    if command == "spectrum":
+        assert value["enhancement_numeric"] == pytest.approx(2.0, rel=1e-3)
+    elif command == "split":
+        assert value["enhancement"] == pytest.approx(2.0, rel=1e-12)
     else:
-        # at n_g = 0 the empty-cavity seed sizes no grid that fits one FSR
-        assert (code, out) == (3, "")
-        assert err == "computation error: requested response does not fit inside a single free spectral range\n"
+        dw_ec = load_scenario(path).cavity().rotation_scale * 7.2921159e-5
+        assert value["dw_dis"] == pytest.approx(dw_ec / value["group_index"], rel=1e-12)
+        assert value["dw_dis"] == pytest.approx(1528.31448085 if target == "0.5" else 6.88291652647e18, rel=1e-11)
+
+
+@pytest.mark.parametrize("command", ["shift", "linewidth", "split"])
+@pytest.mark.parametrize("n3", ["1e-200", "1e-118"])
+def test_a_cubic_term_too_weak_to_matter_gives_the_answer_without_it(tmp_path, capsys, command, n3):
+    # beside n_g*x the cubic term is below a rounding of the linear one; at
+    # 1e-200 its (b/a)^3 overflows, at 1e-118 only the Airy cubic's (4b/a)^3
+    # does. Every result is the n3 = 0 one bit for bit, and shift adds the
+    # analytic enhancement, since G = sqrt(-n1/n3) is then defined
+    taylor = "medium = taylor\nmedium_index = 1.0\nmedium_n1_s_per_rad = -1e-16\nmedium_n3_s3_per_rad3 = "
+    bare = json_run(tmp_path, capsys, command, taylor + "0", "bare")["results"]
+    weak = json_run(tmp_path, capsys, command, taylor + n3, "weak")["results"]
+    assert weak.keys() - bare.keys() == ({"enhancement_analytic"} if command == "shift" else set())
+    assert {key: weak[key] for key in bare} == bare
 
 
 @pytest.mark.parametrize("command", ["spectrum", "fig5"])
@@ -388,6 +407,36 @@ def test_pull_beyond_omega0_leaves_no_round_trip_and_exits_3(tmp_path, capsys, c
     assert err == "computation error: the length change leaves no positive round trip\n"
     assert out == ""
     assert caught == []
+
+
+@pytest.mark.parametrize(
+    "scenario, added, command, psi",
+    [
+        (TABLETOP, "fill_fraction = 1e-300", "spectrum", "-inf"),
+        (TABLETOP, "medium_target_group_index = -1e300", "spectrum", "-1.6e-05"),
+        (SWEEP, "fill_fraction = 1e-300", "fig4", "-inf"),
+    ],
+    ids=["fill", "target", "fill-fig4"],
+)
+def test_a_response_too_strong_to_scan_is_refused_before_the_scan(tmp_path, capsys, scenario, added, command, psi):
+    # the CAD line is tuned to a group index near -1e300, so its strength
+    # A = G*(1 - target)/w0 is near 2e291 and the medium's response
+    # overflows across the scan; refused by name at the shift estimate, with
+    # no numpy warning. The analytic commands see only the path-averaged
+    # cubic, which stays finite, and exit 0
+    path = tmp_path / "strong.scenario"
+    path.write_text(Path(scenario).read_text(encoding="utf-8") + added + "\n", encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, command, "--scenario", str(path))
+        assert (code, out, caught) == (3, "", [])
+        assert err == (
+            "computation error: round-trip phase or its slope overflows at the estimated resonance: the "
+            f"medium's response is too strong to scan (Psi = {psi}, dPsi/domega = -inf s)\n"
+        )
+        if scenario == TABLETOP:
+            for other in ("split", "shift", "linewidth", "sensitivity", "lens-thirring"):
+                assert run(capsys, other, "--scenario", str(path))[0::2] == (0, ""), other
 
 
 @pytest.mark.parametrize("shift", ["-1", "0"])
@@ -456,6 +505,28 @@ def test_sagnac_input_faults_exit_2(tmp_path, capsys, scenario, old, new, messag
     assert err.startswith("scenario error:")
     assert message in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("empty_cavity_shift_hz = 1:2:x:log\n", ":1: malformed range '1:2:x:log' (invalid literal for int() with base 10: 'x')"),
+        ("radius_m = 1.0\n= 1.0\n", ":2: expected key = value, got '= 1.0'"),
+        ("radius_m =\n", ":1: expected key = value, got 'radius_m ='"),
+        ('{"radius_m": [1.0]}', ": value for 'radius_m' must be a number or string"),
+        ('{"inputs": {"radius_m": null}}', ": value for 'radius_m' must be a number or string"),
+        ('{"radius_m": true}', ": value for 'radius_m' must be a number or string"),
+        (
+            "radius_m = 1.0\nfinesse = 1.0e3\nfrequency_hz = 5.0e14\nrotation_rate_rad_s = 1e-4\nbackground_index = 0\n",
+            ": background index must be positive",
+        ),
+    ],
+    ids=["range-point-count", "empty-key", "empty-value", "json-list", "json-null", "json-bool", "background-index"],
+)
+def test_a_malformed_input_is_named_and_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "malformed.scenario"
+    path.write_text(text, encoding="utf-8")
+    assert run(capsys, "split", "--scenario", str(path)) == (2, "", f"scenario error: {path}{message}\n")
 
 
 def test_split_at_rest_prints_no_enhancement(tmp_path, capsys):
@@ -945,6 +1016,15 @@ RUNNABLE = {
 }
 
 
+def rim_radius(drawn: dict) -> float:
+    """The effective radius 2A/P of a drawn loop (R for a circle), inf
+    where its perimeter is 0."""
+    if "radius_m" in drawn:
+        return drawn["radius_m"]
+    area, perimeter = drawn["area_m2"], drawn["perimeter_m"]
+    return 2.0 * area / perimeter if perimeter else math.inf
+
+
 @st.composite
 def edited_runs(draw) -> tuple[str, str]:
     """(command, scenario text): a shipped scenario and a command it runs,
@@ -954,18 +1034,25 @@ def edited_runs(draw) -> tuple[str, str]:
     One edge value is enough: most of them are input faults, and
     test_every_edge_value_on_every_line_exits_cleanly sets each line to each
     of them. A finesse is only rescaled upwards, since one of 1 or below is
-    refused. A CAD medium may also be tuned to a target group index,
-    negative ones included, where the shift cubic has three real roots.
+    refused, and a rotation rate only so far as the rim speed Omega*2A/P of
+    the drawn loop stays below c0, since a faster one is refused too. A CAD
+    medium may also be tuned to a target group index, negative ones
+    included, where the shift cubic has three real roots.
     """
     scenario = draw(st.sampled_from(SCENARIOS))
     lines = Path(scenario).read_text().splitlines()
     edits = list(numeric_lines(lines))
     edge = draw(st.sampled_from([None] + [i for i, _, _ in edits]))
+    drawn = {}  # the values drawn so far; the loop's lines come first
     for i, key, value in edits:
-        lowest = 0 if key.strip() == "finesse" else -6
-        scaled = st.integers(lowest, 6).map(lambda k: value * 10.0**k)
+        name = key.strip()
+        exponents = range(0 if name == "finesse" else -6, 7)
+        if name == "rotation_rate_rad_s":
+            exponents = [k for k in exponents if k <= 0 or abs(value * 10.0**k * rim_radius(drawn)) < C0]
+        scaled = st.sampled_from(exponents).map(lambda k: value * 10.0**k)
         choice = st.sampled_from(EDGE_VALUES) if i == edge else st.one_of(st.just(value), scaled)
-        lines[i] = f"{key}= {draw(choice)!r}"
+        drawn[name] = draw(choice)
+        lines[i] = f"{key}= {drawn[name]!r}"
     if "medium = cad" in lines and draw(st.booleans()):
         lines.append(f"medium_target_group_index = {draw(st.floats(-1.0, 0.9))!r}")
     return draw(st.sampled_from(RUNNABLE[scenario])), "\n".join(lines) + "\n"
@@ -990,15 +1077,24 @@ def test_any_scenario_edit_exits_cleanly(case):
         assert_results_finite_and_tagged(out.getvalue())
 
 
+# optional keys that no shipped scenario sets
+UNSET_KEYS = ("background_index", "fill_fraction", "quantum_efficiency", "snr")
+
+
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: Path(s).stem)
 def test_every_edge_value_on_every_line_exits_cleanly(tmp_path, scenario):
-    # each numeric line in turn set to each edge value, under every command:
+    # each numeric line in turn set to each edge value, and each optional
+    # key the scenario leaves unset appended at each, under every command:
     # exit 0 with finite, tagged numbers and a silent stderr, or exit 2 or 3
     # with one stderr line that names what failed; a warning would be one
     # more stderr line
-    lines = Path(scenario).read_text(encoding="utf-8").splitlines()
+    text = Path(scenario).read_text(encoding="utf-8")
+    lines = text.splitlines()
     edits = list(numeric_lines(lines))
     assert edits
+    unset = UNSET_KEYS + (("medium_target_group_index",) if "medium = cad" in lines else ())
+    # an edit at the index past the last line appends it
+    edits += [(len(lines), f"{key} ", None) for key in unset if f"{key} =" not in text]
     path = tmp_path / "edited.scenario"
     for i, key, _ in edits:
         for value in EDGE_VALUES + (math.nan, math.inf):

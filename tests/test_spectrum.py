@@ -39,7 +39,6 @@ from fastlight.scenario import load_scenario
 from fastlight.spectrum import (
     EnhancementSample,
     SweepGrid,
-    _cubic_model,
     _width_estimate,
     auto_grid,
     find_resonance,
@@ -88,7 +87,7 @@ def half_maximum_level(profile, cav: RingCavity, dl: float, res: float) -> float
 
 
 def kernel(profile, cav: RingCavity):
-    return spectrum._RoundTrip(profile, cav, None)
+    return spectrum._RoundTrip(profile, cav)
 
 
 # ------------------------------------------------------------- dephasing
@@ -220,6 +219,15 @@ def test_auto_grid_builds_the_cubic_model_once(monkeypatch):
     assert calls["effective_taylor"] == 1
 
 
+def test_the_kernel_derives_its_own_cubic():
+    # the path-averaged cubic and its Airy width; test_trace_of_an_off_centre_line
+    # checks that a line off the cavity resonance leaves the cubic None
+    cav = RingCavity(geometry=CIRCLE, finesse=1.0e3, omega0=W0, n0=1.2, fill_fraction=0.6)
+    rt = kernel(cad_tune(G, W0), cav)
+    assert rt.taylor == effective_taylor(cad_tune(G, W0), cav)
+    assert rt.airy == airy_linewidth_cubic(cav.gamma_ec, rt.taylor)
+
+
 def test_transmission_peak_and_half_point():
     cav = cavity()
     assert transmission(VACUUM, cav, 0.0, W0) == 1.0
@@ -324,7 +332,7 @@ def test_fwhm_ends_sit_on_the_half_maximum_level(profile, cav, dl):
     # each crossing lies within one width of the resonance
     right = bisect(excess, 0.0, width)
     left = bisect(excess, 0.0, -width)
-    rt = spectrum._RoundTrip(profile, cav, _cubic_model(profile, cav))
+    rt = spectrum._RoundTrip(profile, cav)
     tol = ulp_floor(res, 1e-9 * _width_estimate(rt, res - cav.omega0))
     assert abs(width - (right - left)) <= 2.0 * tol
 
@@ -400,7 +408,7 @@ def test_trace_of_an_off_centre_line(offset, dw_ec):
     # on the empty cavity and the Newton polish on Psi.
     cav = cad_cavity(1e-3)
     profile = cad_tune(G, W0 + offset)
-    assert _cubic_model(profile, cav) is None
+    assert kernel(profile, cav).taylor is None
     dl = cav.length_for_shift(dw_ec)
     h = auto_grid(profile, cav, dl).resolution
     result = trace(profile, cav, dl)
@@ -639,7 +647,7 @@ def test_shift_estimate_of_a_sub_ulp_shift_stays_in_the_window(dw_ec_hz):
     # window, and the estimate must keep its last iterate inside it
     scn = load_scenario(CAD_SWEEP)
     profile, cav = scn.profile(), scn.cavity()
-    rt = spectrum._RoundTrip(profile, cav, _cubic_model(profile, cav))
+    rt = spectrum._RoundTrip(profile, cav)
     estimate = spectrum._shift_estimate(rt, cav.length_for_shift(2.0 * math.pi * dw_ec_hz))
     assert 0.0 <= estimate <= 0.5
 
@@ -743,7 +751,7 @@ def test_sweep_scans_its_grids_in_passes_not_one_per_shift():
 def margin_widened(profile, cav: RingCavity, shifts) -> int:
     """How many of the shifts `auto_grid`'s margin of 10% of the shift would
     give a wider grid than the sweep's 2.5 widths."""
-    rt = spectrum._RoundTrip(profile, cav, effective_taylor(profile, cav))
+    rt = spectrum._RoundTrip(profile, cav)
     widened = 0
     for dw in shifts:
         shift = spectrum._shift_estimate(rt, cav.length_for_shift(dw))
@@ -765,7 +773,7 @@ def test_sweep_grids_have_101_points_over_2_5_widths_at_the_polished_shift(monke
     monkeypatch.setattr(spectrum, "_scan", capturing)
     sweep_enhancement(profile, cav, shifts)
     assert [dl for dl, _ in scanned] == [cav.length_for_shift(dw) for dw in shifts]
-    rt = spectrum._RoundTrip(profile, cav, effective_taylor(profile, cav))
+    rt = spectrum._RoundTrip(profile, cav)
     for dl, grid in scanned:
         shift = spectrum._shift_estimate(rt, dl)
         assert grid == SweepGrid(center=cav.omega0 + shift, half_span=2.5 * _width_estimate(rt, shift), points=101)
@@ -790,7 +798,7 @@ def test_sweep_grids_are_sized_to_the_line_not_to_2001_points():
 
 def sweep_grid(profile, cav: RingCavity, dl: float) -> SweepGrid:
     """The grid `sweep_enhancement` scans for the length change dl."""
-    rt = spectrum._RoundTrip(profile, cav, effective_taylor(profile, cav))
+    rt = spectrum._RoundTrip(profile, cav)
     return spectrum._grid(rt, dl)
 
 
@@ -1021,7 +1029,7 @@ def test_bound_kernel_and_scan_equal_three_profile_calls_bit_for_bit(case):
     # Psi; the oracle reads the cavity afresh and calls index, index_change
     # and dindex_domega apart. A two-row scan gives each row its own dL.
     profile, cav, dl, grid = case
-    rt = spectrum._RoundTrip(profile, cav, None)
+    rt = spectrum._RoundTrip(profile, cav)
     rows = spectrum._scan(rt, [dl, 0.5 * dl], [grid, grid])
     for length, (w, psi, _, _, _) in zip([dl, 0.5 * dl], rows):
         for omega, psi_scan in zip(w.tolist(), psi.tolist()):
@@ -1033,8 +1041,8 @@ def test_bound_kernel_and_scan_equal_three_profile_calls_bit_for_bit(case):
 @settings(max_examples=30, deadline=None)
 @given(case=cad_sweeps())
 def test_sweeps_and_traces_raise_no_warning(case):
-    # Psi is built in place in the medium's response; no step of a sweep or
-    # a trace may overflow, divide by zero or take an invalid value on the way
+    # no step of a sweep or a trace may overflow, divide by zero or take an
+    # invalid value on the way
     profile, cav, shifts = case
     with warnings.catch_warnings():
         warnings.simplefilter("error")
