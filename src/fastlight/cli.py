@@ -20,8 +20,9 @@ import os
 import sys
 from pathlib import Path
 
-# numpy's OpenBLAS starts one worker thread per CPU when it loads; a command
-# makes no BLAS call, so one thread saves that start-up. A caller's value wins.
+# numpy's OpenBLAS starts one worker thread per CPU when numpy executes, which
+# only the commands that scan a spectrum make it do; none makes a BLAS call,
+# so one thread saves that start-up. A caller's value wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .constants import LENSE_THIRRING_FRACTION, OMEGA_EARTH

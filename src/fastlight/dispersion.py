@@ -19,7 +19,8 @@ n_g(wc) hits a target (zero for critically anomalous dispersion) is what
 Each profile evaluates n(w), n(w) - n(base) and dn/dw together in
 `response`, which computes their shared terms once; `index`,
 `index_change` and `dindex_domega` are its parts. All frequencies are
-angular (rad/s). Evaluation accepts scalars or numpy arrays.
+angular (rad/s). Evaluation accepts scalars or numpy arrays; a float
+evaluation executes numpy only in the Lorentzian's underflow fallback.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .errors import ComputationError
 
 

@@ -27,8 +27,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
+from ._numpy import np
 from .constants import C0
 from .dispersion import DispersionProfile, LorentzianAbsorptive, TaylorCubic, cad_tune
 from .errors import ScenarioError

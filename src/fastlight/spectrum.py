@@ -31,8 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .constants import C0
 from .dispersion import DispersionProfile
 from .errors import ComputationError

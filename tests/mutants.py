@@ -45,13 +45,16 @@ TEST_SPECTRUM = "tests/test_spectrum.py"
 
 MUTANTS = (
     Mutant(
-        "openblas-default-after-the-package-imports",
+        "numpy-executed-above-the-openblas-default",
         CLI,
-        (
-            ('os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")\n', ""),
-            ("\nTWO_PI = ", '\nos.environ.setdefault("OPENBLAS_NUM_THREADS", "1")\nTWO_PI = '),
-        ),
+        (("import sys\nfrom pathlib import Path\n", "import sys\nfrom pathlib import Path\n\nimport numpy\n"),),
         "tests/test_cli.py::test_cli_sets_one_openblas_thread_before_numpy_loads",
+    ),
+    Mutant(
+        "dispersion-imports-numpy-itself",
+        "src/fastlight/dispersion.py",
+        (("from ._numpy import np\n", "import numpy as np\n"),),
+        "tests/test_source.py::test_only_the_lazy_helper_brings_in_numpy",
     ),
     Mutant(
         "spectrum-imported-at-the-top-of-cli",

@@ -894,25 +894,31 @@ def test_cli_import_does_not_load_scipy():
     assert fresh_interpreter(code) is False
 
 
-# Records OPENBLAS_NUM_THREADS as it stands when numpy is first looked up,
-# which is when numpy's OpenBLAS reads it, by a finder put first on the path.
-FIRST_NUMPY_LOOKUP = """
-import json, os, sys
+# Records OPENBLAS_NUM_THREADS as it stands when numpy._core is first looked
+# up, by a finder put first on the path. `import fastlight.cli` only registers
+# numpy; numpy executes, and its OpenBLAS reads the variable, when a command
+# first uses it, which `spectrum` does.
+FIRST_NUMPY_CORE_LOOKUP = """
+import contextlib, io, json, os, sys
 
-class FirstNumpyLookup:
+class FirstCoreLookup:
     seen = []
 
     def find_spec(self, name, path=None, target=None):
-        if name == "numpy" and not self.seen:
+        if name == "numpy._core" and not self.seen:
             self.seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
         return None
 
-sys.meta_path.insert(0, FirstNumpyLookup())
+sys.meta_path.insert(0, FirstCoreLookup())
 import fastlight.cli
+executed_at_import = "numpy._core" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    code = fastlight.cli.main(["spectrum", "--scenario", "scenarios/tabletop_rlg.scenario"])
 print(json.dumps({
-    "seen": FirstNumpyLookup.seen,
+    "executed_at_import": executed_at_import,
+    "code": code,
+    "seen": FirstCoreLookup.seen,
     "after": os.environ.get("OPENBLAS_NUM_THREADS"),
-    "numpy": "numpy" in sys.modules,
 }))
 """
 
@@ -920,14 +926,9 @@ print(json.dumps({
 @pytest.mark.parametrize("caller, expected", [(None, "1"), ("3", "3")], ids=["unset", "set-by-caller"])
 def test_cli_sets_one_openblas_thread_before_numpy_loads(caller, expected):
     # a command makes no BLAS call, so the CLI keeps OpenBLAS from starting
-    # a worker per CPU at import, unless the caller chose a count
-    record = fresh_interpreter(FIRST_NUMPY_LOOKUP, OPENBLAS_NUM_THREADS=caller)
-    assert record["seen"] == [expected]
-    assert record["after"] == expected
-    # numpy stays a start-up import for now: perfbench/run.py's probe reads
-    # sys.modules['numpy'] after `import fastlight.cli`. ROADMAP item 2 lifts
-    # this together with the benchmark-only change that mends the probe.
-    assert record["numpy"] is True
+    # a worker per CPU when numpy executes, unless the caller chose a count
+    record = fresh_interpreter(FIRST_NUMPY_CORE_LOOKUP, OPENBLAS_NUM_THREADS=caller)
+    assert record == {"executed_at_import": False, "code": 0, "seen": [expected], "after": expected}
 
 
 # every command that computes without a spectrum, each on a scenario it runs
@@ -942,7 +943,8 @@ ANALYTIC_RUNS = [
 
 
 def test_only_the_sweeping_commands_load_spectrum():
-    # spectrum is the largest module; the analytic commands start without it
+    # spectrum is the largest module and numpy the largest import; the
+    # analytic commands load the one and execute the other not at all
     code = f"""
 import contextlib, io, json, sys
 from fastlight.cli import main
@@ -950,11 +952,31 @@ loaded = []
 for command, scenario in {ANALYTIC_RUNS + [("spectrum", TABLETOP)]!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         code = main([command, "--scenario", scenario])
-    loaded.append([command, code, "fastlight.spectrum" in sys.modules])
+    loaded.append([command, code, "fastlight.spectrum" in sys.modules, "numpy._core" in sys.modules])
 print(json.dumps(loaded))
 """
     loaded = fresh_interpreter(code)
-    assert loaded == [[command, 0, False] for command, _ in ANALYTIC_RUNS] + [["spectrum", 0, True]]
+    assert loaded == [[command, 0, False, False] for command, _ in ANALYTIC_RUNS] + [["spectrum", 0, True, True]]
+
+
+def test_numpy_first_executes_inside_a_command(tmp_path):
+    # a 1e-100 Hz line underflows G^2, so the Lorentzian's fallback, which
+    # uses np.errstate and np.float64, is the first code of a `sagnac` run
+    # to touch numpy; in a fresh interpreter numpy executes there, mid-command.
+    # In-process runs cannot reach this: the test session has executed numpy.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    path = edited(tmp_path, TABLETOP, "medium_linewidth_fwhm_hz = 2.0e6 ", "medium_linewidth_fwhm_hz = 1e-100")
+    out = subprocess.run(
+        [sys.executable, "-m", "fastlight.cli", "sagnac", "--scenario", path],
+        cwd=root,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (out.returncode, out.stdout) == (3, "")
+    assert out.stderr == "computation error: medium_group_index is not finite (nan) for these inputs\n"
 
 
 def test_closed_stdout_ends_quietly_after_the_files_are_written(tmp_path):

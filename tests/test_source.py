@@ -32,6 +32,32 @@ def test_no_unused_top_level_import(path):
     assert unused_imports(tree) == []
 
 
+def imports_numpy(tree: ast.Module) -> bool:
+    """Whether the module has `import numpy...` or `from numpy... import`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.partition(".")[0] == "numpy" for name in names):
+            return True
+    return False
+
+
+def test_only_the_lazy_helper_brings_in_numpy():
+    # _numpy registers numpy to execute at its first use; on Python 3.11 a
+    # plain `import numpy` after that reads the lazy module's __spec__, which
+    # executes numpy at once, so every command would pay its import again
+    importers = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if imports_numpy(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    ]
+    assert importers == []
+
+
 PERFBENCH = SRC.parents[1] / "perfbench"
 
 
