@@ -182,21 +182,41 @@ def _write_outputs(report: Report, out_dir: Path | None, fmt: str) -> list[Path]
 # --------------------------------------------------------------------------
 
 
-def _require_rotation(scn: Scenario) -> float:
+def _require_below_omega0(scn: Scenario, cavity, dw_ec: float) -> None:
+    if not abs(dw_ec) < cavity.omega0:
+        raise ScenarioError(
+            f"{scn.source}: the empty-cavity shift dw_ec = {dw_ec:.6g} rad/s must stay below "
+            f"omega0 = {cavity.omega0:.6g} rad/s in magnitude"
+        )
+
+
+def _drive(scn: Scenario, cavity, rotation_only: bool = False) -> tuple[float, float | None, str | None]:
+    """The drive's value, its empty-cavity shift dw_ec (ccw direction for a
+    rotation) and dw_ec's tag.
+
+    Every command that reads the drive reads it here, so each refuses the
+    same drives with the same message: a rotation whose rim speed reaches c0,
+    then any drive whose |dw_ec| reaches omega0, beyond which the cubic's
+    expansion about the resonance models nothing. Without a cavity (`sagnac`)
+    only the rim speed applies, and dw_ec and its tag are None.
+    """
     kind, value = scn.input_scalar()
-    if kind != "rotation_rate_rad_s":
+    if rotation_only and kind != "rotation_rate_rad_s":
         raise ScenarioError(f"{scn.source}: this command needs rotation_rate_rad_s, got {kind}")
-    return value
-
-
-def _dw_ec_scalar(scn: Scenario, cavity) -> tuple[float, str]:
-    """Empty-cavity resonance shift (ccw direction for rotation drives)."""
-    kind, value = scn.input_scalar()
     if kind == "rotation_rate_rad_s":
-        return cavity.rotation_scale * value, "dw_ec = (w0/(c0*n0))*2*Omega*A/P, ccw direction"
-    if kind == "delta_length_m":
-        return cavity.shift_for_length(value), "dw_ec = -w0*dL/L"
-    return TWO_PI * value, "dw_ec = 2*pi*empty_cavity_shift_hz"
+        try:
+            RotationState.from_geometry(value, scn.geometry())
+        except ValueError as exc:
+            raise ScenarioError(f"{scn.source}: {exc}") from None
+        if cavity is None:
+            return value, None, None
+        dw_ec, tag = cavity.rotation_scale * value, "dw_ec = (w0/(c0*n0))*2*Omega*A/P, ccw direction"
+    elif kind == "delta_length_m":
+        dw_ec, tag = cavity.shift_for_length(value), "dw_ec = -w0*dL/L"
+    else:
+        dw_ec, tag = TWO_PI * value, "dw_ec = 2*pi*empty_cavity_shift_hz"
+    _require_below_omega0(scn, cavity, dw_ec)
+    return value, dw_ec, tag
 
 
 def _vacuum(cavity) -> TaylorCubic:
@@ -207,10 +227,6 @@ def _vacuum(cavity) -> TaylorCubic:
 def _effective_profile(scn: Scenario, cavity):
     profile = scn.profile()
     return _vacuum(cavity) if profile is None else profile
-
-
-def _medium_taylor(scn: Scenario, cavity):
-    return effective_taylor(_effective_profile(scn, cavity), cavity)
 
 
 def _eta_tag(convention: str, against: str) -> str:
@@ -249,10 +265,10 @@ def _add_earth(rp: Report, key: str, rate: float) -> None:
 def _cmd_sagnac(scn: Scenario, rp: Report) -> None:
     geom = scn.geometry()
     omega = scn.omega0()
-    omega_rot = _require_rotation(scn)
+    omega_rot, _, _ = _drive(scn, None, rotation_only=True)
     mass = scn._float("particle_mass_kg")
+    rot = RotationState.from_geometry(omega_rot, geom)
     try:
-        rot = RotationState.from_geometry(omega_rot, geom)
         mw = None if mass is None else matter_wave_phase(mass, geom, rot)
     except ValueError as exc:
         raise ScenarioError(f"{scn.source}: {exc}") from None
@@ -308,7 +324,7 @@ def _cmd_sagnac(scn: Scenario, rp: Report) -> None:
 
 def _cmd_split(scn: Scenario, rp: Report) -> None:
     cavity = scn.cavity()
-    omega_rot = _require_rotation(scn)
+    omega_rot, _, _ = _drive(scn, cavity, rotation_only=True)
     base = splitting_no_dispersion(cavity, omega_rot)
     rp.add("gamma_ec", cavity.gamma_ec, "rad/s", "gamma_ec = 2*pi*c0/(n0*L*F)")
     rp.add("dw_ccw", base.dw_minus, "rad/s", "+(w0/(c0*n0))*2*Omega*A/P")
@@ -336,9 +352,9 @@ def _cmd_split(scn: Scenario, rp: Report) -> None:
 
 def _cmd_shift(scn: Scenario, rp: Report) -> None:
     cavity = scn.cavity()
-    dw_ec, tag = _dw_ec_scalar(scn, cavity)
+    _, dw_ec, tag = _drive(scn, cavity)
     rp.add("dw_ec", dw_ec, "rad/s", tag)
-    t = _medium_taylor(scn, cavity)
+    t = effective_taylor(_effective_profile(scn, cavity), cavity)
     rp.add("group_index", t.ng0, "", "n_g = n0_eff + w0*n1_eff")
     dw_dis = shift_cubic(dw_ec, t)
     rp.add("dw_dis", dw_dis, "rad/s", "root of n3*w0*x^3 + n_g*x = dw_ec")
@@ -359,9 +375,10 @@ def _cmd_shift(scn: Scenario, rp: Report) -> None:
 
 def _cmd_linewidth(scn: Scenario, rp: Report) -> None:
     cavity = scn.cavity()
+    _, dw_ec, _ = _drive(scn, cavity)
     rp.add("gamma_ec", cavity.gamma_ec, "rad/s", "gamma_ec = 2*pi*c0/(n0*L*F)")
     rp.add("ring_down_time", cavity.ring_down_time, "s", "tau_c = 1/gamma_ec")
-    t = _medium_taylor(scn, cavity)
+    t = effective_taylor(_effective_profile(scn, cavity), cavity)
     rp.add("group_index", t.ng0, "", "n_g = n0_eff + w0*n1_eff")
     gamma_self = linewidth_cubic(cavity.gamma_ec, t)
     rp.add("gamma_dis", gamma_self, "rad/s", _CUBIC_WIDTH)
@@ -376,7 +393,6 @@ def _cmd_linewidth(scn: Scenario, rp: Report) -> None:
         rp.add("airy_ratio", gamma_airy / gamma_self, "", "2^(2/3) at the white-light point")
     except (ComputationError, ValueError):
         rp.note("airy linewidth unavailable for these coefficients")
-    dw_ec, tag = _dw_ec_scalar(scn, cavity)
     if dw_ec != 0.0:
         dw_dis = shift_cubic(dw_ec, t)
         rp.add("dw_dis", dw_dis, "rad/s", "root of n3*w0*x^3 + n_g*x = dw_ec")
@@ -388,7 +404,7 @@ def _cmd_spectrum(scn: Scenario, rp: Report) -> None:
 
     cavity = scn.cavity()
     profile = _effective_profile(scn, cavity)
-    dw_ec, tag = _dw_ec_scalar(scn, cavity)
+    _, dw_ec, tag = _drive(scn, cavity)
     delta_length = cavity.length_for_shift(dw_ec)
     rp.add("dw_ec", dw_ec, "rad/s", tag)
     rp.add("delta_length", delta_length, "m", "dL = -dw_ec*L/w0")
@@ -415,12 +431,9 @@ def _cmd_fig4(scn: Scenario, rp: Report) -> None:
         )
     if values.min() <= 0.0:
         raise ScenarioError(f"{scn.source}: this command needs positive empty_cavity_shift_hz values")
-    # on Python floats, so that the product overflows without a numpy warning
-    if not math.isfinite(TWO_PI * float(values.max())):
-        raise ScenarioError(
-            f"{scn.source}: empty_cavity_shift_hz up to {values.max():.6g} Hz overflows "
-            "when converted to rad/s"
-        )
+    # the range's largest drive, on a Python float, so that 2*pi times it
+    # overflows to inf without a numpy warning
+    _require_below_omega0(scn, cavity, TWO_PI * float(values.max()))
     profile = scn.profile()
     if profile is None:
         raise ScenarioError(f"{scn.source}: this command needs a dispersive medium")
@@ -447,18 +460,16 @@ def _cmd_fig5(scn: Scenario, rp: Report) -> None:
     cavity = scn.cavity()
     if cavity.fill_fraction != 1.0:
         raise ScenarioError(f"{scn.source}: this command assumes fill_fraction = 1")
-    kind, shift_hz = scn.input_scalar()
-    if kind != "empty_cavity_shift_hz":
+    if scn.input_kind() != "empty_cavity_shift_hz":
         raise ScenarioError(f"{scn.source}: this command needs empty_cavity_shift_hz")
+    shift_hz, dw_ec, tag = _drive(scn, cavity)
     if shift_hz <= 0.0:
         raise ScenarioError(f"{scn.source}: this command needs a positive empty_cavity_shift_hz")
-    target_hz = scn.require("enhanced_shift_target_hz")
-    dw_ec = TWO_PI * shift_hz
-    dw_target = TWO_PI * target_hz
+    dw_target = TWO_PI * scn.require("enhanced_shift_target_hz")
     if dw_target <= dw_ec:
         raise ScenarioError(f"{scn.source}: target shift must exceed the empty-cavity shift")
     eta_target = dw_target / dw_ec
-    rp.add("dw_ec", dw_ec, "rad/s", "dw_ec = 2*pi*empty_cavity_shift_hz")
+    rp.add("dw_ec", dw_ec, "rad/s", tag)
     rp.add("dw_target", dw_target, "rad/s", "2*pi*enhanced_shift_target_hz")
     rp.add("eta_target", eta_target, "", "eta = dw_target/dw_ec")
     try:
@@ -540,6 +551,7 @@ def _dispersive_floor(
 
 def _cmd_sensitivity(scn: Scenario, rp: Report) -> None:
     cavity, budget, g = _sensitivity_core(scn, rp)
+    omega_in = _drive(scn, cavity)[0] if scn.input_kind() == "rotation_rate_rad_s" else 0.0
     rp.add("rotation_scale", cavity.rotation_scale, "rad/s per rad/s", "(w0/(c0*n0))*2*A/P, per direction")
 
     dw_passive = min_shift_passive(cavity, budget)
@@ -565,16 +577,9 @@ def _cmd_sensitivity(scn: Scenario, rp: Report) -> None:
                 "m",
                 "((eta/3)*dw_min/eta)*L/w0 = dL_min/3 for every eta",
             )
-    if scn.input_kind() == "rotation_rate_rad_s":
-        _, omega_in = scn.input_scalar()
-        if omega_in > 0.0:
-            rp.add("drive_rotation", omega_in, "rad/s", "scenario drive input")
-            rp.add(
-                "drive_over_passive_floor",
-                omega_in / omega_passive,
-                "",
-                "drive/min_rotation_passive",
-            )
+    if omega_in > 0.0:
+        rp.add("drive_rotation", omega_in, "rad/s", "scenario drive input")
+        rp.add("drive_over_passive_floor", omega_in / omega_passive, "", "drive/min_rotation_passive")
 
 
 def _cmd_lens_thirring(scn: Scenario, rp: Report) -> None:

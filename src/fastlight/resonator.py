@@ -288,8 +288,17 @@ def shift_cubic(dw_ec: float, taylor: TaylorCubic) -> float:
     give three real roots (x is the middle one), where n3 < 0 and the drive
     is beyond the fold (the continuous branch has ended), and where n_g < 0
     with n3 <= 0.
+
+    Domain: the cubic is an expansion about w0, so a root of magnitude w0 or
+    more lies outside the model and is refused, naming it.
     """
-    return _continuous_root(taylor.n3 * taylor.omega_ref, taylor.ng0, dw_ec)[0]
+    x = _continuous_root(taylor.n3 * taylor.omega_ref, taylor.ng0, dw_ec)[0]
+    if not abs(x) < taylor.omega_ref:
+        raise ComputationError(
+            f"the dispersive shift {x:.3g} rad/s is not below omega0 = {taylor.omega_ref:.3g} rad/s "
+            "in magnitude: the cubic is an expansion about the resonance"
+        )
+    return x
 
 
 def enhancement_eta(half_linewidth: float, dw_ec: float, convention: str = "derived") -> float:
@@ -445,14 +454,14 @@ def rotation_response(profile: DispersionProfile, cavity: RingCavity, omega_rot:
     assembles the splitting and the linewidth at the displaced resonances.
     At rest the shifts are zero and the width is the `linewidth_cubic` root,
     or the linear width where that has none.
+
+    Domain: that of `shift_cubic` in each direction, |shift| < omega0, so
+    every displaced resonance sits at a positive frequency, where the
+    profile is defined. Any background index and fill fraction apply, and
+    it adds no refusal to those of the functions it calls.
     """
     base = splitting_no_dispersion(cavity, omega_rot)
     t = effective_taylor(profile, cavity)
-    if abs(t.n0 - 1.0) > 1e-6:
-        raise ComputationError(
-            "path-averaged phase index disagrees with the cavity background index"
-        )
-
     if omega_rot == 0.0:
         try:
             gamma, from_cubic = linewidth_cubic(cavity.gamma_ec, t), True
@@ -462,12 +471,6 @@ def rotation_response(profile: DispersionProfile, cavity: RingCavity, omega_rot:
 
     raw_minus = shift_cubic(base.dw_minus, t)
     raw_plus = shift_cubic(base.dw_plus, t)
-    # the profile is defined only at positive frequencies
-    if min(raw_minus, raw_plus) <= -cavity.omega0:
-        raise ComputationError(
-            "the dispersive shift is below -omega0: the shifted resonance "
-            "would sit at a non-positive frequency"
-        )
     n_center = _path_index(profile, cavity, cavity.omega0)
     dw_minus = raw_minus * n_center / _path_index(profile, cavity, cavity.omega0 + raw_minus)
     dw_plus = raw_plus * n_center / _path_index(profile, cavity, cavity.omega0 + raw_plus)

@@ -383,8 +383,8 @@ def _shift_estimate(rt: _RoundTrip, delta_length: float) -> float:
     A cubic-model seed polished by guarded Newton iteration on Psi = 0; the
     polish handles regimes the cubic misses (strong saturation, off-center
     profiles) and falls back to the seed when it fails to settle. Raises
-    where Psi or its slope overflows at the seed: the scan centred there
-    would see no finite transmission.
+    where Psi or its slope is not finite at the seed, whether it overflows
+    or is NaN: the scan centred there would see no finite transmission.
     """
     dw_ec = rt.cavity.shift_for_length(delta_length)
     seed = dw_ec
@@ -405,7 +405,7 @@ def _shift_estimate(rt: _RoundTrip, delta_length: float) -> float:
         f, fp = psi_and_slope(delta_length, omega)
         if i == 0 and not (math.isfinite(f) and math.isfinite(fp)):
             raise ComputationError(
-                "round-trip phase or its slope overflows at the estimated resonance: the medium's "
+                "round-trip phase or its slope is not finite at the estimated resonance: the medium's "
                 f"response is too strong to scan (Psi = {f:.3g}, dPsi/domega = {fp:.3g} s)"
             )
         if fp == 0.0 or not math.isfinite(fp):

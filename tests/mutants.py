@@ -144,14 +144,31 @@ MUTANTS = (
         (
             ("import math\n", "import math\nimport warnings\n"),
             (
-                "    return _continuous_root(taylor.n3 * taylor.omega_ref, taylor.ng0, dw_ec)[0]\n",
-                "    root, multi = _continuous_root(taylor.n3 * taylor.omega_ref, taylor.ng0, dw_ec)\n"
+                "    x = _continuous_root(taylor.n3 * taylor.omega_ref, taylor.ng0, dw_ec)[0]\n",
+                "    x, multi = _continuous_root(taylor.n3 * taylor.omega_ref, taylor.ng0, dw_ec)\n"
                 "    if multi:\n"
-                '        warnings.warn("response is multivalued", UserWarning, stacklevel=2)\n'
-                "    return root\n",
+                '        warnings.warn("response is multivalued", UserWarning, stacklevel=2)\n',
             ),
         ),
         "tests/test_resonator.py::test_shift_cubic_names_the_multivalued_branch_by_its_local_group_index",
+    ),
+    Mutant(
+        "shift-cubic-returns-a-root-beyond-omega0",
+        RESONATOR,
+        (("    if not abs(x) < taylor.omega_ref:\n", "    if False:\n"),),
+        "tests/test_resonator.py::test_shift_cubic_refuses_a_root_of_omega0_or_more",
+    ),
+    Mutant(
+        "drive-reader-accepts-a-shift-beyond-omega0",
+        CLI,
+        (("    if not abs(dw_ec) < cavity.omega0:\n", "    if False:\n"),),
+        "tests/test_cli.py::test_a_drive_of_omega0_or_more_is_one_input_fault",
+    ),
+    Mutant(
+        "drive-reader-skips-the-rim-speed",
+        CLI,
+        (("            RotationState.from_geometry(value, scn.geometry())\n", "            pass\n"),),
+        "tests/test_cli.py::test_a_rotation_whose_rim_speed_reaches_c0_is_one_input_fault",
     ),
     Mutant(
         "peaks-held-to-half-the-maximum-of-the-flattened-pass",

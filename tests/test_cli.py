@@ -210,11 +210,11 @@ def test_computation_failure_exits_3(tmp_path, capsys):
     assert err.startswith("computation error:")
 
 
-@pytest.mark.parametrize("command", ["sensitivity", "lens-thirring", "shift", "split"])
+@pytest.mark.parametrize("command", ["sensitivity", "lens-thirring", "shift", "split", "linewidth"])
 def test_tiny_frequency_exits_3(tmp_path, capsys, command):
-    # hbar*omega underflows to 0 (sensitivity, lens-thirring), the analytic
-    # enhancement overflows to inf (shift) and the dispersive shift exceeds
-    # omega0 (split): exit 3, no traceback, no inf line
+    # hbar*omega underflows to 0 (sensitivity, lens-thirring), and the
+    # dispersive shift exceeds omega0 (shift, split, linewidth), though the
+    # Earth-rate drive does not: exit 3, no traceback, no inf line
     text = Path(TABLETOP).read_text(encoding="utf-8")
     assert "frequency_hz = 5.0e14" in text
     path = tmp_path / "tiny_frequency.scenario"
@@ -224,8 +224,11 @@ def test_tiny_frequency_exits_3(tmp_path, capsys, command):
     assert err.startswith("computation error:")
     assert "Traceback" not in err
     assert out == ""
-    if command == "split":
-        assert "dispersive shift is below -omega0" in err
+    if command not in ("sensitivity", "lens-thirring"):
+        assert err == (
+            "computation error: the dispersive shift 3.92e-100 rad/s is not below omega0 = 6.28e-300 rad/s "
+            "in magnitude: the cubic is an expansion about the resonance\n"
+        )
 
 
 @pytest.mark.parametrize("command", ["shift", "sagnac"])
@@ -356,17 +359,24 @@ def test_a_cubic_too_weak_for_its_linear_term_is_named(tmp_path, capsys, command
     # overflows in the cubic's discriminant, and the cubic is solved as the
     # linear n_g*x = d it then is. At n_g = 0.5 that is eta = 2, which the
     # spectrum measures too. At target 0, n_g is a rounding residue near
-    # 1e-16, so the root lies beyond omega0: split refuses the cw direction
-    # by name, and the spectrum's grid does not fit one FSR
+    # 1e-16, so the root, 6.88e18 rad/s, lies beyond omega0: the analytic
+    # commands refuse it by name, and the spectrum, whose shift estimate
+    # falls back to dw_ec, finds the medium's response not finite there
     medium = f"medium = cad\nmedium_linewidth_fwhm_hz = {fwhm_hz}\nmedium_target_group_index = {target}"
     path = edited(tmp_path, TABLETOP, CAD_LINES, medium)
     code, out, err = run(capsys, command, "--scenario", path, "--out", str(tmp_path), "--format", "json")
-    refusals = {
-        "split": "the dispersive shift is below -omega0: the shifted resonance would sit at a non-positive frequency",
-        "spectrum": "requested response does not fit inside a single free spectral range",
-    }
-    if target == "0" and command in refusals:
-        assert (code, out, err) == (3, "", f"computation error: {refusals[command]}\n")
+    if target == "0":
+        if command == "spectrum":
+            refusal = (
+                "round-trip phase or its slope is not finite at the estimated resonance: the medium's "
+                "response is too strong to scan (Psi = nan, dPsi/domega = nan s)"
+            )
+        else:
+            refusal = (
+                "the dispersive shift 6.88e+18 rad/s is not below "
+                "omega0 = 3.14e+15 rad/s in magnitude: the cubic is an expansion about the resonance"
+            )
+        assert (code, out, err) == (3, "", f"computation error: {refusal}\n")
         return
     assert (code, err) == (0, "")
     results = json.loads((tmp_path / f"{command}.json").read_text())["results"]
@@ -378,7 +388,7 @@ def test_a_cubic_too_weak_for_its_linear_term_is_named(tmp_path, capsys, command
     else:
         dw_ec = load_scenario(path).cavity().rotation_scale * 7.2921159e-5
         assert value["dw_dis"] == pytest.approx(dw_ec / value["group_index"], rel=1e-12)
-        assert value["dw_dis"] == pytest.approx(1528.31448085 if target == "0.5" else 6.88291652647e18, rel=1e-11)
+        assert value["dw_dis"] == pytest.approx(1528.31448085, rel=1e-11)
 
 
 @pytest.mark.parametrize("command", ["shift", "linewidth", "split"])
@@ -395,18 +405,53 @@ def test_a_cubic_term_too_weak_to_matter_gives_the_answer_without_it(tmp_path, c
     assert {key: weak[key] for key in bare} == bare
 
 
-@pytest.mark.parametrize("command", ["spectrum", "fig5"])
-def test_pull_beyond_omega0_leaves_no_round_trip_and_exits_3(tmp_path, capsys, command):
-    # the 300 kHz pull exceeds omega0, so dL = -dw_ec*L/w0 lies below -L;
-    # refused before any scan, with no numpy warning
-    path = edited(tmp_path, DEMO, "frequency_hz = 5.0e14", "frequency_hz = 1e-300")
+@pytest.mark.parametrize("command", ["sagnac", "split", "shift", "linewidth", "spectrum", "sensitivity"])
+@pytest.mark.parametrize("rate", ["1e300", "-1e300", "1e10"])
+def test_a_rotation_whose_rim_speed_reaches_c0_is_one_input_fault(tmp_path, capsys, command, rate):
+    # every command that reads the drive reads it in one place, which checks
+    # the rim speed first, so all of them refuse it alike; at n_b = 1 the
+    # rim speed reaches c0 exactly where |dw_ec| reaches omega0
+    path = edited(tmp_path, TABLETOP, "rotation_rate_rad_s = 7.2921159e-5", f"rotation_rate_rad_s = {rate}")
+    expected = f"scenario error: {path}: tangential speed must stay below c0\n"
+    assert run(capsys, command, "--scenario", path) == (2, "", expected)
+
+
+@pytest.mark.parametrize(
+    "scenario, old, new, command, dw_ec, omega0",
+    [
+        *(
+            (DEMO, "frequency_hz = 5.0e14", "frequency_hz = 1e-300", command, "1.88496e+06", "6.28319e-300")
+            for command in ("shift", "linewidth", "spectrum", "fig5")
+        ),
+        *(
+            (
+                TABLETOP, "rotation_rate_rad_s = 7.2921159e-5", "rotation_rate_rad_s = 2e8\nbackground_index = 0.5",
+                command, "4.19169e+15", "3.14159e+15",
+            )
+            for command in ("split", "shift", "linewidth", "spectrum", "sensitivity")
+        ),
+    ],
+    ids=[
+        *(f"pull-{c}" for c in ("shift", "linewidth", "spectrum", "fig5")),
+        *(f"rotation-{c}" for c in ("split", "shift", "linewidth", "spectrum", "sensitivity")),
+    ],
+)
+def test_a_drive_of_omega0_or_more_is_one_input_fault(tmp_path, capsys, scenario, old, new, command, dw_ec, omega0):
+    # a 300 kHz pull against a resonance at 2*pi*1e-300 rad/s, and at n_b =
+    # 0.5 a rotation of rim speed 2c0/3, which pulls by 4*omega0/3: the
+    # cubic's expansion about the resonance models neither, and where shift
+    # and linewidth printed the pull at exit 0, every command now refuses it
+    # alike, before any scan and with no numpy warning. `sagnac` has no
+    # cavity, so only the rim speed binds its rotation
+    path = edited(tmp_path, scenario, old, new)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run(capsys, command, "--scenario", path)
-    assert code == 3
-    assert err == "computation error: the length change leaves no positive round trip\n"
-    assert out == ""
-    assert caught == []
+    expected = (
+        f"scenario error: {path}: the empty-cavity shift dw_ec = {dw_ec} rad/s must stay below "
+        f"omega0 = {omega0} rad/s in magnitude\n"
+    )
+    assert (code, out, err, caught) == (2, "", expected, [])
 
 
 @pytest.mark.parametrize(
@@ -431,7 +476,7 @@ def test_a_response_too_strong_to_scan_is_refused_before_the_scan(tmp_path, caps
         code, out, err = run(capsys, command, "--scenario", str(path))
         assert (code, out, caught) == (3, "", [])
         assert err == (
-            "computation error: round-trip phase or its slope overflows at the estimated resonance: the "
+            "computation error: round-trip phase or its slope is not finite at the estimated resonance: the "
             f"medium's response is too strong to scan (Psi = {psi}, dPsi/domega = -inf s)\n"
         )
         if scenario == TABLETOP:
@@ -463,14 +508,18 @@ def test_fig4_non_positive_lin_range_exits_2(tmp_path, capsys, lo):
 
 
 def test_fig4_shift_overflowing_in_rad_s_exits_2(tmp_path, capsys):
-    # 1e308 Hz is finite, but 2*pi times it is not; refused before the
-    # array multiply, which would warn on stderr
+    # 1e308 Hz is finite, but 2*pi times it is not; refused by the drive
+    # bound |dw_ec| < omega0 on the range's largest shift, before the array
+    # multiply, which would warn on stderr
     path = edited(
         tmp_path, SWEEP, "empty_cavity_shift_hz = 1.0e-2:1.0e6:33:log", "empty_cavity_shift_hz = 1.0e-2:1.0e308:33:log"
     )
     code, out, err = run(capsys, "fig4", "--scenario", path)
     assert code == 2
-    assert err == f"scenario error: {path}: empty_cavity_shift_hz up to 1e+308 Hz overflows when converted to rad/s\n"
+    assert err == (
+        f"scenario error: {path}: the empty-cavity shift dw_ec = inf rad/s must stay below "
+        "omega0 = 3.14159e+15 rad/s in magnitude\n"
+    )
     assert out == ""
 
 
@@ -540,13 +589,6 @@ def test_split_at_rest_prints_no_enhancement(tmp_path, capsys):
         "gamma_ec", "dw_ccw", "dw_cw", "splitting", "splitting_hz", "equivalent_delta_length",
         "dw_ccw_dispersive", "dw_cw_dispersive", "splitting_dispersive", "local_group_index", "gamma_dispersive",
     ]
-
-
-def test_split_has_no_rim_speed_limit(tmp_path, capsys):
-    # the ring model of split has no rim-speed limit, unlike sagnac
-    path = edited(tmp_path, TABLETOP, "rotation_rate_rad_s = 7.2921159e-5", "rotation_rate_rad_s = 1e10")
-    code, out, err = run(capsys, "split", "--scenario", path)
-    assert code == 0
 
 
 # the CAD medium of the tabletop scenario, replaced below by other media
@@ -1030,6 +1072,21 @@ def assert_results_finite_and_tagged(out: str) -> None:
             assert math.isfinite(float(match.group(1))), line
 
 
+# every result that is a displacement of the resonance
+SHIFT_KEYS = ("dw_dis", "dw_ccw_dispersive", "dw_cw_dispersive", "shift")
+
+
+def assert_shifts_below_omega0(out: str, path) -> None:
+    """Each printed shift is smaller than the scenario's omega0 in
+    magnitude: the cubic is an expansion about the resonance, and the
+    spectrum's round trip ends where the pull reaches omega0."""
+    shifts = [line for line in out.splitlines() if line.split(" = ")[0] in SHIFT_KEYS]
+    if shifts:
+        omega0 = load_scenario(path).omega0()
+        for line in shifts:
+            assert abs(float(RESULT_LINE.fullmatch(line).group(1))) < omega0, (line, omega0)
+
+
 # the commands each shipped scenario runs to exit 0, from the goldens
 GOLDEN_EXIT_CODES = load_exit_codes()
 RUNNABLE = {
@@ -1084,8 +1141,9 @@ def edited_runs(draw) -> tuple[str, str]:
 @given(case=edited_runs())
 def test_any_scenario_edit_exits_cleanly(case):
     command, text = case
-    # exit 0 with finite, tagged numbers and a silent stderr, 2 for an input
-    # fault or 3 for a failed computation; no other exception escapes main
+    # exit 0 with finite, tagged numbers, every shift below omega0 and a
+    # silent stderr, 2 for an input fault or 3 for a failed computation; no
+    # other exception escapes main
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "edited.scenario"
         path.write_text(text, encoding="utf-8")
@@ -1093,10 +1151,11 @@ def test_any_scenario_edit_exits_cleanly(case):
         with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
             warnings.simplefilter("always")
             code = main([command, "--scenario", str(path)])
-    assert code in (0, 2, 3)
-    if code == 0:
-        assert (err.getvalue(), caught) == ("", [])
-        assert_results_finite_and_tagged(out.getvalue())
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert (err.getvalue(), caught) == ("", [])
+            assert_results_finite_and_tagged(out.getvalue())
+            assert_shifts_below_omega0(out.getvalue(), path)
 
 
 # optional keys that no shipped scenario sets
@@ -1107,7 +1166,8 @@ UNSET_KEYS = ("background_index", "fill_fraction", "quantum_efficiency", "snr")
 def test_every_edge_value_on_every_line_exits_cleanly(tmp_path, scenario):
     # each numeric line in turn set to each edge value, and each optional
     # key the scenario leaves unset appended at each, under every command:
-    # exit 0 with finite, tagged numbers and a silent stderr, or exit 2 or 3
+    # exit 0 with finite, tagged numbers, every shift below omega0 and a
+    # silent stderr, or exit 2 or 3
     # with one stderr line that names what failed; a warning would be one
     # more stderr line
     text = Path(scenario).read_text(encoding="utf-8")
@@ -1132,6 +1192,7 @@ def test_every_edge_value_on_every_line_exits_cleanly(tmp_path, scenario):
                 if code == 0:
                     assert err.getvalue() == "", case
                     assert_results_finite_and_tagged(out.getvalue())
+                    assert_shifts_below_omega0(out.getvalue(), path)
                 else:
                     assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), case
                     assert not ERRNO_TEXT.search(err.getvalue()), case

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import warnings
 
 import pytest
@@ -219,6 +220,16 @@ def test_shift_cubic_names_the_multivalued_branch_by_its_local_group_index():
     assert t.local_ng(x) < 0.0
 
 
+@pytest.mark.parametrize("dw_ec", [W0, -W0, 2.0 * W0, -1e300])
+def test_shift_cubic_refuses_a_root_of_omega0_or_more(dw_ec):
+    # the cubic is an expansion about w0: in an empty background (n_g = 1)
+    # the root is the drive itself, and one of w0 or more is refused by name
+    t = TaylorCubic(1.0, 0.0, 0.0, W0)
+    assert shift_cubic(math.nextafter(W0, 0.0), t) == math.nextafter(W0, 0.0)
+    with pytest.raises(ComputationError, match=re.escape(f"the dispersive shift {dw_ec:.3g} rad/s is not below omega0")):
+        shift_cubic(dw_ec, t)
+
+
 # ------------------------------------------------------------- eta laws
 
 
@@ -427,8 +438,3 @@ def test_rotation_response_at_rest_beyond_the_fold_takes_the_linear_width():
     assert (resp.dw_plus, resp.dw_minus, resp.splitting) == (0.0, 0.0, 0.0)
     assert resp.width == ShiftedLinewidth(cav.gamma_ec, 1.0, from_cubic=False)
 
-
-def test_rotation_response_rejects_mismatched_background():
-    cav = tabletop()  # n0 = 1
-    with pytest.raises(ComputationError):
-        rotation_response(TaylorCubic(1.5, 0.0, 0.0, W0), cav, OMEGA_EARTH)
