@@ -190,15 +190,24 @@ def _require_below_omega0(scn: Scenario, cavity, dw_ec: float) -> None:
         )
 
 
+def _require_rotation_scale(scn: Scenario, cavity) -> None:
+    if not cavity.rotation_scale > 0.0:
+        raise ScenarioError(
+            f"{scn.source}: the rotation scale (w0/(c0*n0))*2*A/P underflows to 0 for w0 = "
+            f"{cavity.omega0:.3g} rad/s, n0 = {cavity.n0:.3g} and 2A/P = {cavity.geometry.effective_radius:.3g} m"
+        )
+
+
 def _drive(scn: Scenario, cavity, rotation_only: bool = False) -> tuple[float, float | None, str | None]:
     """The drive's value, its empty-cavity shift dw_ec (ccw direction for a
     rotation) and dw_ec's tag.
 
     Every command that reads the drive reads it here, so each refuses the
     same drives with the same message: a rotation whose rim speed reaches c0,
-    then any drive whose |dw_ec| reaches omega0, beyond which the cubic's
-    expansion about the resonance models nothing. Without a cavity (`sagnac`)
-    only the rim speed applies, and dw_ec and its tag are None.
+    or that a rotation scale underflowing to 0 would turn into no shift at
+    all, then any drive whose |dw_ec| reaches omega0, beyond which the
+    cubic's expansion about the resonance models nothing. Without a cavity
+    (`sagnac`) only the rim speed applies, and dw_ec and its tag are None.
     """
     kind, value = scn.input_scalar()
     if rotation_only and kind != "rotation_rate_rad_s":
@@ -210,6 +219,7 @@ def _drive(scn: Scenario, cavity, rotation_only: bool = False) -> tuple[float, f
             raise ScenarioError(f"{scn.source}: {exc}") from None
         if cavity is None:
             return value, None, None
+        _require_rotation_scale(scn, cavity)
         dw_ec, tag = cavity.rotation_scale * value, "dw_ec = (w0/(c0*n0))*2*Omega*A/P, ccw direction"
     elif kind == "delta_length_m":
         dw_ec, tag = cavity.shift_for_length(value), "dw_ec = -w0*dL/L"
@@ -535,6 +545,8 @@ def _sensitivity_core(scn: Scenario, rp: Report):
     rp.add("snr", budget.snr_for(cavity.omega0), "", "given snr, else sqrt(N)")
     profile = scn.profile()
     g = None if profile is None else _add_half_linewidth(rp, profile, cavity)
+    # both commands divide by the rotation scale
+    _require_rotation_scale(scn, cavity)
     return cavity, budget, g
 
 

@@ -21,6 +21,11 @@ follows from the cubic coefficients ("derived"); the commonly quoted headline
 form (2G/dw_ec)^(2/3) is exactly 2^(2/3) larger and is available as the
 "paper" convention. Both are first class throughout.
 
+Every root of these cubics comes from one bracketed polish: a closed form
+(Cardano's or the trigonometric one) seeds Newton steps that stay inside a
+bracket known from the coefficients, halving it wherever a step would leave
+it or the seed is not finite, so no root needs a fallback.
+
 Linewidths follow the same cubic with two flavors: `linewidth_cubic` solves
 the printed self-consistent form n3*w0*g^3 + n_g*g = gamma_ec, while
 `airy_linewidth_cubic` solves (n3*w0/4)*g^3 + n_g*g = gamma_ec, which is what
@@ -68,6 +73,11 @@ class RingCavity:
             raise ValueError("background index must be positive")
         if not 0.0 < self.fill_fraction <= 1.0:
             raise ValueError("fill fraction must lie in (0, 1]")
+        if self.free_spectral_range == math.inf:
+            raise ValueError(
+                f"the free spectral range 2*pi*c0/(n0*L) overflows for n0 = {self.n0:.3g} "
+                f"and L = {self.round_trip_length:.3g} m"
+            )
 
     @property
     def round_trip_length(self) -> float:
@@ -140,68 +150,78 @@ def _cbrt(x: float) -> float:
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
-def _newton_polish(a: float, b: float, d: float, x: float, bound: float | None = None) -> float:
-    # Quadratic cleanup of a closed-form root. Only used on simple roots,
-    # where the derivative cannot vanish; `bound` confines the iteration to
-    # the branch between the turning points (the descending middle segment),
-    # so a near-fold step cannot escape onto a different root.
-    for _ in range(32):
+def _polish(a: float, b: float, d: float, x: float, neg: float, pos: float) -> float:
+    # Root of f(x) = a*x^3 + b*x - d between neg and pos (either order), where
+    # f(neg) < 0 < f(pos), from the closed-form seed x: rtsafe, as in
+    # `spectrum._psi_root`. Each evaluation narrows the bracket; a Newton step
+    # that lands inside it is taken, to |dx| <= 4*eps*|x| as a plain polish
+    # would, and the midpoint otherwise (a zero, overflowing or NaN step
+    # fails the test), as for a seed outside the bracket or not finite.
+    if not (neg < x < pos or pos < x < neg):
+        x = 0.5 * (neg + pos)
+    # the doubles span 1,024 + 1,074 binades, so 2,200 halvings end anywhere
+    for _ in range(2200):
         fx = x * (a * x * x + b) - d
+        if fx == 0.0:
+            return x
+        neg, pos = (x, pos) if fx < 0.0 else (neg, x)
         fpx = 3.0 * a * x * x + b
-        if fpx == 0.0:
-            break
-        dx = fx / fpx
-        nxt = x - dx
-        if bound is not None and abs(nxt) > bound:
-            break
-        x = nxt
-        if abs(dx) <= 4.0 * _EPS * abs(x):
-            break
+        if ((x - neg) * fpx - fx) * ((x - pos) * fpx - fx) < 0.0:
+            dx = fx / fpx
+            x -= dx
+            if abs(dx) <= 4.0 * _EPS * abs(x):
+                return x
+        else:
+            x = 0.5 * (neg + pos)
+            if x == neg or x == pos:
+                return x
     return x
 
 
-def _bisect(a: float, b: float, d: float, neg: float, pos: float) -> float:
-    # Root of f(x) = a*x^3 + b*x - d between the ends where f(neg) <= 0 <= f(pos),
-    # in either order. Halves until the midpoint equals an end; the doubles
-    # span 1,024 + 1,074 binades, so 2,200 halvings always get there.
-    for _ in range(2200):
-        mid = 0.5 * (neg + pos)
-        if mid == neg or mid == pos:
-            break
-        if mid * (a * mid * mid + b) - d < 0.0:
-            neg = mid
-        else:
-            pos = mid
-    return mid
+def _outer_root(a: float, b: float, d: float, seed: float, turn: float) -> float:
+    # The unique root of a*x^3 + b*x - d = 0 (a, d > 0), or the largest of
+    # three, polished from seed: f = -2*a*turn^3 - d < 0 at the turning
+    # point and f >= 7d at 2*(turn + (d/a)^(1/3)).
+    return _polish(a, b, d, seed, turn, 2.0 * (turn + d ** (1.0 / 3.0) / a ** (1.0 / 3.0)))
 
 
-def _residual_ok(a: float, b: float, d: float, x: float) -> bool:
-    scale = abs(a * x * x * x) + abs(b * x) + abs(d)
-    return abs(x * (a * x * x + b) - d) <= 1e-10 * scale + 1e-300
-
-
-def _cardano(p: float, q: float, disc: float) -> float:
-    # The one real root of x^3 + p*x - q = 0 where disc = q^2/4 + p^3/27 > 0.
-    # The square root takes the sign of q so the two terms of u never cancel.
-    u = _cbrt(0.5 * q + math.copysign(math.sqrt(disc), q))
-    return u - p / (3.0 * u)
+def _cardano(p: float, q: float) -> float:
+    # The real root of x^3 + p*x - q = 0 where it has one, so that
+    # disc = q^2/4 + p^3/27 >= 0 up to rounding. The square root takes the
+    # sign of q so the two terms of u never cancel. NaN where u underflows
+    # to 0.
+    try:
+        disc = 0.25 * q * q + p ** 3 / 27.0
+    except OverflowError:
+        # a cubic term too weak to matter: the seed is not finite, and the
+        # polish halves its bracket down to the root
+        disc = math.inf
+    u = _cbrt(0.5 * q + math.copysign(math.sqrt(abs(disc)), q))
+    return u - p / (3.0 * u) if u else math.nan
 
 
 def _trig_roots(p: float, q: float) -> list[float]:
-    # The three real roots of x^3 + p*x - q = 0 where disc <= 0 (so p < 0),
-    # in the order k = 0, 1, 2 of m*cos(phi/3 - 2*pi*k/3).
+    # The three real roots of x^3 + p*x - q = 0 where it has three (so
+    # p < 0), in the order k = 0, 1, 2 of m*cos(phi/3 - 2*pi*k/3). NaN where
+    # p*m underflows to 0.
     m = 2.0 * math.sqrt(-p / 3.0)
-    phi = math.acos(min(1.0, max(-1.0, -3.0 * q / (p * m))))
+    phi = math.acos(min(1.0, max(-1.0, -3.0 * q / (p * m)))) if p * m else math.nan
     return [m * math.cos(phi / 3.0 - 2.0 * math.pi * k / 3.0) for k in range(3)]
 
 
-def _continuous_root(a: float, b: float, d: float) -> tuple[float, bool]:
+def _continuous_root(a: float, b: float, d: float, largest: bool = False) -> tuple[float, bool]:
     """Root of a*x^3 + b*x - d = 0 on the branch continuous from d -> 0.
 
     Returns (root, multivalued). `multivalued` is True when three real roots
     exist (possible only where a and b differ in sign), in which case the
-    branch that passes through zero is returned. A cubic term too weak for
-    (b/a)^3 to be a double is solved all the same, giving d/b as a = 0 does.
+    branch that passes through zero is returned, or with `largest` (for
+    a, d > 0) the largest root. Which case holds is read off the fold drive
+    -(2/3)*b*turn, with turn = sqrt(-b/(3a)) where f' = 0, not the sign of
+    Cardano's discriminant, whose p^3 overflows or q^2 underflows far from
+    any fold. The closed forms are only seeds of `_polish`, in brackets
+    known from a, b and d, so a seed that is not finite or cannot be formed
+    costs halvings, not the root. A cubic term too weak for (b/a)^3 to be a
+    double gives d/b, as a = 0 does.
     """
     if a == 0.0:
         if b == 0.0:
@@ -219,38 +239,21 @@ def _continuous_root(a: float, b: float, d: float) -> tuple[float, bool]:
 
     p = b / a
     q = d / a
-    try:
-        disc = 0.25 * q * q + p ** 3 / 27.0
-    except OverflowError:
-        # a cubic term too weak to matter: for p > 0 Cardano's root fails
-        # the residual check and bisection finds it, for p < 0 the bounded
-        # polish of the middle root lands on d/b
-        disc = math.copysign(math.inf, p)
-    # p >= 0 gives disc > 0 unless q*q underflows
-    if disc > 0.0 or p >= 0.0:
-        x = _newton_polish(a, b, d, _cardano(p, q, disc))
-        if not _residual_ok(a, b, d, x):
-            # unique root: f(0) = -d < 0 and f grows without bound
-            hi = 1.0
-            while hi * (a * hi * hi + b) - d < 0.0:
-                hi *= 2.0
-                if hi > 1e300:
-                    raise ComputationError("cubic bisection failed to bracket a root")
-            x = _bisect(a, b, d, 0.0, hi)
-        return x, False
-
+    turn = math.sqrt(-p / 3.0) if p < 0.0 else 0.0  # inf where b/a overflows
+    if not d < -2.0 / 3.0 * b * turn:
+        return _outer_root(a, b, d, _cardano(p, q), turn), False
     # Three real roots; k = 1 of the trigonometric form is the branch that
-    # equals 0 at d = 0 and moves continuously with d.
-    x = _trig_roots(p, q)[1]
-    # the angle carries an absolute rounding ~eps, which is a poor relative
-    # error when the middle root sits near zero; polish within the branch
-    # between the turning points +-turn
-    turn = math.sqrt(-p / 3.0)
-    x = _newton_polish(a, b, d, x, bound=turn)
-    if not _residual_ok(a, b, d, x):
-        # descending segment: f(-turn) >= 0 >= f(turn)
-        x = _bisect(a, b, d, turn, -turn)
-    return x, True
+    # equals 0 at d = 0 and moves continuously with d. The angle carries an
+    # absolute rounding ~eps, a poor relative error where the root sits near
+    # zero, so polish it on the descending segment: f(0) = -d < 0, and f > 0
+    # at -turn and, where 2d/b > -turn, at 2d/b (there 12*a*d^2 < |b|^3, so
+    # f(2d/b) = d*(1 - 8*a*d^2/|b|^3) > d/3). That end also holds the root
+    # near d/b where a cubic term too weak to matter puts the turning point
+    # beyond the doubles.
+    roots = _trig_roots(p, q)
+    if largest:
+        return _outer_root(a, b, d, max(roots), turn), True
+    return _polish(a, b, d, roots[1], 0.0, max(d / b * 2.0, -turn)), True
 
 
 # --------------------------------------------------------------------------
@@ -347,9 +350,7 @@ def _positive_linewidth_root(a: float, b: float, gamma_ec: float) -> float:
     # a < 0: the continuous root is the smaller of two positive roots, which
     # continues from the linear regime; a > 0 with three real roots (b < 0):
     # it is negative, and the width is the largest root
-    root, multivalued = _continuous_root(a, b, gamma_ec)
-    if multivalued and a > 0.0:
-        root = max(_trig_roots(b / a, gamma_ec / a))
+    root = _continuous_root(a, b, gamma_ec, largest=a > 0.0)[0]
     if root <= 0.0:
         raise ComputationError("no positive linewidth root for these coefficients")
     return root

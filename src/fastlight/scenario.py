@@ -332,6 +332,9 @@ class Scenario:
             fill = self.fill_fraction
             target = self._float("medium_target_group_index")
             if target is None:
+                if not 0.0 < fill <= 1.0:
+                    # RingCavity's refusal, for `sagnac`, which builds none
+                    raise ValueError("fill fraction must lie in (0, 1]")
                 target = -(1.0 - fill) * self.background_index / fill
             return cad_tune(
                 half_linewidth=self.medium_half_linewidth(),

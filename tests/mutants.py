@@ -121,11 +121,69 @@ MUTANTS = (
         RESONATOR,
         (
             (
-                "        disc = math.copysign(math.inf, p)\n",
+                "        disc = math.inf\n",
                 '        raise ComputationError("cubic term too weak against the linear one") from None\n',
             ),
         ),
         "tests/test_cli.py::test_a_cubic_term_too_weak_to_matter_gives_the_answer_without_it",
+    ),
+    Mutant(
+        "polish-starts-from-a-seed-outside-its-bracket",
+        RESONATOR,
+        (("    if not (neg < x < pos or pos < x < neg):\n        x = 0.5 * (neg + pos)\n", "    if False:\n        pass\n"),),
+        "tests/test_resonator.py::test_shift_cubic_bisection_fallback_reaches_tiny_roots",
+    ),
+    Mutant(
+        "middle-root-bracket-without-its-2d-over-b-end",
+        RESONATOR,
+        (("max(d / b * 2.0, -turn)", "-turn"),),
+        "tests/test_resonator.py::test_middle_root_of_a_cubic_term_too_weak_for_b_over_a_is_d_over_b",
+    ),
+    Mutant(
+        "polish-takes-newton-steps-that-leave-the-bracket",
+        RESONATOR,
+        (("        if ((x - neg) * fpx - fx) * ((x - pos) * fpx - fx) < 0.0:\n", "        if fpx:\n"),),
+        "tests/test_resonator.py::test_continuous_root_takes_no_newton_step_that_overflows",
+    ),
+    Mutant(
+        "linewidth-takes-the-unpolished-largest-root",
+        RESONATOR,
+        (
+            (
+                "        return _outer_root(a, b, d, max(roots), turn), True\n",
+                "        return max(roots), True\n",
+            ),
+        ),
+        "tests/test_resonator.py::test_linewidth_is_the_largest_root_where_the_trigonometric_form_cannot_be_formed",
+    ),
+    Mutant(
+        "three-roots-read-off-the-discriminant-again",
+        RESONATOR,
+        (
+            (
+                "    if not d < -2.0 / 3.0 * b * turn:\n",
+                "    if 0.25 * (d / a) ** 2 + (b / a) ** 3 / 27.0 > 0.0 or b >= 0.0:\n",
+            ),
+        ),
+        "tests/test_resonator.py::test_one_real_root_or_three_is_read_off_the_fold",
+    ),
+    Mutant(
+        "free-spectral-range-overflow-not-refused",
+        RESONATOR,
+        (("        if self.free_spectral_range == math.inf:\n", "        if False:\n"),),
+        "tests/test_cli.py::test_a_background_index_the_doubles_cannot_carry_is_named",
+    ),
+    Mutant(
+        "rotation-scale-underflow-not-refused",
+        CLI,
+        (("    if not cavity.rotation_scale > 0.0:\n", "    if False:\n"),),
+        "tests/test_cli.py::test_a_background_index_the_doubles_cannot_carry_is_named",
+    ),
+    Mutant(
+        "sagnac-divides-by-the-fill-unchecked",
+        "src/fastlight/scenario.py",
+        (("                if not 0.0 < fill <= 1.0:\n", "                if False:\n"),),
+        "tests/test_cli.py::test_sagnac_refuses_a_fill_fraction_outside_the_unit_interval",
     ),
     Mutant(
         "lorentzian-g-cubed-overflow-left-bare",

@@ -1,13 +1,14 @@
 """Independent oracles shared by the test modules.
 
-The library solves its depressed cubics in closed form with a Newton polish;
-the root finders here are interval bisection only, so agreement is
-meaningful. The closed forms at the end are ones the library never
-evaluates: relativistic velocity composition, whose first order is the
-Fresnel drag, and the rotation rate of a length change, the inverse of
-`resonator.rotation_to_length`. `psi_and_slope` is the round-trip phase and
-its slope from three separate profile calls, with the cavity read afresh at
-every evaluation, against which the bound kernel of `spectrum` is checked.
+The library solves its depressed cubics with closed-form seeds and a
+bracketed Newton polish; the root finders here are interval bisection only,
+so agreement is meaningful. The closed forms at the end are ones the
+library never evaluates: relativistic velocity composition, whose first
+order is the Fresnel drag, and the rotation rate of a length change, the
+inverse of `resonator.rotation_to_length`. `psi_and_slope` is the
+round-trip phase and its slope from three separate profile calls, with the
+cavity read afresh at every evaluation, against which the bound kernel of
+`spectrum` is checked.
 """
 
 from __future__ import annotations

@@ -4,7 +4,6 @@ Everything runs in-process through cli.main so exit codes and stream
 separation are observed exactly as a shell would see them.
 """
 
-import io
 import json
 import math
 import os
@@ -13,12 +12,12 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import edge_probe
 from golden_runs import case_key, load_exit_codes
 
 from fastlight.cli import COMMANDS, main
@@ -252,24 +251,27 @@ def test_huge_radius_is_an_input_fault(tmp_path, capsys, command, radius, messag
 
 
 @pytest.mark.parametrize(
-    "old, new, command, message",
+    "old, new, command, code, message",
     [
         (
             "medium_linewidth_fwhm_hz = 2.0e6",
             "medium_linewidth_fwhm_hz = 1e-300",
             "shift",
+            3,
             "medium linewidth too narrow for the cubic expansion: G^3 underflows to 0 (G = 3.14e-300 rad/s)",
         ),
         (
             "measurement_time_s = 1.0",
             "measurement_time_s = 5e-324",
             "sensitivity",
+            3,
             "the shot-noise SNR underflows to 0: the photon budget detects no photons",
         ),
         (
             "measurement_time_s = 1.0",
             "measurement_time_s = 5e-324",
             "lens-thirring",
+            3,
             "the shot-noise SNR underflows to 0: the photon budget detects no photons",
         ),
         *(
@@ -277,6 +279,7 @@ def test_huge_radius_is_an_input_fault(tmp_path, capsys, command, radius, messag
                 "medium_linewidth_fwhm_hz = 2.0e6",
                 "medium_linewidth_fwhm_hz = 1e-300",
                 command,
+                3,
                 "medium linewidth too narrow for the Lorentzian line: G^2 + (w - wc)^2 "
                 "underflows to 0 at the line centre (G = 3.14e-300 rad/s)",
             )
@@ -286,6 +289,14 @@ def test_huge_radius_is_an_input_fault(tmp_path, capsys, command, radius, messag
             "frequency_hz = 5.0e14",
             "frequency_hz = 5e-324",
             "split",
+            2,
+            "the rotation scale (w0/(c0*n0))*2*A/P underflows to 0 for w0 = 2.96e-323 rad/s, n0 = 1 and 2A/P = 1 m",
+        ),
+        (
+            "frequency_hz = 5.0e14",
+            "frequency_hz = 5e-324",
+            "sagnac",
+            3,
             "line centre frequency too low for the CAD tuning: the strength "
             "G*(1 - target)/w0 overflows (w0 = 2.96e-323 rad/s)",
         ),
@@ -294,6 +305,7 @@ def test_huge_radius_is_an_input_fault(tmp_path, capsys, command, radius, messag
                 "frequency_hz = 5.0e14",
                 "frequency_hz = 5e-324",
                 command,
+                3,
                 "the photon energy hbar*w0 underflows to 0 (w0 = 2.96e-323 rad/s)",
             )
             for command in ("sensitivity", "lens-thirring")
@@ -302,19 +314,20 @@ def test_huge_radius_is_an_input_fault(tmp_path, capsys, command, radius, messag
     ids=[
         "medium-linewidth", "snr-sensitivity", "snr-lens-thirring",
         "line-centre-sagnac", "line-centre-spectrum",
-        "frequency-split", "frequency-sensitivity", "frequency-lens-thirring",
+        "frequency-split", "frequency-sagnac", "frequency-sensitivity", "frequency-lens-thirring",
     ],
 )
-def test_an_underflowing_divisor_is_named(tmp_path, capsys, old, new, command, message):
+def test_an_underflowing_divisor_is_named(tmp_path, capsys, old, new, command, code, message):
     # G^3 in the cubic's n3 = A/G^3, the shot-noise SNR sqrt(N), G^2 + x^2
     # at the line centre and the photon energy hbar*w0 underflow to 0, and
     # the CAD strength G/w0 overflows; each is named, where a bare "float
-    # division by zero" named nothing
+    # division by zero" named nothing. The rotation scale (w0/(c0*n0))*2A/P
+    # of a 5e-324 Hz line underflows to 0 as well: split converts its
+    # rotation before it builds the medium, and refuses that as an input
+    # fault, while sagnac, which converts none, meets the CAD strength
     path = edited(tmp_path, TABLETOP, old, new)
-    code, out, err = run(capsys, command, "--scenario", path)
-    assert code == 3
-    assert err == f"computation error: {message}\n"
-    assert out == ""
+    expected = f"scenario error: {path}: {message}\n" if code == 2 else f"computation error: {message}\n"
+    assert run(capsys, command, "--scenario", path) == (code, "", expected)
 
 
 @pytest.mark.parametrize(
@@ -403,6 +416,62 @@ def test_a_cubic_term_too_weak_to_matter_gives_the_answer_without_it(tmp_path, c
     weak = json_run(tmp_path, capsys, command, taylor + n3, "weak")["results"]
     assert weak.keys() - bare.keys() == ({"enhancement_analytic"} if command == "shift" else set())
     assert {key: weak[key] for key in bare} == bare
+
+
+@pytest.mark.parametrize(
+    "command, refusal",
+    [("shift", "enhancement_analytic is not finite (inf)"), ("split", "gamma_dispersive is not finite (inf)")],
+    ids=["shift", "split"],
+)
+def test_a_subnormal_cubic_term_at_negative_group_index_is_refused_by_what_overflows(tmp_path, capsys, command, refusal):
+    # n3 = 5e-324 s^3/rad^3 at n_g = -10: b/a of the shift cubic overflows,
+    # and its middle root is d/b = -76.45 rad/s, no longer NaN. What then
+    # overflows is named: G = sqrt(-n1/n3) under shift, and the width at
+    # the shifted resonance, the largest root of the linewidth cubic, under
+    # split
+    taylor = "medium = taylor\nmedium_index = 1.0\nmedium_n1_s_per_rad = -3.5e-15\nmedium_n3_s3_per_rad3 = 5e-324"
+    path = edited(tmp_path, TABLETOP, CAD_LINES, taylor)
+    assert run(capsys, command, "--scenario", path) == (3, "", f"computation error: {refusal} for these inputs\n")
+
+
+ROTATION_SCALE_UNDERFLOWS = (
+    "the rotation scale (w0/(c0*n0))*2*A/P underflows to 0 for w0 = 3.14e+15 rad/s, n0 = 1e+300 and 2A/P = 1 m"
+)
+
+
+@pytest.mark.parametrize(
+    "scenario, value, command, code, refusal",
+    [
+        (TABLETOP, "1e300", "sensitivity", 2, ROTATION_SCALE_UNDERFLOWS),
+        (TABLETOP, "1e300", "lens-thirring", 2, ROTATION_SCALE_UNDERFLOWS),
+        (TABLETOP, "1e300", "split", 2, ROTATION_SCALE_UNDERFLOWS),
+        (DEMO, "1e300", "shift", 0, None),
+        (DEMO, "1e-300", "spectrum", 2, "the free spectral range 2*pi*c0/(n0*L) overflows for n0 = 1e-300 and L = 6.28 m"),
+        (DEMO, "5e-324", "fig5", 2, "the free spectral range 2*pi*c0/(n0*L) overflows for n0 = 4.94e-324 and L = 6.28 m"),
+        (SWEEP, "5e-324", "fig4", 2, "the free spectral range 2*pi*c0/(n0*L) overflows for n0 = 4.94e-324 and L = 6.28 m"),
+    ],
+    ids=["1e300-sensitivity", "1e300-lens-thirring", "1e300-split", "1e300-shift", "1e-300-spectrum", "5e-324-fig5", "5e-324-fig4"],
+)
+def test_a_background_index_the_doubles_cannot_carry_is_named(tmp_path, capsys, scenario, value, command, code, refusal):
+    # at n_b = 1e300 the rotation scale underflows to 0, and a rotation
+    # converted or divided by it is refused; a drive given as a shift needs
+    # no rotation scale and runs. At 1e-300 and below the free spectral
+    # range overflows, and no cavity is built.
+    text = Path(scenario).read_text(encoding="utf-8")
+    path = edited(tmp_path, scenario, text, f"{text}background_index = {value}\n")
+    expected = "" if refusal is None else f"scenario error: {path}: {refusal}\n"
+    assert run(capsys, command, "--scenario", path)[::2] == (code, expected)
+
+
+@pytest.mark.parametrize("fill", ["0", "1e300", "-1e300"])
+def test_sagnac_refuses_a_fill_fraction_outside_the_unit_interval(tmp_path, capsys, fill):
+    # sagnac builds no cavity, but the CAD medium's target group index
+    # -(1 - fill)*n_b/fill reads the fill: it is refused with the cavity's
+    # own words, as split refuses it, where a fill of 0 divided by zero
+    path = edited(tmp_path, TABLETOP, "convention = paper\n", f"convention = paper\nfill_fraction = {fill}\n")
+    expected = f"scenario error: {path}: fill fraction must lie in (0, 1]\n"
+    assert run(capsys, "sagnac", "--scenario", path) == (2, "", expected)
+    assert run(capsys, "split", "--scenario", path) == (2, "", expected)
 
 
 @pytest.mark.parametrize("command", ["sagnac", "split", "shift", "linewidth", "spectrum", "sensitivity"])
@@ -1045,23 +1114,17 @@ def test_closed_stdout_ends_quietly_after_the_files_are_written(tmp_path):
 
 
 RESULT_LINE = re.compile(r"\w+ = (\S+)( .+)?  \[.+\]")
-# Python's text of an OSError-style exception, "(34, 'Numerical result out
-# of range')", which names no quantity
-ERRNO_TEXT = re.compile(r"\(\d+, '")
-SCENARIOS = (TABLETOP, SWEEP, DEMO, OPEN_LOOP)
-# finite edge values; the sweep below adds nan and inf, which exit 2
-EDGE_VALUES = (0.0, -1.0, 1e300, -1e300, 1e-300, 5e-324)
+# CPython's own texts, which name no quantity: an OSError-style exception,
+# "(34, 'Numerical result out of range')", a division by zero, int() of a
+# NaN, and a NaN printed in place of a shift
+BARE_TEXT = re.compile(r"\(\d+, '|float division by zero|cannot convert float NaN to integer|nan rad/s")
+SCENARIOS = tuple(f"scenarios/{stem}.scenario" for stem in edge_probe.SCENARIOS)
 
 
-def numeric_lines(lines: list[str]):
-    """(index, key, value) of each scenario line that sets a single number."""
-    for i, line in enumerate(lines):
-        key, _, rest = line.partition("=")
-        try:
-            value = float(rest.split("#", 1)[0])
-        except ValueError:
-            continue
-        yield i, key, value
+def assert_names_what_failed(err: str, case: str) -> None:
+    """One stderr line, in the program's words."""
+    assert err.count("\n") == 1 and err.endswith("\n"), (case, err)
+    assert not BARE_TEXT.search(err), (case, err)
 
 
 def assert_results_finite_and_tagged(out: str) -> None:
@@ -1120,7 +1183,7 @@ def edited_runs(draw) -> tuple[str, str]:
     """
     scenario = draw(st.sampled_from(SCENARIOS))
     lines = Path(scenario).read_text().splitlines()
-    edits = list(numeric_lines(lines))
+    edits = list(edge_probe.numeric_lines(lines))
     edge = draw(st.sampled_from([None] + [i for i, _, _ in edits]))
     drawn = {}  # the values drawn so far; the loop's lines come first
     for i, key, value in edits:
@@ -1129,7 +1192,7 @@ def edited_runs(draw) -> tuple[str, str]:
         if name == "rotation_rate_rad_s":
             exponents = [k for k in exponents if k <= 0 or abs(value * 10.0**k * rim_radius(drawn)) < C0]
         scaled = st.sampled_from(exponents).map(lambda k: value * 10.0**k)
-        choice = st.sampled_from(EDGE_VALUES) if i == edge else st.one_of(st.just(value), scaled)
+        choice = st.sampled_from(edge_probe.EDGE_VALUES) if i == edge else st.one_of(st.just(value), scaled)
         drawn[name] = draw(choice)
         lines[i] = f"{key}= {drawn[name]!r}"
     if "medium = cad" in lines and draw(st.booleans()):
@@ -1147,52 +1210,35 @@ def test_any_scenario_edit_exits_cleanly(case):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "edited.scenario"
         path.write_text(text, encoding="utf-8")
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
-            warnings.simplefilter("always")
-            code = main([command, "--scenario", str(path)])
+        code, out, err, caught = edge_probe.run_command(command, path)
         assert code in (0, 2, 3)
         if code == 0:
-            assert (err.getvalue(), caught) == ("", [])
-            assert_results_finite_and_tagged(out.getvalue())
-            assert_shifts_below_omega0(out.getvalue(), path)
+            assert (err, caught) == ("", [])
+            assert_results_finite_and_tagged(out)
+            assert_shifts_below_omega0(out, path)
+        else:
+            assert_names_what_failed(err, command)
 
 
-# optional keys that no shipped scenario sets
-UNSET_KEYS = ("background_index", "fill_fraction", "quantum_efficiency", "snr")
-
-
-@pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: Path(s).stem)
+@pytest.mark.parametrize("scenario", edge_probe.SCENARIOS)
 def test_every_edge_value_on_every_line_exits_cleanly(tmp_path, scenario):
     # each numeric line in turn set to each edge value, and each optional
-    # key the scenario leaves unset appended at each, under every command:
-    # exit 0 with finite, tagged numbers, every shift below omega0 and a
-    # silent stderr, or exit 2 or 3
-    # with one stderr line that names what failed; a warning would be one
-    # more stderr line
-    text = Path(scenario).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    edits = list(numeric_lines(lines))
-    assert edits
-    unset = UNSET_KEYS + (("medium_target_group_index",) if "medium = cad" in lines else ())
-    # an edit at the index past the last line appends it
-    edits += [(len(lines), f"{key} ", None) for key in unset if f"{key} =" not in text]
+    # key the scenario leaves unset appended at each, under every command
+    # (the runs of tests/edge_probe.py): exit 0 with finite, tagged numbers,
+    # every shift below omega0 and a silent stderr, or exit 2 or 3 with one
+    # stderr line that names what failed; a warning would be one more
+    # stderr line
     path = tmp_path / "edited.scenario"
-    for i, key, _ in edits:
-        for value in EDGE_VALUES + (math.nan, math.inf):
-            path.write_text("\n".join(lines[:i] + [f"{key}= {value!r}"] + lines[i + 1:]) + "\n", encoding="utf-8")
-            for command in COMMANDS:
-                out, err = io.StringIO(), io.StringIO()
-                with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
-                    warnings.simplefilter("always")
-                    code = main([command, "--scenario", str(path)])
-                case = f"{command} with {key.strip()} = {value!r}"
-                assert caught == [], case
-                assert code in (0, 2, 3), case
-                if code == 0:
-                    assert err.getvalue() == "", case
-                    assert_results_finite_and_tagged(out.getvalue())
-                    assert_shifts_below_omega0(out.getvalue(), path)
-                else:
-                    assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), case
-                    assert not ERRNO_TEXT.search(err.getvalue()), case
+    for key, value, text in edge_probe.edge_cases(scenario):
+        path.write_text(text, encoding="utf-8")
+        for command in COMMANDS:
+            code, out, err, caught = edge_probe.run_command(command, path)
+            case = f"{command} with {key} = {value!r}"
+            assert caught == [], case
+            assert code in (0, 2, 3), case
+            if code == 0:
+                assert err == "", case
+                assert_results_finite_and_tagged(out)
+                assert_shifts_below_omega0(out, path)
+            else:
+                assert_names_what_failed(err, case)

@@ -6,10 +6,12 @@ import math
 import random
 import re
 import warnings
+from fractions import Fraction
 
 import pytest
 
 from oracle_utils import (
+    bisect,
     bisect_cubic_branch,
     bisect_positive_root,
     bisect_smaller_positive_root,
@@ -28,6 +30,8 @@ from fastlight.resonator import (
     RingCavity,
     ShiftedLinewidth,
     _continuous_root,
+    _positive_linewidth_root,
+    _trig_roots,
     airy_linewidth_cubic,
     effective_half_linewidth,
     effective_taylor,
@@ -151,7 +155,8 @@ def test_shift_cubic_randomized_against_bisection():
 
 
 def test_shift_cubic_bisection_fallback_reaches_tiny_roots():
-    # n3*w0 is subnormal, so b/a overflows and the closed form fails; the
+    # n3*w0 is subnormal, so b/a overflows and Cardano's seed is not finite:
+    # the polish starts from the middle of its bracket [0, 8e82], and the
     # root 1e-70 lies far below the 2^-200 floor of a fixed 200 halvings
     t = TaylorCubic(n0=1.0, n1=3.2e-6, n3=5e-324, omega_ref=2.0 * math.pi * 5e14)
     dw_ec = 2.0 * math.pi * 1.6e-61
@@ -159,6 +164,8 @@ def test_shift_cubic_bisection_fallback_reaches_tiny_roots():
 
 
 def test_continuous_root_fallback_when_d_over_a_overflows():
+    # q = d/a overflows, and with it Cardano's seed; the bracket's upper end
+    # 2*d^(1/3)/a^(1/3) does not
     a, d = 3.4975146060174276e-189, 7.72673919488669e145
     root, multi = _continuous_root(a, 0.0, d)
     assert not multi
@@ -166,10 +173,66 @@ def test_continuous_root_fallback_when_d_over_a_overflows():
 
 
 def test_continuous_root_three_root_fallback_underflows_to_zero():
-    # the middle root, about -3.3e-371, is below the smallest double
+    # the middle root, about -3.3e-371, is below the smallest double, and so
+    # is its bracket's end 2d/b: the bracket [-0, 0] has no double inside
     root, multi = _continuous_root(9.04319973126187e134, -2.5451874639356627e132, 8.43416297685972e-239)
     assert multi
     assert root == 0.0
+
+
+def exact_cubic(a: float, b: float, d: float):
+    """a*x^3 + b*x - d in exact rational arithmetic."""
+    return lambda x: Fraction(a) * Fraction(x) ** 3 + Fraction(b) * Fraction(x) - Fraction(d)
+
+
+def test_middle_root_of_a_cubic_term_too_weak_for_b_over_a_is_d_over_b():
+    # a Taylor medium of n3 = 5e-324 s^3/rad^3 at n_g = -10 on the tabletop
+    # ring at Earth rate: b/a overflows, so the turning point lies beyond the
+    # doubles and the trigonometric seed is not finite; the middle root's
+    # bracket ends at 2d/b instead, and its polish lands on d/b
+    a, b, d = 1.5521530033659566e-308, -9.995574287564276, 764.1572404254854
+    assert _continuous_root(a, b, d) == (d / b, True)
+
+
+def test_continuous_root_takes_no_newton_step_that_overflows():
+    # b/a overflows and Cardano's seed is not finite, so the polish starts
+    # halfway up [0, 2*(d/a)^(1/3)] = [0, 1.1e25], where b*x overflows: the
+    # Newton step to -inf is refused, not taken as converged. The root is
+    # d/b, a subnormal, to the few digits it carries.
+    a, b, d = 6.044112057472957e-95, 7.271650931439692e295, 9.494825294316958e-21
+    root, multi = _continuous_root(a, b, d)
+    assert not multi
+    assert root == pytest.approx(d / b, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "a, b, d",
+    [
+        (1.4628104301592875e-118, -0.08225903932037426, 1.476833480668227e307),
+        (-3.307630014325619e204, 1.0912382354724608e-74, -2.6678275059292693e-15),
+    ],
+    ids=["p-cubed-overflows", "discriminant-underflows"],
+)
+def test_one_real_root_or_three_is_read_off_the_fold(a, b, d):
+    # drives 2e250 and 1e199 times the fold drive -(2/3)*b*turn: one real
+    # root, although Cardano's discriminant q^2/4 + p^3/27 reads three, its
+    # p^3 overflowing in the first cubic and underflowing to -0, with q^2
+    # to 0, in the second
+    root, multi = _continuous_root(a, b, d)
+    assert not multi
+    f = exact_cubic(a, b, d)
+    assert f(math.nextafter(root, -math.inf)) * f(math.nextafter(root, math.inf)) <= 0
+
+
+def test_linewidth_is_the_largest_root_where_the_trigonometric_form_cannot_be_formed():
+    # three real roots, with p*m = (b/a)*2*sqrt(-b/(3a)) below the smallest
+    # double: the trigonometric form gives NaN, and the polish halves the
+    # largest root's bracket [turn, 2*(turn + (d/a)^(1/3))] down to it
+    a, b, gamma_ec = 1e200, -1e-50, 1e-180
+    assert all(math.isnan(x) for x in _trig_roots(b / a, gamma_ec / a))
+    turn = math.sqrt(-b / (3.0 * a))
+    expected = bisect(exact_cubic(a, b, gamma_ec), turn, 2.0 * turn)
+    assert _positive_linewidth_root(a, b, gamma_ec) == pytest.approx(expected, rel=1e-15)
 
 
 def test_shift_cubic_negative_curvature_solves_its_cubic():
