@@ -390,6 +390,9 @@ def _cmd_linewidth(scn: Scenario, rp: Report) -> None:
     rp.add("ring_down_time", cavity.ring_down_time, "s", "tau_c = 1/gamma_ec")
     t = effective_taylor(_effective_profile(scn, cavity), cavity)
     rp.add("group_index", t.ng0, "", "n_g = n0_eff + w0*n1_eff")
+    # the shift before the widths, so that a drive whose shift and width
+    # both reach omega0 is refused for its shift, as by `shift` and `split`
+    dw_dis = shift_cubic(dw_ec, t) if dw_ec != 0.0 else None
     gamma_self = linewidth_cubic(cavity.gamma_ec, t)
     rp.add("gamma_dis", gamma_self, "rad/s", _CUBIC_WIDTH)
     try:
@@ -403,8 +406,7 @@ def _cmd_linewidth(scn: Scenario, rp: Report) -> None:
         rp.add("airy_ratio", gamma_airy / gamma_self, "", "2^(2/3) at the white-light point")
     except (ComputationError, ValueError):
         rp.note("airy linewidth unavailable for these coefficients")
-    if dw_ec != 0.0:
-        dw_dis = shift_cubic(dw_ec, t)
+    if dw_dis is not None:
         rp.add("dw_dis", dw_dis, "rad/s", "root of n3*w0*x^3 + n_g*x = dw_ec")
         _add_shifted_width(rp, "gamma_shifted", cavity, t, dw_dis)
 

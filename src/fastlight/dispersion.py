@@ -26,6 +26,7 @@ evaluation executes numpy only in the Lorentzian's underflow fallback.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 from ._numpy import np
@@ -47,6 +48,8 @@ class _Projections:
     """index, index_change and dindex_domega, each one part of the profile's
     fused `response`, so that each formula is written once."""
 
+    __slots__ = ()
+
     def index(self, omega):
         return self.response(omega, omega)[0]
 
@@ -64,6 +67,10 @@ class LorentzianAbsorptive(_Projections):
     `half_linewidth` is half the absorption FWHM (rad/s); `strength` is the
     dimensionless amplitude A. The index deviation peaks at +-A/2 one
     half-linewidth away from center.
+
+    Unlike the package's other value types, which are named tuples, it is
+    a frozen dataclass: perfbench's `CountingLorentzian` subclasses it as
+    one, adding a field.
     """
 
     strength: float
@@ -135,20 +142,20 @@ class LorentzianAbsorptive(_Projections):
         return TaylorCubic(n0=1.0, n1=-a / g, n3=a / g3, omega_ref=self.center)
 
 
-@dataclass(frozen=True)
-class TaylorCubic(_Projections):
-    """Odd cubic index model: n(w) = n0 + n1*d + n3*d^3 with d = w - omega_ref."""
+class TaylorCubic(_Projections, namedtuple("TaylorCubic", "n0 n1 n3 omega_ref")):
+    """Odd cubic index model: n(w) = n0 + n1*d + n3*d^3 with d = w - omega_ref.
 
-    n0: float
-    n1: float
-    n3: float
-    omega_ref: float
+    `_Projections` comes first, so its `index` shadows the tuple's.
+    """
 
-    def __post_init__(self):
-        if self.n0 <= 0.0:
+    __slots__ = ()
+
+    def __new__(cls, n0, n1, n3, omega_ref):
+        if n0 <= 0.0:
             raise ValueError("phase index must be positive")
-        if self.omega_ref <= 0.0:
+        if omega_ref <= 0.0:
             raise ValueError("reference frequency must be positive")
+        return super().__new__(cls, n0, n1, n3, omega_ref)
 
     def response(self, omega, base):
         """(n(omega), n(omega) - n(base), dn/domega), sharing d = omega - omega_ref."""

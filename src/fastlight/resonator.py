@@ -38,19 +38,18 @@ white-light point; keeping both surfaces the discrepancy instead of hiding it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .constants import C0
 from .dispersion import DispersionProfile, TaylorCubic
 from .errors import ComputationError
-from .sagnac import LoopGeometry
 
 ETA_CONVENTIONS = ("derived", "paper")
 
 
-@dataclass(frozen=True)
-class RingCavity:
-    """Ring resonator: loop geometry, finesse, background index, resonance.
+class RingCavity(namedtuple("RingCavity", "geometry finesse omega0 n0 fill_fraction")):
+    """Ring resonator: loop geometry (a `sagnac.LoopGeometry`), finesse,
+    resonance omega0 and background index n0.
 
     `fill_fraction` is the fraction of the round trip occupied by the
     dispersive medium; it enters the analytic algebra only through
@@ -58,26 +57,24 @@ class RingCavity:
     n_g = -(1 - fill_fraction)*n0/fill_fraction of the medium itself).
     """
 
-    geometry: LoopGeometry
-    finesse: float
-    omega0: float
-    n0: float = 1.0
-    fill_fraction: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.finesse <= 1.0:
+    def __new__(cls, geometry, finesse, omega0, n0=1.0, fill_fraction=1.0):
+        if finesse <= 1.0:
             raise ValueError("finesse must exceed 1")
-        if self.omega0 <= 0.0:
+        if omega0 <= 0.0:
             raise ValueError("resonance frequency must be positive")
-        if self.n0 <= 0.0:
+        if n0 <= 0.0:
             raise ValueError("background index must be positive")
-        if not 0.0 < self.fill_fraction <= 1.0:
+        if not 0.0 < fill_fraction <= 1.0:
             raise ValueError("fill fraction must lie in (0, 1]")
+        self = super().__new__(cls, geometry, finesse, omega0, n0, fill_fraction)
         if self.free_spectral_range == math.inf:
             raise ValueError(
                 f"the free spectral range 2*pi*c0/(n0*L) overflows for n0 = {self.n0:.3g} "
                 f"and L = {self.round_trip_length:.3g} m"
             )
+        return self
 
     @property
     def round_trip_length(self) -> float:
@@ -110,33 +107,26 @@ class RingCavity:
         return -dw_ec * self.round_trip_length / self.omega0
 
 
-@dataclass(frozen=True)
-class ShiftResult:
+class ShiftResult(namedtuple("ShiftResult", "dw_plus dw_minus splitting width", defaults=(None,))):
     """Per-direction resonance shifts and their splitting dw_minus - dw_plus.
 
-    `width` is the linewidth at the shifted resonances, which only
+    `width` is the `ShiftedLinewidth` at the shifted resonances, which only
     `rotation_response` gives; it is None for the bare ring. The enhancement
     is this splitting over the bare one, where that is not zero.
     """
 
-    dw_plus: float
-    dw_minus: float
-    splitting: float
-    width: ShiftedLinewidth | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ShiftedLinewidth:
+class ShiftedLinewidth(namedtuple("ShiftedLinewidth", "gamma_dis local_ng from_cubic", defaults=(False,))):
     """Linewidth at a displaced resonance, from the local group index.
 
     `local_ng` is the group index there over the background index, as in
     `effective_taylor`. `gamma_dis` is gamma_ec/local_ng, unless
-    `from_cubic` says it is the `linewidth_cubic` root.
+    `from_cubic` (False by default) says it is the `linewidth_cubic` root.
     """
 
-    gamma_dis: float
-    local_ng: float
-    from_cubic: bool = False
+    __slots__ = ()
 
 
 # --------------------------------------------------------------------------
@@ -342,6 +332,18 @@ def linewidth_linear(gamma_ec: float, n_g: float) -> float:
     return gamma_ec / n_g
 
 
+def _width_below_omega0(gamma: float, taylor: TaylorCubic) -> float:
+    # a finite width of omega0 or more lies outside the expansion about the
+    # resonance, as a shift does in `shift_cubic`; one that overflows to inf
+    # is left to the CLI report, which names the line it would print
+    if taylor.omega_ref <= gamma < math.inf:
+        raise ComputationError(
+            f"the linewidth {gamma:.3g} rad/s is not below omega0 = {taylor.omega_ref:.3g} rad/s: "
+            "the cubic is an expansion about the resonance"
+        )
+    return gamma
+
+
 def _positive_linewidth_root(a: float, b: float, gamma_ec: float) -> float:
     if gamma_ec <= 0.0:
         raise ValueError("empty-cavity linewidth must be positive")
@@ -361,8 +363,13 @@ def linewidth_cubic(gamma_ec: float, taylor: TaylorCubic) -> float:
 
     Positive root of n3*w0 * g^3 + n_g * g = gamma_ec; at n_g = 0 this is
     (G^2 * gamma_ec)^(1/3) for the tuned Lorentzian coefficients.
+
+    Domain: that of `shift_cubic`, so a finite root of w0 or more is
+    refused, naming it; so is every width of `airy_linewidth_cubic`,
+    `shifted_linewidth` and `rotation_response`.
     """
-    return _positive_linewidth_root(taylor.n3 * taylor.omega_ref, taylor.ng0, gamma_ec)
+    root = _positive_linewidth_root(taylor.n3 * taylor.omega_ref, taylor.ng0, gamma_ec)
+    return _width_below_omega0(root, taylor)
 
 
 def airy_linewidth_cubic(gamma_ec: float, taylor: TaylorCubic) -> float:
@@ -373,7 +380,8 @@ def airy_linewidth_cubic(gamma_ec: float, taylor: TaylorCubic) -> float:
     (n3*w0/4) * g^3 + n_g * g = gamma_ec. Exceeds `linewidth_cubic` by exactly
     2^(2/3) at the white-light point and matches it in the linear regime.
     """
-    return _positive_linewidth_root(0.25 * taylor.n3 * taylor.omega_ref, taylor.ng0, gamma_ec)
+    root = _positive_linewidth_root(0.25 * taylor.n3 * taylor.omega_ref, taylor.ng0, gamma_ec)
+    return _width_below_omega0(root, taylor)
 
 
 def effective_half_linewidth(taylor: TaylorCubic) -> float | None:
@@ -396,7 +404,7 @@ def shifted_linewidth(gamma_ec: float, taylor: TaylorCubic, dw_dis: float) -> Sh
     local_ng = taylor.local_ng(dw_dis)
     if local_ng <= 0.0:
         return ShiftedLinewidth(linewidth_cubic(gamma_ec, taylor), local_ng, from_cubic=True)
-    return ShiftedLinewidth(gamma_ec / local_ng, local_ng)
+    return ShiftedLinewidth(_width_below_omega0(gamma_ec / local_ng, taylor), local_ng)
 
 
 def feedback_gain(taylor: TaylorCubic) -> float:
@@ -458,17 +466,20 @@ def rotation_response(profile: DispersionProfile, cavity: RingCavity, omega_rot:
 
     Domain: that of `shift_cubic` in each direction, |shift| < omega0, so
     every displaced resonance sits at a positive frequency, where the
-    profile is defined. Any background index and fill fraction apply, and
-    it adds no refusal to those of the functions it calls.
+    profile is defined, and a width below omega0, the linear width at rest
+    too. Any background index and fill fraction apply, and it adds no other
+    refusal to those of the functions it calls.
     """
     base = splitting_no_dispersion(cavity, omega_rot)
     t = effective_taylor(profile, cavity)
     if omega_rot == 0.0:
+        # the linear width stands in only where the cubic has no positive
+        # root, not where its root is refused for reaching omega0
         try:
-            gamma, from_cubic = linewidth_cubic(cavity.gamma_ec, t), True
+            gamma, from_cubic = _positive_linewidth_root(t.n3 * t.omega_ref, t.ng0, cavity.gamma_ec), True
         except ComputationError:
             gamma, from_cubic = linewidth_linear(cavity.gamma_ec, t.ng0), False
-        return ShiftResult(0.0, 0.0, 0.0, ShiftedLinewidth(gamma, t.ng0, from_cubic))
+        return ShiftResult(0.0, 0.0, 0.0, ShiftedLinewidth(_width_below_omega0(gamma, t), t.ng0, from_cubic))
 
     raw_minus = shift_cubic(base.dw_minus, t)
     raw_plus = shift_cubic(base.dw_plus, t)

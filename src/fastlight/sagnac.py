@@ -18,14 +18,13 @@ place of the optical one, giving dphi = 4*pi*m*A*Omega/h.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .constants import C0, PLANCK
 from .dispersion import DispersionProfile, group_index
 
 
-@dataclass(frozen=True)
-class LoopGeometry:
+class LoopGeometry(namedtuple("LoopGeometry", "area perimeter radius")):
     """Enclosed area and perimeter of the sensing loop, in SI units.
 
     `radius` is optional; when given it must be consistent with a circle of
@@ -33,22 +32,21 @@ class LoopGeometry:
     tangential speeds for non-circular loops (it equals R for a circle).
     """
 
-    area: float
-    perimeter: float
-    radius: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.area <= 0.0:
+    def __new__(cls, area, perimeter, radius=None):
+        if area <= 0.0:
             raise ValueError("loop area must be positive")
-        if self.perimeter <= 0.0:
+        if perimeter <= 0.0:
             raise ValueError("loop perimeter must be positive")
-        if self.radius is not None:
-            if self.radius <= 0.0:
+        if radius is not None:
+            if radius <= 0.0:
                 raise ValueError("loop radius must be positive")
-            if not math.isclose(self.area, math.pi * self.radius ** 2, rel_tol=1e-12):
+            if not math.isclose(area, math.pi * radius ** 2, rel_tol=1e-12):
                 raise ValueError("radius inconsistent with area for a circular loop")
-            if not math.isclose(self.perimeter, 2.0 * math.pi * self.radius, rel_tol=1e-12):
+            if not math.isclose(perimeter, 2.0 * math.pi * radius, rel_tol=1e-12):
                 raise ValueError("radius inconsistent with perimeter for a circular loop")
+        return super().__new__(cls, area, perimeter, radius)
 
     @classmethod
     def circular(cls, radius: float) -> "LoopGeometry":
@@ -66,31 +64,27 @@ class LoopGeometry:
         return 2.0 * self.area / self.perimeter
 
 
-@dataclass(frozen=True)
-class RotationState:
+class RotationState(namedtuple("RotationState", "omega_rot tangential_speed")):
     """Rotation rate and the rim speed it implies."""
 
-    omega_rot: float
-    tangential_speed: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if abs(self.tangential_speed) >= C0:
+    def __new__(cls, omega_rot, tangential_speed):
+        if abs(tangential_speed) >= C0:
             raise ValueError("tangential speed must stay below c0")
+        return super().__new__(cls, omega_rot, tangential_speed)
 
     @classmethod
     def from_geometry(cls, omega_rot: float, geometry: LoopGeometry) -> "RotationState":
         return cls(omega_rot=omega_rot, tangential_speed=omega_rot * geometry.effective_radius)
 
 
-@dataclass(frozen=True)
-class SagnacPhase:
+class SagnacPhase(
+    namedtuple("SagnacPhase", "delta_t delta_phi delta_t_first_order delta_phi_first_order beta")
+):
     """Counterpropagating time-delay and phase splitting of one loop."""
 
-    delta_t: float
-    delta_phi: float
-    delta_t_first_order: float
-    delta_phi_first_order: float
-    beta: float
+    __slots__ = ()
 
 
 def vacuum_sagnac(geometry: LoopGeometry, rotation: RotationState, omega: float) -> SagnacPhase:

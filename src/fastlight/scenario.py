@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from ._numpy import np
@@ -81,14 +81,10 @@ _MEDIUM_USES = {
 _ALL_MEDIUM_KEYS = set().union(*_MEDIUM_USES.values())
 
 
-@dataclass(frozen=True)
-class ValueRange:
+class ValueRange(namedtuple("ValueRange", "lo hi points spacing")):
     """Swept input: min:max:points:log|lin."""
 
-    lo: float
-    hi: float
-    points: int
-    spacing: str
+    __slots__ = ()
 
     def values(self) -> np.ndarray:
         if self.spacing == "log":

@@ -29,7 +29,7 @@ value so the chain can be audited against any other convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .constants import HBAR, LENSE_THIRRING_FRACTION, OMEGA_EARTH
 from .errors import ComputationError
@@ -38,8 +38,7 @@ from .resonator import RingCavity, enhancement_eta
 MODES = ("passive_empty", "rlg_empty", "rlg_dispersive")
 
 
-@dataclass(frozen=True)
-class NoiseBudget:
+class NoiseBudget(namedtuple("NoiseBudget", "output_power measurement_time snr quantum_efficiency")):
     """Detection resources: either a photon budget, an SNR, or both.
 
     When both are supplied they must agree (SNR = sqrt(N) within 1e-6
@@ -47,24 +46,22 @@ class NoiseBudget:
     floors.
     """
 
-    output_power: float | None = None
-    measurement_time: float | None = None
-    snr: float | None = None
-    quantum_efficiency: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.output_power is not None and self.output_power <= 0.0:
+    def __new__(cls, output_power=None, measurement_time=None, snr=None, quantum_efficiency=1.0):
+        if output_power is not None and output_power <= 0.0:
             raise ValueError("output power must be positive")
-        if self.measurement_time is not None and self.measurement_time <= 0.0:
+        if measurement_time is not None and measurement_time <= 0.0:
             raise ValueError("measurement time must be positive")
-        if self.snr is not None and self.snr <= 0.0:
+        if snr is not None and snr <= 0.0:
             raise ValueError("snr must be positive")
-        if not 0.0 < self.quantum_efficiency <= 1.0:
+        if not 0.0 < quantum_efficiency <= 1.0:
             raise ValueError("quantum efficiency must lie in (0, 1]")
-        if (self.output_power is None) != (self.measurement_time is None):
+        if (output_power is None) != (measurement_time is None):
             raise ValueError("output power and measurement time must be given together")
-        if self.output_power is None and self.snr is None:
+        if output_power is None and snr is None:
             raise ValueError("need a photon budget (power and time) or an snr")
+        return super().__new__(cls, output_power, measurement_time, snr, quantum_efficiency)
 
     @property
     def has_photon_budget(self) -> bool:

@@ -29,7 +29,7 @@ as the rows of one array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ._numpy import np
 from .constants import C0
@@ -45,24 +45,23 @@ from .resonator import (
 )
 
 
-@dataclass(frozen=True)
-class SweepGrid:
+class SweepGrid(namedtuple("SweepGrid", "center half_span points")):
     """Uniform frequency grid for a transmission sweep."""
 
-    center: float
-    half_span: float
-    points: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.center <= 0.0:
+    def __new__(cls, center, half_span, points):
+        if center <= 0.0:
             raise ValueError("grid center must be positive")
-        if not 0.0 < self.half_span < self.center:
+        if not 0.0 < half_span < center:
             raise ValueError("half span must be positive and keep the grid above zero")
-        if self.points < _SWEEP_POINTS or self.points % 2 == 0:
+        if points < _SWEEP_POINTS or points % 2 == 0:
             raise ValueError(f"grid needs an odd point count of at least {_SWEEP_POINTS}")
+        self = super().__new__(cls, center, half_span, points)
         # a finer step repeats samples, and a zero step leaves only one
-        if self.resolution < math.ulp(self.center + self.half_span):
+        if self.resolution < math.ulp(center + half_span):
             raise ValueError("grid step must not fall below the spacing of doubles")
+        return self
 
     @property
     def omegas(self) -> np.ndarray:
@@ -89,12 +88,10 @@ def _sample_rows(centers, half_spans, points: int) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
-class SpectrumTrace:
-    omega: np.ndarray
-    transmission: np.ndarray
-    resonance: float
-    fwhm: float
+class SpectrumTrace(namedtuple("SpectrumTrace", "omega transmission resonance fwhm")):
+    """A sampled transmission (two arrays) with its resonance and FWHM."""
+
+    __slots__ = ()
 
 
 class _RoundTrip:
@@ -574,12 +571,12 @@ def trace(
     return SpectrumTrace(omega=w, transmission=t, resonance=resonance, fwhm=fwhm)
 
 
-@dataclass(frozen=True)
-class EnhancementSample:
-    dw_ec: float
-    eta_numeric: float
-    eta_analytic_derived: float
-    eta_analytic_paper: float
+class EnhancementSample(
+    namedtuple("EnhancementSample", "dw_ec eta_numeric eta_analytic_derived eta_analytic_paper")
+):
+    """One shift of an enhancement sweep: eta measured and from both conventions."""
+
+    __slots__ = ()
 
 
 def sweep_enhancement(

@@ -174,6 +174,29 @@ MUTANTS = (
         "tests/test_cli.py::test_a_background_index_the_doubles_cannot_carry_is_named",
     ),
     Mutant(
+        "width-of-omega0-or-more-not-refused",
+        RESONATOR,
+        (("    if taylor.omega_ref <= gamma < math.inf:\n", "    if False:\n"),),
+        "tests/test_cli.py::test_a_width_beyond_omega0_is_named",
+    ),
+    Mutant(
+        "refused-width-at-rest-replaced-by-the-linear-width",
+        RESONATOR,
+        (
+            (
+                "gamma, from_cubic = _positive_linewidth_root(t.n3 * t.omega_ref, t.ng0, cavity.gamma_ec), True",
+                "gamma, from_cubic = linewidth_cubic(cavity.gamma_ec, t), True",
+            ),
+        ),
+        "tests/test_resonator.py::test_every_width_of_omega0_or_more_is_refused",
+    ),
+    Mutant(
+        "sweep-grid-step-below-the-spacing-of-doubles-not-refused",
+        SPECTRUM,
+        (("        if self.resolution < math.ulp(center + half_span):\n", "        if False:\n"),),
+        f"{TEST_SPECTRUM}::test_sweep_grid_validation",
+    ),
+    Mutant(
         "rotation-scale-underflow-not-refused",
         CLI,
         (("    if not cavity.rotation_scale > 0.0:\n", "    if False:\n"),),

@@ -434,6 +434,23 @@ def test_a_subnormal_cubic_term_at_negative_group_index_is_refused_by_what_overf
     assert run(capsys, command, "--scenario", path) == (3, "", f"computation error: {refusal} for these inputs\n")
 
 
+@pytest.mark.parametrize("command", ["linewidth", "shift", "split"])
+def test_a_width_beyond_omega0_is_named(tmp_path, capsys, command):
+    # n3 = 1e-300 s^3/rad^3 at n_g = -10: the cubic term barely counts, and
+    # the largest root of the linewidth cubic, 5.64e142 rad/s, lies far
+    # beyond omega0, outside the expansion; the shifts stay below it, so the
+    # width gamma_dis (linewidth) or the width at the shifted resonances
+    # (shift, split) is what is refused
+    taylor = "medium = taylor\nmedium_index = 1.0\nmedium_n1_s_per_rad = -3.5e-15\nmedium_n3_s3_per_rad3 = 1e-300"
+    path = edited(tmp_path, TABLETOP, CAD_LINES, taylor)
+    assert run(capsys, command, "--scenario", path) == (
+        3,
+        "",
+        "computation error: the linewidth 5.64e+142 rad/s is not below omega0 = 3.14e+15 rad/s: "
+        "the cubic is an expansion about the resonance\n",
+    )
+
+
 ROTATION_SCALE_UNDERFLOWS = (
     "the rotation scale (w0/(c0*n0))*2*A/P underflows to 0 for w0 = 3.14e+15 rad/s, n0 = 1e+300 and 2A/P = 1 m"
 )

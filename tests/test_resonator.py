@@ -400,6 +400,36 @@ def test_shifted_linewidth_slow_regime():
     assert not res.from_cubic
 
 
+def test_every_width_of_omega0_or_more_is_refused():
+    # each width comes from the cubic, an expansion about omega0: a finite
+    # one of omega0 or more is refused, naming it
+    refused = r"^the linewidth \S+ rad/s is not below omega0 = \S+ rad/s: the cubic is an expansion about the resonance$"
+    fast = TaylorCubic(1.0, -11.0 / W0, 1e-300, W0)  # n_g = -10, a cubic term that barely counts
+    for width in (linewidth_cubic, airy_linewidth_cubic):
+        with pytest.raises(ComputationError, match=refused):
+            width(1e8, fast)
+    # without dispersion every width is gamma_ec, the linear one included
+    vacuum = TaylorCubic(1.0, 0.0, 0.0, W0)
+    below = math.nextafter(W0, 0.0)
+    assert linewidth_cubic(below, vacuum) == airy_linewidth_cubic(below, vacuum) == below
+    assert shifted_linewidth(below, vacuum, 0.0).gamma_dis == below
+    for width in (linewidth_cubic, airy_linewidth_cubic, lambda g, t: shifted_linewidth(g, t, 0.0)):
+        with pytest.raises(ComputationError, match=refused):
+            width(W0, vacuum)
+    # at rest, the linear width standing in for the cubic root is refused too
+    small = RingCavity(geometry=LoopGeometry.circular(1e-9), finesse=1.01, omega0=1e6)
+    assert small.gamma_ec > small.omega0
+    with pytest.raises(ComputationError, match=refused):
+        rotation_response(TaylorCubic(1.0, 0.0, 0.0, 1e6), small, 0.0)
+    # and a root refused for reaching omega0 is not replaced by the linear
+    # width, here 0.97*omega0: with n3 < 0 the root lies above it, 1.04*omega0
+    ng = small.gamma_ec / 0.97e6
+    steep = TaylorCubic(1.0, (ng - 1.0) / 1e6, -ng / 1.55e19, 1e6)
+    assert linewidth_linear(small.gamma_ec, ng) < small.omega0
+    with pytest.raises(ComputationError, match=refused):
+        rotation_response(steep, small, 0.0)
+
+
 def test_effective_half_linewidth_roundtrip():
     t = cad_taylor()
     assert effective_half_linewidth(t) == pytest.approx(G, rel=1e-12)

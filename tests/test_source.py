@@ -58,6 +58,33 @@ def test_only_the_lazy_helper_brings_in_numpy():
     assert importers == []
 
 
+def dataclasses_in(tree: ast.Module) -> list[str]:
+    """Names of the classes a `dataclass` decorator builds, called or not."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+                    names.append(node.name)
+    return names
+
+
+def test_only_the_lorentzian_is_a_dataclass():
+    """The value types are named tuples: `@dataclass` compiles about six
+    methods through `exec` for each class it builds, afresh at every
+    import, which is most of what they cost a cold CLI call. The
+    Lorentzian stays one because perfbench's `CountingLorentzian` is a
+    dataclass subclass of it, built as cls(strength, half_linewidth,
+    center, tally), which a named tuple cannot be."""
+    found = [
+        name
+        for path in sorted(SRC.glob("*.py"))
+        for name in dataclasses_in(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    ]
+    assert found == ["LorentzianAbsorptive"]
+
+
 PERFBENCH = SRC.parents[1] / "perfbench"
 
 
