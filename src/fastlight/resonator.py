@@ -134,6 +134,8 @@ class ShiftedLinewidth(namedtuple("ShiftedLinewidth", "gamma_dis local_ng from_c
 # --------------------------------------------------------------------------
 
 _EPS = 2.220446049250313e-16
+# the smallest normal double
+_TINY = 2.2250738585072014e-308
 
 
 def _cbrt(x: float) -> float:
@@ -208,10 +210,11 @@ def _continuous_root(a: float, b: float, d: float, largest: bool = False) -> tup
     a, d > 0) the largest root. Which case holds is read off the fold drive
     -(2/3)*b*turn, with turn = sqrt(-b/(3a)) where f' = 0, not the sign of
     Cardano's discriminant, whose p^3 overflows or q^2 underflows far from
-    any fold. The closed forms are only seeds of `_polish`, in brackets
-    known from a, b and d, so a seed that is not finite or cannot be formed
-    costs halvings, not the root. A cubic term too weak for (b/a)^3 to be a
-    double gives d/b, as a = 0 does.
+    any fold; where b/a is no normal double, turn is sqrt(-b/3)/sqrt(a),
+    which does not overflow or underflow with it. The closed forms are only
+    seeds of `_polish`, in brackets known from a, b and d, so a seed that is
+    not finite or cannot be formed costs halvings, not the root. A cubic
+    term too weak for (b/a)^3 to be a double gives d/b, as a = 0 does.
     """
     if a == 0.0:
         if b == 0.0:
@@ -229,7 +232,9 @@ def _continuous_root(a: float, b: float, d: float, largest: bool = False) -> tup
 
     p = b / a
     q = d / a
-    turn = math.sqrt(-p / 3.0) if p < 0.0 else 0.0  # inf where b/a overflows
+    turn = 0.0
+    if b < 0.0:
+        turn = math.sqrt(-p / 3.0) if _TINY <= -p < math.inf else math.sqrt(-b / 3.0) / math.sqrt(a)
     if not d < -2.0 / 3.0 * b * turn:
         return _outer_root(a, b, d, _cardano(p, q), turn), False
     # Three real roots; k = 1 of the trigonometric form is the branch that
@@ -285,10 +290,17 @@ def shift_cubic(dw_ec: float, taylor: TaylorCubic) -> float:
     Domain: the cubic is an expansion about w0, so a root of magnitude w0 or
     more lies outside the model and is refused, naming it.
     """
-    x = _continuous_root(taylor.n3 * taylor.omega_ref, taylor.ng0, dw_ec)[0]
-    if not abs(x) < taylor.omega_ref:
+    return shift_root(taylor.n3 * taylor.omega_ref, taylor.ng0, taylor.omega_ref, dw_ec)
+
+
+def shift_root(a: float, ng0: float, omega0: float, dw_ec: float) -> float:
+    """`shift_cubic` on the cubic's coefficients, for a caller that binds
+    them once: the continuous root of a*x^3 + ng0*x = dw_ec, with
+    a = n3*omega0, refused where |x| is omega0 or more."""
+    x = _continuous_root(a, ng0, dw_ec)[0]
+    if not abs(x) < omega0:
         raise ComputationError(
-            f"the dispersive shift {x:.3g} rad/s is not below omega0 = {taylor.omega_ref:.3g} rad/s "
+            f"the dispersive shift {x:.3g} rad/s is not below omega0 = {omega0:.3g} rad/s "
             "in magnitude: the cubic is an expansion about the resonance"
         )
     return x

@@ -20,10 +20,14 @@ lives on scales as small as 1e-40. The length change dL is applied to the
 background segment of the loop.
 
 Each public call binds its medium and cavity once into a `_RoundTrip`
-kernel, which reads the cavity's constants once and takes Psi, at a float
-for a Newton step or over the samples of a scan pass, from one `response`
-of the medium per evaluation. A scan pass holds grids of one point count
-as the rows of one array.
+kernel, which reads the cavity's constants and the path-averaged cubic's
+coefficients once, as floats, and takes Psi, at a float for a Newton step
+or over the samples of a scan pass, from one `response` of the medium per
+evaluation. A scan pass holds grids of one point count as the rows of one
+array. A sweep's grid for one shift is a row (delta_length, centre,
+half_span), with no value type: its per-shift steps, the shift and width
+estimates, the row's refusals and the locate step, read only the kernel's
+floats and the three samples about the row's peak that the pass gathers.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .resonator import (
     effective_taylor,
     enhancement_eta,
     shift_cubic,
+    shift_root,
 )
 
 
@@ -51,17 +56,13 @@ class SweepGrid(namedtuple("SweepGrid", "center half_span points")):
     __slots__ = ()
 
     def __new__(cls, center, half_span, points):
-        if center <= 0.0:
-            raise ValueError("grid center must be positive")
-        if not 0.0 < half_span < center:
-            raise ValueError("half span must be positive and keep the grid above zero")
+        _above_zero(center, half_span)
         if points < _SWEEP_POINTS or points % 2 == 0:
             raise ValueError(f"grid needs an odd point count of at least {_SWEEP_POINTS}")
-        self = super().__new__(cls, center, half_span, points)
         # a finer step repeats samples, and a zero step leaves only one
-        if self.resolution < math.ulp(center + half_span):
+        if _step(half_span, points) < math.ulp(center + half_span):
             raise ValueError("grid step must not fall below the spacing of doubles")
-        return self
+        return super().__new__(cls, center, half_span, points)
 
     @property
     def omegas(self) -> np.ndarray:
@@ -69,7 +70,20 @@ class SweepGrid(namedtuple("SweepGrid", "center half_span points")):
 
     @property
     def resolution(self) -> float:
-        return 2.0 * self.half_span / (self.points - 1)
+        return _step(self.half_span, self.points)
+
+
+def _above_zero(center: float, half_span: float) -> None:
+    """Refuse a grid whose centre is not positive or whose span reaches zero."""
+    if center <= 0.0:
+        raise ValueError("grid center must be positive")
+    if not 0.0 < half_span < center:
+        raise ValueError("half span must be positive and keep the grid above zero")
+
+
+def _step(half_span: float, points: int) -> float:
+    """Sample step of a grid of `points` samples over centre +- half_span."""
+    return 2.0 * half_span / (points - 1)
 
 
 def _sample_rows(centers, half_spans, points: int) -> np.ndarray:
@@ -107,16 +121,21 @@ class _RoundTrip:
     `effective_taylor` (None where that refuses it), and `airy` its
     `airy_linewidth_cubic` (None where that has no root), which does not
     depend on the shift.
+
+    A sweep's per-shift steps read only the floats bound here, no value
+    type: L and omega0 for `RingCavity`'s length-for-shift conversions,
+    and, where there is a cubic, `cubic` = n3*omega0 and `ng0` for
+    `shift_root`, and `curvature` = 3*n3*omega0, with which
+    ng0 + curvature*dw*dw is `TaylorCubic.local_ng(dw)` bit for bit.
     """
 
     __slots__ = (
-        "cavity", "response", "omega0", "length", "nb", "fill", "medium", "background",
-        "background_index", "fsr", "gamma_ec", "k", "taylor", "airy",
+        "response", "omega0", "length", "nb", "fill", "medium", "background",
+        "background_index", "fsr", "gamma_ec", "k", "taylor", "airy", "cubic", "ng0", "curvature",
     )
 
     def __init__(self, profile: DispersionProfile, cavity: RingCavity):
         length, fill, nb = cavity.round_trip_length, cavity.fill_fraction, cavity.n0
-        self.cavity = cavity
         self.response = profile.response
         self.omega0 = cavity.omega0
         self.length, self.nb, self.fill = length, nb, fill
@@ -136,11 +155,13 @@ class _RoundTrip:
             ) from None
         self.taylor = self.airy = None
         try:
-            self.taylor = effective_taylor(profile, cavity)
+            self.taylor = t = effective_taylor(profile, cavity)
         except ComputationError:
             return
+        # effective_taylor sets omega_ref to omega0, the bound of shift_root
+        self.cubic, self.ng0, self.curvature = t.n3 * t.omega_ref, t.ng0, 3.0 * t.n3 * t.omega_ref
         try:
-            self.airy = airy_linewidth_cubic(self.gamma_ec, self.taylor)
+            self.airy = airy_linewidth_cubic(self.gamma_ec, t)
         except (ComputationError, ValueError):
             pass
 
@@ -192,19 +213,24 @@ def transmission(profile: DispersionProfile, cavity: RingCavity, delta_length: f
 _SCAN_SAMPLES = 8_192
 
 
-def _scan(rt: _RoundTrip, delta_lengths, grids) -> list[tuple]:
-    """(omega, Psi, T, peak, count) per grid, Psi kept for the locate step.
+def _scan(rt: _RoundTrip, rows, points: int) -> tuple:
+    """(omega, Psi, T, near): one pass over grids of `points` samples.
 
-    One pass over grids of one point count: each is a row of one array, and
-    row j has length change delta_lengths[j]. Every element runs the
-    expressions of `_RoundTrip.psi_array` and `_RoundTrip.transmission`, so
-    a row equals the scan of its grid alone bit for bit. peak and count come
-    from `_peaks`.
+    Each row (delta_length, centre, half_span) is a grid over centre +-
+    half_span, one row of each array. Every element runs the expressions of
+    `_RoundTrip.psi_array` and `_RoundTrip.transmission`, so a row equals
+    the scan of its grid alone bit for bit. near holds, per row, what the
+    locate step reads: the omega and the Psi samples before, at and after
+    the peak (held inside the row), and the peak and count of `_peaks`.
     """
-    w = _sample_rows([g.center for g in grids], [g.half_span for g in grids], grids[0].points)
-    psi = rt.psi_array(w, delta_lengths)
+    lengths, centers, half_spans = zip(*rows)
+    w = _sample_rows(centers, half_spans, points)
+    psi = rt.psi_array(w, lengths)
     t = rt.transmission(psi)
-    return list(zip(w, psi, t, *_peaks(t)))
+    peaks, counts = _peaks(t)
+    # flat indices of the samples before, at and after each row's peak
+    at = np.clip(np.add.outer(peaks, (-1, 0, 1)), 0, points - 1) + np.arange(0, w.size, points)[:, None]
+    return w, psi, t, list(zip(w.ravel()[at].tolist(), psi.ravel()[at].tolist(), peaks, counts))
 
 
 def _peaks(t) -> tuple[list[int], list[int]]:
@@ -329,19 +355,20 @@ def find_resonance(profile: DispersionProfile, cavity: RingCavity, delta_length:
     that point is returned instead.
     """
     rt = _RoundTrip(profile, cavity)
-    ((w, psi, _, i, count),) = _scan(rt, [delta_length], [grid])
-    return _locate_resonance(rt, delta_length, grid, w, psi, i, count)
+    (near,) = _scan(rt, [(delta_length, grid.center, grid.half_span)], grid.points)[3]
+    return _locate_resonance(rt, delta_length, grid.half_span, grid.points, near)
 
 
-def _locate_resonance(rt: _RoundTrip, delta_length, grid: SweepGrid, w, psi, i: int, count: int) -> float:
-    """The locate step of `find_resonance`, given the grid scan w and Psi,
-    the peak sample i and the count of significant maxima from `_peaks`.
+def _locate_resonance(rt: _RoundTrip, delta_length, half_span: float, points: int, near) -> float:
+    """The locate step of `find_resonance` on a grid of `points` samples
+    over centre +- half_span, given the grid's entry of `_scan`'s near.
 
     The scalar and array paths of Psi agree bitwise, and centre plus the
     exact difference of two neighbouring samples is the neighbour itself, so
     the scan's Psi serves as Psi at the peak sample and at both bracket ends.
     """
-    if i == 0 or i == grid.points - 1:
+    (w_lo, center, w_hi), (psi_lo, psi_at, psi_hi), i, count = near
+    if i == 0 or i == points - 1:
         raise ComputationError(
             "transmission maximum sits on the grid edge: resonance not bracketed"
         )
@@ -349,12 +376,10 @@ def _locate_resonance(rt: _RoundTrip, delta_length, grid: SweepGrid, w, psi, i: 
         raise ComputationError(
             f"expected exactly one significant transmission maximum, found {count}"
         )
-    w_lo, center, w_hi = w[i - 1:i + 2].tolist()
-    psi_lo, psi_at, psi_hi = psi[i - 1:i + 2].tolist()
     order = _nearest_mode(psi_at)
     lo, hi = w_lo - center, w_hi - center
     # the step of 2,001 points over this span, or this grid's step if finer
-    xtol = min(grid.resolution, grid.half_span / 1000.0) / 1e4
+    xtol = min(_step(half_span, points), half_span / 1000.0) / 1e4
     u = _psi_root(rt, delta_length, center, order, lo, psi_lo, hi, psi_hi, xtol)
     if u is None:
         u = _psi_turn(rt, delta_length, center, lo, hi, xtol)
@@ -365,13 +390,12 @@ def _width_estimate(rt: _RoundTrip, shift: float) -> float:
     """Predicted FWHM at a resonance shifted by `shift`: the smaller of the
     cubic's Airy width and gamma_ec over its local group index, of those
     that apply, or else gamma_ec."""
-    gamma_ec, taylor = rt.gamma_ec, rt.taylor
     candidates = [] if rt.airy is None else [rt.airy]
-    if taylor is not None:
-        local_ng = taylor.local_ng(shift)
+    if rt.taylor is not None:
+        local_ng = rt.ng0 + rt.curvature * shift * shift
         if local_ng > 0.0:
-            candidates.append(gamma_ec / local_ng)
-    return min(candidates) if candidates else gamma_ec
+            candidates.append(rt.gamma_ec / local_ng)
+    return min(candidates) if candidates else rt.gamma_ec
 
 
 def _shift_estimate(rt: _RoundTrip, delta_length: float) -> float:
@@ -383,16 +407,16 @@ def _shift_estimate(rt: _RoundTrip, delta_length: float) -> float:
     where Psi or its slope is not finite at the seed, whether it overflows
     or is NaN: the scan centred there would see no finite transmission.
     """
-    dw_ec = rt.cavity.shift_for_length(delta_length)
-    seed = dw_ec
+    omega0 = rt.omega0
+    # the empty-cavity pull -w0*dL/L of RingCavity.shift_for_length
+    seed = -omega0 * delta_length / rt.length
     if rt.taylor is not None:
         try:
-            seed = shift_cubic(dw_ec, rt.taylor)
+            seed = shift_root(rt.cubic, rt.ng0, omega0, seed)
         except ComputationError:
             pass
 
     psi_and_slope = rt.psi_and_slope
-    omega0 = rt.omega0
     omega = omega0 + seed
     best = seed
     limit = 0.35 * rt.fsr
@@ -433,7 +457,7 @@ def auto_grid(
     Centered on the estimated resonance, spanning the larger of 2.5 predicted
     widths and 10% of the predicted shift, with resolution finer than a
     twentieth of the width and at least 2,001 points, so that `trace` shows
-    the line finely. Sweep grids drop the 10% margin (see `_grid`); these
+    the line finely. Sweep grids drop the 10% margin (see `_row`); these
     keep it, because `trace` returns their samples, and because the margin
     widens the step of the 2,001 points on a line so narrow that 2.5 widths
     alone would put it below the spacing of doubles. Raises when the length
@@ -452,14 +476,15 @@ def _trace_grid(rt: _RoundTrip, delta_length) -> SweepGrid:
     points = max(_MIN_POINTS, int(math.ceil(2.0 * half_span / (width / 20.0))) + 1) | 1
     if points > 2_000_001:
         raise ComputationError("grid would need more than 2e6 points")
-    return _checked_grid(rt.omega0 + shift, half_span, points)
+    return SweepGrid(*_checked_grid(rt.omega0 + shift, half_span, points), points)
 
 
-def _grid(rt: _RoundTrip, delta_length) -> SweepGrid:
-    """The grid `sweep_enhancement` scans for one shift: 101 points over 2.5
-    predicted widths either side of the shift estimate, a step of a
-    twentieth of the width. It refuses as `auto_grid` does, and never needs
-    its cap on the point count.
+def _row(rt: _RoundTrip, delta_length) -> tuple[float, float, float]:
+    """The row `sweep_enhancement` scans for one shift, (delta_length,
+    centre, half_span): a grid of 101 points over 2.5 predicted widths
+    either side of the shift estimate, a step of a twentieth of the width.
+    It refuses as `auto_grid` does, and never needs its cap on the point
+    count.
 
     `_shift_estimate` has already polished the centre by Newton steps on the
     exact Psi, so a sweep grid needs no margin of 10% of the shift; and with
@@ -467,7 +492,7 @@ def _grid(rt: _RoundTrip, delta_length) -> SweepGrid:
     array.
     """
     shift, width = _estimates(rt, delta_length)
-    return _checked_grid(rt.omega0 + shift, _in_one_fsr(rt, 2.5 * width), _SWEEP_POINTS)
+    return (delta_length, *_checked_grid(rt.omega0 + shift, _in_one_fsr(rt, 2.5 * width), _SWEEP_POINTS))
 
 
 def _estimates(rt: _RoundTrip, delta_length) -> tuple[float, float]:
@@ -488,17 +513,19 @@ def _in_one_fsr(rt: _RoundTrip, half_span: float) -> float:
     return half_span
 
 
-def _checked_grid(center: float, half_span: float, points: int) -> SweepGrid:
-    """The grid, refused where its step falls below the spacing of doubles."""
+def _checked_grid(center: float, half_span: float, points: int) -> tuple[float, float]:
+    """(center, half_span) of a grid of `points` samples, refused where its
+    step falls below the spacing of doubles, then where it reaches zero."""
     # a finer step repeats samples, and the scan then sees many maxima
-    step = 2.0 * half_span / (points - 1)
+    step = _step(half_span, points)
     spacing = math.ulp(center + half_span)
     if step < spacing:
         raise ComputationError(
             "linewidth below the spacing of doubles at this frequency: "
             f"grid step {step:.3g} rad/s, spacing {spacing:.3g} rad/s"
         )
-    return SweepGrid(center=center, half_span=half_span, points=points)
+    _above_zero(center, half_span)
+    return center, half_span
 
 
 def measure_fwhm(
@@ -565,10 +592,10 @@ def trace(
     """Sweep, locate, and width-measure a single resonance on the `auto_grid` grid."""
     rt = _RoundTrip(profile, cavity)
     grid = _trace_grid(rt, delta_length)
-    ((w, psi, t, i, count),) = _scan(rt, [delta_length], [grid])
-    resonance = _locate_resonance(rt, delta_length, grid, w, psi, i, count)
+    w, _, t, (near,) = _scan(rt, [(delta_length, grid.center, grid.half_span)], grid.points)
+    resonance = _locate_resonance(rt, delta_length, grid.half_span, grid.points, near)
     fwhm = _measure_fwhm(rt, delta_length, resonance)
-    return SpectrumTrace(omega=w, transmission=t, resonance=resonance, fwhm=fwhm)
+    return SpectrumTrace(omega=w[0], transmission=t[0], resonance=resonance, fwhm=fwhm)
 
 
 class EnhancementSample(
@@ -591,12 +618,14 @@ def sweep_enhancement(
     numerically, and eta_numeric = (resonance - omega0) / dw_ec recorded
     beside (G/dw_ec)^(2/3) and (2G/dw_ec)^(2/3).
 
-    Works in two steps. It sizes a `_grid` grid of 101 points over 2.5
-    predicted widths for each shift, up to the first that is refused; then
-    it scans those grids in passes of 81 consecutive ones and locates each
-    resonance in order. A refusal of the first step propagates only after
-    the second, so that a locate failure at an earlier shift is reported
-    first.
+    Works in two steps. It sizes a `_row` for each shift, (delta_length,
+    centre, half_span) of a grid of 101 points over 2.5 predicted widths, up
+    to the first that is refused; then it scans those rows in passes of 81
+    consecutive ones and locates each resonance in order. A refusal of the
+    first step propagates only after the second, so that a locate failure
+    at an earlier shift is reported first. Per shift, both steps read only
+    floats that the kernel binds once per call: no grid, cubic or cavity
+    value type.
 
     Requires a profile tuned to zero group index at the cavity resonance and
     a shift list spanning at least four decades, none above the recovered
@@ -634,24 +663,24 @@ def sweep_enhancement(
             f"is under 1,000 spacings of doubles ({spacing:.3g} rad/s) at omega0"
         )
 
-    sized, resonances = [], []  # sized: (delta_length, grid) per shift
+    rows, resonances = [], []
     try:
         for dw in values:
-            delta_length = cavity.length_for_shift(dw)
-            sized.append((delta_length, _grid(rt, delta_length)))
+            # the length change -dw_ec*L/w0 of RingCavity.length_for_shift
+            rows.append(_row(rt, -dw * rt.length / rt.omega0))
     finally:
-        # whatever a grid raises propagates only once the grids before it
+        # whatever a row raises propagates only once the rows before it
         # are located, so that a locate failure at an earlier shift is
         # reported first, as when each shift ran alone
         per_pass = _SCAN_SAMPLES // _SWEEP_POINTS
-        for start in range(0, len(sized), per_pass):
-            lengths, grids = zip(*sized[start:start + per_pass])
-            for dl, grid, (w, psi, _, i, count) in zip(lengths, grids, _scan(rt, lengths, grids)):
-                resonances.append(_locate_resonance(rt, dl, grid, w, psi, i, count))
+        for start in range(0, len(rows), per_pass):
+            batch = rows[start:start + per_pass]
+            for (dl, _, half_span), near in zip(batch, _scan(rt, batch, _SWEEP_POINTS)[3]):
+                resonances.append(_locate_resonance(rt, dl, half_span, _SWEEP_POINTS, near))
     return [
         EnhancementSample(
             dw_ec=dw,
-            eta_numeric=(resonance - cavity.omega0) / dw,
+            eta_numeric=(resonance - rt.omega0) / dw,
             eta_analytic_derived=enhancement_eta(g, dw, "derived"),
             eta_analytic_paper=enhancement_eta(g, dw, "paper"),
         )

@@ -140,6 +140,12 @@ MUTANTS = (
         "tests/test_resonator.py::test_middle_root_of_a_cubic_term_too_weak_for_b_over_a_is_d_over_b",
     ),
     Mutant(
+        "turn-from-b-over-a-where-it-is-no-normal-double",
+        RESONATOR,
+        (("else math.sqrt(-b / 3.0) / math.sqrt(a)", "else math.sqrt(-p / 3.0)"),),
+        "tests/test_resonator.py::test_the_fold_is_read_where_b_over_a_is_no_normal_double",
+    ),
+    Mutant(
         "polish-takes-newton-steps-that-leave-the-bracket",
         RESONATOR,
         (("        if ((x - neg) * fpx - fx) * ((x - pos) * fpx - fx) < 0.0:\n", "        if fpx:\n"),),
@@ -193,8 +199,20 @@ MUTANTS = (
     Mutant(
         "sweep-grid-step-below-the-spacing-of-doubles-not-refused",
         SPECTRUM,
-        (("        if self.resolution < math.ulp(center + half_span):\n", "        if False:\n"),),
+        (("        if _step(half_span, points) < math.ulp(center + half_span):\n", "        if False:\n"),),
         f"{TEST_SPECTRUM}::test_sweep_grid_validation",
+    ),
+    Mutant(
+        "sweep-row-reaching-zero-not-refused",
+        SPECTRUM,
+        (("    _above_zero(center, half_span)\n    return center, half_span\n", "    return center, half_span\n"),),
+        f"{TEST_SPECTRUM}::test_a_sweep_row_is_refused_as_its_grid_was",
+    ),
+    Mutant(
+        "shift-estimate-reads-the-cubic-per-shift",
+        SPECTRUM,
+        (("seed = shift_root(rt.cubic, rt.ng0, omega0, seed)", "seed = shift_cubic(seed, rt.taylor)"),),
+        f"{TEST_SPECTRUM}::test_a_sweeps_value_type_calls_do_not_grow_with_its_shifts",
     ),
     Mutant(
         "rotation-scale-underflow-not-refused",
@@ -225,8 +243,8 @@ MUTANTS = (
         (
             ("import math\n", "import math\nimport warnings\n"),
             (
-                "    x = _continuous_root(taylor.n3 * taylor.omega_ref, taylor.ng0, dw_ec)[0]\n",
-                "    x, multi = _continuous_root(taylor.n3 * taylor.omega_ref, taylor.ng0, dw_ec)\n"
+                "    x = _continuous_root(a, ng0, dw_ec)[0]\n",
+                "    x, multi = _continuous_root(a, ng0, dw_ec)\n"
                 "    if multi:\n"
                 '        warnings.warn("response is multivalued", UserWarning, stacklevel=2)\n',
             ),
@@ -236,7 +254,7 @@ MUTANTS = (
     Mutant(
         "shift-cubic-returns-a-root-beyond-omega0",
         RESONATOR,
-        (("    if not abs(x) < taylor.omega_ref:\n", "    if False:\n"),),
+        (("    if not abs(x) < omega0:\n", "    if False:\n"),),
         "tests/test_resonator.py::test_shift_cubic_refuses_a_root_of_omega0_or_more",
     ),
     Mutant(
@@ -272,21 +290,14 @@ MUTANTS = (
     Mutant(
         "sweep-raises-a-grid-refusal-before-locating-the-earlier-grids",
         SPECTRUM,
-        (("    finally:\n        # whatever a grid raises", "    except BaseException:\n        raise\n    if True:\n        # whatever a grid raises"),),
+        (("    finally:\n        # whatever a row raises", "    except BaseException:\n        raise\n    if True:\n        # whatever a row raises"),),
         f"{TEST_SPECTRUM}::test_sweep_reports_the_first_failing_shift",
     ),
     Mutant(
         "sweep-grid-spans-a-tenth-of-the-shift-again",
         SPECTRUM,
-        (
-            (
-                "    return _checked_grid(rt.omega0 + shift, _in_one_fsr(rt, 2.5 * width), _SWEEP_POINTS)\n",
-                "    half_span = _in_one_fsr(rt, max(2.5 * width, 0.1 * abs(shift)))\n"
-                "    points = max(_SWEEP_POINTS, int(math.ceil(2.0 * half_span / (width / 20.0))) + 1) | 1\n"
-                "    return _checked_grid(rt.omega0 + shift, half_span, points)\n",
-            ),
-        ),
-        f"{TEST_SPECTRUM}::test_sweep_scans_its_grids_in_passes_not_one_per_shift",
+        (("_in_one_fsr(rt, 2.5 * width), _SWEEP_POINTS)", "_in_one_fsr(rt, max(2.5 * width, 0.1 * abs(shift))), _SWEEP_POINTS)"),),
+        f"{TEST_SPECTRUM}::test_sweep_grids_have_101_points_over_2_5_widths_at_the_polished_shift",
     ),
     Mutant(
         "airy-coefficient-overflow-left-bare",
@@ -302,7 +313,7 @@ MUTANTS = (
     Mutant(
         "kernel-leaves-its-cubic-unset",
         SPECTRUM,
-        (("            self.taylor = effective_taylor(profile, cavity)\n", "            effective_taylor(profile, cavity)\n"),),
+        (("            self.taylor = t = effective_taylor(profile, cavity)\n", "            t = effective_taylor(profile, cavity)\n"),),
         f"{TEST_SPECTRUM}::test_the_kernel_derives_its_own_cubic",
     ),
     Mutant(
@@ -348,13 +359,13 @@ MUTANTS = (
     Mutant(
         "locate-tolerance-reverted-to-resolution-over-1e4",
         SPECTRUM,
-        (("xtol = min(grid.resolution, grid.half_span / 1000.0) / 1e4", "xtol = grid.resolution / 1e4"),),
+        (("xtol = min(_step(half_span, points), half_span / 1000.0) / 1e4", "xtol = _step(half_span, points) / 1e4"),),
         f"{TEST_SPECTRUM}::test_a_101_point_grid_locates_at_its_2001_point_twins_double",
     ),
     Mutant(
         "eta-as-a-product-with-the-reciprocal-shift",
         SPECTRUM,
-        (("eta_numeric=(resonance - cavity.omega0) / dw,", "eta_numeric=(resonance - cavity.omega0) * (1.0 / dw),"),),
+        (("eta_numeric=(resonance - rt.omega0) / dw,", "eta_numeric=(resonance - rt.omega0) * (1.0 / dw),"),),
         "tests/test_golden.py::test_sweeps_match_their_digests",
     ),
     Mutant(

@@ -420,18 +420,26 @@ def test_a_cubic_term_too_weak_to_matter_gives_the_answer_without_it(tmp_path, c
 
 @pytest.mark.parametrize(
     "command, refusal",
-    [("shift", "enhancement_analytic is not finite (inf)"), ("split", "gamma_dispersive is not finite (inf)")],
+    [
+        ("shift", "enhancement_analytic is not finite (inf) for these inputs"),
+        (
+            "split",
+            "the linewidth 2.54e+154 rad/s is not below omega0 = 3.14e+15 rad/s: "
+            "the cubic is an expansion about the resonance",
+        ),
+    ],
     ids=["shift", "split"],
 )
 def test_a_subnormal_cubic_term_at_negative_group_index_is_refused_by_what_overflows(tmp_path, capsys, command, refusal):
     # n3 = 5e-324 s^3/rad^3 at n_g = -10: b/a of the shift cubic overflows,
     # and its middle root is d/b = -76.45 rad/s, no longer NaN. What then
-    # overflows is named: G = sqrt(-n1/n3) under shift, and the width at
-    # the shifted resonance, the largest root of the linewidth cubic, under
-    # split
+    # overflows is named: G = sqrt(-n1/n3) under shift. Under split the
+    # width at the shifted resonance is the largest root of the linewidth
+    # cubic, 2.54e154 rad/s, which the width bound refuses; its turning
+    # point sqrt(-b/3)/sqrt(a) is a double, though b/a is not
     taylor = "medium = taylor\nmedium_index = 1.0\nmedium_n1_s_per_rad = -3.5e-15\nmedium_n3_s3_per_rad3 = 5e-324"
     path = edited(tmp_path, TABLETOP, CAD_LINES, taylor)
-    assert run(capsys, command, "--scenario", path) == (3, "", f"computation error: {refusal} for these inputs\n")
+    assert run(capsys, command, "--scenario", path) == (3, "", f"computation error: {refusal}\n")
 
 
 @pytest.mark.parametrize("command", ["linewidth", "shift", "split"])

@@ -187,10 +187,13 @@ def exact_cubic(a: float, b: float, d: float):
 
 def test_middle_root_of_a_cubic_term_too_weak_for_b_over_a_is_d_over_b():
     # a Taylor medium of n3 = 5e-324 s^3/rad^3 at n_g = -10 on the tabletop
-    # ring at Earth rate: b/a overflows, so the turning point lies beyond the
-    # doubles and the trigonometric seed is not finite; the middle root's
-    # bracket ends at 2d/b instead, and its polish lands on d/b
+    # ring at Earth rate: b/a overflows and the trigonometric seed is not
+    # finite; the middle root's polish lands on d/b
     a, b, d = 1.5521530033659566e-308, -9.995574287564276, 764.1572404254854
+    assert _continuous_root(a, b, d) == (d / b, True)
+    # with b = -1e300 the turning point sqrt(-b/3)/sqrt(a) lies beyond the
+    # doubles too, so the middle root's bracket ends at 2d/b instead
+    a, b, d = 5e-324, -1e300, 764.0
     assert _continuous_root(a, b, d) == (d / b, True)
 
 
@@ -222,6 +225,31 @@ def test_one_real_root_or_three_is_read_off_the_fold(a, b, d):
     assert not multi
     f = exact_cubic(a, b, d)
     assert f(math.nextafter(root, -math.inf)) * f(math.nextafter(root, math.inf)) <= 0
+
+
+@pytest.mark.parametrize(
+    "a, b, d, multi",
+    [
+        (-6.22595521006791e-277, 1.4680511390031188e33, -7.93142109018069e232, False),
+        (1.108564183225188e288, -1.5607907749888235e-69, 8.966838123882747e-254, True),
+    ],
+    ids=["b-over-a-overflows", "b-over-a-underflows"],
+)
+def test_the_fold_is_read_where_b_over_a_is_no_normal_double(a, b, d, multi):
+    # b/a is -inf in the first cubic (after the sign flip that makes a > 0)
+    # and -0 in the second, which would put the turning point sqrt(-b/(3a))
+    # at inf and at 0; sqrt(-b/3)/sqrt(a) puts it at 2.8e154 and 6.9e-180,
+    # so that the drive is beyond the fold in the first (one real root) and
+    # within it in the second (three, the continuous one the middle)
+    root, got = _continuous_root(a, b, d)
+    f = exact_cubic(a, b, d)
+    assert f(math.nextafter(root, -math.inf)) * f(math.nextafter(root, math.inf)) <= 0
+    p, q = Fraction(b) / Fraction(a), Fraction(d) / Fraction(a)
+    assert got == multi == (4 * p ** 3 + 27 * q ** 2 < 0)
+    if multi:
+        # between the turning points, where the slope 3ax^2 + b has the
+        # sign opposite to a's
+        assert 3 * Fraction(root) ** 2 + p < 0
 
 
 def test_linewidth_is_the_largest_root_where_the_trigonometric_form_cannot_be_formed():

@@ -149,7 +149,8 @@ def test_scalar_dephasing_and_slope_match_the_array_path_bitwise(profile):
     # the locate step takes Psi at the peak sample and its neighbours from
     # the scan: on a real auto_grid grid every scan value is the scalar Psi,
     # and centre + (neighbour - centre) is the neighbour itself
-    ((w, psi_scan, _, _, _),) = spectrum._scan(rt, [dl], [auto_grid(profile, cav, dl)])
+    grid = auto_grid(profile, cav, dl)
+    (w,), (psi_scan,), _, _ = spectrum._scan(rt, [(dl, grid.center, grid.half_span)], grid.points)
     assert [rt.psi_and_slope(dl, x)[0] for x in w.tolist()] == psi_scan.tolist()
     centre, neighbour = w[1:], w[:-1]
     assert np.array_equal(centre + (neighbour - centre), neighbour)
@@ -722,7 +723,7 @@ def test_sweep_enhancement_rejects_non_finite_shifts(monkeypatch, bad, where):
     def no_grid(*args):
         raise AssertionError("a grid was built")
 
-    monkeypatch.setattr(spectrum, "_grid", no_grid)
+    monkeypatch.setattr(spectrum, "_row", no_grid)
     scn = load_scenario(CAD_SWEEP)
     values = [1e-3, 100.0]
     values.insert(where, bad)
@@ -741,25 +742,80 @@ def test_sweep_reports_the_first_failing_shift(monkeypatch, locate_fails, grid_f
     scn = load_scenario(CAD_SWEEP)
     profile, cav = scn.profile(), scn.cavity()
     shifts = [2.0 * math.pi * 1e-2 * 10.0 ** (k / 4.0) for k in range(33)]
-    locate, grid = spectrum._locate_resonance, spectrum._grid
+    locate, row = spectrum._locate_resonance, spectrum._row
 
     def failing_locate(rt, dl, *rest):
         if locate_fails is not None and dl == cav.length_for_shift(shifts[locate_fails]):
             raise ComputationError("locate")
         return locate(rt, dl, *rest)
 
-    def failing_grid(rt, dl, *rest):
+    def failing_row(rt, dl, *rest):
         if dl == cav.length_for_shift(shifts[grid_fails]):
             raise ComputationError("grid")
-        return grid(rt, dl, *rest)
+        return row(rt, dl, *rest)
 
     monkeypatch.setattr(spectrum, "_locate_resonance", failing_locate)
-    monkeypatch.setattr(spectrum, "_grid", failing_grid)
+    monkeypatch.setattr(spectrum, "_row", failing_row)
     # passes of four of the leading 101-point grids: shifts 1 and 3 share
     # the first pass, and shifts 2 and 6 fall in different passes
     monkeypatch.setattr(spectrum, "_SCAN_SAMPLES", 4 * 101)
     with pytest.raises(ComputationError, match=f"^{message}$"):
         sweep_enhancement(profile, cav, shifts)
+
+
+@pytest.mark.parametrize(
+    "radius, finesse, line, error, message",
+    [
+        # a ring far shorter than a wavelength: its free spectral range
+        # c0/r = 1e17 rad/s is 32 omega0, so 2.5 widths fit in 40% of it
+        # and still reach below zero
+        (C0 / 1e17, 100.0, 1e15, ValueError, "half span must be positive and keep the grid above zero"),
+        # gamma_ec = 3 rad/s: a twentieth of a width is below the spacing of
+        # doubles at omega0, 0.5 rad/s
+        (1.0, 1e8, G, ComputationError, "linewidth below the spacing of doubles at this frequency"),
+    ],
+    ids=["half-span-reaching-zero", "step-below-the-spacing-of-doubles"],
+)
+def test_a_sweep_row_is_refused_as_its_grid_was(radius, finesse, line, error, message):
+    # a sweep row is no SweepGrid, but a row that one would have refused is
+    # refused with the same message. A centre that is not positive is not
+    # reached: the shift estimate evaluates Psi at each iterate before the
+    # next, and Psi refuses a frequency that is not positive first
+    cav = RingCavity(geometry=LoopGeometry.circular(radius), finesse=finesse, omega0=W0)
+    with pytest.raises(error, match=f"^{message}"):
+        sweep_enhancement(cad_tune(line, W0), cav, [line * 10.0 ** -k for k in range(4, -1, -1)])
+
+
+def test_a_sweeps_value_type_calls_do_not_grow_with_its_shifts(monkeypatch):
+    # the per-shift steps read floats that the call binds once: no grid is
+    # built, and no group index or round-trip length is read, per shift
+    scn = load_scenario(CAD_SWEEP)
+    profile, cav = scn.profile(), scn.cavity()
+    calls = Counter()
+    new = SweepGrid.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        calls["SweepGrid"] += 1
+        return new(cls, *args, **kwargs)
+
+    def counting(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(SweepGrid, "__new__", counting_new)
+    monkeypatch.setattr(TaylorCubic, "ng0", property(counting("ng0", TaylorCubic.ng0.fget)))
+    monkeypatch.setattr(TaylorCubic, "local_ng", counting("local_ng", TaylorCubic.local_ng))
+    monkeypatch.setattr(RingCavity, "round_trip_length", property(counting("L", RingCavity.round_trip_length.fget)))
+    per_sweep = []
+    for points in (33, 65):
+        calls.clear()
+        sweep_enhancement(profile, cav, 2.0 * math.pi * np.logspace(-2.0, 6.0, points))
+        per_sweep.append(dict(calls))
+    assert per_sweep[0] == per_sweep[1]
+    # the counters see the per-call reads
+    assert per_sweep[0]["ng0"] > 0 and per_sweep[0]["L"] > 0
 
 
 def test_sweep_scans_its_grids_in_passes_not_one_per_shift():
@@ -797,9 +853,9 @@ def test_sweep_grids_have_101_points_over_2_5_widths_at_the_polished_shift(monke
     scanned = []
     scan = spectrum._scan
 
-    def capturing(rt, lengths, grids):
-        scanned.extend(zip(lengths, grids))
-        return scan(rt, lengths, grids)
+    def capturing(rt, rows, points):
+        scanned.extend((dl, SweepGrid(center, half_span, points)) for dl, center, half_span in rows)
+        return scan(rt, rows, points)
 
     monkeypatch.setattr(spectrum, "_scan", capturing)
     sweep_enhancement(profile, cav, shifts)
@@ -828,9 +884,10 @@ def test_sweep_grids_are_sized_to_the_line_not_to_2001_points():
 
 
 def sweep_grid(profile, cav: RingCavity, dl: float) -> SweepGrid:
-    """The grid `sweep_enhancement` scans for the length change dl."""
-    rt = spectrum._RoundTrip(profile, cav)
-    return spectrum._grid(rt, dl)
+    """The grid `sweep_enhancement` scans for the length change dl: its
+    row's centre and half span, at the sweep's point count."""
+    _, center, half_span = spectrum._row(spectrum._RoundTrip(profile, cav), dl)
+    return SweepGrid(center, half_span, spectrum._SWEEP_POINTS)
 
 
 def captured_xtols(monkeypatch) -> list[float]:
@@ -987,7 +1044,9 @@ def per_shift_sweep(profile, cav: RingCavity, values) -> list[EnhancementSample]
         w = np.linspace(grid.center - grid.half_span, grid.center + grid.half_span, grid.points)
         psi = rt.psi_array(w[None, :], [dl])[0]
         i, count = per_row_peak(transmission(profile, cav, dl, w))
-        res = spectrum._locate_resonance(rt, dl, grid, w, psi, i, count)
+        j = np.clip([i - 1, i, i + 1], 0, grid.points - 1)
+        near = (w[j].tolist(), psi[j].tolist(), i, count)
+        res = spectrum._locate_resonance(rt, dl, grid.half_span, grid.points, near)
         eta = (res - cav.omega0) / dw
         samples.append(EnhancementSample(dw, eta, enhancement_eta(g, dw, "derived"), enhancement_eta(g, dw, "paper")))
     return samples
@@ -1061,8 +1120,9 @@ def test_bound_kernel_and_scan_equal_three_profile_calls_bit_for_bit(case):
     # and dindex_domega apart. A two-row scan gives each row its own dL.
     profile, cav, dl, grid = case
     rt = spectrum._RoundTrip(profile, cav)
-    rows = spectrum._scan(rt, [dl, 0.5 * dl], [grid, grid])
-    for length, (w, psi, _, _, _) in zip([dl, 0.5 * dl], rows):
+    rows = [(dl, grid.center, grid.half_span), (0.5 * dl, grid.center, grid.half_span)]
+    w, psi, _, _ = spectrum._scan(rt, rows, grid.points)
+    for length, w, psi in zip([dl, 0.5 * dl], w, psi):
         for omega, psi_scan in zip(w.tolist(), psi.tolist()):
             want = psi_and_slope(profile, cav, length, omega)
             assert rt.psi_and_slope(length, omega) == want
