@@ -398,6 +398,14 @@ def _width_estimate(rt: _RoundTrip, shift: float) -> float:
     return min(candidates) if candidates else rt.gamma_ec
 
 
+def _in_window(omega: float, omega0: float, limit: float) -> bool:
+    """Whether the shift estimate may evaluate Psi at omega: a finite
+    frequency above zero, within `limit` of omega0. Once the free spectral
+    range exceeds about 2.9 omega0, its 0.35 share reaches below zero, where
+    the medium has no index."""
+    return 0.0 < omega < math.inf and abs(omega - omega0) <= limit
+
+
 def _shift_estimate(rt: _RoundTrip, delta_length: float) -> float:
     """Estimated displacement of the resonance caused by delta_length.
 
@@ -421,7 +429,7 @@ def _shift_estimate(rt: _RoundTrip, delta_length: float) -> float:
     best = seed
     limit = 0.35 * rt.fsr
     for i in range(60):
-        if not math.isfinite(omega) or abs(omega - omega0) > limit:
+        if not _in_window(omega, omega0, limit):
             return best
         f, fp = psi_and_slope(delta_length, omega)
         if i == 0 and not (math.isfinite(f) and math.isfinite(fp)):
@@ -433,7 +441,7 @@ def _shift_estimate(rt: _RoundTrip, delta_length: float) -> float:
             return best
         step = f / fp
         omega -= step
-        if math.isfinite(omega) and abs(omega - omega0) <= limit:
+        if _in_window(omega, omega0, limit):
             best = omega - omega0
         if abs(step) <= 1e-12 * abs(omega):
             break

@@ -91,8 +91,14 @@ MUTANTS = (
     Mutant(
         "shifted-width-tag-ignores-from-cubic",
         CLI,
-        (('tag = _CUBIC_WIDTH if widths.from_cubic else "gamma_ec/n_g(w0 + dw_dis)"', 'tag = "gamma_ec/n_g(w0 + dw_dis)"'),),
+        (("rp.add(key, widths.gamma_dis, widths.from_cubic)", "rp.add(key, widths.gamma_dis, False)"),),
         "tests/test_cli.py::test_linewidth_fallback_is_tagged_as_the_cubic_root",
+    ),
+    Mutant(
+        "report-add-ignores-the-variant",
+        CLI,
+        (("tag = tag[variant] if isinstance(tag, dict) else tag", "tag = next(iter(tag.values())) if isinstance(tag, dict) else tag"),),
+        "tests/test_golden.py::test_matches_golden",
     ),
     Mutant(
         "shifted-linewidth-raises-where-the-local-group-index-is-not-positive",
@@ -207,6 +213,12 @@ MUTANTS = (
         SPECTRUM,
         (("    _above_zero(center, half_span)\n    return center, half_span\n", "    return center, half_span\n"),),
         f"{TEST_SPECTRUM}::test_a_sweep_row_is_refused_as_its_grid_was",
+    ),
+    Mutant(
+        "shift-estimate-steps-to-zero-frequency",
+        SPECTRUM,
+        (("    return 0.0 < omega < math.inf and abs(omega - omega0) <= limit\n", "    return math.isfinite(omega) and abs(omega - omega0) <= limit\n"),),
+        f"{TEST_SPECTRUM}::test_a_shift_estimate_stays_above_zero_frequency",
     ),
     Mutant(
         "shift-estimate-reads-the-cubic-per-shift",
