@@ -21,10 +21,11 @@ follows from the cubic coefficients ("derived"); the commonly quoted headline
 form (2G/dw_ec)^(2/3) is exactly 2^(2/3) larger and is available as the
 "paper" convention. Both are first class throughout.
 
-Every root of these cubics comes from one bracketed polish: a closed form
-(Cardano's or the trigonometric one) seeds Newton steps that stay inside a
-bracket known from the coefficients, halving it wherever a step would leave
-it or the seed is not finite, so no root needs a fallback.
+Every root of these cubics comes from one bracketed polish: the root of the
+cubic with one term dropped, (d/a)^(1/3) or d/b, seeds Newton steps that
+stay inside a bracket known from the coefficients, halving it wherever a
+step would leave it or the seed is not finite, so no root needs a closed
+form or a fallback.
 
 Linewidths follow the same cubic with two flavors: `linewidth_cubic` solves
 the printed self-consistent form n3*w0*g^3 + n_g*g = gamma_ec, while
@@ -134,21 +135,15 @@ class ShiftedLinewidth(namedtuple("ShiftedLinewidth", "gamma_dis local_ng from_c
 # --------------------------------------------------------------------------
 
 _EPS = 2.220446049250313e-16
-# the smallest normal double
-_TINY = 2.2250738585072014e-308
-
-
-def _cbrt(x: float) -> float:
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
 def _polish(a: float, b: float, d: float, x: float, neg: float, pos: float) -> float:
     # Root of f(x) = a*x^3 + b*x - d between neg and pos (either order), where
-    # f(neg) < 0 < f(pos), from the closed-form seed x: rtsafe, as in
-    # `spectrum._psi_root`. Each evaluation narrows the bracket; a Newton step
-    # that lands inside it is taken, to |dx| <= 4*eps*|x| as a plain polish
-    # would, and the midpoint otherwise (a zero, overflowing or NaN step
-    # fails the test), as for a seed outside the bracket or not finite.
+    # f(neg) < 0 < f(pos), from the seed x: rtsafe, as in `spectrum._psi_root`.
+    # Each evaluation narrows the bracket; a Newton step that lands inside it
+    # is taken, to |dx| <= 4*eps*|x| as a plain polish would, and the
+    # midpoint otherwise (a zero, overflowing or NaN step fails the test), as
+    # for a seed outside the bracket or not finite.
     if not (neg < x < pos or pos < x < neg):
         x = 0.5 * (neg + pos)
     # the doubles span 1,024 + 1,074 binades, so 2,200 halvings end anywhere
@@ -170,37 +165,6 @@ def _polish(a: float, b: float, d: float, x: float, neg: float, pos: float) -> f
     return x
 
 
-def _outer_root(a: float, b: float, d: float, seed: float, turn: float) -> float:
-    # The unique root of a*x^3 + b*x - d = 0 (a, d > 0), or the largest of
-    # three, polished from seed: f = -2*a*turn^3 - d < 0 at the turning
-    # point and f >= 7d at 2*(turn + (d/a)^(1/3)).
-    return _polish(a, b, d, seed, turn, 2.0 * (turn + d ** (1.0 / 3.0) / a ** (1.0 / 3.0)))
-
-
-def _cardano(p: float, q: float) -> float:
-    # The real root of x^3 + p*x - q = 0 where it has one, so that
-    # disc = q^2/4 + p^3/27 >= 0 up to rounding. The square root takes the
-    # sign of q so the two terms of u never cancel. NaN where u underflows
-    # to 0.
-    try:
-        disc = 0.25 * q * q + p ** 3 / 27.0
-    except OverflowError:
-        # a cubic term too weak to matter: the seed is not finite, and the
-        # polish halves its bracket down to the root
-        disc = math.inf
-    u = _cbrt(0.5 * q + math.copysign(math.sqrt(abs(disc)), q))
-    return u - p / (3.0 * u) if u else math.nan
-
-
-def _trig_roots(p: float, q: float) -> list[float]:
-    # The three real roots of x^3 + p*x - q = 0 where it has three (so
-    # p < 0), in the order k = 0, 1, 2 of m*cos(phi/3 - 2*pi*k/3). NaN where
-    # p*m underflows to 0.
-    m = 2.0 * math.sqrt(-p / 3.0)
-    phi = math.acos(min(1.0, max(-1.0, -3.0 * q / (p * m)))) if p * m else math.nan
-    return [m * math.cos(phi / 3.0 - 2.0 * math.pi * k / 3.0) for k in range(3)]
-
-
 def _continuous_root(a: float, b: float, d: float, largest: bool = False) -> tuple[float, bool]:
     """Root of a*x^3 + b*x - d = 0 on the branch continuous from d -> 0.
 
@@ -208,13 +172,12 @@ def _continuous_root(a: float, b: float, d: float, largest: bool = False) -> tup
     exist (possible only where a and b differ in sign), in which case the
     branch that passes through zero is returned, or with `largest` (for
     a, d > 0) the largest root. Which case holds is read off the fold drive
-    -(2/3)*b*turn, with turn = sqrt(-b/(3a)) where f' = 0, not the sign of
-    Cardano's discriminant, whose p^3 overflows or q^2 underflows far from
-    any fold; where b/a is no normal double, turn is sqrt(-b/3)/sqrt(a),
-    which does not overflow or underflow with it. The closed forms are only
-    seeds of `_polish`, in brackets known from a, b and d, so a seed that is
-    not finite or cannot be formed costs halvings, not the root. A cubic
-    term too weak for (b/a)^3 to be a double gives d/b, as a = 0 does.
+    -(2/3)*b*turn, with turn = sqrt(-b/3)/sqrt(a) where f' = 0: its square
+    roots halve the exponents, so it overflows or underflows far later than
+    b/a would. Every root is a `_polish` in a bracket known from a, b and d,
+    seeded from a root of the cubic with one term dropped, so a seed that is
+    not finite costs halvings, not the root. A cubic term too weak to
+    matter gives d/b, as a = 0 does.
     """
     if a == 0.0:
         if b == 0.0:
@@ -230,25 +193,27 @@ def _continuous_root(a: float, b: float, d: float, largest: bool = False) -> tup
         root, multi = _continuous_root(a, b, -d)
         return -root, multi
 
-    p = b / a
-    q = d / a
-    turn = 0.0
-    if b < 0.0:
-        turn = math.sqrt(-p / 3.0) if _TINY <= -p < math.inf else math.sqrt(-b / 3.0) / math.sqrt(a)
-    if not d < -2.0 / 3.0 * b * turn:
-        return _outer_root(a, b, d, _cardano(p, q), turn), False
-    # Three real roots; k = 1 of the trigonometric form is the branch that
-    # equals 0 at d = 0 and moves continuously with d. The angle carries an
-    # absolute rounding ~eps, a poor relative error where the root sits near
-    # zero, so polish it on the descending segment: f(0) = -d < 0, and f > 0
-    # at -turn and, where 2d/b > -turn, at 2d/b (there 12*a*d^2 < |b|^3, so
-    # f(2d/b) = d*(1 - 8*a*d^2/|b|^3) > d/3). That end also holds the root
-    # near d/b where a cubic term too weak to matter puts the turning point
-    # beyond the doubles.
-    roots = _trig_roots(p, q)
-    if largest:
-        return _outer_root(a, b, d, max(roots), turn), True
-    return _polish(a, b, d, roots[1], 0.0, max(d / b * 2.0, -turn)), True
+    turn = math.sqrt(-b / 3.0) / math.sqrt(a) if b < 0.0 else 0.0
+    multi = d < -2.0 / 3.0 * b * turn
+    if largest or not multi:
+        # The unique root, or the largest of three: f = -2*a*turn^3 - d < 0
+        # at the turning point and f >= 7d at 2*(turn + (d/a)^(1/3)). Seeded
+        # from the root without the linear term, (d/a)^(1/3), or, where
+        # b > 0 and it is smaller, from d/b, the root without the cubic
+        # term: both terms then push f up, so the root lies below each, and
+        # Newton steps from the smaller descend to it.
+        seed = (d / a) ** (1.0 / 3.0)
+        if b > 0.0:
+            seed = min(seed, d / b)
+        return _polish(a, b, d, seed, turn, 2.0 * (turn + d ** (1.0 / 3.0) / a ** (1.0 / 3.0))), multi
+    # Three real roots; the middle one is the branch that equals 0 at d = 0
+    # and moves continuously with d. It lies on the descending segment,
+    # further from zero than d/b (there a*x^3 < 0 adds to b*x), so d/b
+    # seeds it inside its bracket: f(0) = -d < 0, and f > 0 at -turn and, where 2d/b > -turn, at 2d/b (there
+    # 12*a*d^2 < |b|^3, so f(2d/b) = d*(1 - 8*a*d^2/|b|^3) > d/3). That end
+    # also holds the root near d/b where a cubic term too weak to matter
+    # puts the turning point beyond the doubles.
+    return _polish(a, b, d, d / b, 0.0, max(d / b * 2.0, -turn)), True
 
 
 # --------------------------------------------------------------------------

@@ -73,12 +73,13 @@ class SweepGrid(namedtuple("SweepGrid", "center half_span points")):
         return _step(self.half_span, self.points)
 
 
-def _above_zero(center: float, half_span: float) -> None:
-    """Refuse a grid whose centre is not positive or whose span reaches zero."""
+def _above_zero(center: float, half_span: float, error: type = ValueError) -> None:
+    """Refuse a grid whose centre is not positive or whose span reaches
+    zero: as `error`, ValueError for a grid the caller built."""
     if center <= 0.0:
-        raise ValueError("grid center must be positive")
+        raise error("grid center must be positive")
     if not 0.0 < half_span < center:
-        raise ValueError("half span must be positive and keep the grid above zero")
+        raise error("half span must be positive and keep the grid above zero")
 
 
 def _step(half_span: float, points: int) -> float:
@@ -398,12 +399,13 @@ def _width_estimate(rt: _RoundTrip, shift: float) -> float:
     return min(candidates) if candidates else rt.gamma_ec
 
 
-def _in_window(omega: float, omega0: float, limit: float) -> bool:
-    """Whether the shift estimate may evaluate Psi at omega: a finite
-    frequency above zero, within `limit` of omega0. Once the free spectral
-    range exceeds about 2.9 omega0, its 0.35 share reaches below zero, where
-    the medium has no index."""
-    return 0.0 < omega < math.inf and abs(omega - omega0) <= limit
+def _in_window(omega: float, centre: float, limit: float) -> bool:
+    """Whether the shift estimate or the FWHM bracket may evaluate Psi at
+    omega: a finite frequency above zero, within `limit` of `centre` (omega0
+    or the resonance). Once the free spectral range exceeds about 2.9
+    omega0, the estimate's 0.35 share of it reaches below zero, where the
+    medium has no index; so can ten width estimates of a line that wide."""
+    return 0.0 < omega < math.inf and abs(omega - centre) <= limit
 
 
 def _shift_estimate(rt: _RoundTrip, delta_length: float) -> float:
@@ -523,7 +525,9 @@ def _in_one_fsr(rt: _RoundTrip, half_span: float) -> float:
 
 def _checked_grid(center: float, half_span: float, points: int) -> tuple[float, float]:
     """(center, half_span) of a grid of `points` samples, refused where its
-    step falls below the spacing of doubles, then where it reaches zero."""
+    step falls below the spacing of doubles, then where it reaches zero,
+    both as a `ComputationError`: the estimates set this grid, not the
+    caller."""
     # a finer step repeats samples, and the scan then sees many maxima
     step = _step(half_span, points)
     spacing = math.ulp(center + half_span)
@@ -532,7 +536,7 @@ def _checked_grid(center: float, half_span: float, points: int) -> tuple[float, 
             "linewidth below the spacing of doubles at this frequency: "
             f"grid step {step:.3g} rad/s, spacing {spacing:.3g} rad/s"
         )
-    _above_zero(center, half_span)
+    _above_zero(center, half_span, ComputationError)
     return center, half_span
 
 
@@ -548,8 +552,9 @@ def measure_fwhm(
     to the peak value T_res is s_half = (1 + 2 k s_res)/k in sin^2(Psi/2),
     with k = (2F/pi)^2, which stays exact even when the peak does not quite
     reach 1. Brackets each side by geometric expansion (factor 1.6, up to ten
-    width estimates), then solves Psi = 2*pi*m +- 2*asin(sqrt(s_half)) there,
-    with the sign Psi takes at the bracket's outer end.
+    width estimates, and above zero frequency, where the medium has no
+    index), then solves Psi = 2*pi*m +- 2*asin(sqrt(s_half)) there, with the
+    sign Psi takes at the bracket's outer end.
     """
     return _measure_fwhm(_RoundTrip(profile, cavity), delta_length, float(resonance))
 
@@ -578,7 +583,7 @@ def _measure_fwhm(rt: _RoundTrip, delta_length: float, resonance: float) -> floa
         while math.sin(0.5 * psi) ** 2 < s_half:
             lo, psi_lo = at, psi
             hi *= 1.6
-            if hi > 10.0 * estimate:
+            if not _in_window(resonance + side * hi, resonance, 10.0 * estimate):
                 raise ComputationError(
                     "half-maximum crossing not bracketed within ten width estimates"
                 )

@@ -112,32 +112,22 @@ MUTANTS = (
         "tests/test_resonator.py::test_shifted_linewidth_local_group_index",
     ),
     Mutant(
-        "cubic-discriminant-overflow-left-bare",
-        RESONATOR,
-        (
-            (
-                "    try:\n        disc = 0.25 * q * q + p ** 3 / 27.0\n    except OverflowError:\n",
-                "    disc = 0.25 * q * q + p ** 3 / 27.0\n    if False:\n",
-            ),
-        ),
-        "tests/test_cli.py::test_a_cubic_too_weak_for_its_linear_term_is_named",
-    ),
-    Mutant(
-        "cubic-too-weak-refused-again",
-        RESONATOR,
-        (
-            (
-                "        disc = math.inf\n",
-                '        raise ComputationError("cubic term too weak against the linear one") from None\n',
-            ),
-        ),
-        "tests/test_cli.py::test_a_cubic_term_too_weak_to_matter_gives_the_answer_without_it",
-    ),
-    Mutant(
         "polish-starts-from-a-seed-outside-its-bracket",
         RESONATOR,
         (("    if not (neg < x < pos or pos < x < neg):\n        x = 0.5 * (neg + pos)\n", "    if False:\n        pass\n"),),
-        "tests/test_resonator.py::test_shift_cubic_bisection_fallback_reaches_tiny_roots",
+        "tests/test_resonator.py::test_continuous_root_fallback_when_d_over_a_overflows",
+    ),
+    Mutant(
+        "outer-root-returns-its-seed-unpolished",
+        RESONATOR,
+        (("        return _polish(a, b, d, seed, turn, 2.0 * (turn + d ** (1.0 / 3.0) / a ** (1.0 / 3.0))), multi\n", "        return seed, multi\n"),),
+        "tests/test_resonator.py::test_shift_cubic_matches_bisection_in_every_regime",
+    ),
+    Mutant(
+        "middle-root-returns-d-over-b-unpolished",
+        RESONATOR,
+        (("    return _polish(a, b, d, d / b, 0.0, max(d / b * 2.0, -turn)), True\n", "    return d / b, True\n"),),
+        "tests/test_resonator.py::test_shift_cubic_matches_bisection_in_every_regime",
     ),
     Mutant(
         "middle-root-bracket-without-its-2d-over-b-end",
@@ -148,7 +138,7 @@ MUTANTS = (
     Mutant(
         "turn-from-b-over-a-where-it-is-no-normal-double",
         RESONATOR,
-        (("else math.sqrt(-b / 3.0) / math.sqrt(a)", "else math.sqrt(-p / 3.0)"),),
+        (("math.sqrt(-b / 3.0) / math.sqrt(a) if b < 0.0", "math.sqrt(-(b / a) / 3.0) if b < 0.0"),),
         "tests/test_resonator.py::test_the_fold_is_read_where_b_over_a_is_no_normal_double",
     ),
     Mutant(
@@ -158,23 +148,12 @@ MUTANTS = (
         "tests/test_resonator.py::test_continuous_root_takes_no_newton_step_that_overflows",
     ),
     Mutant(
-        "linewidth-takes-the-unpolished-largest-root",
-        RESONATOR,
-        (
-            (
-                "        return _outer_root(a, b, d, max(roots), turn), True\n",
-                "        return max(roots), True\n",
-            ),
-        ),
-        "tests/test_resonator.py::test_linewidth_is_the_largest_root_where_the_trigonometric_form_cannot_be_formed",
-    ),
-    Mutant(
         "three-roots-read-off-the-discriminant-again",
         RESONATOR,
         (
             (
-                "    if not d < -2.0 / 3.0 * b * turn:\n",
-                "    if 0.25 * (d / a) ** 2 + (b / a) ** 3 / 27.0 > 0.0 or b >= 0.0:\n",
+                "    multi = d < -2.0 / 3.0 * b * turn\n",
+                "    multi = not (0.25 * (d / a) ** 2 + (b / a) ** 3 / 27.0 > 0.0 or b >= 0.0)\n",
             ),
         ),
         "tests/test_resonator.py::test_one_real_root_or_three_is_read_off_the_fold",
@@ -211,13 +190,25 @@ MUTANTS = (
     Mutant(
         "sweep-row-reaching-zero-not-refused",
         SPECTRUM,
-        (("    _above_zero(center, half_span)\n    return center, half_span\n", "    return center, half_span\n"),),
+        (("    _above_zero(center, half_span, ComputationError)\n    return center, half_span\n", "    return center, half_span\n"),),
         f"{TEST_SPECTRUM}::test_a_sweep_row_is_refused_as_its_grid_was",
+    ),
+    Mutant(
+        "sweep-row-reaching-zero-refused-as-a-value-error",
+        SPECTRUM,
+        (("    _above_zero(center, half_span, ComputationError)\n", "    _above_zero(center, half_span)\n"),),
+        f"{TEST_SPECTRUM}::test_a_sweep_row_is_refused_as_its_grid_was",
+    ),
+    Mutant(
+        "half-maximum-bracket-steps-to-zero-frequency",
+        SPECTRUM,
+        (("            if not _in_window(resonance + side * hi, resonance, 10.0 * estimate):\n", "            if hi > 10.0 * estimate:\n"),),
+        f"{TEST_SPECTRUM}::test_a_half_maximum_search_stays_above_zero_frequency",
     ),
     Mutant(
         "shift-estimate-steps-to-zero-frequency",
         SPECTRUM,
-        (("    return 0.0 < omega < math.inf and abs(omega - omega0) <= limit\n", "    return math.isfinite(omega) and abs(omega - omega0) <= limit\n"),),
+        (("    return 0.0 < omega < math.inf and abs(omega - centre) <= limit\n", "    return math.isfinite(omega) and abs(omega - centre) <= limit\n"),),
         f"{TEST_SPECTRUM}::test_a_shift_estimate_stays_above_zero_frequency",
     ),
     Mutant(

@@ -1,8 +1,8 @@
 """Independent oracles shared by the test modules.
 
-The library solves its depressed cubics with closed-form seeds and a
-bracketed Newton polish; the root finders here are interval bisection only,
-so agreement is meaningful. The closed forms at the end are ones the
+The library solves its depressed cubics with a bracketed Newton polish,
+seeded from the roots of the cubic with one term dropped; the root finders
+here are interval bisection only, so agreement is meaningful. The closed forms at the end are ones the
 library never evaluates: relativistic velocity composition, whose first
 order is the Fresnel drag, and the rotation rate of a length change, the
 inverse of `resonator.rotation_to_length`. `psi_and_slope` is the

@@ -365,6 +365,22 @@ def test_an_overflow_is_named(tmp_path, capsys, scenario, old, new, command, cod
     assert run(capsys, command, "--scenario", path) == (code, "", message.format(path=path) + "\n")
 
 
+def test_spectrum_names_a_half_maximum_search_that_would_reach_zero_frequency(tmp_path, capsys):
+    # a ring of 0.16 nm at a CAD line of 0.023 omega0: ten width estimates
+    # below the resonance reach below zero frequency, where the FWHM bracket
+    # stops, so the run exits 3 with the bracket's refusal, not the medium's
+    # bare "optical frequency must be positive"
+    path = tmp_path / "subwavelength.scenario"
+    path.write_text(
+        "radius_m = 1.6245073675634547e-10\nfinesse = 31.17147431137849\nfrequency_hz = 4846801052667390.0\n"
+        "medium = cad\nmedium_linewidth_fwhm_hz = 220583202167965.12\nempty_cavity_shift_hz = 2014094.6454223185\n",
+        encoding="utf-8",
+    )
+    assert run(capsys, "spectrum", "--scenario", str(path), "--out", str(tmp_path)) == (
+        3, "", "computation error: half-maximum crossing not bracketed within ten width estimates\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["shift", "linewidth", "split", "spectrum"])
 @pytest.mark.parametrize("fwhm_hz, target", [("1e60", "0.5"), ("1e100", "0")], ids=["slow", "white-light"])
 def test_a_cubic_too_weak_for_its_linear_term_is_named(tmp_path, capsys, command, fwhm_hz, target):
@@ -797,8 +813,7 @@ def test_linewidth_fallback_is_tagged_as_the_cubic_root(tmp_path, capsys, comman
 
 def test_linewidth_of_a_weak_negative_cubic_term_is_gamma_ec(tmp_path, capsys):
     # n3 < 0 at n_g = 1: both widths are the root that continues from the
-    # linear regime, gamma_ec to 1e-12, where an unpolished middle root of
-    # the trigonometric form came out 4.2 and 8.4 times gamma_ec
+    # linear regime, gamma_ec to 1e-12
     text = Path(TABLETOP).read_text(encoding="utf-8")
     cad = "medium = cad\nmedium_linewidth_fwhm_hz = 2.0e6      # full width at half maximum of the dip\n"
     assert cad in text

@@ -31,7 +31,6 @@ from fastlight.resonator import (
     ShiftedLinewidth,
     _continuous_root,
     _positive_linewidth_root,
-    _trig_roots,
     airy_linewidth_cubic,
     effective_half_linewidth,
     effective_taylor,
@@ -155,17 +154,18 @@ def test_shift_cubic_randomized_against_bisection():
 
 
 def test_shift_cubic_bisection_fallback_reaches_tiny_roots():
-    # n3*w0 is subnormal, so b/a overflows and Cardano's seed is not finite:
-    # the polish starts from the middle of its bracket [0, 8e82], and the
-    # root 1e-70 lies far below the 2^-200 floor of a fixed 200 halvings
+    # n3*w0 is subnormal, so the root 1e-70 is d/b to the last bit: the
+    # polish seeds from d/b, the smaller of the two one-term roots, and
+    # ends there, inside its bracket [0, 8e82] and far below the 2^-200
+    # floor of a fixed 200 halvings of it
     t = TaylorCubic(n0=1.0, n1=3.2e-6, n3=5e-324, omega_ref=2.0 * math.pi * 5e14)
     dw_ec = 2.0 * math.pi * 1.6e-61
     assert shift_cubic(dw_ec, t) == pytest.approx(dw_ec / t.ng0, rel=1e-12, abs=0.0)
 
 
 def test_continuous_root_fallback_when_d_over_a_overflows():
-    # q = d/a overflows, and with it Cardano's seed; the bracket's upper end
-    # 2*d^(1/3)/a^(1/3) does not
+    # q = d/a overflows, and with it the seed (d/a)^(1/3); the bracket's
+    # upper end 2*d^(1/3)/a^(1/3) does not
     a, d = 3.4975146060174276e-189, 7.72673919488669e145
     root, multi = _continuous_root(a, 0.0, d)
     assert not multi
@@ -187,25 +187,34 @@ def exact_cubic(a: float, b: float, d: float):
 
 def test_middle_root_of_a_cubic_term_too_weak_for_b_over_a_is_d_over_b():
     # a Taylor medium of n3 = 5e-324 s^3/rad^3 at n_g = -10 on the tabletop
-    # ring at Earth rate: b/a overflows and the trigonometric seed is not
-    # finite; the middle root's polish lands on d/b
+    # ring at Earth rate: b/a overflows, and the middle root's polish,
+    # seeded from d/b, lands on it
     a, b, d = 1.5521530033659566e-308, -9.995574287564276, 764.1572404254854
     assert _continuous_root(a, b, d) == (d / b, True)
     # with b = -1e300 the turning point sqrt(-b/3)/sqrt(a) lies beyond the
     # doubles too, so the middle root's bracket ends at 2d/b instead
     a, b, d = 5e-324, -1e300, 764.0
     assert _continuous_root(a, b, d) == (d / b, True)
+    # and where d/b underflows to -0 as well, so that the seed sits on the
+    # bracket's end, the bracket [-0, 0] gives the root that the doubles
+    # can carry, not the midpoint of [-inf, 0]
+    assert _continuous_root(5e-324, -1e300, 1e-30) == (0.0, True)
 
 
 def test_continuous_root_takes_no_newton_step_that_overflows():
-    # b/a overflows and Cardano's seed is not finite, so the polish starts
-    # halfway up [0, 2*(d/a)^(1/3)] = [0, 1.1e25], where b*x overflows: the
-    # Newton step to -inf is refused, not taken as converged. The root is
-    # d/b, a subnormal, to the few digits it carries.
-    a, b, d = 6.044112057472957e-95, 7.271650931439692e295, 9.494825294316958e-21
-    root, multi = _continuous_root(a, b, d)
-    assert not multi
-    assert root == pytest.approx(d / b, rel=1e-6)
+    # d/b, about 3e-392, underflows to 0, the bracket's lower end, so the
+    # polish starts halfway up [0, 2*(d/a)^(1/3)] = [0, 6.3e21], where b*x
+    # overflows: the Newton step from there is refused, not taken, and the
+    # halvings end at the root the doubles carry, 0
+    assert _continuous_root(1.2671448898369965e-155, 1.3527451799891255e301, 3.948230259740751e-91) == (0.0, False)
+    # the largest of three roots, 1.46e69: its seed (d/a)^(1/3) = 1.4e-64
+    # lies below the turning point, and x*(a*x^2 + b) overflows to -inf at
+    # the middle of its bracket
+    a, b, d = 2.073168574678015e122, -4.413691468589974e260, 5.424503635087161e-70
+    root, multi = _continuous_root(a, b, d, largest=True)
+    assert multi
+    f = exact_cubic(a, b, d)
+    assert f(math.nextafter(root, -math.inf)) * f(math.nextafter(root, math.inf)) <= 0
 
 
 @pytest.mark.parametrize(
@@ -218,9 +227,9 @@ def test_continuous_root_takes_no_newton_step_that_overflows():
 )
 def test_one_real_root_or_three_is_read_off_the_fold(a, b, d):
     # drives 2e250 and 1e199 times the fold drive -(2/3)*b*turn: one real
-    # root, although Cardano's discriminant q^2/4 + p^3/27 reads three, its
-    # p^3 overflowing in the first cubic and underflowing to -0, with q^2
-    # to 0, in the second
+    # root, although the discriminant q^2/4 + p^3/27 of p = b/a and q = d/a
+    # reads three in doubles, its p^3 overflowing in the first cubic and
+    # underflowing to -0, with q^2 to 0, in the second
     root, multi = _continuous_root(a, b, d)
     assert not multi
     f = exact_cubic(a, b, d)
@@ -254,10 +263,9 @@ def test_the_fold_is_read_where_b_over_a_is_no_normal_double(a, b, d, multi):
 
 def test_linewidth_is_the_largest_root_where_the_trigonometric_form_cannot_be_formed():
     # three real roots, with p*m = (b/a)*2*sqrt(-b/(3a)) below the smallest
-    # double: the trigonometric form gives NaN, and the polish halves the
-    # largest root's bracket [turn, 2*(turn + (d/a)^(1/3))] down to it
+    # double, where the trigonometric form gives NaN: the polish finds the
+    # largest root in its bracket [turn, 2*(turn + (d/a)^(1/3))]
     a, b, gamma_ec = 1e200, -1e-50, 1e-180
-    assert all(math.isnan(x) for x in _trig_roots(b / a, gamma_ec / a))
     turn = math.sqrt(-b / (3.0 * a))
     expected = bisect(exact_cubic(a, b, gamma_ec), turn, 2.0 * turn)
     assert _positive_linewidth_root(a, b, gamma_ec) == pytest.approx(expected, rel=1e-15)
