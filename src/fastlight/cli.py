@@ -11,10 +11,8 @@ Exit codes: 0 success, 2 scenario/usage errors, 3 computation failures.
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
 import io
-import json
 import math
 import os
 import sys
@@ -221,8 +219,13 @@ def _table_lines(header: list[str], rows: list[tuple]) -> list[str]:
 
 
 def _output_files(report: Report, fmt: str) -> dict[str, str]:
-    """Name and text of every file the report writes."""
+    """Name and text of every file the report writes.
+
+    json and csv are imported where they are used, so that a run that
+    writes no file of their kind never loads them."""
     if fmt == "json":
+        import json
+
         doc = {
             "command": report.command,
             "convention": report.convention,
@@ -237,6 +240,8 @@ def _output_files(report: Report, fmt: str) -> dict[str, str]:
     files = {}
     if report.results:
         # scalar results; tables get their own files named after themselves
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["quantity", "value", "unit", "formula"])

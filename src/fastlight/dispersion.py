@@ -18,9 +18,13 @@ n_g(wc) hits a target (zero for critically anomalous dispersion) is what
 
 Each profile evaluates n(w), n(w) - n(base) and dn/dw together in
 `response`, which computes their shared terms once; `index`,
-`index_change` and `dindex_domega` are its parts. All frequencies are
-angular (rad/s). Evaluation accepts scalars or numpy arrays; a float
-evaluation executes numpy only in the Lorentzian's underflow fallback.
+`index_change` and `dindex_domega` are its parts. With `slope=False` it
+gives n(w) and n(w) - n(base) alone: the evaluation a transmission scan
+takes over its samples, and the one the two parts without the slope take.
+All frequencies are angular (rad/s). Evaluation accepts scalars or numpy
+arrays; a float evaluation executes numpy only in the Lorentzian's
+underflow fallback. Over an array, every part is a fresh array, which the
+caller may overwrite, and an array base has omega's shape.
 """
 
 from __future__ import annotations
@@ -35,26 +39,29 @@ from .errors import ComputationError
 
 def _check_omega(omega, base) -> None:
     # Python and numpy float scalars skip the array round trip; like the
-    # array test, the comparison lets NaN through.
+    # array test, the comparison lets NaN through. An array is read once, as
+    # floats (an int array cannot hold the initial inf), for its least
+    # value, which fmin takes passing over NaN.
     if isinstance(omega, float) and isinstance(base, float):
         bad = omega <= 0.0 or base <= 0.0
     else:
-        bad = (np.asarray(omega) <= 0.0).any() or (np.asarray(base) <= 0.0).any()
+        bad = min(np.fmin.reduce(np.asarray(v, float), axis=None, initial=math.inf) for v in (omega, base)) <= 0.0
     if bad:
         raise ValueError("optical frequency must be positive")
 
 
 class _Projections:
     """index, index_change and dindex_domega, each one part of the profile's
-    fused `response`, so that each formula is written once."""
+    fused `response`, so that each formula is written once; the first two
+    take the response without its slope."""
 
     __slots__ = ()
 
     def index(self, omega):
-        return self.response(omega, omega)[0]
+        return self.response(omega, omega, slope=False)[0]
 
     def index_change(self, omega, base):
-        return self.response(omega, base)[1]
+        return self.response(omega, base, slope=False)[1]
 
     def dindex_domega(self, omega):
         return self.response(omega, omega)[2]
@@ -84,40 +91,61 @@ class LorentzianAbsorptive(_Projections):
             raise ValueError("profile strength must be non-negative")
         if self.center <= 0.0:
             raise ValueError("line center must be positive")
+        # -A*G and G^2, which every `response` takes, bound once
+        g = self.half_linewidth
+        object.__setattr__(self, "_nag_gg", (-self.strength * g, g * g))
 
-    def response(self, omega, base):
+    def response(self, omega, base, slope=True):
         """(n(omega), n(omega) - n(base), dn/domega), sharing x = omega - wc
-        and G^2 + x^2.
+        and G^2 + x^2; without the slope where `slope` is false.
 
-        The change is written proportional to (omega - base), so the small
-        difference never comes from cancelling two near-equal values. A
-        float division by zero is handled where it is raised, so no
+        n = 1 - A*G*x/(G^2 + x^2), and the change is
+        -A*G*(x - xb)*(G^2 - x*xb)/((G^2 + x^2)*(G^2 + xb^2)) with
+        xb = base - wc, written proportional to (omega - base), so that the
+        small difference never comes from cancelling two near-equal values.
+        Both are built in steps that work on a float and, in place, on the
+        arrays that x and G^2 + x^2 are; negation is exact, so each step
+        rounds as the formula's own operation does. Since the change is
+        built in x's array, an array base has omega's shape, and the change
+        takes x's type.
+
+        A float division by zero is handled where it is raised, so no
         evaluation pays a check for it: G^2 + x^2 is G^2 at the line centre,
         and G^2 underflowing to 0 is refused; where only (G^2)^2 underflows,
         the parts that divide by it take the inf or nan that numpy's floats,
         and an array, give there, and the index keeps its value.
         """
         _check_omega(omega, base)
-        g = self.half_linewidth
-        ag = self.strength * g
-        gg = g * g
-        x = omega - self.center
-        xb = base - self.center
-        den = gg + x * x
+        # -A*G and wc - base = -xb, so that adding a negated term rounds as
+        # the formula's subtraction does
+        nag, gg = self._nag_gg
+        wc = self.center
+        x = omega - wc
+        bx = wc - base
+        den = x * x
+        den += gg
         try:
-            return (
-                1.0 - ag * x / den,
-                -ag * ((x - xb) * (gg - x * xb)) / (den * (gg + xb * xb)),
-                -ag * (gg - x * x) / (den * den),
-            )
+            n = x * nag
+            n /= den
+            n += 1.0
+            dn_domega = nag * (gg - x * x) / (den * den) if slope else None
+            # the change, in x's array: x and den are read for the last time
+            factor = x * bx
+            factor += gg
+            x += bx
+            x *= factor
+            x *= nag
+            den *= gg + bx * bx
+            x /= den
+            return (n, x, dn_domega) if slope else (n, x)
         except ZeroDivisionError:
             if gg == 0.0:
                 raise ComputationError(
                     "medium linewidth too narrow for the Lorentzian line: G^2 + (w - wc)^2 "
-                    f"underflows to 0 at the line centre (G = {g:.3g} rad/s)"
+                    f"underflows to 0 at the line centre (G = {self.half_linewidth:.3g} rad/s)"
                 ) from None
         with np.errstate(divide="ignore", invalid="ignore"):
-            return tuple(float(part) for part in self.response(np.float64(omega), np.float64(base)))
+            return tuple(float(part) for part in self.response(np.float64(omega), np.float64(base), slope))
 
     def taylor(self) -> TaylorCubic:
         """Exact third-order series about the line center: n1 = -A/G, n3 = A/G^3.
@@ -157,17 +185,16 @@ class TaylorCubic(_Projections, namedtuple("TaylorCubic", "n0 n1 n3 omega_ref"))
             raise ValueError("reference frequency must be positive")
         return super().__new__(cls, n0, n1, n3, omega_ref)
 
-    def response(self, omega, base):
-        """(n(omega), n(omega) - n(base), dn/domega), sharing d = omega - omega_ref."""
+    def response(self, omega, base, slope=True):
+        """(n(omega), n(omega) - n(base), dn/domega), sharing d = omega - omega_ref;
+        without the slope where `slope` is false."""
         _check_omega(omega, base)
         n1, n3 = self.n1, self.n3
         d = omega - self.omega_ref
         db = base - self.omega_ref
-        return (
-            self.n0 + n1 * d + n3 * d * d * d,
-            (d - db) * (n1 + n3 * (d * d + d * db + db * db)),
-            n1 + 3.0 * n3 * d * d,
-        )
+        n = self.n0 + n1 * d + n3 * d * d * d
+        change = (d - db) * (n1 + n3 * (d * d + d * db + db * db))
+        return (n, change, n1 + 3.0 * n3 * d * d) if slope else (n, change)
 
     def taylor(self) -> TaylorCubic:
         """The cubic is its own expansion."""

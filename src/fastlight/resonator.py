@@ -143,7 +143,9 @@ def _polish(a: float, b: float, d: float, x: float, neg: float, pos: float) -> f
     # Each evaluation narrows the bracket; a Newton step that lands inside it
     # is taken, to |dx| <= 4*eps*|x| as a plain polish would, and the
     # midpoint otherwise (a zero, overflowing or NaN step fails the test), as
-    # for a seed outside the bracket or not finite.
+    # for a seed outside the bracket or not finite. The step lands inside
+    # where its distances past the two ends, times f', have opposite signs:
+    # read from the signs, not from their product, which can underflow.
     if not (neg < x < pos or pos < x < neg):
         x = 0.5 * (neg + pos)
     # the doubles span 1,024 + 1,074 binades, so 2,200 halvings end anywhere
@@ -153,7 +155,8 @@ def _polish(a: float, b: float, d: float, x: float, neg: float, pos: float) -> f
             return x
         neg, pos = (x, pos) if fx < 0.0 else (neg, x)
         fpx = 3.0 * a * x * x + b
-        if ((x - neg) * fpx - fx) * ((x - pos) * fpx - fx) < 0.0:
+        p, q = (x - neg) * fpx - fx, (x - pos) * fpx - fx
+        if p < 0.0 < q or q < 0.0 < p:
             dx = fx / fpx
             x -= dx
             if abs(dx) <= 4.0 * _EPS * abs(x):

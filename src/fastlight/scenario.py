@@ -22,7 +22,6 @@ internally; medium_linewidth_fwhm_hz is a full width at half maximum in Hz
 
 from __future__ import annotations
 
-import json
 import math
 from collections import namedtuple
 from pathlib import Path
@@ -379,6 +378,9 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> Scenario:
 
 
 def _from_json_text(text: str, source: str) -> Scenario:
+    # imported here, so that a key = value scenario never loads json
+    import json
+
     try:
         # objects come back as tuples of (key, value) pairs, repeats kept, so
         # the duplicate-key check in Scenario sees every key

@@ -21,13 +21,15 @@ background segment of the loop.
 
 Each public call binds its medium and cavity once into a `_RoundTrip`
 kernel, which reads the cavity's constants and the path-averaged cubic's
-coefficients once, as floats, and takes Psi, at a float for a Newton step
-or over the samples of a scan pass, from one `response` of the medium per
-evaluation. A scan pass holds grids of one point count as the rows of one
-array. A sweep's grid for one shift is a row (delta_length, centre,
-half_span), with no value type: its per-shift steps, the shift and width
-estimates, the row's refusals and the locate step, read only the kernel's
-floats and the three samples about the row's peak that the pass gathers.
+coefficients once, as floats, and takes Psi from one `response` of the
+medium per evaluation: at a float for a Newton step with the slope, over
+the samples of a scan pass without it. A scan pass holds grids of one
+point count as the rows of one array, and builds Psi and T in place, in
+arrays of its own, never in the samples. A sweep's grid for one shift is a
+row (delta_length, centre, half_span), with no value type: its per-shift
+steps, the shift and width estimates, the row's refusals and the locate
+step, read only the kernel's floats and the three samples about the row's
+peak that the pass gathers.
 """
 
 from __future__ import annotations
@@ -114,14 +116,14 @@ class _RoundTrip:
     bound once, and the path-averaged cubic that sizes the grids.
 
     `sweep_enhancement`, `trace`, `auto_grid`, `find_resonance`,
-    `measure_fwhm` and `transmission` each bind one per call. Every Psi,
-    at a float (`psi_and_slope`) or over an array (`psi_array`), takes one
-    `response` of the medium and runs the expression of the module
-    docstring in the same order, so the two agree bitwise. The arrays a
-    call builds belong to that call alone. `taylor` is the medium's
-    `effective_taylor` (None where that refuses it), and `airy` its
-    `airy_linewidth_cubic` (None where that has no root), which does not
-    depend on the shift.
+    `measure_fwhm` and `transmission` each bind one per call. Every Psi
+    takes one `response` of the medium, at a float (`psi_and_slope`) with
+    the slope and over an array (`psi_array`) without it, and runs the
+    expression of the module docstring in the same order, so the two agree
+    bitwise. The arrays a call builds belong to that call alone.
+    `taylor` is the medium's `effective_taylor` (None where that refuses
+    it), and `airy` its `airy_linewidth_cubic` (None where that has no
+    root), which does not depend on the shift.
 
     A sweep's per-shift steps read only the floats bound here, no value
     type: L and omega0 for `RingCavity`'s length-for-shift conversions,
@@ -182,17 +184,36 @@ class _RoundTrip:
 
     def psi_array(self, omega: np.ndarray, delta_lengths) -> np.ndarray:
         """Psi over a (rows, points) array omega, row j with length change
-        delta_lengths[j]: the expression of `psi_and_slope`, with n_b*dL a
-        column of one entry per row. The medium's slope goes unused.
-        """
-        n_at, dn = self.response(omega, self.omega0)[:2]
-        nb_dl = np.array([self.nb * dl for dl in delta_lengths])[:, None]
-        delta = omega - self.omega0
-        return (self.medium * (dn * self.omega0 + n_at * delta) + self.background * delta + nb_dl * omega) / C0
+        delta_lengths[j]: the steps of `psi_and_slope`'s expression, with
+        n_b*dL a column of one entry per row, each done in place.
 
-    def transmission(self, psi):
-        """Airy transmission 1 / (1 + k sin^2(Psi/2)) of an array Psi."""
-        return 1.0 / (1.0 + self.k * np.sin(0.5 * psi) ** 2)
+        The medium gives n and the change without the slope, as two fresh
+        arrays; Psi is built in the change's, and n's holds the other
+        products. omega is only read.
+        """
+        omega0 = self.omega0
+        n_at, psi = self.response(omega, omega0, slope=False)
+        delta = omega - omega0
+        psi *= omega0
+        n_at *= delta
+        psi += n_at
+        psi *= self.medium
+        delta *= self.background
+        psi += delta
+        np.multiply(np.array([self.nb * dl for dl in delta_lengths])[:, None], omega, out=n_at)
+        psi += n_at
+        psi /= C0
+        return psi
+
+    def transmission(self, psi: np.ndarray) -> np.ndarray:
+        """Airy transmission 1 / (1 + k sin^2(Psi/2)) of an array Psi, built
+        in place in one fresh array; Psi is only read."""
+        t = np.multiply(psi, 0.5)
+        np.sin(t, out=t)
+        np.square(t, out=t)
+        t *= self.k
+        t += 1.0
+        return np.divide(1.0, t, out=t)
 
 
 def transmission(profile: DispersionProfile, cavity: RingCavity, delta_length: float, omega):
@@ -203,14 +224,14 @@ def transmission(profile: DispersionProfile, cavity: RingCavity, delta_length: f
     """
     rt = _RoundTrip(profile, cavity)
     omega = np.asarray(omega, dtype=float)
-    return rt.transmission(rt.psi_array(omega.reshape(1, -1), [delta_length]).reshape(omega.shape))
+    return rt.transmission(rt.psi_array(omega.reshape(1, -1), [delta_length])).reshape(omega.shape)[()]
 
 
 # Most samples one scan pass holds: 64 KiB per array, or 81 sweep grids. A
 # pass pays numpy's per-call cost once for all of its rows, so a `perfbench`
 # `sweep` op (17 to 65 shifts and a trace) takes two passes. A full pass
-# peaks at eight such arrays, in the medium's response (512 KiB by
-# tracemalloc for 81 grids).
+# peaks at about 5.3 such arrays, in the Lorentzian's evaluation: the
+# samples and its four working arrays (338 KiB by tracemalloc for 81 grids).
 _SCAN_SAMPLES = 8_192
 
 
@@ -220,9 +241,11 @@ def _scan(rt: _RoundTrip, rows, points: int) -> tuple:
     Each row (delta_length, centre, half_span) is a grid over centre +-
     half_span, one row of each array. Every element runs the expressions of
     `_RoundTrip.psi_array` and `_RoundTrip.transmission`, so a row equals
-    the scan of its grid alone bit for bit. near holds, per row, what the
-    locate step reads: the omega and the Psi samples before, at and after
-    the peak (held inside the row), and the peak and count of `_peaks`.
+    the scan of its grid alone bit for bit; each of the three arrays is the
+    pass's own, and Psi and T are built in place, never in omega. near
+    holds, per row, what the locate step reads: the omega and the Psi
+    samples before, at and after the peak (held inside the row), and the
+    peak and count of `_peaks`.
     """
     lengths, centers, half_spans = zip(*rows)
     w = _sample_rows(centers, half_spans, points)
@@ -230,12 +253,16 @@ def _scan(rt: _RoundTrip, rows, points: int) -> tuple:
     t = rt.transmission(psi)
     peaks, counts = _peaks(t)
     # flat indices of the samples before, at and after each row's peak
-    at = np.clip(np.add.outer(peaks, (-1, 0, 1)), 0, points - 1) + np.arange(0, w.size, points)[:, None]
-    return w, psi, t, list(zip(w.ravel()[at].tolist(), psi.ravel()[at].tolist(), peaks, counts))
+    at = peaks[:, None] + (-1, 0, 1)
+    np.maximum(at, 0, out=at)
+    np.minimum(at, points - 1, out=at)
+    at += np.arange(0, w.size, points)[:, None]
+    return w, psi, t, list(zip(w.take(at).tolist(), psi.take(at).tolist(), peaks.tolist(), counts.tolist()))
 
 
-def _peaks(t) -> tuple[list[int], list[int]]:
-    """Each row's peak sample and its number of significant maxima.
+def _peaks(t) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's peak sample and its number of significant maxima, as two
+    integer arrays.
 
     t is a (rows, points) array, three points or more. A row's peak is its
     np.argmax, its first largest sample. Its significant maxima are the
@@ -243,9 +270,12 @@ def _peaks(t) -> tuple[list[int], list[int]]:
     least half the row's maximum; a row holding NaN has a NaN maximum, which
     leaves it none.
     """
+    peaks = t.argmax(axis=1)
     mid = t[:, 1:-1]
-    significant = (mid > t[:, :-2]) & (mid >= t[:, 2:]) & (mid >= 0.5 * t.max(axis=1, keepdims=True))
-    return t.argmax(axis=1).tolist(), significant.sum(axis=1).tolist()
+    significant = mid > t[:, :-2]
+    significant &= mid >= t[:, 2:]
+    significant &= mid >= 0.5 * t.max(axis=1, keepdims=True)
+    return peaks, significant.sum(axis=1)
 
 
 # Bisection alone takes the widest bracket used here (ten width estimates,
@@ -304,9 +334,11 @@ def _psi_root(
         else:
             pos = at
         # Newton only if it lands inside the bracket (a zero or non-finite
-        # slope fails this) and at least halves the step before last
-        inside = ((at - neg) * slope - f) * ((at - pos) * slope - f) < 0.0
-        if inside and abs(2.0 * f) <= abs(step_old * slope):
+        # slope fails this; read from the two signs, as `resonator._polish`
+        # does, since their product can underflow) and at least halves the
+        # step before last
+        p, q = (at - neg) * slope - f, (at - pos) * slope - f
+        if (p < 0.0 < q or q < 0.0 < p) and abs(2.0 * f) <= abs(step_old * slope):
             nxt = at - f / slope
         else:
             nxt = neg + 0.5 * (pos - neg)

@@ -51,6 +51,12 @@ MUTANTS = (
         "tests/test_cli.py::test_cli_sets_one_openblas_thread_before_numpy_loads",
     ),
     Mutant(
+        "csv-imported-at-the-top-of-cli",
+        CLI,
+        (("import argparse\nimport errno\n", "import argparse\nimport csv\nimport errno\n"),),
+        "tests/test_source.py::test_importing_the_cli_loads_neither_json_nor_csv",
+    ),
+    Mutant(
         "dispersion-imports-numpy-itself",
         "src/fastlight/dispersion.py",
         (("from ._numpy import np\n", "import numpy as np\n"),),
@@ -144,8 +150,14 @@ MUTANTS = (
     Mutant(
         "polish-takes-newton-steps-that-leave-the-bracket",
         RESONATOR,
-        (("        if ((x - neg) * fpx - fx) * ((x - pos) * fpx - fx) < 0.0:\n", "        if fpx:\n"),),
+        (("        if p < 0.0 < q or q < 0.0 < p:\n", "        if fpx:\n"),),
         "tests/test_resonator.py::test_continuous_root_takes_no_newton_step_that_overflows",
+    ),
+    Mutant(
+        "polish-tests-the-product-of-its-bracket-factors",
+        RESONATOR,
+        (("        if p < 0.0 < q or q < 0.0 < p:\n", "        if p * q < 0.0:\n"),),
+        "tests/test_resonator.py::test_a_newton_step_is_taken_where_the_bracket_test_product_underflows",
     ),
     Mutant(
         "three-roots-read-off-the-discriminant-again",
@@ -281,7 +293,7 @@ MUTANTS = (
     Mutant(
         "peak-as-the-first-sample-equal-to-the-row-maximum",
         SPECTRUM,
-        (("return t.argmax(axis=1).tolist(),", "return (t == t.max(axis=1, keepdims=True)).argmax(axis=1).tolist(),"),),
+        (("    peaks = t.argmax(axis=1)\n", "    peaks = (t == t.max(axis=1, keepdims=True)).argmax(axis=1)\n"),),
         f"{TEST_SPECTRUM}::test_pass_wide_peaks_equal_per_row_argmax_and_count",
     ),
     Mutant(
@@ -347,8 +359,8 @@ MUTANTS = (
         SPECTRUM,
         (
             (
-                "return (self.medium * (dn * self.omega0 + n_at * delta) + self.background * delta",
-                "return (self.medium * dn * self.omega0 + self.medium * n_at * delta + self.background * delta",
+                "        psi *= omega0\n        n_at *= delta\n        psi += n_at\n        psi *= self.medium\n",
+                "        psi *= self.medium\n        psi *= omega0\n        n_at *= self.medium\n        n_at *= delta\n        psi += n_at\n",
             ),
         ),
         f"{TEST_SPECTRUM}::test_bound_kernel_and_scan_equal_three_profile_calls_bit_for_bit",
@@ -356,8 +368,32 @@ MUTANTS = (
     Mutant(
         "every-row-given-the-first-rows-length-change",
         SPECTRUM,
-        (("np.array([self.nb * dl for dl in delta_lengths])[:, None]", "(self.nb * delta_lengths[0])"),),
+        (("np.multiply(np.array([self.nb * dl for dl in delta_lengths])[:, None], omega,", "np.multiply(self.nb * delta_lengths[0], omega,"),),
         f"{TEST_SPECTRUM}::test_bound_kernel_and_scan_equal_three_profile_calls_bit_for_bit",
+    ),
+    Mutant(
+        "lorentzian-change-divides-by-each-denominator-apart",
+        "src/fastlight/dispersion.py",
+        (("            den *= gg + bx * bx\n            x /= den\n", "            x /= den\n            x /= gg + bx * bx\n"),),
+        "tests/test_dispersion.py::test_fused_response_equals_each_formula_alone_bitwise",
+    ),
+    Mutant(
+        "positivity-reduced-in-the-input-type",
+        "src/fastlight/dispersion.py",
+        (("np.fmin.reduce(np.asarray(v, float),", "np.fmin.reduce(v,"),),
+        "tests/test_dispersion.py::test_int_frequencies_evaluate_as_their_floats",
+    ),
+    Mutant(
+        "psi-built-in-the-sample-buffer",
+        SPECTRUM,
+        (("        psi /= C0\n        return psi\n", "        np.divide(psi, C0, out=omega)\n        return omega\n"),),
+        f"{TEST_SPECTRUM}::test_a_scan_reads_its_samples_and_leaves_them_as_they_were",
+    ),
+    Mutant(
+        "scan-takes-the-medium-slope-again",
+        SPECTRUM,
+        (("        n_at, psi = self.response(omega, omega0, slope=False)\n", "        n_at, psi = self.response(omega, omega0)[:2]\n"),),
+        f"{TEST_SPECTRUM}::test_a_full_scan_pass_peaks_below_six_of_its_arrays",
     ),
     Mutant(
         "locate-tolerance-reverted-to-resolution-over-1e4",

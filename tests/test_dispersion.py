@@ -191,16 +191,39 @@ def written_out(profile, omega, base):
 @given(st.randoms(use_true_random=False), st.floats(min_value=-3.0, max_value=3.0))
 def test_fused_response_equals_each_formula_alone_bitwise(rng, base_offset):
     # sharing x, G^2 + x^2 and d between the three parts changes no bit, at
-    # a float and over an array, and each projection is its part
+    # a float and over an array, with the slope or without, and each
+    # projection is its part
     profile, omega = random_profile(rng)
     base = omega + base_offset * fd_step(profile, omega) * 3000.0
     assert profile.response(omega, base) == written_out(profile, omega, base)
     omegas = omega + np.linspace(-2.0, 2.0, 9) * fd_step(profile, omega) * 3000.0
     for got, want in zip(profile.response(omegas, base), written_out(profile, omegas, base)):
         assert np.array_equal(got, want)
+    # without the slope, the two other parts alone, built in place
+    assert profile.response(omega, base, slope=False) == written_out(profile, omega, base)[:2]
+    got = profile.response(omegas, base, slope=False)
+    assert len(got) == 2
+    for got, want in zip(got, written_out(profile, omegas, base)):
+        assert np.array_equal(got, want)
     n, dn, slope = profile.response(omega, base)
     assert (profile.index(omega), profile.index_change(omega, base), profile.dindex_domega(omega)) == (n, dn, slope)
     assert group_index(profile, omega) == n + omega * slope
+
+
+def test_int_frequencies_evaluate_as_their_floats():
+    # an int frequency or int array is checked and evaluated as the floats
+    # of equal value, with an array base of omega's shape taken element for
+    # element; a non-positive int is refused, and an empty array passes
+    wc = 3 * 10**15
+    for profile in (LorentzianAbsorptive(1e-9, 1e7, float(wc)), TaylorCubic(1.0, -1e-16, 1e-30, float(wc))):
+        w = np.array([wc - 10**7, wc, wc + 3 * 10**7])
+        for got, want in zip(profile.response(w, w[::-1]), profile.response(w * 1.0, w[::-1] * 1.0)):
+            assert got.dtype == float and np.array_equal(got, want)
+        assert profile.response(wc + 10**7, wc) == profile.response(float(wc + 10**7), float(wc))
+        assert profile.index_change(np.array([], dtype=int), wc).size == 0
+        for bad in (lambda: profile.index(0), lambda: profile.index_change(np.array([wc, -1]), wc)):
+            with pytest.raises(ValueError, match="optical frequency must be positive"):
+                bad()
 
 
 def test_an_underflowing_line_centre_is_named():

@@ -217,6 +217,21 @@ def test_continuous_root_takes_no_newton_step_that_overflows():
     assert f(math.nextafter(root, -math.inf)) * f(math.nextafter(root, math.inf)) <= 0
 
 
+def test_a_newton_step_is_taken_where_the_bracket_test_product_underflows():
+    # the middle root lies within an ulp of its seed d/b = -2.2e-223; there
+    # the bracket test's two factors are 9.3e-215 and -7.7e-199, whose
+    # product underflows to -0, so a test of the product's sign refuses the
+    # one Newton step that lands and halves 53 times instead, to the other
+    # neighbour of the root
+    a, b, d = 3.589114731134473e-299, -3.5815716278369315e24, 7.745252726401775e-199
+    seed = d / b
+    step = seed - (seed * (a * seed * seed + b) - d) / (3.0 * a * seed * seed + b)
+    assert step != seed
+    assert _continuous_root(a, b, d) == (step, True)
+    f = exact_cubic(a, b, d)
+    assert f(seed) * f(step) < 0
+
+
 @pytest.mark.parametrize(
     "a, b, d",
     [

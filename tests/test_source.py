@@ -5,6 +5,9 @@ checks stand in for one.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,6 +59,16 @@ def test_only_the_lazy_helper_brings_in_numpy():
         if imports_numpy(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
     ]
     assert importers == []
+
+
+def test_importing_the_cli_loads_neither_json_nor_csv():
+    # only a file write of their kind, and a JSON scenario's reader, import
+    # them; numpy stays registered, unexecuted, since perfbench's probe
+    # reads its __version__ right after this import
+    code = "import sys, fastlight.cli; print(sorted({'json', 'csv'} & set(sys.modules)), 'numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["[]", "True"]
 
 
 def dataclasses_in(tree: ast.Module) -> list[str]:

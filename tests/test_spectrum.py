@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 from unittest import mock
@@ -160,19 +161,20 @@ def test_scalar_dephasing_and_slope_match_the_array_path_bitwise(profile):
 @dataclass(frozen=True)
 class CountingLorentzian(LorentzianAbsorptive):
     """A Lorentzian that counts its fused evaluations, `response`, which
-    `index`, `index_change` and `dindex_domega` also go through."""
+    `index`, `index_change` and `dindex_domega` also go through, at a float
+    and over an array, with the slope or, as a scan pass takes it, without."""
 
     calls: Counter = field(default_factory=Counter, compare=False)
     scalar: list = field(default_factory=list, compare=False)  # (omega, base)
 
-    def response(self, omega, base):
+    def response(self, omega, base, slope=True):
         if np.ndim(omega) == 0:
             self.calls["response"] += 1
             self.scalar.append((float(omega), float(base)))
         else:
             self.calls["array response"] += 1
             self.calls["array response points"] += int(np.size(omega))
-        return super().response(omega, base)
+        return super().response(omega, base, slope)
 
 
 @pytest.mark.parametrize("dw_ec", [0.0, 1e-6 * G, 1e-3 * G, 1e-1 * G])
@@ -547,6 +549,50 @@ def test_a_trace_owns_its_arrays():
         assert not np.shares_memory(a, b)
     assert np.array_equal(first.omega, omega)
     assert np.array_equal(first.transmission, t)
+
+
+def test_a_scan_reads_its_samples_and_leaves_them_as_they_were():
+    # Psi and T are built in arrays of the pass's own, never in the samples
+    # that trace returns: psi_array only reads omega, and a trace's omega is
+    # its grid's samples
+    cav, profile = cad_cavity(1e-2), cad_tune(G, W0)
+    dl = cav.length_for_shift(1e-3 * G)
+    grid = auto_grid(profile, cav, dl)
+    omega = grid.omegas[None, :]
+    before = omega.copy()
+    psi = kernel(profile, cav).psi_array(omega, [dl])
+    assert np.array_equal(omega, before)
+    assert not np.shares_memory(psi, omega)
+    assert np.array_equal(trace(profile, cav, dl).omega, grid.omegas)
+
+
+def test_transmission_at_a_float_is_a_numpy_float():
+    cav, profile = cad_cavity(1e-2), cad_tune(G, W0)
+    for omega in (W0, np.float64(W0 + 1.0)):
+        assert type(transmission(profile, cav, 0.0, omega)) is np.float64
+    assert transmission(profile, cav, 0.0, [W0, W0 + 1.0]).shape == (2,)
+
+
+def test_a_full_scan_pass_peaks_below_six_of_its_arrays():
+    # a pass of 81 sweep rows holds 8,181 samples, one array of 64 KiB at
+    # the _SCAN_SAMPLES budget. With the medium's n and change taken
+    # without the slope, and both they and Psi and T built in place, it
+    # peaks at about 5.3 such arrays by tracemalloc; a step into a fresh
+    # array for each operation took it to 8
+    scn = load_scenario(CAD_SWEEP)
+    profile, cav = scn.profile(), scn.cavity()
+    rt = spectrum._RoundTrip(profile, cav)
+    rows = [spectrum._row(rt, cav.length_for_shift(dw)) for dw in 2.0 * math.pi * scn.input_values()[1]]
+    rows = (rows * 3)[: spectrum._SCAN_SAMPLES // spectrum._SWEEP_POINTS]
+    assert len(rows) == 81
+    spectrum._scan(rt, rows, spectrum._SWEEP_POINTS)
+    tracemalloc.start()
+    try:
+        spectrum._scan(rt, rows, spectrum._SWEEP_POINTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * spectrum._SCAN_SAMPLES) < 6.0
 
 
 @pytest.mark.parametrize("fill", [1.0, 0.3])
