@@ -17,14 +17,20 @@ n_g(wc) hits a target (zero for critically anomalous dispersion) is what
 `cad_tune` does.
 
 Each profile evaluates n(w), n(w) - n(base) and dn/dw together in
-`response`, which computes their shared terms once; `index`,
-`index_change` and `dindex_domega` are its parts. With `slope=False` it
-gives n(w) and n(w) - n(base) alone: the evaluation a transmission scan
-takes over its samples, and the one the two parts without the slope take.
+`_response`, which computes their shared terms once and checks nothing.
+The one public `response`, shared by both profiles, checks that omega and
+base are positive and then calls it; `index`, `index_change` and
+`dindex_domega` are its parts. With `slope=False` it gives n(w) and
+n(w) - n(base) alone: the evaluation a transmission scan takes over its
+samples, and the one the two parts without the slope take. A caller that
+keeps its own frequencies above zero, as `spectrum`'s round-trip kernel
+does, calls `_response` and pays no check.
+
 All frequencies are angular (rad/s). Evaluation accepts scalars or numpy
-arrays; a float evaluation executes numpy only in the Lorentzian's
-underflow fallback. Over an array, every part is a fresh array, which the
-caller may overwrite, and an array base has omega's shape.
+arrays; where either is an array, `response` evaluates both as float64
+arrays, over their broadcast shape. A float evaluation executes numpy only in
+the Lorentzian's underflow fallback. Over an array, every part is a fresh
+array, which the caller may overwrite.
 """
 
 from __future__ import annotations
@@ -51,11 +57,27 @@ def _check_omega(omega, base) -> None:
 
 
 class _Projections:
-    """index, index_change and dindex_domega, each one part of the profile's
-    fused `response`, so that each formula is written once; the first two
-    take the response without its slope."""
+    """The checked `response`, and index, index_change and dindex_domega,
+    each one part of it, so that each formula is written once; the first
+    two take the response without its slope."""
 
     __slots__ = ()
+
+    def response(self, omega, base, slope=True):
+        """(n(omega), n(omega) - n(base), dn/domega) of the profile's
+        `_response`, or the first two where `slope` is false, once omega
+        and base are checked positive.
+
+        Where either is an array, both are taken as float64 arrays, and an
+        array base widens omega to their broadcast shape, so that every part
+        has that shape and dtype.
+        """
+        _check_omega(omega, base)
+        if not (isinstance(omega, float) and isinstance(base, float)) and (np.ndim(omega) or np.ndim(base)):
+            omega, base = np.asarray(omega, float), np.asarray(base, float)
+            if base.ndim:
+                omega = np.broadcast_arrays(omega, base)[0]
+        return self._response(omega, base, slope)
 
     def index(self, omega):
         return self.response(omega, omega, slope=False)[0]
@@ -95,7 +117,7 @@ class LorentzianAbsorptive(_Projections):
         g = self.half_linewidth
         object.__setattr__(self, "_nag_gg", (-self.strength * g, g * g))
 
-    def response(self, omega, base, slope=True):
+    def _response(self, omega, base, slope=True):
         """(n(omega), n(omega) - n(base), dn/domega), sharing x = omega - wc
         and G^2 + x^2; without the slope where `slope` is false.
 
@@ -105,9 +127,9 @@ class LorentzianAbsorptive(_Projections):
         small difference never comes from cancelling two near-equal values.
         Both are built in steps that work on a float and, in place, on the
         arrays that x and G^2 + x^2 are; negation is exact, so each step
-        rounds as the formula's own operation does. Since the change is
-        built in x's array, an array base has omega's shape, and the change
-        takes x's type.
+        rounds as the formula's own operation does. The change is built in
+        x's array, so an array omega must already have the float dtype and
+        the broadcast shape with base that `response` gives it.
 
         A float division by zero is handled where it is raised, so no
         evaluation pays a check for it: G^2 + x^2 is G^2 at the line centre,
@@ -115,7 +137,6 @@ class LorentzianAbsorptive(_Projections):
         the parts that divide by it take the inf or nan that numpy's floats,
         and an array, give there, and the index keeps its value.
         """
-        _check_omega(omega, base)
         # -A*G and wc - base = -xb, so that adding a negated term rounds as
         # the formula's subtraction does
         nag, gg = self._nag_gg
@@ -145,7 +166,7 @@ class LorentzianAbsorptive(_Projections):
                     f"underflows to 0 at the line centre (G = {self.half_linewidth:.3g} rad/s)"
                 ) from None
         with np.errstate(divide="ignore", invalid="ignore"):
-            return tuple(float(part) for part in self.response(np.float64(omega), np.float64(base), slope))
+            return tuple(float(part) for part in self._response(np.float64(omega), np.float64(base), slope))
 
     def taylor(self) -> TaylorCubic:
         """Exact third-order series about the line center: n1 = -A/G, n3 = A/G^3.
@@ -185,10 +206,9 @@ class TaylorCubic(_Projections, namedtuple("TaylorCubic", "n0 n1 n3 omega_ref"))
             raise ValueError("reference frequency must be positive")
         return super().__new__(cls, n0, n1, n3, omega_ref)
 
-    def response(self, omega, base, slope=True):
+    def _response(self, omega, base, slope=True):
         """(n(omega), n(omega) - n(base), dn/domega), sharing d = omega - omega_ref;
         without the slope where `slope` is false."""
-        _check_omega(omega, base)
         n1, n3 = self.n1, self.n3
         d = omega - self.omega_ref
         db = base - self.omega_ref

@@ -21,10 +21,13 @@ background segment of the loop.
 
 Each public call binds its medium and cavity once into a `_RoundTrip`
 kernel, which reads the cavity's constants and the path-averaged cubic's
-coefficients once, as floats, and takes Psi from one `response` of the
-medium per evaluation: at a float for a Newton step with the slope, over
-the samples of a scan pass without it. A scan pass holds grids of one
-point count as the rows of one array, and builds Psi and T in place, in
+coefficients once, as floats, and takes Psi from one unchecked `_response`
+of the medium per evaluation: at a float for a Newton step with the slope,
+over the samples of a scan pass without it. Frequencies are checked once,
+at the boundary: `transmission` and `measure_fwhm` check the ones their
+caller gives, and every other frequency the kernel evaluates lies in a grid
+or a window that this module keeps above zero. A scan pass holds grids of
+one point count as the rows of one array, and builds Psi and T in place, in
 arrays of its own, never in the samples. A sweep's grid for one shift is a
 row (delta_length, centre, half_span), with no value type: its per-shift
 steps, the shift and width estimates, the row's refusals and the locate
@@ -39,7 +42,7 @@ from collections import namedtuple
 
 from ._numpy import np
 from .constants import C0
-from .dispersion import DispersionProfile
+from .dispersion import DispersionProfile, _check_omega
 from .errors import ComputationError
 from .resonator import (
     RingCavity,
@@ -117,13 +120,22 @@ class _RoundTrip:
 
     `sweep_enhancement`, `trace`, `auto_grid`, `find_resonance`,
     `measure_fwhm` and `transmission` each bind one per call. Every Psi
-    takes one `response` of the medium, at a float (`psi_and_slope`) with
+    takes one response of the medium, at a float (`psi_and_slope`) with
     the slope and over an array (`psi_array`) without it, and runs the
     expression of the module docstring in the same order, so the two agree
     bitwise. The arrays a call builds belong to that call alone.
     `taylor` is the medium's `effective_taylor` (None where that refuses
     it), and `airy` its `airy_linewidth_cubic` (None where that has no
     root), which does not depend on the shift.
+
+    The response is the medium's unchecked `_response`, so each frequency
+    evaluated here must already be above zero, and one guard bounds each:
+    the public `transmission` and `measure_fwhm` check the frequencies
+    their caller gives; `SweepGrid` and `_checked_grid` keep a scan's
+    samples above zero, and a root between two of them stays inside that
+    bracket; `_in_window` is tested before each Newton step of the shift
+    estimate and each probe of the FWHM bracket, whose root stays between
+    the resonance and a probe or two probes. The base is always omega0.
 
     A sweep's per-shift steps read only the floats bound here, no value
     type: L and omega0 for `RingCavity`'s length-for-shift conversions,
@@ -139,7 +151,7 @@ class _RoundTrip:
 
     def __init__(self, profile: DispersionProfile, cavity: RingCavity):
         length, fill, nb = cavity.round_trip_length, cavity.fill_fraction, cavity.n0
-        self.response = profile.response
+        self.response = profile._response
         self.omega0 = cavity.omega0
         self.length, self.nb, self.fill = length, nb, fill
         # the factors fill*L and (1 - fill)*L*n_b of Psi*c0, and the
@@ -200,7 +212,7 @@ class _RoundTrip:
         psi *= self.medium
         delta *= self.background
         psi += delta
-        np.multiply(np.array([self.nb * dl for dl in delta_lengths])[:, None], omega, out=n_at)
+        np.multiply(np.multiply(self.nb, delta_lengths)[:, None], omega, out=n_at)
         psi += n_at
         psi /= C0
         return psi
@@ -224,6 +236,7 @@ def transmission(profile: DispersionProfile, cavity: RingCavity, delta_length: f
     """
     rt = _RoundTrip(profile, cavity)
     omega = np.asarray(omega, dtype=float)
+    _check_omega(omega, rt.omega0)
     return rt.transmission(rt.psi_array(omega.reshape(1, -1), [delta_length])).reshape(omega.shape)[()]
 
 
@@ -433,10 +446,11 @@ def _width_estimate(rt: _RoundTrip, shift: float) -> float:
 
 def _in_window(omega: float, centre: float, limit: float) -> bool:
     """Whether the shift estimate or the FWHM bracket may evaluate Psi at
-    omega: a finite frequency above zero, within `limit` of `centre` (omega0
-    or the resonance). Once the free spectral range exceeds about 2.9
-    omega0, the estimate's 0.35 share of it reaches below zero, where the
-    medium has no index; so can ten width estimates of a line that wide."""
+    omega, tested once before each of their evaluations: a finite frequency
+    above zero, within `limit` of `centre` (omega0 or the resonance). Once
+    the free spectral range exceeds about 2.9 omega0, the estimate's 0.35
+    share of it reaches below zero, where the medium has no index; so can
+    ten width estimates of a line that wide."""
     return 0.0 < omega < math.inf and abs(omega - centre) <= limit
 
 
@@ -462,9 +476,9 @@ def _shift_estimate(rt: _RoundTrip, delta_length: float) -> float:
     omega = omega0 + seed
     best = seed
     limit = 0.35 * rt.fsr
+    if not _in_window(omega, omega0, limit):
+        return best
     for i in range(60):
-        if not _in_window(omega, omega0, limit):
-            return best
         f, fp = psi_and_slope(delta_length, omega)
         if i == 0 and not (math.isfinite(f) and math.isfinite(fp)):
             raise ComputationError(
@@ -475,8 +489,9 @@ def _shift_estimate(rt: _RoundTrip, delta_length: float) -> float:
             return best
         step = f / fp
         omega -= step
-        if _in_window(omega, omega0, limit):
-            best = omega - omega0
+        if not _in_window(omega, omega0, limit):
+            return best
+        best = omega - omega0
         if abs(step) <= 1e-12 * abs(omega):
             break
     return best
@@ -588,7 +603,10 @@ def measure_fwhm(
     index), then solves Psi = 2*pi*m +- 2*asin(sqrt(s_half)) there, with the
     sign Psi takes at the bracket's outer end.
     """
-    return _measure_fwhm(_RoundTrip(profile, cavity), delta_length, float(resonance))
+    rt = _RoundTrip(profile, cavity)
+    resonance = float(resonance)
+    _check_omega(resonance, rt.omega0)
+    return _measure_fwhm(rt, delta_length, resonance)
 
 
 def _measure_fwhm(rt: _RoundTrip, delta_length: float, resonance: float) -> float:
@@ -598,9 +616,11 @@ def _measure_fwhm(rt: _RoundTrip, delta_length: float, resonance: float) -> floa
     psi_and_slope = rt.psi_and_slope
 
     def psi_at(u: float) -> tuple[float, float]:
-        # (the offset actually evaluated, Psi there); the subtraction is
-        # exact since omega and resonance are close
+        # (the offset actually evaluated, Psi there), refused outside the
+        # window; the subtraction is exact since omega and resonance are close
         omega = resonance + u
+        if not _in_window(omega, resonance, 10.0 * estimate):
+            raise ComputationError("half-maximum crossing not bracketed within ten width estimates")
         return omega - resonance, psi_and_slope(delta_length, omega)[0]
 
     psi_res = psi_and_slope(delta_length, resonance)[0]
@@ -615,10 +635,6 @@ def _measure_fwhm(rt: _RoundTrip, delta_length: float, resonance: float) -> floa
         while math.sin(0.5 * psi) ** 2 < s_half:
             lo, psi_lo = at, psi
             hi *= 1.6
-            if not _in_window(resonance + side * hi, resonance, 10.0 * estimate):
-                raise ComputationError(
-                    "half-maximum crossing not bracketed within ten width estimates"
-                )
             at, psi = psi_at(side * hi)
         target = order + math.copysign(2.0 * math.asin(math.sqrt(s_half)), psi - order)
         off = _psi_root(rt, delta_length, resonance, target, lo, psi_lo, at, psi, 1e-9 * estimate)
@@ -724,10 +740,7 @@ def sweep_enhancement(
                 resonances.append(_locate_resonance(rt, dl, half_span, _SWEEP_POINTS, near))
     return [
         EnhancementSample(
-            dw_ec=dw,
-            eta_numeric=(resonance - rt.omega0) / dw,
-            eta_analytic_derived=enhancement_eta(g, dw, "derived"),
-            eta_analytic_paper=enhancement_eta(g, dw, "paper"),
+            dw, (resonance - rt.omega0) / dw, enhancement_eta(g, dw, "derived"), enhancement_eta(g, dw, "paper")
         )
         for dw, resonance in zip(values, resonances)
     ]

@@ -214,7 +214,7 @@ MUTANTS = (
     Mutant(
         "half-maximum-bracket-steps-to-zero-frequency",
         SPECTRUM,
-        (("            if not _in_window(resonance + side * hi, resonance, 10.0 * estimate):\n", "            if hi > 10.0 * estimate:\n"),),
+        (("        if not _in_window(omega, resonance, 10.0 * estimate):\n", "        if abs(u) > 10.0 * estimate:\n"),),
         f"{TEST_SPECTRUM}::test_a_half_maximum_search_stays_above_zero_frequency",
     ),
     Mutant(
@@ -368,7 +368,7 @@ MUTANTS = (
     Mutant(
         "every-row-given-the-first-rows-length-change",
         SPECTRUM,
-        (("np.multiply(np.array([self.nb * dl for dl in delta_lengths])[:, None], omega,", "np.multiply(self.nb * delta_lengths[0], omega,"),),
+        (("np.multiply(np.multiply(self.nb, delta_lengths)[:, None], omega,", "np.multiply(self.nb * delta_lengths[0], omega,"),),
         f"{TEST_SPECTRUM}::test_bound_kernel_and_scan_equal_three_profile_calls_bit_for_bit",
     ),
     Mutant(
@@ -382,6 +382,30 @@ MUTANTS = (
         "src/fastlight/dispersion.py",
         (("np.fmin.reduce(np.asarray(v, float),", "np.fmin.reduce(v,"),),
         "tests/test_dispersion.py::test_int_frequencies_evaluate_as_their_floats",
+    ),
+    Mutant(
+        "response-skips-the-shared-check",
+        "src/fastlight/dispersion.py",
+        (("        _check_omega(omega, base)\n        if not", "        if not"),),
+        f"{TEST_SPECTRUM}::test_public_entry_points_refuse_a_frequency_that_is_not_positive",
+    ),
+    Mutant(
+        "transmission-skips-its-frequency-check",
+        SPECTRUM,
+        (("    _check_omega(omega, rt.omega0)\n", ""),),
+        f"{TEST_SPECTRUM}::test_public_entry_points_refuse_a_frequency_that_is_not_positive",
+    ),
+    Mutant(
+        "measure-fwhm-skips-its-resonance-check",
+        SPECTRUM,
+        (("    _check_omega(resonance, rt.omega0)\n", ""),),
+        f"{TEST_SPECTRUM}::test_public_entry_points_refuse_a_frequency_that_is_not_positive",
+    ),
+    Mutant(
+        "shift-estimate-keeps-a-step-outside-the-window",
+        SPECTRUM,
+        (("        if not _in_window(omega, omega0, limit):\n            return best\n        best = omega - omega0\n", "        best = omega - omega0\n"),),
+        f"{TEST_SPECTRUM}::test_a_shift_estimate_stays_above_zero_frequency",
     ),
     Mutant(
         "psi-built-in-the-sample-buffer",
@@ -404,7 +428,7 @@ MUTANTS = (
     Mutant(
         "eta-as-a-product-with-the-reciprocal-shift",
         SPECTRUM,
-        (("eta_numeric=(resonance - rt.omega0) / dw,", "eta_numeric=(resonance - rt.omega0) * (1.0 / dw),"),),
+        (("dw, (resonance - rt.omega0) / dw,", "dw, (resonance - rt.omega0) * (1.0 / dw),"),),
         "tests/test_golden.py::test_sweeps_match_their_digests",
     ),
     Mutant(

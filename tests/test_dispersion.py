@@ -226,6 +226,24 @@ def test_int_frequencies_evaluate_as_their_floats():
                 bad()
 
 
+def test_an_array_evaluation_broadcasts_and_takes_float64():
+    # `response` hands the formulas both frequencies as float64 arrays, omega
+    # widened to their broadcast shape: a (5,) omega against a (2, 1) base
+    # gives the (2, 5) of float calls, and a float32 omega a float64 change
+    omega = W0 + G * np.linspace(-2.0, 2.0, 5)
+    base = W0 + G * np.array([[0.5], [-1.0]])
+    for profile in (LorentzianAbsorptive(2.0e-9, G, W0), TaylorCubic(1.0, -1e-16, 1e-30, W0)):
+        change = profile.index_change(omega, base)
+        assert change.shape == (2, 5) and change.dtype == np.float64
+        assert change.tolist() == [[profile.index_change(w, b) for w in omega.tolist()] for b in base[:, 0].tolist()]
+        for part in profile.response(omega, base):
+            assert part.shape == (2, 5)
+        narrow = omega.astype(np.float32)
+        change = profile.index_change(narrow, base)
+        assert change.dtype == np.float64
+        assert np.array_equal(change, profile.index_change(narrow.astype(float), base))
+
+
 def test_an_underflowing_line_centre_is_named():
     # G^2 + x^2 underflows to 0 at the line centre; the refusal names the
     # line width where it first divides, and the line still evaluates away

@@ -160,21 +160,22 @@ def test_scalar_dephasing_and_slope_match_the_array_path_bitwise(profile):
 
 @dataclass(frozen=True)
 class CountingLorentzian(LorentzianAbsorptive):
-    """A Lorentzian that counts its fused evaluations, `response`, which
-    `index`, `index_change` and `dindex_domega` also go through, at a float
-    and over an array, with the slope or, as a scan pass takes it, without."""
+    """A Lorentzian that counts its fused evaluations, `_response`, which
+    the round-trip kernel calls and `response`, `index`, `index_change` and
+    `dindex_domega` also go through, at a float and over an array, with the
+    slope or, as a scan pass takes it, without."""
 
     calls: Counter = field(default_factory=Counter, compare=False)
     scalar: list = field(default_factory=list, compare=False)  # (omega, base)
 
-    def response(self, omega, base, slope=True):
+    def _response(self, omega, base, slope=True):
         if np.ndim(omega) == 0:
             self.calls["response"] += 1
             self.scalar.append((float(omega), float(base)))
         else:
             self.calls["array response"] += 1
             self.calls["array response points"] += int(np.size(omega))
-        return super().response(omega, base, slope)
+        return super()._response(omega, base, slope)
 
 
 @pytest.mark.parametrize("dw_ec", [0.0, 1e-6 * G, 1e-3 * G, 1e-1 * G])
@@ -866,16 +867,35 @@ def test_a_sweep_row_is_refused_as_its_grid_was(radius, finesse, line, error, me
         sweep_enhancement(cad_tune(line, W0), cav, [line * 10.0 ** -k for k in range(4, -1, -1)])
 
 
+@dataclass(frozen=True)
+class RecordingLorentzian(LorentzianAbsorptive):
+    """A Lorentzian that records, for each unchecked evaluation, the least
+    frequency it is given (NaN if any is NaN) and its base."""
+
+    seen: list = field(default_factory=list, compare=False)
+
+    def _response(self, omega, base, slope=True):
+        self.seen.append((float(np.min(omega)), base))
+        return super()._response(omega, base, slope)
+
+
+def recording(profile: LorentzianAbsorptive) -> RecordingLorentzian:
+    return RecordingLorentzian(profile.strength, profile.half_linewidth, profile.center)
+
+
 def test_a_shift_estimate_stays_above_zero_frequency():
     # a ring of 4 nm: its free spectral range is 450 omega0, so the shift
     # estimate's window of 0.35 of it reaches far below zero frequency. A
     # Newton step that lands there leaves the window, as one beyond it does,
-    # so the medium never sees a frequency that is not positive and the
-    # sweep ends with the scan's own refusal, not the medium's ValueError
+    # so the medium, which the kernel evaluates unchecked, never sees a
+    # frequency that is not positive, and the sweep ends with the scan's
+    # own refusal
     w0, g, d = 164196591697531.03, 426990841642454.6, 5.886135894888685
     cav = RingCavity(geometry=LoopGeometry.circular(4.081598016040356e-09), finesse=68444787.51595391, omega0=w0)
+    profile = recording(cad_tune(g, w0))
     with pytest.raises(ComputationError, match="^transmission maximum sits on the grid edge"):
-        sweep_enhancement(cad_tune(g, w0), cav, [g * 10.0 ** (-d + d * k / 4) for k in range(4)])
+        sweep_enhancement(profile, cav, [g * 10.0 ** (-d + d * k / 4) for k in range(4)])
+    assert profile.seen and min(least for least, _ in profile.seen) > 0.0
 
 
 def test_a_half_maximum_search_stays_above_zero_frequency():
@@ -883,11 +903,29 @@ def test_a_half_maximum_search_stays_above_zero_frequency():
     # range is 61 omega0 and its width estimate 0.16 omega0, so ten width
     # estimates below the resonance reach below zero frequency. The FWHM
     # bracket stops there, as beyond ten estimates, and the trace ends with
-    # that refusal, not the medium's ValueError
+    # that refusal, having evaluated the medium above zero frequency only
     w0 = 3.0453349160942296e16
     cav = RingCavity(geometry=LoopGeometry.circular(1.6245073675634547e-10), finesse=31.17147431137849, omega0=w0)
+    profile = recording(cad_tune(692982567436191.4, w0))
     with pytest.raises(ComputationError, match="^half-maximum crossing not bracketed within ten width estimates$"):
-        trace(cad_tune(692982567436191.4, w0), cav, cav.length_for_shift(12654929.88338659))
+        trace(profile, cav, cav.length_for_shift(12654929.88338659))
+    assert profile.seen and min(least for least, _ in profile.seen) > 0.0
+
+
+def test_a_half_maximum_search_tests_its_first_probe_too(monkeypatch):
+    # a vacuum ring whose width estimate is five times omega0: the first
+    # probe below a resonance at omega0/2 already lies below zero frequency,
+    # and the bracket refuses it as it refuses the later probes, before the
+    # medium is evaluated there
+    w0 = 1e12
+    cav = RingCavity(geometry=LoopGeometry.circular(C0 / (100.0 * w0)), finesse=20.0, omega0=w0)
+    assert cav.gamma_ec == pytest.approx(5.0 * w0)
+    seen = []
+    kernel = spectrum._RoundTrip.psi_and_slope
+    monkeypatch.setattr(spectrum._RoundTrip, "psi_and_slope", lambda rt, dl, omega: seen.append(omega) or kernel(rt, dl, omega))
+    with pytest.raises(ComputationError, match="^half-maximum crossing not bracketed within ten width estimates$"):
+        measure_fwhm(TaylorCubic(1.0, 0.0, 0.0, w0), cav, 0.0, 0.5 * w0)
+    assert max(seen) > 0.5 * w0 and min(seen) > 0.0
 
 
 @st.composite
@@ -905,6 +943,52 @@ def extreme_cad_cases(draw):
     decades = 4.0 + 5.0 * draw(unit)
     shifts = [g * 10.0 ** (-decades * k / 8.0) for k in range(8, -1, -1)]
     return w0, radius, finesse, g, shifts, draw(st.sampled_from(shifts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=extreme_cad_cases())
+@example(case=(
+    3.0453349160942296e16, 1.6245073675634547e-10, 31.17147431137849, 692982567436191.4,
+    [692982567436191.4 * 10.0 ** -k for k in range(4, -1, -1)], 12654929.88338659,
+))
+@example(case=(W0, C0 / 1e17, 100.0, 1e15, [1e15 * 10.0 ** -k for k in range(4, -1, -1)], 1e13))
+def test_every_frequency_the_kernel_evaluates_is_above_zero(case):
+    # the round-trip kernel evaluates its medium unchecked: the window of
+    # the shift estimate and of the FWHM bracket, the grid refusals and the
+    # root brackets keep every frequency a sweep or a trace hands it above
+    # zero, against the cavity's resonance
+    w0, radius, finesse, g, shifts, traced = case
+    profile = recording(cad_tune(g, w0))
+    cav = RingCavity(geometry=LoopGeometry.circular(radius), finesse=finesse, omega0=w0)
+    for run in (lambda: sweep_enhancement(profile, cav, shifts), lambda: trace(profile, cav, cav.length_for_shift(traced))):
+        try:
+            run()
+        except ComputationError as exc:
+            event(f"refused: {str(exc)[:40]}")
+    for least, base in profile.seen:
+        assert least > 0.0 and base == w0
+
+
+def test_public_entry_points_refuse_a_frequency_that_is_not_positive():
+    # the kernel trusts its frequencies, so each public call that takes a
+    # caller's frequency checks it, with the medium's own refusal
+    cav = cad_cavity(1e-2)
+    for profile in (cad_tune(G, W0), cad_tune(G, W0).taylor()):
+        for bad in (0.0, -1.0):
+            for call in (
+                lambda: profile.response(bad, W0),
+                lambda: profile.response(W0, bad),
+                lambda: profile.index(bad),
+                lambda: profile.index_change(bad, W0),
+                lambda: profile.index_change(np.array([W0, bad]), W0),
+                lambda: profile.dindex_domega(bad),
+                lambda: group_index(profile, bad),
+                lambda: transmission(profile, cav, 0.0, bad),
+                lambda: transmission(profile, cav, 0.0, [W0, bad]),
+                lambda: measure_fwhm(profile, cav, 0.0, bad),
+            ):
+                with pytest.raises(ValueError, match="^optical frequency must be positive$"):
+                    call()
 
 
 @settings(max_examples=200, deadline=None)
