@@ -19,8 +19,8 @@ n_g(wc) hits a target (zero for critically anomalous dispersion) is what
 Each profile evaluates n(w), n(w) - n(base) and dn/dw together in
 `_response`, which computes their shared terms once and checks nothing.
 The one public `response`, shared by both profiles, checks that omega and
-base are positive and then calls it; `index`, `index_change` and
-`dindex_domega` are its parts. With `slope=False` it gives n(w) and
+base are positive (NaN is not) and then calls it; `index`, `index_change`
+and `dindex_domega` are its parts. With `slope=False` it gives n(w) and
 n(w) - n(base) alone: the evaluation a transmission scan takes over its
 samples, and the one the two parts without the slope take. A caller that
 keeps its own frequencies above zero, as `spectrum`'s round-trip kernel
@@ -44,14 +44,13 @@ from .errors import ComputationError
 
 
 def _check_omega(omega, base) -> None:
-    # Python and numpy float scalars skip the array round trip; like the
-    # array test, the comparison lets NaN through. An array is read once, as
-    # floats (an int array cannot hold the initial inf), for its least
-    # value, which fmin takes passing over NaN.
+    # Python and numpy float scalars skip the array test. Both tests ask
+    # that every value be above zero, so NaN is refused as zero is; an
+    # empty array passes.
     if isinstance(omega, float) and isinstance(base, float):
-        bad = omega <= 0.0 or base <= 0.0
+        bad = not (omega > 0.0 and base > 0.0)
     else:
-        bad = min(np.fmin.reduce(np.asarray(v, float), axis=None, initial=math.inf) for v in (omega, base)) <= 0.0
+        bad = not all(np.all(np.greater(v, 0.0)) for v in (omega, base))
     if bad:
         raise ValueError("optical frequency must be positive")
 

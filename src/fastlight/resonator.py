@@ -34,6 +34,8 @@ the Airy transmission model actually produces for a full width (the half-max
 detuning is g/2, so the cubic term picks up 1/8 against a half-width budget of
 1/2). The two agree in the linear regime and differ by exactly 2^(2/3) at the
 white-light point; keeping both surfaces the discrepancy instead of hiding it.
+The linear regime is the same cubic with n3 = 0, solved by the same polish,
+whose a = 0 case is gamma_ec/n_g: every width here is a root of one solver.
 """
 
 from __future__ import annotations
@@ -123,7 +125,8 @@ class ShiftedLinewidth(namedtuple("ShiftedLinewidth", "gamma_dis local_ng from_c
     """Linewidth at a displaced resonance, from the local group index.
 
     `local_ng` is the group index there over the background index, as in
-    `effective_taylor`. `gamma_dis` is gamma_ec/local_ng, unless
+    `effective_taylor`. `gamma_dis` is the linear width gamma_ec/local_ng,
+    the root of the linewidth cubic without its cubic term, unless
     `from_cubic` (False by default) says it is the `linewidth_cubic` root.
     """
 
@@ -298,20 +301,6 @@ def enhancement_eta(half_linewidth: float, dw_ec: float, convention: str = "deri
 # --------------------------------------------------------------------------
 
 
-def linewidth_linear(gamma_ec: float, n_g: float) -> float:
-    """Linear-regime linewidth gamma_dis = gamma_ec / n_g."""
-    if gamma_ec <= 0.0:
-        raise ValueError("empty-cavity linewidth must be positive")
-    if n_g == 0.0:
-        raise ComputationError(
-            "group index is zero: the linear linewidth diverges at the "
-            "critically anomalous dispersion point, use linewidth_cubic"
-        )
-    if n_g < 0.0:
-        raise ComputationError("negative group index has no linear linewidth")
-    return gamma_ec / n_g
-
-
 def _width_below_omega0(gamma: float, taylor: TaylorCubic) -> float:
     # a finite width of omega0 or more lies outside the expansion about the
     # resonance, as a shift does in `shift_cubic`; one that overflows to inf
@@ -327,11 +316,11 @@ def _width_below_omega0(gamma: float, taylor: TaylorCubic) -> float:
 def _positive_linewidth_root(a: float, b: float, gamma_ec: float) -> float:
     if gamma_ec <= 0.0:
         raise ValueError("empty-cavity linewidth must be positive")
-    if a == 0.0:
-        return linewidth_linear(gamma_ec, b)
-    # a < 0: the continuous root is the smaller of two positive roots, which
-    # continues from the linear regime; a > 0 with three real roots (b < 0):
-    # it is negative, and the width is the largest root
+    # a = 0: the linear width gamma_ec/b, refused where b is not positive or
+    # so large that the width underflows to zero; a < 0: the continuous root
+    # is the smaller of two positive roots, which continues from the linear
+    # regime; a > 0 with three real roots (b < 0): it is negative, and the
+    # width is the largest root
     root = _continuous_root(a, b, gamma_ec, largest=a > 0.0)[0]
     if root <= 0.0:
         raise ComputationError("no positive linewidth root for these coefficients")
@@ -342,7 +331,10 @@ def linewidth_cubic(gamma_ec: float, taylor: TaylorCubic) -> float:
     """Self-consistent linewidth in the printed convention.
 
     Positive root of n3*w0 * g^3 + n_g * g = gamma_ec; at n_g = 0 this is
-    (G^2 * gamma_ec)^(1/3) for the tuned Lorentzian coefficients.
+    (G^2 * gamma_ec)^(1/3) for the tuned Lorentzian coefficients. With
+    n3 = 0 it is the linear width gamma_ec/n_g, bit for bit, and a width
+    that is not positive (n_g <= 0, or gamma_ec/n_g underflowing to zero)
+    is refused, as every other root that is not.
 
     Domain: that of `shift_cubic`, so a finite root of w0 or more is
     refused, naming it; so is every width of `airy_linewidth_cubic`,
@@ -375,16 +367,18 @@ def shifted_linewidth(gamma_ec: float, taylor: TaylorCubic, dw_dis: float) -> Sh
     """Linewidth at a resonance displaced by dw_dis from the expansion point.
 
     Evaluates the local group index n_g(w0 + dw_dis) = n_g(w0) + 3*n3*w0*dw_dis^2
-    and returns gamma_ec over it. Where it is not positive (at the white-light
-    point, or on a branch `shift_cubic` names by a negative slope) the width
-    is the `linewidth_cubic` root instead, with `from_cubic` set.
+    and returns the linear width gamma_ec over it, the root of the linewidth
+    cubic without its cubic term. Where it is not positive (at the
+    white-light point, or on a branch `shift_cubic` names by a negative
+    slope) the width is the `linewidth_cubic` root instead, with
+    `from_cubic` set.
     """
-    if gamma_ec <= 0.0:
-        raise ValueError("empty-cavity linewidth must be positive")
     local_ng = taylor.local_ng(dw_dis)
     if local_ng <= 0.0:
         return ShiftedLinewidth(linewidth_cubic(gamma_ec, taylor), local_ng, from_cubic=True)
-    return ShiftedLinewidth(_width_below_omega0(gamma_ec / local_ng, taylor), local_ng)
+    return ShiftedLinewidth(
+        _width_below_omega0(_positive_linewidth_root(0.0, local_ng, gamma_ec), taylor), local_ng
+    )
 
 
 def feedback_gain(taylor: TaylorCubic) -> float:
@@ -442,7 +436,8 @@ def rotation_response(profile: DispersionProfile, cavity: RingCavity, omega_rot:
     applies the per-direction correction factors n(w0)/n(w0 + dw), and
     assembles the splitting and the linewidth at the displaced resonances.
     At rest the shifts are zero and the width is the `linewidth_cubic` root,
-    or the linear width where that has none.
+    or, where that has none, the linear width: the same root without the
+    cubic term.
 
     Domain: that of `shift_cubic` in each direction, |shift| < omega0, so
     every displaced resonance sits at a positive frequency, where the
@@ -458,7 +453,7 @@ def rotation_response(profile: DispersionProfile, cavity: RingCavity, omega_rot:
         try:
             gamma, from_cubic = _positive_linewidth_root(t.n3 * t.omega_ref, t.ng0, cavity.gamma_ec), True
         except ComputationError:
-            gamma, from_cubic = linewidth_linear(cavity.gamma_ec, t.ng0), False
+            gamma, from_cubic = _positive_linewidth_root(0.0, t.ng0, cavity.gamma_ec), False
         return ShiftResult(0.0, 0.0, 0.0, ShiftedLinewidth(_width_below_omega0(gamma, t), t.ng0, from_cubic))
 
     raw_minus = shift_cubic(base.dw_minus, t)

@@ -73,10 +73,6 @@ class SweepGrid(namedtuple("SweepGrid", "center half_span points")):
     def omegas(self) -> np.ndarray:
         return _sample_rows([self.center], [self.half_span], self.points)[0]
 
-    @property
-    def resolution(self) -> float:
-        return _step(self.half_span, self.points)
-
 
 def _above_zero(center: float, half_span: float, error: type = ValueError) -> None:
     """Refuse a grid whose centre is not positive or whose span reaches

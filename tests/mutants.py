@@ -194,6 +194,23 @@ MUTANTS = (
         "tests/test_resonator.py::test_every_width_of_omega0_or_more_is_refused",
     ),
     Mutant(
+        "at-rest-linear-width-keeps-the-cubic-term",
+        RESONATOR,
+        (
+            (
+                "gamma, from_cubic = _positive_linewidth_root(0.0, t.ng0, cavity.gamma_ec), False",
+                "gamma, from_cubic = _positive_linewidth_root(t.n3 * t.omega_ref, t.ng0, cavity.gamma_ec), False",
+            ),
+        ),
+        "tests/test_resonator.py::test_rotation_response_at_rest_beyond_the_fold_takes_the_linear_width",
+    ),
+    Mutant(
+        "shifted-width-divides-without-the-solver",
+        RESONATOR,
+        (("_width_below_omega0(_positive_linewidth_root(0.0, local_ng, gamma_ec), taylor)", "_width_below_omega0(gamma_ec / local_ng, taylor)"),),
+        "tests/test_resonator.py::test_a_linear_width_that_is_zero_is_refused",
+    ),
+    Mutant(
         "sweep-grid-step-below-the-spacing-of-doubles-not-refused",
         SPECTRUM,
         (("        if _step(half_span, points) < math.ulp(center + half_span):\n", "        if False:\n"),),
@@ -378,10 +395,22 @@ MUTANTS = (
         "tests/test_dispersion.py::test_fused_response_equals_each_formula_alone_bitwise",
     ),
     Mutant(
-        "positivity-reduced-in-the-input-type",
+        "response-evaluates-in-the-input-type",
         "src/fastlight/dispersion.py",
-        (("np.fmin.reduce(np.asarray(v, float),", "np.fmin.reduce(v,"),),
-        "tests/test_dispersion.py::test_int_frequencies_evaluate_as_their_floats",
+        (("omega, base = np.asarray(omega, float), np.asarray(base, float)", "omega, base = np.asarray(omega), np.asarray(base)"),),
+        "tests/test_dispersion.py::test_an_array_evaluation_broadcasts_and_takes_float64",
+    ),
+    Mutant(
+        "nan-frequency-passes-the-public-check",
+        "src/fastlight/dispersion.py",
+        (("        bad = not (omega > 0.0 and base > 0.0)\n", "        bad = omega <= 0.0 or base <= 0.0\n"),),
+        f"{TEST_SPECTRUM}::test_public_entry_points_refuse_a_frequency_that_is_not_positive",
+    ),
+    Mutant(
+        "nan-in-an-array-passes-the-public-check",
+        "src/fastlight/dispersion.py",
+        (("np.all(np.greater(v, 0.0))", "not np.any(np.less_equal(v, 0.0))"),),
+        f"{TEST_SPECTRUM}::test_public_entry_points_refuse_a_frequency_that_is_not_positive",
     ),
     Mutant(
         "response-skips-the-shared-check",

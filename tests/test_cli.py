@@ -475,6 +475,40 @@ def test_a_width_beyond_omega0_is_named(tmp_path, capsys, command):
     )
 
 
+def test_linewidth_notes_an_airy_width_that_reaches_omega0(tmp_path, capsys):
+    # at n_g = 0 the Airy root is 4^(1/3) times the cubic root: a line this
+    # broad puts gamma_dis, 2.51e15 rad/s, below omega0 = 3.14e15 rad/s and
+    # the Airy root past it, so `linewidth` leaves the Airy width out with a
+    # note and exits 0
+    path = edited(tmp_path, TABLETOP, CAD_LINES, "medium = cad\nmedium_linewidth_fwhm_hz = 7.3e19")
+    path = edited(tmp_path, path, "rotation_rate_rad_s = 7.2921159e-5", "rotation_rate_rad_s = 0")
+    code, out, err = run(capsys, "linewidth", "--scenario", path)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-2:] == [
+        "gamma_dis = 2.50758264306e+15 rad/s  [positive root of n3*w0*g^3 + n_g*g = gamma_ec]",
+        "airy linewidth unavailable for these coefficients",
+    ]
+    assert "gamma_dis_airy" not in out
+
+
+@pytest.mark.parametrize("command", ["linewidth", "shift", "split"])
+@pytest.mark.parametrize(
+    "frequency_hz, n1, refusal",
+    [
+        ("5.0e14", "-1e-15", "no positive linewidth root for these coefficients"),
+        # w0 = 2^50 rad/s and n1 = -2^-50 s/rad: n_g is 0.0 exactly
+        ("179192535600708.1", "-8.881784197001252e-16", "degenerate response: no linear or cubic term"),
+    ],
+    ids=["negative", "zero"],
+)
+def test_a_linear_medium_without_a_positive_group_index_has_no_width(tmp_path, capsys, command, frequency_hz, n1, refusal):
+    # without a cubic term the width is gamma_ec/n_g, the linewidth cubic's
+    # root at n3 = 0, refused where n_g is not positive
+    path = edited(tmp_path, TABLETOP, CAD_LINES, f"medium = linear\nmedium_index = 1.0\nmedium_n1_s_per_rad = {n1}")
+    path = edited(tmp_path, path, "frequency_hz = 5.0e14", f"frequency_hz = {frequency_hz}")
+    assert run(capsys, command, "--scenario", path) == (3, "", f"computation error: {refusal}\n")
+
+
 ROTATION_SCALE_UNDERFLOWS = (
     "the rotation scale (w0/(c0*n0))*2*A/P underflows to 0 for w0 = 3.14e+15 rad/s, n0 = 1e+300 and 2A/P = 1 m"
 )
@@ -655,8 +689,9 @@ def test_fig4_unresolvably_small_shifts_exit_3(tmp_path, capsys):
         (OPEN_LOOP, "vacuum_wavelength_m = 7.8e-7", "vacuum_wavelength_m = 0", "vacuum_wavelength_m must be positive"),
         (OPEN_LOOP, "particle_mass_kg = 1.44316060e-25", "particle_mass_kg = -1", "particle mass must be positive"),
         (TABLETOP, "rotation_rate_rad_s = 7.2921159e-5", "rotation_rate_rad_s = 1e10", "tangential speed"),
+        (TABLETOP, "radius_m = 1.0", "radius_m = 1.0\nperimeter_m = 7.0", "radius inconsistent with perimeter for a circular loop"),
     ],
-    ids=["frequency", "wavelength", "mass", "rim-speed"],
+    ids=["frequency", "wavelength", "mass", "rim-speed", "radius-perimeter"],
 )
 def test_sagnac_input_faults_exit_2(tmp_path, capsys, scenario, old, new, message):
     code, out, err = run(capsys, "sagnac", "--scenario", edited(tmp_path, scenario, old, new))

@@ -37,7 +37,6 @@ from fastlight.resonator import (
     enhancement_eta,
     feedback_gain,
     linewidth_cubic,
-    linewidth_linear,
     rotation_response,
     rotation_to_length,
     shift_cubic,
@@ -419,14 +418,48 @@ def test_linewidths_with_negative_curvature_against_bisection():
 
 
 def test_linewidth_linear_regime():
-    gamma_ec = 1.0
-    slow = TaylorCubic(1.0, 1.0 / W0, 0.0, W0)  # n_g = 2
-    assert linewidth_cubic(gamma_ec, slow) == pytest.approx(0.5, rel=1e-12)
-    assert linewidth_linear(gamma_ec, 2.0) == 0.5
-    with pytest.raises(ComputationError):
-        linewidth_linear(gamma_ec, 0.0)
+    # a dispersionless cubic (n3 = 0) is the linear regime: both widths are
+    # gamma_ec/n_g exactly, the same polish's a = 0 case
+    for gamma_ec in (1.0, 299792.458, 3.7e9):
+        for ng in (2.0, 0.37, 4.0 / 3.0, 12.5):
+            t = TaylorCubic(1.0, (ng - 1.0) / W0, 0.0, W0)
+            assert linewidth_cubic(gamma_ec, t) == airy_linewidth_cubic(gamma_ec, t) == gamma_ec / t.ng0
+    # an exact n_g = 0 has neither term and n_g < 0 no positive root
+    w0 = 2.0 ** 50
+    flat = TaylorCubic(1.0, -1.0 / w0, 0.0, w0)
+    assert flat.ng0 == 0.0
+    fast = TaylorCubic(1.0, -3.0 / W0, 0.0, W0)  # n_g = -2
+    assert fast.ng0 < 0.0
+    for width in (linewidth_cubic, airy_linewidth_cubic):
+        with pytest.raises(ComputationError, match="^degenerate response: no linear or cubic term$"):
+            width(1.0, flat)
+        with pytest.raises(ComputationError, match="^no positive linewidth root for these coefficients$"):
+            width(1.0, fast)
     with pytest.raises(ValueError):
-        linewidth_cubic(-1.0, slow)
+        linewidth_cubic(-1.0, TaylorCubic(1.0, 1.0 / W0, 0.0, W0))
+
+
+def test_a_linear_width_that_is_zero_is_refused():
+    # gamma_ec/n_g at zero, where the group index overflows or the width
+    # underflows, is a root that is not positive, refused as any other
+    overflow = TaylorCubic(1.0, 1e300, 0.0, W0)
+    assert overflow.ng0 == math.inf
+    slow = TaylorCubic(1.0, 1.0 / W0, 0.0, W0)  # n_g = 2
+    assert 5e-324 / slow.ng0 == 0.0
+    refused = "^no positive linewidth root for these coefficients$"
+    for gamma_ec, t in ((1.0, overflow), (5e-324, slow)):
+        for width in (linewidth_cubic, airy_linewidth_cubic, lambda g, t: shifted_linewidth(g, t, 0.0)):
+            with pytest.raises(ComputationError, match=refused):
+                width(gamma_ec, t)
+
+
+def test_shifted_linewidth_refuses_a_width_budget_that_is_not_positive():
+    # on the linear width's side (local n_g > 0) and on the cubic's alike
+    t = cad_taylor()
+    for dw in (0.0, 1e-2 * G):
+        assert (t.local_ng(dw) > 0.0) == (dw > 0.0)
+        with pytest.raises(ValueError, match="^empty-cavity linewidth must be positive$"):
+            shifted_linewidth(-1.0, t, dw)
 
 
 def test_shifted_linewidth_local_group_index():
@@ -476,7 +509,7 @@ def test_every_width_of_omega0_or_more_is_refused():
     # width, here 0.97*omega0: with n3 < 0 the root lies above it, 1.04*omega0
     ng = small.gamma_ec / 0.97e6
     steep = TaylorCubic(1.0, (ng - 1.0) / 1e6, -ng / 1.55e19, 1e6)
-    assert linewidth_linear(small.gamma_ec, ng) < small.omega0
+    assert linewidth_cubic(small.gamma_ec, TaylorCubic(1.0, (ng - 1.0) / 1e6, 0.0, 1e6)) < small.omega0
     with pytest.raises(ComputationError, match=refused):
         rotation_response(steep, small, 0.0)
 

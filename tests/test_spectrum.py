@@ -41,6 +41,7 @@ from fastlight.scenario import load_scenario
 from fastlight.spectrum import (
     EnhancementSample,
     SweepGrid,
+    _step,
     _width_estimate,
     auto_grid,
     find_resonance,
@@ -320,7 +321,7 @@ def ulp_floor(omega: float, tol: float) -> float:
 def test_find_resonance_matches_bisection_of_psi(profile, cav, dl):
     grid = auto_grid(profile, cav, dl)
     res = find_resonance(profile, cav, dl, grid)
-    h = grid.resolution
+    h = _step(grid.half_span, grid.points)
     u = bisect(lambda v: oracle_psi(profile, cav, dl, res + v), -h, h)
     assert abs(u) <= ulp_floor(res, h / 1e4)
 
@@ -363,7 +364,7 @@ def test_find_resonance_where_psi_only_touches_zero():
     # the grid is offset so that no sample sits on the turning point
     grid = SweepGrid(center=turn + 3.3e3, half_span=0.3 * G, points=4001)
     res = find_resonance(profile, cav, dl, grid)
-    h = grid.resolution
+    h = _step(grid.half_span, grid.points)
 
     def slope(v: float) -> float:
         return cav.round_trip_length * group_index(profile, res + v) + dl
@@ -415,7 +416,8 @@ def test_trace_of_an_off_centre_line(offset, dw_ec):
     profile = cad_tune(G, W0 + offset)
     assert kernel(profile, cav).taylor is None
     dl = cav.length_for_shift(dw_ec)
-    h = auto_grid(profile, cav, dl).resolution
+    grid = auto_grid(profile, cav, dl)
+    h = _step(grid.half_span, grid.points)
     result = trace(profile, cav, dl)
     u = bisect(lambda v: oracle_psi(profile, cav, dl, result.resonance + v), -h, h)
     assert abs(u) <= math.ulp(result.resonance)
@@ -620,7 +622,8 @@ def test_sweep_grid_validation():
         SweepGrid(center=W0, half_span=1e6, points=100)  # even
     with pytest.raises(ValueError):
         SweepGrid(center=W0, half_span=1e6, points=99)  # too coarse
-    assert SweepGrid(center=W0, half_span=1e6, points=101).resolution == pytest.approx(2e4, rel=1e-12)
+    grid = SweepGrid(center=W0, half_span=1e6, points=101)
+    assert _step(grid.half_span, grid.points) == pytest.approx(2e4, rel=1e-12)
     with pytest.raises(ValueError):
         SweepGrid(center=W0, half_span=2.0 * W0, points=1001)
     # a step below the spacing of doubles (0.5 rad/s at W0) repeats samples
@@ -629,7 +632,7 @@ def test_sweep_grid_validation():
     with pytest.raises(ValueError, match="spacing of doubles"):
         SweepGrid(center=W0, half_span=5e-324, points=2001)  # the step is 0.0
     grid = SweepGrid(center=W0, half_span=1e6, points=1001)
-    assert grid.resolution == pytest.approx(2e6 / 1000.0, rel=1e-12)
+    assert _step(grid.half_span, grid.points) == pytest.approx(2e6 / 1000.0, rel=1e-12)
     assert grid.omegas[0] == pytest.approx(W0 - 1e6, rel=1e-12)
     assert grid.omegas[-1] == pytest.approx(W0 + 1e6, rel=1e-12)
 
@@ -743,7 +746,7 @@ def test_auto_grid_resolves_the_width():
     grid = auto_grid(profile, cav, dl)
     shift = full_model_shift(dw_ec)
     width = shifted_linewidth(cav.gamma_ec, profile.taylor(), shift).gamma_dis
-    assert grid.resolution < width / 10.0
+    assert _step(grid.half_span, grid.points) < width / 10.0
     assert abs(grid.center - (W0 + shift)) < grid.half_span / 2.0
 
 
@@ -971,10 +974,11 @@ def test_every_frequency_the_kernel_evaluates_is_above_zero(case):
 
 def test_public_entry_points_refuse_a_frequency_that_is_not_positive():
     # the kernel trusts its frequencies, so each public call that takes a
-    # caller's frequency checks it, with the medium's own refusal
+    # caller's frequency checks it, with the medium's own refusal; NaN is
+    # not positive either, alone or in an array
     cav = cad_cavity(1e-2)
     for profile in (cad_tune(G, W0), cad_tune(G, W0).taylor()):
-        for bad in (0.0, -1.0):
+        for bad in (0.0, -1.0, math.nan):
             for call in (
                 lambda: profile.response(bad, W0),
                 lambda: profile.response(W0, bad),
@@ -1146,7 +1150,7 @@ def test_a_101_point_grid_locates_at_its_2001_point_twins_double(monkeypatch, dw
     twin = SweepGrid(center=coarse.center, half_span=coarse.half_span, points=2001)
     xtols = captured_xtols(monkeypatch)
     assert find_resonance(profile, cav, dl, coarse) == find_resonance(profile, cav, dl, twin)
-    assert xtols == [twin.resolution / 1e4] * 2
+    assert xtols == [_step(twin.half_span, twin.points) / 1e4] * 2
 
 
 def test_locate_tolerance_above_2001_points_is_the_grid_step(monkeypatch):
@@ -1154,8 +1158,8 @@ def test_locate_tolerance_above_2001_points_is_the_grid_step(monkeypatch):
     grid = SweepGrid(center=W0, half_span=2.5 * cav.gamma_ec, points=4001)
     xtols = captured_xtols(monkeypatch)
     assert find_resonance(VACUUM, cav, 0.0, grid) == pytest.approx(W0, abs=1.0)
-    assert xtols == [grid.resolution / 1e4]
-    assert grid.resolution < grid.half_span / 1000.0
+    assert xtols == [_step(grid.half_span, grid.points) / 1e4]
+    assert _step(grid.half_span, grid.points) < grid.half_span / 1000.0
 
 
 # ------------------------------------------- spectrum against the cubic
