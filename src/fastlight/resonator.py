@@ -25,7 +25,8 @@ Every root of these cubics comes from one bracketed polish: the root of the
 cubic with one term dropped, (d/a)^(1/3) or d/b, seeds Newton steps that
 stay inside a bracket known from the coefficients, halving it wherever a
 step would leave it or the seed is not finite, so no root needs a closed
-form or a fallback.
+form or a fallback. `cubic_root` brings a cubic with a quadratic term, such
+as the exact resonance cubic of a Lorentzian line, to the same form.
 
 Linewidths follow the same cubic with two flavors: `linewidth_cubic` solves
 the printed self-consistent form n3*w0*g^3 + n_g*g = gamma_ec, while
@@ -192,7 +193,8 @@ def _continuous_root(a: float, b: float, d: float, largest: bool = False) -> tup
             raise ComputationError("degenerate response: no linear or cubic term")
         return d / b, False
     if d == 0.0:
-        return 0.0, False
+        # the roots are 0 and, where a and b differ in sign, +-sqrt(-b/a)
+        return 0.0, b != 0.0 and (a < 0.0) != (b < 0.0)
     if a < 0.0:
         a, b, d = -a, -b, -d
     if d < 0.0:
@@ -220,6 +222,27 @@ def _continuous_root(a: float, b: float, d: float, largest: bool = False) -> tup
     # also holds the root near d/b where a cubic term too weak to matter
     # puts the turning point beyond the doubles.
     return _polish(a, b, d, d / b, 0.0, max(d / b * 2.0, -turn)), True
+
+
+def cubic_root(c3: float, c2: float, c1: float, c0: float) -> tuple[float, bool]:
+    """Real root of c3*x^3 + c2*x^2 + c1*x + c0 = 0 (c3 not zero), and
+    whether there are three.
+
+    Depressed by x = y - s, s = c2/(3*c3), to y^3 + p*y + q = 0 and solved
+    by `_continuous_root`, so one bracketed polish gives the root: the only
+    real one, or else the middle one of three. Depressing reuses the
+    brackets `_continuous_root` already holds for every case, where a
+    quadratic term in `_polish` would need new ones. Its cost is that the
+    branch continuous from q -> 0 passes through x = -s, not x = 0; with a
+    single real root that selects nothing, so a caller that needs the branch
+    through 0 reads `multivalued`. The root is resolved relative to the
+    larger of |x| and |s|, and at a fold, where two roots meet, `multivalued`
+    holds only to the rounding of p and q.
+    """
+    b, c, d = c2 / c3, c1 / c3, c0 / c3
+    s = b / 3.0
+    y, multivalued = _continuous_root(1.0, c - b * s, s * (c - 2.0 * s * s) - d)
+    return y - s, multivalued
 
 
 # --------------------------------------------------------------------------

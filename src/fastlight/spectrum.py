@@ -33,6 +33,16 @@ row (delta_length, centre, half_span), with no value type: its per-shift
 steps, the shift and width estimates, the row's refusals and the locate
 step, read only the kernel's floats and the three samples about the row's
 peak that the pass gathers.
+
+A sweep row is centred on an estimate of its resonance. For a Lorentzian
+line centred at omega0, Psi = 0 is exactly a cubic in omega - omega0, and
+the estimate is that cubic's root, from one bracketed solve in `resonator`
+with no evaluation of Psi, wherever a gate, once per call, shows it safe
+(`_exact_shifts`). Every other row, and every `auto_grid` grid, is centred
+by `_shift_estimate`: Newton steps on Psi from the Taylor cubic's root. The
+estimate only places the grid; the resonance is located from the scanned
+samples and polished on Psi, so the numeric path stays independent of both
+cubics.
 """
 
 from __future__ import annotations
@@ -42,14 +52,14 @@ from collections import namedtuple
 
 from ._numpy import np
 from .constants import C0
-from .dispersion import DispersionProfile, _check_omega
+from .dispersion import DispersionProfile, LorentzianAbsorptive, _check_omega
 from .errors import ComputationError
 from .resonator import (
     RingCavity,
     airy_linewidth_cubic,
+    cubic_root,
     effective_half_linewidth,
     effective_taylor,
-    enhancement_eta,
     shift_cubic,
     shift_root,
 )
@@ -122,7 +132,10 @@ class _RoundTrip:
     bitwise. The arrays a call builds belong to that call alone.
     `taylor` is the medium's `effective_taylor` (None where that refuses
     it), and `airy` its `airy_linewidth_cubic` (None where that has no
-    root), which does not depend on the shift.
+    root), which does not depend on the shift. `exact` holds the
+    shift-independent coefficients of the exact cubic whose root is
+    Psi = 0, for a Lorentzian centred at omega0 with a Taylor cubic (None
+    otherwise), from which `_exact_shifts` centres the sweep's rows.
 
     The response is the medium's unchecked `_response`, so each frequency
     evaluated here must already be above zero, and one guard bounds each:
@@ -142,7 +155,7 @@ class _RoundTrip:
 
     __slots__ = (
         "response", "omega0", "length", "nb", "fill", "medium", "background",
-        "background_index", "fsr", "gamma_ec", "k", "taylor", "airy", "cubic", "ng0", "curvature",
+        "background_index", "fsr", "gamma_ec", "k", "taylor", "airy", "cubic", "ng0", "curvature", "exact",
     )
 
     def __init__(self, profile: DispersionProfile, cavity: RingCavity):
@@ -164,13 +177,22 @@ class _RoundTrip:
             raise ComputationError(
                 f"finesse too high for the Airy transmission: (2F/pi)^2 overflows (F = {cavity.finesse:.3g})"
             ) from None
-        self.taylor = self.airy = None
+        self.taylor = self.airy = self.exact = None
         try:
             self.taylor = t = effective_taylor(profile, cavity)
         except ComputationError:
             return
         # effective_taylor sets omega_ref to omega0, the bound of shift_root
         self.cubic, self.ng0, self.curvature = t.n3 * t.omega_ref, t.ng0, 3.0 * t.n3 * t.omega_ref
+        if isinstance(profile, LorentzianAbsorptive) and profile.center == self.omega0:
+            # Psi = 0 times (G^2 + x^2)*c0/L, with x = omega - omega0 and
+            # e = n_b*dL/L, is exactly the cubic
+            #   (n_e + e)*x^3 + (e*w0 - f*A*G)*x^2 + G^2*(ng0 + e)*x + e*w0*G^2 = 0
+            # with n_e = f + (1 - f)*n_b and ng0 = n_e - f*A*w0/G, the path's
+            # group index at omega0; bound here as (n_e, f*A*G, ng0, G^2, A*G)
+            nag, gg = profile._nag_gg
+            ne = fill + self.background_index
+            self.exact = (ne, -fill * nag, ne + fill * nag * self.omega0 / gg, gg, -nag)
         try:
             self.airy = airy_linewidth_cubic(self.gamma_ec, t)
         except (ComputationError, ValueError):
@@ -458,6 +480,10 @@ def _shift_estimate(rt: _RoundTrip, delta_length: float) -> float:
     profiles) and falls back to the seed when it fails to settle. Raises
     where Psi or its slope is not finite at the seed, whether it overflows
     or is NaN: the scan centred there would see no finite transmission.
+
+    It centres every `auto_grid` grid, and the sweep rows that
+    `_exact_shifts` leaves to it: those of Taylor media, of lines off
+    omega0, and of calls or rows its gate refuses.
     """
     omega0 = rt.omega0
     # the empty-cavity pull -w0*dL/L of RingCavity.shift_for_length
@@ -493,6 +519,57 @@ def _shift_estimate(rt: _RoundTrip, delta_length: float) -> float:
     return best
 
 
+# Where the product of `_exact_shifts` stays below this, no intermediate
+# of Psi or its slope reaches the largest double, 1.8e308: each is at most a
+# sum of four terms, none above the product
+_FINITE = 1e300
+
+
+def _exact_shifts(rt: _RoundTrip, lengths) -> list:
+    """Per length change, the resonance offset that centres its sweep row:
+    the root of the exact cubic that `_RoundTrip` binds, or None where the
+    row keeps `_shift_estimate`, with no evaluation of Psi.
+
+    A gate, once per call, leaves every row to `_shift_estimate` unless the
+    medium is a Lorentzian centred at omega0 with a Taylor cubic, and
+    - the estimate's window, 0.35 of the free spectral range about omega0,
+      stays above zero frequency;
+    - Psi and its slope are finite within that window at every length change
+      of the call: `_shift_estimate` would then never meet its refusal of a
+      response too strong to scan. Within the window |x| <= X, so every
+      intermediate of `_RoundTrip.psi_and_slope` and of the Lorentzian's
+      `_response` (bx = 0 at base omega0) is a product of at most L, n_b,
+      |n_b*dL|, A*G, X, w0 + X and G^2 + X^2 (twice), or such a product over
+      G^2 or G^4 (G^2 + x^2 >= G^2), or a sum of up to four of those; so the
+      product of all eight, each taken as at least 1, over min(G^2, 1)^2
+      bounds every term. G^4 > 0 rules out a division by zero.
+    It also keeps n_e + e, the cubic's leading coefficient, positive.
+
+    A row is left to it, too, where its cubic has three real roots, so
+    that the offset s = c2/(3*c3) of `cubic_root`'s depressed form cannot
+    pick another branch than the one through x = 0 (s is about -G^2/(3*w0)
+    at CAD tuning, far below a spacing of doubles at omega0 on every
+    shipped cavity), and where the root lies outside the window. Where the
+    cubic has one real root, it is the only frequency at which Psi = 0.
+    """
+    limit = 0.35 * rt.fsr
+    if rt.exact is None or not limit < rt.omega0:
+        return [None] * len(lengths)
+    ne, fag, ng0, gg, a = rt.exact
+    w0, nb, length = rt.omega0, rt.nb, rt.length
+    drive = nb * max(abs(dl) for dl in lengths)
+    top = gg + limit * limit
+    product = math.prod(max(factor, 1.0) for factor in (length, nb, drive, a, limit, w0 + limit, top, top))
+    if not (drive < ne * length and gg * gg > 0.0 and product / min(gg, 1.0) ** 2 < _FINITE):
+        return [None] * len(lengths)
+    shifts = []
+    for dl in lengths:
+        e = nb * dl / length
+        x, multivalued = cubic_root(ne + e, e * w0 - fag, gg * (ng0 + e), e * w0 * gg)
+        shifts.append(None if multivalued or not abs(x) <= limit else x)
+    return shifts
+
+
 # fewest points an `auto_grid` grid gets; `trace` returns its samples
 _MIN_POINTS = 2001
 # points of every sweep grid, and the fewest any grid gets; a sweep reports
@@ -523,7 +600,7 @@ def auto_grid(
 
 def _trace_grid(rt: _RoundTrip, delta_length) -> SweepGrid:
     """`auto_grid` given the call's round trip, with its cubic."""
-    shift, width = _estimates(rt, delta_length)
+    shift, width = _estimates(rt, delta_length, None)
     half_span = _in_one_fsr(rt, max(2.5 * width, 0.1 * abs(shift)))
     # an odd count, so that a sample sits on the centre
     points = max(_MIN_POINTS, int(math.ceil(2.0 * half_span / (width / 20.0))) + 1) | 1
@@ -532,28 +609,30 @@ def _trace_grid(rt: _RoundTrip, delta_length) -> SweepGrid:
     return SweepGrid(*_checked_grid(rt.omega0 + shift, half_span, points), points)
 
 
-def _row(rt: _RoundTrip, delta_length) -> tuple[float, float, float]:
+def _row(rt: _RoundTrip, delta_length, shift) -> tuple[float, float, float]:
     """The row `sweep_enhancement` scans for one shift, (delta_length,
     centre, half_span): a grid of 101 points over 2.5 predicted widths
-    either side of the shift estimate, a step of a twentieth of the width.
-    It refuses as `auto_grid` does, and never needs its cap on the point
-    count.
+    either side of the resonance offset `shift`, a step of a twentieth of
+    the width. `_exact_shifts` gives the offset, the exact cubic's root, or
+    else None, and then the row is centred on `_shift_estimate`. It refuses
+    as `auto_grid` does, and never needs its cap on the point count.
 
-    `_shift_estimate` has already polished the centre by Newton steps on the
-    exact Psi, so a sweep grid needs no margin of 10% of the shift; and with
-    one point count for every sweep grid, a scan pass is one rectangular
-    array.
+    Either centre already sits on a root of the exact Psi, so a sweep grid
+    needs no margin of 10% of the shift; and with one point count for every
+    sweep grid, a scan pass is one rectangular array.
     """
-    shift, width = _estimates(rt, delta_length)
+    shift, width = _estimates(rt, delta_length, shift)
     return (delta_length, *_checked_grid(rt.omega0 + shift, _in_one_fsr(rt, 2.5 * width), _SWEEP_POINTS))
 
 
-def _estimates(rt: _RoundTrip, delta_length) -> tuple[float, float]:
-    """(shift, width): the polished shift estimate and the predicted FWHM
-    there; raises when the length change leaves no positive round trip."""
+def _estimates(rt: _RoundTrip, delta_length, shift) -> tuple[float, float]:
+    """(shift, width): the resonance offset, `_shift_estimate`'s where
+    `shift` is None, and the predicted FWHM there; raises when the length
+    change leaves no positive round trip."""
     if rt.length + delta_length <= 0.0:
         raise ComputationError("the length change leaves no positive round trip")
-    shift = _shift_estimate(rt, delta_length)
+    if shift is None:
+        shift = _shift_estimate(rt, delta_length)
     return shift, _width_estimate(rt, shift)
 
 
@@ -676,11 +755,13 @@ def sweep_enhancement(
     beside (G/dw_ec)^(2/3) and (2G/dw_ec)^(2/3).
 
     Works in two steps. It sizes a `_row` for each shift, (delta_length,
-    centre, half_span) of a grid of 101 points over 2.5 predicted widths, up
-    to the first that is refused; then it scans those rows in passes of 81
-    consecutive ones and locates each resonance in order. A refusal of the
-    first step propagates only after the second, so that a locate failure
-    at an earlier shift is reported first. Per shift, both steps read only
+    centre, half_span) of a grid of 101 points over 2.5 predicted widths,
+    centred on the exact cubic's root where `_exact_shifts` gives one and on
+    `_shift_estimate` elsewhere, up to the first row that is refused; then
+    it scans those rows in passes of 81 consecutive ones and locates each
+    resonance in order. A refusal of the first step propagates only after
+    the second, so that a locate failure at an earlier shift is reported
+    first. Per shift, both steps read only
     floats that the kernel binds once per call: no grid, cubic or cavity
     value type.
 
@@ -689,7 +770,9 @@ def sweep_enhancement(
     half linewidth, whose smallest shift moves the cubic's resonance by at
     least 1,000 spacings of doubles at omega0. The kernel's cubic serves
     these checks and the grids alike; where it has none, `effective_taylor`
-    is called once more only to raise its refusal.
+    is called once more only to raise its refusal. Each sample's analytic
+    etas are `enhancement_eta`'s expressions, bit for bit, with G checked
+    once.
     """
     rt = _RoundTrip(profile, cavity)
     t = rt.taylor or effective_taylor(profile, cavity)
@@ -720,11 +803,12 @@ def sweep_enhancement(
             f"is under 1,000 spacings of doubles ({spacing:.3g} rad/s) at omega0"
         )
 
+    # the length change -dw_ec*L/w0 of RingCavity.length_for_shift
+    lengths = [-dw * rt.length / rt.omega0 for dw in values]
     rows, resonances = [], []
     try:
-        for dw in values:
-            # the length change -dw_ec*L/w0 of RingCavity.length_for_shift
-            rows.append(_row(rt, -dw * rt.length / rt.omega0))
+        for dl, shift in zip(lengths, _exact_shifts(rt, lengths)):
+            rows.append(_row(rt, dl, shift))
     finally:
         # whatever a row raises propagates only once the rows before it
         # are located, so that a locate failure at an earlier shift is
@@ -734,9 +818,10 @@ def sweep_enhancement(
             batch = rows[start:start + per_pass]
             for (dl, _, half_span), near in zip(batch, _scan(rt, batch, _SWEEP_POINTS)[3]):
                 resonances.append(_locate_resonance(rt, dl, half_span, _SWEEP_POINTS, near))
+    # each analytic column is enhancement_eta's expression, with G and 2G
+    # checked once; tuple.__new__ skips the named tuple's Python __new__
+    new, g2 = tuple.__new__, 2.0 * g
     return [
-        EnhancementSample(
-            dw, (resonance - rt.omega0) / dw, enhancement_eta(g, dw, "derived"), enhancement_eta(g, dw, "paper")
-        )
+        new(EnhancementSample, (dw, (resonance - rt.omega0) / dw, (g / dw) ** (2.0 / 3.0), (g2 / dw) ** (2.0 / 3.0)))
         for dw, resonance in zip(values, resonances)
     ]

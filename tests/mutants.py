@@ -329,7 +329,7 @@ MUTANTS = (
         "sweep-grid-spans-a-tenth-of-the-shift-again",
         SPECTRUM,
         (("_in_one_fsr(rt, 2.5 * width), _SWEEP_POINTS)", "_in_one_fsr(rt, max(2.5 * width, 0.1 * abs(shift))), _SWEEP_POINTS)"),),
-        f"{TEST_SPECTRUM}::test_sweep_grids_have_101_points_over_2_5_widths_at_the_polished_shift",
+        f"{TEST_SPECTRUM}::test_sweep_grids_have_101_points_over_2_5_widths_at_the_exact_root",
     ),
     Mutant(
         "airy-coefficient-overflow-left-bare",
@@ -459,6 +459,30 @@ MUTANTS = (
         SPECTRUM,
         (("dw, (resonance - rt.omega0) / dw,", "dw, (resonance - rt.omega0) * (1.0 / dw),"),),
         "tests/test_golden.py::test_sweeps_match_their_digests",
+    ),
+    Mutant(
+        "analytic-eta-as-a-product-with-the-reciprocal-shift",
+        SPECTRUM,
+        (("(g / dw) ** (2.0 / 3.0)", "(g * (1.0 / dw)) ** (2.0 / 3.0)"),),
+        f"{TEST_SPECTRUM}::test_batched_sweep_equals_the_per_shift_loop_bit_for_bit",
+    ),
+    Mutant(
+        "exact-centre-gate-skips-the-window-test",
+        SPECTRUM,
+        (("    if rt.exact is None or not limit < rt.omega0:\n", "    if rt.exact is None:\n"),),
+        f"{TEST_SPECTRUM}::test_the_exact_centre_is_gated_once_per_call",
+    ),
+    Mutant(
+        "exact-centre-gate-skips-the-finiteness-test",
+        SPECTRUM,
+        (("gg * gg > 0.0 and product / min(gg, 1.0) ** 2 < _FINITE):", "gg * gg > 0.0):"),),
+        "tests/test_cli.py::test_a_response_too_strong_to_scan_is_refused_before_the_scan",
+    ),
+    Mutant(
+        "exact-cubic-drops-e-from-its-cubic-term",
+        SPECTRUM,
+        (("cubic_root(ne + e, ", "cubic_root(ne, "),),
+        f"{TEST_SPECTRUM}::test_exact_row_centres_are_zeros_of_psi",
     ),
     Mutant(
         "mode-order-forced-to-0",

@@ -32,6 +32,7 @@ from fastlight.resonator import (
     _continuous_root,
     _positive_linewidth_root,
     airy_linewidth_cubic,
+    cubic_root,
     effective_half_linewidth,
     effective_taylor,
     enhancement_eta,
@@ -615,3 +616,29 @@ def test_rotation_response_at_rest_beyond_the_fold_takes_the_linear_width():
     assert (resp.dw_plus, resp.dw_minus, resp.splitting) == (0.0, 0.0, 0.0)
     assert resp.width == ShiftedLinewidth(cav.gamma_ec, 1.0, from_cubic=False)
 
+
+
+@pytest.mark.parametrize(
+    "roots",
+    [(2.0,), (-3.0, 0.5, 4.0), (-1e3, 2.0, 5e3), (-7.0, -1.0, -0.25)],
+    ids=["one-real", "three-symmetric", "three-spread", "three-negative"],
+)
+@pytest.mark.parametrize("c3", [1.0, -2.5, 1e-9])
+def test_cubic_root_is_the_only_or_the_middle_real_root(roots, c3):
+    # c3*(x - r1)*(x - r2)*(x - r3), or c3*(x - r)*(x^2 + 1) for one real
+    # root, solved in its depressed form, against bisection of the cubic;
+    # the symmetric roots depress to q = 0, where the root is y = 0 itself
+    if len(roots) == 1:
+        (r,) = roots
+        coeffs = (c3, -c3 * r, c3, -c3 * r)
+        want = r
+    else:
+        r1, r2, r3 = roots
+        coeffs = (c3, -c3 * (r1 + r2 + r3), c3 * (r1 * r2 + r1 * r3 + r2 * r3), -c3 * r1 * r2 * r3)
+        want = r2
+    a, b, c, d = coeffs
+    x, multivalued = cubic_root(*coeffs)
+    assert multivalued == (len(roots) == 3)
+    spread = max(abs(r) for r in roots)
+    oracle = bisect(lambda v: ((a * v + b) * v + c) * v + d, want - 1e-3 * spread, want + 1e-3 * spread)
+    assert x == pytest.approx(oracle, rel=1e-12, abs=1e-12 * spread)

@@ -27,6 +27,7 @@ from fastlight.errors import ComputationError
 from fastlight.resonator import (
     RingCavity,
     airy_linewidth_cubic,
+    cubic_root,
     effective_half_linewidth,
     effective_taylor,
     enhancement_eta,
@@ -585,7 +586,7 @@ def test_a_full_scan_pass_peaks_below_six_of_its_arrays():
     scn = load_scenario(CAD_SWEEP)
     profile, cav = scn.profile(), scn.cavity()
     rt = spectrum._RoundTrip(profile, cav)
-    rows = [spectrum._row(rt, cav.length_for_shift(dw)) for dw in 2.0 * math.pi * scn.input_values()[1]]
+    rows = [spectrum._row(rt, cav.length_for_shift(dw), None) for dw in 2.0 * math.pi * scn.input_values()[1]]
     rows = (rows * 3)[: spectrum._SCAN_SAMPLES // spectrum._SWEEP_POINTS]
     assert len(rows) == 81
     spectrum._scan(rt, rows, spectrum._SWEEP_POINTS)
@@ -1046,11 +1047,73 @@ def test_a_sweeps_value_type_calls_do_not_grow_with_its_shifts(monkeypatch):
     per_sweep = []
     for points in (33, 65):
         calls.clear()
-        sweep_enhancement(profile, cav, 2.0 * math.pi * np.logspace(-2.0, 6.0, points))
+        # the Lorentzian's rows are centred on its exact cubic's roots, its
+        # Taylor cubic's on `_shift_estimate`
+        for medium in (profile, profile.taylor()):
+            sweep_enhancement(medium, cav, 2.0 * math.pi * np.logspace(-2.0, 6.0, points))
         per_sweep.append(dict(calls))
     assert per_sweep[0] == per_sweep[1]
     # the counters see the per-call reads
     assert per_sweep[0]["ng0"] > 0 and per_sweep[0]["L"] > 0
+
+
+def test_a_cad_sweep_evaluates_no_psi_before_its_first_scan(monkeypatch):
+    # the Lorentzian's rows are centred on the exact cubic's roots, so Psi
+    # is first evaluated by the locate steps; its Taylor cubic's rows still
+    # take Newton steps on Psi
+    scn = load_scenario(CAD_SWEEP)
+    profile, cav = scn.profile(), scn.cavity()
+    shifts = 2.0 * math.pi * scn.input_values()[1]
+    events = []
+    kernel, scan = spectrum._RoundTrip.psi_and_slope, spectrum._scan
+    monkeypatch.setattr(spectrum._RoundTrip, "psi_and_slope", lambda rt, dl, omega: events.append("psi") or kernel(rt, dl, omega))
+    monkeypatch.setattr(spectrum, "_scan", lambda *args: events.append("scan") or scan(*args))
+    sweep_enhancement(profile, cav, shifts)
+    assert events.index("scan") == 0 and events.count("psi") > 0
+    events.clear()
+    sweep_enhancement(profile.taylor(), cav, shifts)
+    assert events.index("scan") >= len(shifts)
+
+
+def test_the_exact_centre_is_gated_once_per_call():
+    scn = load_scenario(CAD_SWEEP)
+    profile, cav = scn.profile(), scn.cavity()
+    lengths = [cav.length_for_shift(2.0 * math.pi * dw) for dw in scn.input_values()[1]]
+
+    def exact(profile, cav):
+        return spectrum._exact_shifts(spectrum._RoundTrip(profile, cav), lengths)
+
+    assert None not in exact(profile, cav)
+    # the Taylor cubic and a line off omega0 have no exact cubic here
+    assert exact(profile.taylor(), cav) == [None] * len(lengths)
+    off = LorentzianAbsorptive(profile.strength, profile.half_linewidth, profile.center * (1.0 + 1e-12))
+    assert exact(off, cav) == [None] * len(lengths)
+    # the 4 nm ring of the test above: its estimate's window of 0.35 of the
+    # free spectral range reaches below zero frequency
+    w0, g = 164196591697531.03, 426990841642454.6
+    ring = RingCavity(geometry=LoopGeometry.circular(4.081598016040356e-09), finesse=68444787.51595391, omega0=w0)
+    assert exact(cad_tune(g, w0), ring) == [None] * len(lengths)
+    # cad_sweep with a fill of 1e-300: the line tuned to a group index near
+    # -1e300 makes the medium's response overflow
+    thin = RingCavity(geometry=cav.geometry, finesse=cav.finesse, omega0=cav.omega0, fill_fraction=1e-300)
+    strong = cad_tune(profile.half_linewidth, cav.omega0, group_index_target=-(1.0 - 1e-300) / 1e-300)
+    assert exact(strong, thin) == [None] * len(lengths)
+
+
+def test_exact_row_centres_are_zeros_of_psi():
+    # a line of G = omega0/100 on a ring whose free spectral range is
+    # omega0/10, so that e = n_b*dL/L reaches 1e-2 and each coefficient of
+    # the cubic matters: Psi, from the three-call oracle, changes sign
+    # within 1e-9 of each root
+    w0, g = 1e12, 1e10
+    cav = RingCavity(geometry=LoopGeometry.circular(C0 / (0.1 * w0)), finesse=1e3, omega0=w0)
+    profile = cad_tune(g, w0)
+    lengths = [cav.length_for_shift(g * 10.0 ** -k) for k in range(4, -1, -1)]
+    shifts = spectrum._exact_shifts(spectrum._RoundTrip(profile, cav), lengths)
+    assert None not in shifts
+    for dl, x in zip(lengths, shifts):
+        lo, hi = (oracle_psi(profile, cav, dl, w0 + x * (1.0 + side * 1e-9)) for side in (-1.0, 1.0))
+        assert lo < 0.0 < hi, (x, lo, hi)
 
 
 def test_sweep_scans_its_grids_in_passes_not_one_per_shift():
@@ -1081,7 +1144,19 @@ def margin_widened(profile, cav: RingCavity, shifts) -> int:
     return widened
 
 
-def test_sweep_grids_have_101_points_over_2_5_widths_at_the_polished_shift(monkeypatch):
+def exact_cubic(profile: LorentzianAbsorptive, cav: RingCavity, dl: float) -> tuple[float, ...]:
+    """(c3, c2, c1, c0) of the exact resonance cubic of a Lorentzian centred
+    at omega0, (n_e + e)*x^3 + (e*w0 - f*A*G)*x^2 + G^2*(ng0 + e)*x +
+    e*w0*G^2 = 0 with e = n_b*dL/L, from the profile's and the cavity's own
+    fields, in the float steps the kernel binds."""
+    fill, nb, w0 = cav.fill_fraction, cav.n0, cav.omega0
+    ag, gg = profile.strength * profile.half_linewidth, profile.half_linewidth * profile.half_linewidth
+    ne = fill + (1.0 - fill) * nb
+    e = nb * dl / cav.round_trip_length
+    return ne + e, e * w0 - fill * ag, gg * (ne - fill * ag * w0 / gg + e), e * w0 * gg
+
+
+def test_sweep_grids_have_101_points_over_2_5_widths_at_the_exact_root(monkeypatch):
     scn = load_scenario(CAD_SWEEP)
     profile, cav = scn.profile(), scn.cavity()
     shifts = 2.0 * math.pi * scn.input_values()[1]
@@ -1097,7 +1172,7 @@ def test_sweep_grids_have_101_points_over_2_5_widths_at_the_polished_shift(monke
     assert [dl for dl, _ in scanned] == [cav.length_for_shift(dw) for dw in shifts]
     rt = spectrum._RoundTrip(profile, cav)
     for dl, grid in scanned:
-        shift = spectrum._shift_estimate(rt, dl)
+        shift = cubic_root(*exact_cubic(profile, cav, dl))[0]
         assert grid == SweepGrid(center=cav.omega0 + shift, half_span=2.5 * _width_estimate(rt, shift), points=101)
     # three of the 33 grids are the ones the 10% margin used to widen, to
     # up to 793 points
@@ -1121,7 +1196,8 @@ def test_sweep_grids_are_sized_to_the_line_not_to_2001_points():
 def sweep_grid(profile, cav: RingCavity, dl: float) -> SweepGrid:
     """The grid `sweep_enhancement` scans for the length change dl: its
     row's centre and half span, at the sweep's point count."""
-    _, center, half_span = spectrum._row(spectrum._RoundTrip(profile, cav), dl)
+    rt = spectrum._RoundTrip(profile, cav)
+    _, center, half_span = spectrum._row(rt, dl, spectrum._exact_shifts(rt, [dl])[0])
     return SweepGrid(center, half_span, spectrum._SWEEP_POINTS)
 
 
@@ -1329,6 +1405,76 @@ def test_batched_sweep_equals_the_per_shift_loop_bit_for_bit(case):
     # as more shifts would be, these take several
     with mock.patch.object(spectrum, "_SCAN_SAMPLES", 7 * 101):
         assert sweep_enhancement(profile, cav, shifts) == want
+
+
+def exact_cubic_roots(profile: LorentzianAbsorptive, cav: RingCavity, dl: float) -> list[float]:
+    """Every real root of `exact_cubic`, by bisection on each interval where
+    it is monotone: between its turning points, from the quadratic formula,
+    and the Cauchy bound of its roots."""
+    c3, c2, c1, c0 = exact_cubic(profile, cav, dl)
+    bound = 1.0 + max(abs(c2), abs(c1), abs(c0)) / abs(c3)
+    ends = [-bound, bound]
+    disc = c2 * c2 - 3.0 * c3 * c1
+    if disc > 0.0:
+        ends[1:1] = sorted((-c2 + side * math.sqrt(disc)) / (3.0 * c3) for side in (-1.0, 1.0))
+
+    def cubic(x):
+        return ((c3 * x + c2) * x + c1) * x + c0
+
+    return [
+        bisect(cubic, lo, hi, rounds=2200)
+        for lo, hi in zip(ends, ends[1:])
+        if min(cubic(lo), cubic(hi)) <= 0.0 <= max(cubic(lo), cubic(hi))
+    ]
+
+
+def psi_resolution(profile, cav: RingCavity, dl: float, omega: float) -> float:
+    """How far the rounding of Psi's terms can move its zero near omega:
+    four roundings of the sum of their magnitudes, over Psi's slope."""
+    n, dn, dn_domega = profile.response(omega, cav.omega0)
+    length, fill, nb, w0 = cav.round_trip_length, cav.fill_fraction, cav.n0, cav.omega0
+    delta = omega - w0
+    terms = fill * length * (abs(dn * w0) + abs(n * delta)) + (1.0 - fill) * length * nb * abs(delta)
+    slope = length * (fill * (n + omega * dn_domega) + (1.0 - fill) * nb) + nb * dl
+    return 4.0 * 2.0 ** -52 * (terms + abs(nb * dl * omega)) / abs(slope)
+
+
+def extreme_sweeps(case):
+    w0, radius, finesse, g, shifts, _ = case
+    return cad_tune(g, w0), RingCavity(geometry=LoopGeometry.circular(radius), finesse=finesse, omega0=w0), shifts
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.one_of(cad_sweeps(), extreme_cad_cases().map(extreme_sweeps)))
+def test_every_located_resonance_agrees_with_the_exact_cubic(case):
+    # each resonance the sweep locates is an exact cubic's root, to half a
+    # spacing of doubles at omega0 (its rounding), the locate tolerance, and
+    # how far the rounding of Psi's terms moves its zero: that last is
+    # negligible on the sweep cavities, but not where the extreme draws put
+    # the root at 1e-3 omega0 on a slope of 1e-3
+    profile, cav, shifts = case
+    located, turns = [], []
+    locate, turn = spectrum._locate_resonance, spectrum._psi_turn
+
+    def recording(rt, dl, half_span, points, near):
+        located.append((dl, half_span, points, locate(rt, dl, half_span, points, near)))
+        return located[-1][-1]
+
+    def turning(rt, dl, *rest):
+        turns.append(dl)
+        return turn(rt, dl, *rest)
+
+    with mock.patch.object(spectrum, "_locate_resonance", recording), mock.patch.object(spectrum, "_psi_turn", turning):
+        try:
+            sweep_enhancement(profile, cav, shifts)
+        except ComputationError as exc:
+            event(f"refused: {str(exc)[:40]}")
+    w0 = cav.omega0
+    # a peak where Psi only touches its level is a turn of Psi, no root
+    for dl, half_span, points, resonance in (row for row in located if row[0] not in turns):
+        xtol = min(_step(half_span, points), half_span / 1000.0) / 1e4
+        bound = 0.5 * math.ulp(w0) + xtol + psi_resolution(profile, cav, dl, resonance)
+        assert min(abs((resonance - w0) - x) for x in exact_cubic_roots(profile, cav, dl)) <= bound
 
 
 # ------------------------------------------- the bound kernel and its oracle
