@@ -373,7 +373,7 @@ def _cmd_sagnac(scn: Scenario, rp: Report) -> None:
     geom = scn.geometry()
     omega = scn.omega0()
     omega_rot, _ = _drive(scn, None, rotation_only=True)
-    mass = scn._float("particle_mass_kg")
+    mass = scn.values.get("particle_mass_kg")
     rot = RotationState.from_geometry(omega_rot, geom)
     try:
         mw = None if mass is None else matter_wave_phase(mass, geom, rot)

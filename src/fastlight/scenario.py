@@ -139,6 +139,8 @@ class Scenario:
         # entries: (key, raw value, location label)
         self.source = source
         self.raw: dict[str, str] = {}
+        # parsed values: a float per key but the drive keys, which may hold
+        # ranges, and the string keys
         self.values: dict[str, object] = {}
         for key, raw, where in entries:
             if key not in KNOWN_KEYS:
@@ -188,12 +190,8 @@ class Scenario:
 
     # -- scalar accessors ---------------------------------------------------
 
-    def _float(self, key: str, default: float | None = None) -> float | None:
-        # only the drive keys parse as ranges, and none is read here
-        return self.values.get(key, default)
-
     def require(self, key: str) -> float:
-        val = self._float(key)
+        val = self.values.get(key)
         if val is None:
             raise ScenarioError(f"{self.source}: missing required key {key!r}")
         return val
@@ -216,11 +214,11 @@ class Scenario:
 
     @property
     def fill_fraction(self) -> float:
-        return self._float("fill_fraction", 1.0)
+        return self.values.get("fill_fraction", 1.0)
 
     @property
     def background_index(self) -> float:
-        return self._float("background_index", 1.0)
+        return self.values.get("background_index", 1.0)
 
     def omega0(self) -> float:
         if "frequency_hz" in self.values:
@@ -263,11 +261,11 @@ class Scenario:
     # -- builders ------------------------------------------------------------
 
     def geometry(self) -> LoopGeometry:
-        radius = self._float("radius_m")
+        radius = self.values.get("radius_m")
         try:
             if radius is not None:
-                area = self._float("area_m2")
-                perimeter = self._float("perimeter_m")
+                area = self.values.get("area_m2")
+                perimeter = self.values.get("perimeter_m")
                 if area is None and perimeter is None:
                     return LoopGeometry.circular(radius)
                 return LoopGeometry(
@@ -312,16 +310,16 @@ class Scenario:
                 elif kind == "linear":
                     self.require("medium_n1_s_per_rad")
                 return TaylorCubic(
-                    n0=self._float("medium_index", 1.0),
-                    n1=self._float("medium_n1_s_per_rad", 0.0),
-                    n3=self._float("medium_n3_s3_per_rad3", 0.0),
+                    n0=self.values.get("medium_index", 1.0),
+                    n1=self.values.get("medium_n1_s_per_rad", 0.0),
+                    n3=self.values.get("medium_n3_s3_per_rad3", 0.0),
                     omega_ref=w0,
                 )
             # cad: tune the medium so the path-averaged group index hits the
             # target (default zero); a partial fill therefore pushes the
             # medium's own target to -(1 - fill) * n0 / fill.
             fill = self.fill_fraction
-            target = self._float("medium_target_group_index")
+            target = self.values.get("medium_target_group_index")
             if target is None:
                 if not 0.0 < fill <= 1.0:
                     # RingCavity's refusal, for `sagnac`, which builds none
@@ -340,10 +338,10 @@ class Scenario:
             return None
         try:
             return NoiseBudget(
-                output_power=self._float("output_power_w"),
-                measurement_time=self._float("measurement_time_s"),
-                snr=self._float("snr"),
-                quantum_efficiency=self._float("quantum_efficiency", 1.0),
+                output_power=self.values.get("output_power_w"),
+                measurement_time=self.values.get("measurement_time_s"),
+                snr=self.values.get("snr"),
+                quantum_efficiency=self.values.get("quantum_efficiency", 1.0),
             )
         except ValueError as exc:
             raise ScenarioError(f"{self.source}: {exc}") from None

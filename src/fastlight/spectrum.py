@@ -37,9 +37,11 @@ peak that the pass gathers.
 A sweep row is centred on an estimate of its resonance. For a Lorentzian
 line centred at omega0, Psi = 0 is exactly a cubic in omega - omega0, and
 the estimate is that cubic's root, from one bracketed solve in `resonator`
-with no evaluation of Psi, wherever a gate, once per call, shows it safe
-(`_exact_shifts`). Every other row, and every `auto_grid` grid, is centred
-by `_shift_estimate`: Newton steps on Psi from the Taylor cubic's root. The
+with no evaluation of Psi, wherever a gate shows it safe: its half that
+depends only on the medium and the cavity once per call, in `_RoundTrip`,
+and its half that depends on the length change once per row, in `_row`.
+Every other row, and every `auto_grid` grid, is centred by
+`_shift_estimate`: Newton steps on Psi from the Taylor cubic's root. The
 estimate only places the grid; the resonance is located from the scanned
 samples and polished on Psi, so the numeric path stays independent of both
 cubics.
@@ -120,6 +122,12 @@ class SpectrumTrace(namedtuple("SpectrumTrace", "omega transmission resonance fw
     __slots__ = ()
 
 
+# Where a sweep row's finiteness bound (see `_RoundTrip`) stays below this,
+# no intermediate of Psi or its slope reaches the largest double, 1.8e308:
+# each is at most a sum of four terms, none above the bound
+_FINITE = 1e300
+
+
 class _RoundTrip:
     """Psi and T of one medium in one cavity, with the cavity's constants
     bound once, and the path-averaged cubic that sizes the grids.
@@ -134,8 +142,25 @@ class _RoundTrip:
     it), and `airy` its `airy_linewidth_cubic` (None where that has no
     root), which does not depend on the shift. `exact` holds the
     shift-independent coefficients of the exact cubic whose root is
-    Psi = 0, for a Lorentzian centred at omega0 with a Taylor cubic (None
-    otherwise), from which `_exact_shifts` centres the sweep's rows.
+    Psi = 0, from which `_row` centres a sweep row, and is None wherever no
+    row can use them.
+
+    `exact` is bound only for a Lorentzian centred at omega0 with a Taylor
+    cubic, where `_shift_estimate`'s window, 0.35 of the free spectral range
+    about omega0, stays above zero frequency, and where G^4 > 0, so that
+    neither the bound nor ng0 divides by zero. With it goes the bound that
+    keeps Psi and its slope finite within that window, so that
+    `_shift_estimate` would never meet its refusal of a response too strong
+    to scan. Within the window |x| <= X, so every intermediate of
+    `psi_and_slope` and of the Lorentzian's `_response` (bx = 0 at base
+    omega0) is a product of at most L, n_b, |n_b*dL|, A*G, X, w0 + X and
+    G^2 + X^2 (twice), or such a product over G^2 or G^4 (G^2 + x^2 >= G^2),
+    or a sum of up to four of those; so the product of all eight, each taken
+    as at least 1, over min(G^2, 1)^2 bounds every term. `exact` is refused
+    where the seven factors that do not depend on dL already reach
+    `_FINITE`, and otherwise binds `_FINITE` over their product and n_b as
+    `drive`: a row whose |dL| stays below it keeps the whole product below
+    `_FINITE`.
 
     The response is the medium's unchecked `_response`, so each frequency
     evaluated here must already be above zero, and one guard bounds each:
@@ -184,15 +209,25 @@ class _RoundTrip:
             return
         # effective_taylor sets omega_ref to omega0, the bound of shift_root
         self.cubic, self.ng0, self.curvature = t.n3 * t.omega_ref, t.ng0, 3.0 * t.n3 * t.omega_ref
-        if isinstance(profile, LorentzianAbsorptive) and profile.center == self.omega0:
+        w0, limit = self.omega0, 0.35 * self.fsr
+        if isinstance(profile, LorentzianAbsorptive) and profile.center == w0 and limit < w0:
             # Psi = 0 times (G^2 + x^2)*c0/L, with x = omega - omega0 and
             # e = n_b*dL/L, is exactly the cubic
             #   (n_e + e)*x^3 + (e*w0 - f*A*G)*x^2 + G^2*(ng0 + e)*x + e*w0*G^2 = 0
             # with n_e = f + (1 - f)*n_b and ng0 = n_e - f*A*w0/G, the path's
-            # group index at omega0; bound here as (n_e, f*A*G, ng0, G^2, A*G)
+            # group index at omega0; bound as (n_e, f*A*G, ng0, G^2), then
+            # the largest |dL| a row may have and the floats `_row` reads
             nag, gg = profile._nag_gg
-            ne = fill + self.background_index
-            self.exact = (ne, -fill * nag, ne + fill * nag * self.omega0 / gg, gg, -nag)
+            top = max(gg + limit * limit, 1.0)
+            bound = (
+                max(length, 1.0) * max(nb, 1.0) * max(-nag, 1.0) * max(limit, 1.0) * max(w0 + limit, 1.0) * top * top
+                / min(gg, 1.0) ** 2 if gg * gg > 0.0 else math.inf
+            )
+            if bound < _FINITE:
+                ne = fill + self.background_index
+                self.exact = (
+                    ne, -fill * nag, ne + fill * nag * w0 / gg, gg, _FINITE / bound / nb, nb, length, w0, limit,
+                )
         try:
             self.airy = airy_linewidth_cubic(self.gamma_ec, t)
         except (ComputationError, ValueError):
@@ -481,9 +516,9 @@ def _shift_estimate(rt: _RoundTrip, delta_length: float) -> float:
     where Psi or its slope is not finite at the seed, whether it overflows
     or is NaN: the scan centred there would see no finite transmission.
 
-    It centres every `auto_grid` grid, and the sweep rows that
-    `_exact_shifts` leaves to it: those of Taylor media, of lines off
-    omega0, and of calls or rows its gate refuses.
+    It centres every `auto_grid` grid, and the sweep rows that `_row`
+    leaves to it: those of Taylor media, of lines off omega0, and of
+    kernels or rows the exact centre's gate refuses.
     """
     omega0 = rt.omega0
     # the empty-cavity pull -w0*dL/L of RingCavity.shift_for_length
@@ -517,57 +552,6 @@ def _shift_estimate(rt: _RoundTrip, delta_length: float) -> float:
         if abs(step) <= 1e-12 * abs(omega):
             break
     return best
-
-
-# Where the product of `_exact_shifts` stays below this, no intermediate
-# of Psi or its slope reaches the largest double, 1.8e308: each is at most a
-# sum of four terms, none above the product
-_FINITE = 1e300
-
-
-def _exact_shifts(rt: _RoundTrip, lengths) -> list:
-    """Per length change, the resonance offset that centres its sweep row:
-    the root of the exact cubic that `_RoundTrip` binds, or None where the
-    row keeps `_shift_estimate`, with no evaluation of Psi.
-
-    A gate, once per call, leaves every row to `_shift_estimate` unless the
-    medium is a Lorentzian centred at omega0 with a Taylor cubic, and
-    - the estimate's window, 0.35 of the free spectral range about omega0,
-      stays above zero frequency;
-    - Psi and its slope are finite within that window at every length change
-      of the call: `_shift_estimate` would then never meet its refusal of a
-      response too strong to scan. Within the window |x| <= X, so every
-      intermediate of `_RoundTrip.psi_and_slope` and of the Lorentzian's
-      `_response` (bx = 0 at base omega0) is a product of at most L, n_b,
-      |n_b*dL|, A*G, X, w0 + X and G^2 + X^2 (twice), or such a product over
-      G^2 or G^4 (G^2 + x^2 >= G^2), or a sum of up to four of those; so the
-      product of all eight, each taken as at least 1, over min(G^2, 1)^2
-      bounds every term. G^4 > 0 rules out a division by zero.
-    It also keeps n_e + e, the cubic's leading coefficient, positive.
-
-    A row is left to it, too, where its cubic has three real roots, so
-    that the offset s = c2/(3*c3) of `cubic_root`'s depressed form cannot
-    pick another branch than the one through x = 0 (s is about -G^2/(3*w0)
-    at CAD tuning, far below a spacing of doubles at omega0 on every
-    shipped cavity), and where the root lies outside the window. Where the
-    cubic has one real root, it is the only frequency at which Psi = 0.
-    """
-    limit = 0.35 * rt.fsr
-    if rt.exact is None or not limit < rt.omega0:
-        return [None] * len(lengths)
-    ne, fag, ng0, gg, a = rt.exact
-    w0, nb, length = rt.omega0, rt.nb, rt.length
-    drive = nb * max(abs(dl) for dl in lengths)
-    top = gg + limit * limit
-    product = math.prod(max(factor, 1.0) for factor in (length, nb, drive, a, limit, w0 + limit, top, top))
-    if not (drive < ne * length and gg * gg > 0.0 and product / min(gg, 1.0) ** 2 < _FINITE):
-        return [None] * len(lengths)
-    shifts = []
-    for dl in lengths:
-        e = nb * dl / length
-        x, multivalued = cubic_root(ne + e, e * w0 - fag, gg * (ng0 + e), e * w0 * gg)
-        shifts.append(None if multivalued or not abs(x) <= limit else x)
-    return shifts
 
 
 # fewest points an `auto_grid` grid gets; `trace` returns its samples
@@ -609,18 +593,37 @@ def _trace_grid(rt: _RoundTrip, delta_length) -> SweepGrid:
     return SweepGrid(*_checked_grid(rt.omega0 + shift, half_span, points), points)
 
 
-def _row(rt: _RoundTrip, delta_length, shift) -> tuple[float, float, float]:
+def _row(rt: _RoundTrip, delta_length) -> tuple[float, float, float]:
     """The row `sweep_enhancement` scans for one shift, (delta_length,
     centre, half_span): a grid of 101 points over 2.5 predicted widths
-    either side of the resonance offset `shift`, a step of a twentieth of
-    the width. `_exact_shifts` gives the offset, the exact cubic's root, or
-    else None, and then the row is centred on `_shift_estimate`. It refuses
-    as `auto_grid` does, and never needs its cap on the point count.
+    either side of the resonance offset, a step of a twentieth of the
+    width. It refuses as `auto_grid` does, and never needs its cap on the
+    point count.
+
+    The offset is the root of the exact cubic that `_RoundTrip` binds, with
+    no evaluation of Psi, where the kernel has one and the row passes the
+    two tests of its own drive: the cubic's leading coefficient n_e + e
+    stays positive, and |dL| stays below the kernel's `drive`, which
+    keeps Psi and its slope finite in the window. The row is left to
+    `_shift_estimate`, too, where its cubic has three real roots, so that
+    the offset s = c2/(3*c3) of `cubic_root`'s depressed form cannot pick
+    another branch than the one through x = 0 (s is about -G^2/(3*w0) at
+    CAD tuning, far below a spacing of doubles at omega0 on every shipped
+    cavity), and where the root lies outside the estimate's window. Where
+    the cubic has one real root, it is the only frequency at which Psi = 0.
 
     Either centre already sits on a root of the exact Psi, so a sweep grid
     needs no margin of 10% of the shift; and with one point count for every
     sweep grid, a scan pass is one rectangular array.
     """
+    shift = None
+    if rt.exact is not None:
+        ne, fag, ng0, gg, drive, nb, length, w0, limit = rt.exact
+        e = nb * delta_length / length
+        if ne + e > 0.0 and -drive < delta_length < drive:
+            x, multivalued = cubic_root(ne + e, e * w0 - fag, gg * (ng0 + e), e * w0 * gg)
+            if not multivalued and abs(x) <= limit:
+                shift = x
     shift, width = _estimates(rt, delta_length, shift)
     return (delta_length, *_checked_grid(rt.omega0 + shift, _in_one_fsr(rt, 2.5 * width), _SWEEP_POINTS))
 
@@ -756,14 +759,14 @@ def sweep_enhancement(
 
     Works in two steps. It sizes a `_row` for each shift, (delta_length,
     centre, half_span) of a grid of 101 points over 2.5 predicted widths,
-    centred on the exact cubic's root where `_exact_shifts` gives one and on
-    `_shift_estimate` elsewhere, up to the first row that is refused; then
-    it scans those rows in passes of 81 consecutive ones and locates each
-    resonance in order. A refusal of the first step propagates only after
-    the second, so that a locate failure at an earlier shift is reported
-    first. Per shift, both steps read only
-    floats that the kernel binds once per call: no grid, cubic or cavity
-    value type.
+    centred on the exact cubic's root where the kernel binds that cubic and
+    the row's own length change passes its gate, and on `_shift_estimate`
+    elsewhere, up to the first row that is refused; then it scans those
+    rows in passes of 81 consecutive ones and locates each resonance in
+    order. A refusal of the first step propagates only after the second, so
+    that a locate failure at an earlier shift is reported first. Per shift,
+    both steps read only floats that the kernel binds once per call: no
+    grid, cubic or cavity value type.
 
     Requires a profile tuned to zero group index at the cavity resonance and
     a shift list spanning at least four decades, none above the recovered
@@ -807,8 +810,8 @@ def sweep_enhancement(
     lengths = [-dw * rt.length / rt.omega0 for dw in values]
     rows, resonances = [], []
     try:
-        for dl, shift in zip(lengths, _exact_shifts(rt, lengths)):
-            rows.append(_row(rt, dl, shift))
+        for dl in lengths:
+            rows.append(_row(rt, dl))
     finally:
         # whatever a row raises propagates only once the rows before it
         # are located, so that a locate failure at an earlier shift is

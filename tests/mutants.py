@@ -469,14 +469,23 @@ MUTANTS = (
     Mutant(
         "exact-centre-gate-skips-the-window-test",
         SPECTRUM,
-        (("    if rt.exact is None or not limit < rt.omega0:\n", "    if rt.exact is None:\n"),),
-        f"{TEST_SPECTRUM}::test_the_exact_centre_is_gated_once_per_call",
+        (("profile.center == w0 and limit < w0:\n", "profile.center == w0:\n"),),
+        f"{TEST_SPECTRUM}::test_the_exact_centre_is_gated_per_kernel_and_per_row",
     ),
     Mutant(
         "exact-centre-gate-skips-the-finiteness-test",
         SPECTRUM,
-        (("gg * gg > 0.0 and product / min(gg, 1.0) ** 2 < _FINITE):", "gg * gg > 0.0):"),),
+        (
+            ("            if bound < _FINITE:\n", "            if True:\n"),
+            (" and -drive < delta_length < drive:\n", ":\n"),
+        ),
         "tests/test_cli.py::test_a_response_too_strong_to_scan_is_refused_before_the_scan",
+    ),
+    Mutant(
+        "exact-centre-gate-ignores-the-row-drive",
+        SPECTRUM,
+        (("        if ne + e > 0.0 and -drive < delta_length < drive:\n", "        if True:\n"),),
+        f"{TEST_SPECTRUM}::test_the_exact_centre_is_gated_per_kernel_and_per_row",
     ),
     Mutant(
         "exact-cubic-drops-e-from-its-cubic-term",

@@ -586,7 +586,7 @@ def test_a_full_scan_pass_peaks_below_six_of_its_arrays():
     scn = load_scenario(CAD_SWEEP)
     profile, cav = scn.profile(), scn.cavity()
     rt = spectrum._RoundTrip(profile, cav)
-    rows = [spectrum._row(rt, cav.length_for_shift(dw), None) for dw in 2.0 * math.pi * scn.input_values()[1]]
+    rows = [spectrum._row(rt, cav.length_for_shift(dw)) for dw in 2.0 * math.pi * scn.input_values()[1]]
     rows = (rows * 3)[: spectrum._SCAN_SAMPLES // spectrum._SWEEP_POINTS]
     assert len(rows) == 81
     spectrum._scan(rt, rows, spectrum._SWEEP_POINTS)
@@ -834,10 +834,10 @@ def test_sweep_reports_the_first_failing_shift(monkeypatch, locate_fails, grid_f
             raise ComputationError("locate")
         return locate(rt, dl, *rest)
 
-    def failing_row(rt, dl, *rest):
+    def failing_row(rt, dl):
         if dl == cav.length_for_shift(shifts[grid_fails]):
             raise ComputationError("grid")
-        return row(rt, dl, *rest)
+        return row(rt, dl)
 
     monkeypatch.setattr(spectrum, "_locate_resonance", failing_locate)
     monkeypatch.setattr(spectrum, "_row", failing_row)
@@ -1075,29 +1075,61 @@ def test_a_cad_sweep_evaluates_no_psi_before_its_first_scan(monkeypatch):
     assert events.index("scan") >= len(shifts)
 
 
-def test_the_exact_centre_is_gated_once_per_call():
+class Offset(Exception):
+    """Raised in place of `_estimates`, with the offset `_row` gave it."""
+
+
+def row_offsets(profile, cav: RingCavity, lengths) -> list:
+    """Per length change, the offset `_row` hands `_estimates` for its row:
+    the root of the exact cubic that the kernel binds, or None where the
+    row is left to `_shift_estimate`."""
+    rt = spectrum._RoundTrip(profile, cav)
+
+    def offset(rt, dl, shift):
+        raise Offset(shift)
+
+    offsets = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectrum, "_estimates", offset)
+        for dl in lengths:
+            with pytest.raises(Offset) as raised:
+                spectrum._row(rt, dl)
+            offsets.append(raised.value.args[0])
+    return offsets
+
+
+def test_the_exact_centre_is_gated_per_kernel_and_per_row():
     scn = load_scenario(CAD_SWEEP)
     profile, cav = scn.profile(), scn.cavity()
     lengths = [cav.length_for_shift(2.0 * math.pi * dw) for dw in scn.input_values()[1]]
+    assert None not in row_offsets(profile, cav, lengths)
 
     def exact(profile, cav):
-        return spectrum._exact_shifts(spectrum._RoundTrip(profile, cav), lengths)
+        return spectrum._RoundTrip(profile, cav).exact
 
-    assert None not in exact(profile, cav)
     # the Taylor cubic and a line off omega0 have no exact cubic here
-    assert exact(profile.taylor(), cav) == [None] * len(lengths)
+    assert exact(profile.taylor(), cav) is None
     off = LorentzianAbsorptive(profile.strength, profile.half_linewidth, profile.center * (1.0 + 1e-12))
-    assert exact(off, cav) == [None] * len(lengths)
+    assert exact(off, cav) is None
     # the 4 nm ring of the test above: its estimate's window of 0.35 of the
     # free spectral range reaches below zero frequency
     w0, g = 164196591697531.03, 426990841642454.6
     ring = RingCavity(geometry=LoopGeometry.circular(4.081598016040356e-09), finesse=68444787.51595391, omega0=w0)
-    assert exact(cad_tune(g, w0), ring) == [None] * len(lengths)
+    assert exact(cad_tune(g, w0), ring) is None
     # cad_sweep with a fill of 1e-300: the line tuned to a group index near
     # -1e300 makes the medium's response overflow
     thin = RingCavity(geometry=cav.geometry, finesse=cav.finesse, omega0=cav.omega0, fill_fraction=1e-300)
     strong = cad_tune(profile.half_linewidth, cav.omega0, group_index_target=-(1.0 - 1e-300) / 1e-300)
-    assert exact(strong, thin) == [None] * len(lengths)
+    assert exact(strong, thin) is None
+    # per row: at n_b = 2 and fill 0.5, n_e = 1.5 and e = 2*dL/L, so the
+    # cubic's leading coefficient n_e + e is 0 at dL = -0.75*L and -0.3 at
+    # -0.9*L; those rows fall back, and a small row of the same kernel keeps
+    # the exact root (a gate on the call's largest length change sent all
+    # three to the fallback)
+    two = RingCavity(geometry=cav.geometry, finesse=cav.finesse, omega0=cav.omega0, n0=2.0, fill_fraction=0.5)
+    small = two.length_for_shift(1e-2 * profile.half_linewidth)
+    offsets = row_offsets(profile, two, [small, -0.75 * two.round_trip_length, -0.9 * two.round_trip_length])
+    assert offsets[0] is not None and offsets[1:] == [None, None]
 
 
 def test_exact_row_centres_are_zeros_of_psi():
@@ -1109,7 +1141,7 @@ def test_exact_row_centres_are_zeros_of_psi():
     cav = RingCavity(geometry=LoopGeometry.circular(C0 / (0.1 * w0)), finesse=1e3, omega0=w0)
     profile = cad_tune(g, w0)
     lengths = [cav.length_for_shift(g * 10.0 ** -k) for k in range(4, -1, -1)]
-    shifts = spectrum._exact_shifts(spectrum._RoundTrip(profile, cav), lengths)
+    shifts = row_offsets(profile, cav, lengths)
     assert None not in shifts
     for dl, x in zip(lengths, shifts):
         lo, hi = (oracle_psi(profile, cav, dl, w0 + x * (1.0 + side * 1e-9)) for side in (-1.0, 1.0))
@@ -1197,7 +1229,7 @@ def sweep_grid(profile, cav: RingCavity, dl: float) -> SweepGrid:
     """The grid `sweep_enhancement` scans for the length change dl: its
     row's centre and half span, at the sweep's point count."""
     rt = spectrum._RoundTrip(profile, cav)
-    _, center, half_span = spectrum._row(rt, dl, spectrum._exact_shifts(rt, [dl])[0])
+    _, center, half_span = spectrum._row(rt, dl)
     return SweepGrid(center, half_span, spectrum._SWEEP_POINTS)
 
 

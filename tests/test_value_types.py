@@ -1,4 +1,6 @@
-"""The package's value types: immutable named tuples that compare by value."""
+"""The package's value types: immutable named tuples that compare by value;
+and public refusals, of the value types and of functions that read them,
+each checked by its message."""
 
 from __future__ import annotations
 
@@ -6,11 +8,12 @@ import math
 
 import pytest
 
-from fastlight.dispersion import TaylorCubic
-from fastlight.resonator import RingCavity, ShiftedLinewidth, ShiftResult
-from fastlight.sagnac import LoopGeometry, RotationState, SagnacPhase
+from fastlight.dispersion import LorentzianAbsorptive, TaylorCubic, cad_tune
+from fastlight.errors import ComputationError
+from fastlight.resonator import RingCavity, ShiftedLinewidth, ShiftResult, enhancement_eta
+from fastlight.sagnac import LoopGeometry, RotationState, SagnacPhase, vacuum_sagnac
 from fastlight.scenario import ValueRange
-from fastlight.sensitivity import NoiseBudget
+from fastlight.sensitivity import NoiseBudget, min_length_passive_dispersive
 from fastlight.spectrum import EnhancementSample, SpectrumTrace, SweepGrid
 
 W0 = 2.0 * math.pi * 5.0e14
@@ -53,3 +56,37 @@ def test_a_cubic_index_is_the_medium_index_not_the_tuple_method():
     # the projections come before the tuple in the cubic's bases, so
     # `index` is n(omega) and not tuple.index
     assert TaylorCubic(1.5, 0.0, 0.0, W0).index(W0) == 1.5
+
+
+CIRCLE = LoopGeometry.circular(1.0)
+BUDGET = NoiseBudget(1e-3, 1.0)
+# each refusal: the call that makes it, its error type and its message
+REFUSALS = {
+    "lorentzian-center": (lambda: LorentzianAbsorptive(1.0, 1.0, 0.0), ValueError, "line center must be positive"),
+    "cad-center": (lambda: cad_tune(1.0, 0.0), ValueError, "line center must be positive"),
+    "eta-linewidth": (lambda: enhancement_eta(0.0, 1.0), ValueError, "half linewidth must be positive"),
+    "loop-radius": (
+        lambda: LoopGeometry(math.pi, 2.0 * math.pi, radius=-1.0), ValueError, "loop radius must be positive",
+    ),
+    "sagnac-frequency": (
+        lambda: vacuum_sagnac(CIRCLE, RotationState.from_geometry(7.3e-5, CIRCLE), 0.0),
+        ValueError,
+        "optical frequency must be positive",
+    ),
+    "photons-without-budget": (
+        lambda: NoiseBudget(snr=10.0).photon_number(W0), ComputationError, "no photon budget in this noise model",
+    ),
+    "photon-frequency": (lambda: BUDGET.photon_number(0.0), ValueError, "frequency must be positive"),
+    "dispersive-length-eta": (
+        lambda: min_length_passive_dispersive(RingCavity(CIRCLE, 1e3, W0), BUDGET, 0.0),
+        ValueError,
+        "enhancement must be positive",
+    ),
+    "grid-center": (lambda: SweepGrid(-1.0, 1.0, 101), ValueError, "grid center must be positive"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_a_public_refusal_gives_its_own_message(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
