@@ -32,7 +32,9 @@ arrays of its own, never in the samples. A sweep's grid for one shift is a
 row (delta_length, centre, half_span), with no value type: its per-shift
 steps, the shift and width estimates, the row's refusals and the locate
 step, read only the kernel's floats and the three samples about the row's
-peak that the pass gathers.
+peak that the pass gathers. A row holds 51 samples, a tenth of a width
+apart: the samples only bracket the peak, since the locate's tolerance
+does not depend on their count.
 
 A sweep row is centred on an estimate of its resonance. For a Lorentzian
 line centred at omega0, Psi = 0 is exactly a cubic in omega - omega0, and
@@ -44,7 +46,9 @@ Every other row, and every `auto_grid` grid, is centred by
 `_shift_estimate`: Newton steps on Psi from the Taylor cubic's root. The
 estimate only places the grid; the resonance is located from the scanned
 samples and polished on Psi, so the numeric path stays independent of both
-cubics.
+cubics. The polish evaluates Psi at no double twice in a row: a Newton step
+that lands back on the double it was taken from ends it, with the offset
+the next pass would return.
 """
 
 from __future__ import annotations
@@ -293,11 +297,12 @@ def transmission(profile: DispersionProfile, cavity: RingCavity, delta_length: f
     return rt.transmission(rt.psi_array(omega.reshape(1, -1), [delta_length])).reshape(omega.shape)[()]
 
 
-# Most samples one scan pass holds: 64 KiB per array, or 81 sweep grids. A
-# pass pays numpy's per-call cost once for all of its rows, so a `perfbench`
-# `sweep` op (17 to 65 shifts and a trace) takes two passes. A full pass
-# peaks at about 5.3 such arrays, in the Lorentzian's evaluation: the
-# samples and its four working arrays (338 KiB by tracemalloc for 81 grids).
+# Most samples one scan pass holds: 64 KiB per array, or 160 sweep rows of
+# 51. A pass pays numpy's per-call cost, about 43 us, once for all of its
+# rows, so a `perfbench` `sweep` op (17 to 65 shifts and a trace) takes two
+# passes. A full pass peaks at about 5.3 such arrays, in the Lorentzian's
+# evaluation: the samples and its four working arrays (337 KiB by
+# tracemalloc for 160 rows).
 _SCAN_SAMPLES = 8_192
 
 
@@ -373,6 +378,15 @@ def _psi_root(
     therefore not quantised to the ulp of omega. Stops once an iterate moves
     by less than xtol, or once the bracket is down to two ulps of base, below
     which Psi cannot tell its points apart.
+
+    It also stops after a Newton step to an offset nxt for which base + nxt
+    is the double just evaluated, where the Newton test would pass again
+    with this step as the step before last, and xtol is positive. The next
+    pass would then evaluate the same Psi and slope, keep the bracket and
+    take the same step to nxt again, a step of 0, below xtol: so the offset
+    returned is the one that pass would return, bit for bit, one evaluation
+    of Psi sooner (on the last pass allowed, the offset the loop would not
+    reach before giving up).
     """
     f_lo = psi_lo - target
     f_hi = psi_hi - target
@@ -406,6 +420,10 @@ def _psi_root(
         p, q = (at - neg) * slope - f, (at - pos) * slope - f
         if (p < 0.0 < q or q < 0.0 < p) and abs(2.0 * f) <= abs(step_old * slope):
             nxt = at - f / slope
+            # the next pass would evaluate omega again, pass this test with
+            # step as its step_old, and return nxt with a zero step
+            if base + nxt == omega and abs(2.0 * f) <= abs(step * slope) and 0.0 < xtol:
+                return nxt
         else:
             nxt = neg + 0.5 * (pos - neg)
         step_old, step = step, nxt - u
@@ -556,9 +574,10 @@ def _shift_estimate(rt: _RoundTrip, delta_length: float) -> float:
 
 # fewest points an `auto_grid` grid gets; `trace` returns its samples
 _MIN_POINTS = 2001
-# points of every sweep grid, and the fewest any grid gets; a sweep reports
-# only the resonances
-_SWEEP_POINTS = 101
+# points of every sweep row, a tenth of a width apart over 2.5 estimated
+# widths either side, and the fewest any grid gets; a sweep reports only the
+# resonances, and a row's samples only bracket its peak
+_SWEEP_POINTS = 51
 
 
 def auto_grid(
@@ -595,10 +614,9 @@ def _trace_grid(rt: _RoundTrip, delta_length) -> SweepGrid:
 
 def _row(rt: _RoundTrip, delta_length) -> tuple[float, float, float]:
     """The row `sweep_enhancement` scans for one shift, (delta_length,
-    centre, half_span): a grid of 101 points over 2.5 predicted widths
-    either side of the resonance offset, a step of a twentieth of the
-    width. It refuses as `auto_grid` does, and never needs its cap on the
-    point count.
+    centre, half_span): a grid of 51 points over 2.5 predicted widths
+    either side of the resonance offset, a step of a tenth of the width. It
+    refuses as `auto_grid` does, and never needs its cap on the point count.
 
     The offset is the root of the exact cubic that `_RoundTrip` binds, with
     no evaluation of Psi, where the kernel has one and the row passes the
@@ -613,8 +631,12 @@ def _row(rt: _RoundTrip, delta_length) -> tuple[float, float, float]:
     the cubic has one real root, it is the only frequency at which Psi = 0.
 
     Either centre already sits on a root of the exact Psi, so a sweep grid
-    needs no margin of 10% of the shift; and with one point count for every
-    sweep grid, a scan pass is one rectangular array.
+    needs no margin of 10% of the shift, and its peak is found at or beside
+    the middle sample. The locate's tolerance is the 2,001-point step over
+    1e4 at any count up to 2,001, so the count decides only the bracket the
+    polish starts from, and 51 points are enough to bracket the peak. With
+    one point count for every sweep grid, a scan pass is one rectangular
+    array.
     """
     shift = None
     if rt.exact is not None:
@@ -758,15 +780,15 @@ def sweep_enhancement(
     beside (G/dw_ec)^(2/3) and (2G/dw_ec)^(2/3).
 
     Works in two steps. It sizes a `_row` for each shift, (delta_length,
-    centre, half_span) of a grid of 101 points over 2.5 predicted widths,
-    centred on the exact cubic's root where the kernel binds that cubic and
-    the row's own length change passes its gate, and on `_shift_estimate`
-    elsewhere, up to the first row that is refused; then it scans those
-    rows in passes of 81 consecutive ones and locates each resonance in
-    order. A refusal of the first step propagates only after the second, so
-    that a locate failure at an earlier shift is reported first. Per shift,
-    both steps read only floats that the kernel binds once per call: no
-    grid, cubic or cavity value type.
+    centre, half_span) of a grid of 51 points over 2.5 predicted widths, a
+    tenth of a width apart, centred on the exact cubic's root where the
+    kernel binds that cubic and the row's own length change passes its
+    gate, and on `_shift_estimate` elsewhere, up to the first row that is
+    refused; then it scans those rows in passes of 160 consecutive ones and
+    locates each resonance in order. A refusal of the first step propagates
+    only after the second, so that a locate failure at an earlier shift is
+    reported first. Per shift, both steps read only floats that the kernel
+    binds once per call: no grid, cubic or cavity value type.
 
     Requires a profile tuned to zero group index at the cavity resonance and
     a shift list spanning at least four decades, none above the recovered

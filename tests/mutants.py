@@ -329,7 +329,7 @@ MUTANTS = (
         "sweep-grid-spans-a-tenth-of-the-shift-again",
         SPECTRUM,
         (("_in_one_fsr(rt, 2.5 * width), _SWEEP_POINTS)", "_in_one_fsr(rt, max(2.5 * width, 0.1 * abs(shift))), _SWEEP_POINTS)"),),
-        f"{TEST_SPECTRUM}::test_sweep_grids_have_101_points_over_2_5_widths_at_the_exact_root",
+        f"{TEST_SPECTRUM}::test_sweep_grids_have_51_points_over_2_5_widths_at_the_exact_root",
     ),
     Mutant(
         "airy-coefficient-overflow-left-bare",
@@ -452,7 +452,7 @@ MUTANTS = (
         "locate-tolerance-reverted-to-resolution-over-1e4",
         SPECTRUM,
         (("xtol = min(_step(half_span, points), half_span / 1000.0) / 1e4", "xtol = _step(half_span, points) / 1e4"),),
-        f"{TEST_SPECTRUM}::test_a_101_point_grid_locates_at_its_2001_point_twins_double",
+        f"{TEST_SPECTRUM}::test_a_sweep_row_locates_at_its_2001_point_twins_double",
     ),
     Mutant(
         "eta-as-a-product-with-the-reciprocal-shift",
@@ -510,6 +510,18 @@ MUTANTS = (
         SPECTRUM,
         (("        if f == 0.0:\n            # also the white-light centre", "        if False:\n            # also the white-light centre"),),
         f"{TEST_SPECTRUM}::test_find_resonance_matches_bisection_of_psi",
+    ),
+    Mutant(
+        "polish-stop-without-its-repeat-test",
+        SPECTRUM,
+        (("            if base + nxt == omega and abs(2.0 * f)", "            if abs(2.0 * f)"),),
+        f"{TEST_SPECTRUM}::test_polish_returns_every_offset_of_the_loop_without_its_stop",
+    ),
+    Mutant(
+        "polish-stop-returns-the-evaluated-offset",
+        SPECTRUM,
+        (("                return nxt\n", "                return at\n"),),
+        f"{TEST_SPECTRUM}::test_polish_returns_every_offset_of_the_loop_without_its_stop",
     ),
     Mutant(
         "newton-steps-from-the-nominal-offset",

@@ -8,7 +8,9 @@ order is the Fresnel drag, and the rotation rate of a length change, the
 inverse of `resonator.rotation_to_length`. `psi_and_slope` is the
 round-trip phase and its slope from three separate profile calls, with the
 cavity read afresh at every evaluation, against which the bound kernel of
-`spectrum` is checked.
+`spectrum` is checked. `rtsafe_psi_root` is no independent solver: it is
+`spectrum._psi_root`'s loop without the stop at a repeated evaluation, the
+reference that the stop changes no offset it returns.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import random
 
 from fastlight.constants import C0
 from fastlight.dispersion import TaylorCubic
+from fastlight.errors import ComputationError
 from fastlight.resonator import RingCavity
 
 
@@ -150,6 +153,46 @@ def psi_and_slope(profile, cavity: RingCavity, delta_length: float, omega) -> tu
     )
     ng_path = fill * (n_at + omega * profile.dindex_domega(omega)) + (1.0 - fill) * nb
     return psi_c0 / C0, (length * ng_path + nb * delta_length) / C0
+
+
+def rtsafe_psi_root(rt, delta_length, base, target, lo, psi_lo, hi, psi_hi, xtol):
+    """Offset u in [lo, hi] where Psi(base + u) = target, by the
+    safeguarded Newton-bisection of `spectrum._psi_root` with every pass
+    evaluating Psi, even at the double the pass before evaluated; None
+    where Psi - target has one sign at both ends."""
+    f_lo = psi_lo - target
+    f_hi = psi_hi - target
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if not (f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo):
+        return None
+    neg, pos = (lo, hi) if f_lo < 0.0 else (hi, lo)
+    floor = 2.0 * math.ulp(base)
+    u = 0.5 * (lo + hi)
+    step = step_old = abs(hi - lo)
+    for _ in range(100):
+        omega = base + u
+        at = omega - base
+        psi, slope = rt.psi_and_slope(delta_length, omega)
+        f = psi - target
+        if f == 0.0:
+            return at
+        if f < 0.0:
+            neg = at
+        else:
+            pos = at
+        p, q = (at - neg) * slope - f, (at - pos) * slope - f
+        if (p < 0.0 < q or q < 0.0 < p) and abs(2.0 * f) <= abs(step_old * slope):
+            nxt = at - f / slope
+        else:
+            nxt = neg + 0.5 * (pos - neg)
+        step_old, step = step, nxt - u
+        u = nxt
+        if abs(step) < xtol or abs(pos - neg) <= floor:
+            return u
+    raise ComputationError("round-trip phase root did not converge")
 
 
 def relativistic_compose(v_phase: float, v_boost: float) -> float:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
-from oracle_utils import bisect, psi_and_slope
+from oracle_utils import bisect, psi_and_slope, rtsafe_psi_root
 
 from fastlight.constants import C0, OMEGA_EARTH
 from fastlight.dispersion import (
@@ -578,7 +578,7 @@ def test_transmission_at_a_float_is_a_numpy_float():
 
 
 def test_a_full_scan_pass_peaks_below_six_of_its_arrays():
-    # a pass of 81 sweep rows holds 8,181 samples, one array of 64 KiB at
+    # a pass of 160 sweep rows holds 8,160 samples, one array of 64 KiB at
     # the _SCAN_SAMPLES budget. With the medium's n and change taken
     # without the slope, and both they and Psi and T built in place, it
     # peaks at about 5.3 such arrays by tracemalloc; a step into a fresh
@@ -587,8 +587,8 @@ def test_a_full_scan_pass_peaks_below_six_of_its_arrays():
     profile, cav = scn.profile(), scn.cavity()
     rt = spectrum._RoundTrip(profile, cav)
     rows = [spectrum._row(rt, cav.length_for_shift(dw)) for dw in 2.0 * math.pi * scn.input_values()[1]]
-    rows = (rows * 3)[: spectrum._SCAN_SAMPLES // spectrum._SWEEP_POINTS]
-    assert len(rows) == 81
+    rows = (rows * 5)[: spectrum._SCAN_SAMPLES // spectrum._SWEEP_POINTS]
+    assert len(rows) == 160
     spectrum._scan(rt, rows, spectrum._SWEEP_POINTS)
     tracemalloc.start()
     try:
@@ -622,7 +622,8 @@ def test_sweep_grid_validation():
     with pytest.raises(ValueError):
         SweepGrid(center=W0, half_span=1e6, points=100)  # even
     with pytest.raises(ValueError):
-        SweepGrid(center=W0, half_span=1e6, points=99)  # too coarse
+        SweepGrid(center=W0, half_span=1e6, points=49)  # too coarse
+    assert SweepGrid(center=W0, half_span=1e6, points=51).points == spectrum._SWEEP_POINTS
     grid = SweepGrid(center=W0, half_span=1e6, points=101)
     assert _step(grid.half_span, grid.points) == pytest.approx(2e4, rel=1e-12)
     with pytest.raises(ValueError):
@@ -642,11 +643,11 @@ def test_sweep_grid_validation():
 def sample_rows(draw):
     """(centers, half_spans, points): one to eight grids of one point count.
 
-    The count is drawn once per call: 101, 2,001 or any odd count up to
+    The count is drawn once per call: 51, 101, 2,001 or any odd count up to
     80,001. Centres span 1e12 to 1e16 rad/s and half spans run from a few
     ulps of the centre up to 40% of it.
     """
-    points = draw(st.one_of(st.sampled_from([101, 2001]), st.integers(50, 40_000).map(lambda n: 2 * n + 1)))
+    points = draw(st.one_of(st.sampled_from([51, 101, 2001]), st.integers(50, 40_000).map(lambda n: 2 * n + 1)))
     centers, half_spans = [], []
     for _ in range(draw(st.integers(1, 8))):
         center = 10.0 ** draw(st.floats(12.0, 16.0))
@@ -700,6 +701,7 @@ PEAK_ROWS = {
     "inf": [0.0, 0.5, math.inf, 0.9, 0.1],
     "-inf": [-math.inf, 0.5, 0.9, 0.5, 0.1],
     "signed zeros": [-0.0, 0.0, -0.0, 0.0, -0.0],
+    "51 points": airy_row(51, -0.2),
     "101 points": airy_row(101, 0.3),
     "2,001 points": airy_row(2001, -0.4),
 }
@@ -841,9 +843,9 @@ def test_sweep_reports_the_first_failing_shift(monkeypatch, locate_fails, grid_f
 
     monkeypatch.setattr(spectrum, "_locate_resonance", failing_locate)
     monkeypatch.setattr(spectrum, "_row", failing_row)
-    # passes of four of the leading 101-point grids: shifts 1 and 3 share
-    # the first pass, and shifts 2 and 6 fall in different passes
-    monkeypatch.setattr(spectrum, "_SCAN_SAMPLES", 4 * 101)
+    # passes of four of the leading sweep rows: shifts 1 and 3 share the
+    # first pass, and shifts 2 and 6 fall in different passes
+    monkeypatch.setattr(spectrum, "_SCAN_SAMPLES", 4 * spectrum._SWEEP_POINTS)
     with pytest.raises(ComputationError, match=f"^{message}$"):
         sweep_enhancement(profile, cav, shifts)
 
@@ -1149,8 +1151,8 @@ def test_exact_row_centres_are_zeros_of_psi():
 
 
 def test_sweep_scans_its_grids_in_passes_not_one_per_shift():
-    # a pass ends only at the sample budget: cad_sweep's 33 grids of 101
-    # points hold 3,333 samples, one pass and one array evaluation of the
+    # a pass ends only at the sample budget: cad_sweep's 33 grids of 51
+    # points hold 1,683 samples, one pass and one array evaluation of the
     # medium; a per-shift scan would make 33
     scn = load_scenario(CAD_SWEEP)
     cad, cav = scn.profile(), scn.cavity()
@@ -1158,11 +1160,11 @@ def test_sweep_scans_its_grids_in_passes_not_one_per_shift():
     shifts = 2.0 * math.pi * scn.input_values()[1]
     assert len(shifts) == 33
     points = [sweep_grid(cad, cav, cav.length_for_shift(dw)).points for dw in shifts]
-    assert points == [101] * 33
-    assert sum(points) == 3333 <= spectrum._SCAN_SAMPLES
+    assert points == [51] * 33
+    assert sum(points) == 1683 <= spectrum._SCAN_SAMPLES
     sweep_enhancement(profile, cav, shifts)
     assert profile.calls["array response"] == 1
-    assert profile.calls["array response points"] == 3333
+    assert profile.calls["array response points"] == 1683
 
 
 def margin_widened(profile, cav: RingCavity, shifts) -> int:
@@ -1188,7 +1190,7 @@ def exact_cubic(profile: LorentzianAbsorptive, cav: RingCavity, dl: float) -> tu
     return ne + e, e * w0 - fill * ag, gg * (ne - fill * ag * w0 / gg + e), e * w0 * gg
 
 
-def test_sweep_grids_have_101_points_over_2_5_widths_at_the_exact_root(monkeypatch):
+def test_sweep_grids_have_51_points_over_2_5_widths_at_the_exact_root(monkeypatch):
     scn = load_scenario(CAD_SWEEP)
     profile, cav = scn.profile(), scn.cavity()
     shifts = 2.0 * math.pi * scn.input_values()[1]
@@ -1205,16 +1207,16 @@ def test_sweep_grids_have_101_points_over_2_5_widths_at_the_exact_root(monkeypat
     rt = spectrum._RoundTrip(profile, cav)
     for dl, grid in scanned:
         shift = cubic_root(*exact_cubic(profile, cav, dl))[0]
-        assert grid == SweepGrid(center=cav.omega0 + shift, half_span=2.5 * _width_estimate(rt, shift), points=101)
+        assert grid == SweepGrid(center=cav.omega0 + shift, half_span=2.5 * _width_estimate(rt, shift), points=51)
     # three of the 33 grids are the ones the 10% margin used to widen, to
     # up to 793 points
     assert margin_widened(profile, cav, shifts) == 3
 
 
 def test_sweep_grids_are_sized_to_the_line_not_to_2001_points():
-    # a sweep grid keeps a step of a twentieth of the width, not the
-    # 2,001-point floor of a trace, so cad_sweep scans under a fifth of the
-    # samples 33 floor-sized grids would hold
+    # a sweep grid keeps a step of a tenth of the width, not the 2,001-point
+    # floor of a trace, so cad_sweep scans under a thirtieth of the samples
+    # 33 floor-sized grids would hold
     scn = load_scenario(CAD_SWEEP)
     cad, cav = scn.profile(), scn.cavity()
     profile = CountingLorentzian(cad.strength, cad.half_linewidth, cad.center)
@@ -1222,7 +1224,7 @@ def test_sweep_grids_are_sized_to_the_line_not_to_2001_points():
     assert sweep_enhancement(profile, cav, shifts) == sweep_enhancement(cad, cav, shifts)
     scanned = profile.calls["array response points"]
     assert profile.calls["array response"] >= 1
-    assert 5 * scanned <= len(shifts) * 2001
+    assert 30 * scanned <= len(shifts) * 2001
 
 
 def sweep_grid(profile, cav: RingCavity, dl: float) -> SweepGrid:
@@ -1247,15 +1249,18 @@ def captured_xtols(monkeypatch) -> list[float]:
 
 
 @pytest.mark.parametrize("dw_ec", [0.0, 1e-6 * G, 1e-4 * G, 1e-3 * G])
-def test_a_101_point_grid_locates_at_its_2001_point_twins_double(monkeypatch, dw_ec):
+@pytest.mark.parametrize("points", [51, 101])
+def test_a_sweep_row_locates_at_its_2001_point_twins_double(monkeypatch, points, dw_ec):
     # the locate tolerance is the 2,001-point step over 1e4 on both grids,
-    # so the coarser scan changes only the bracket the root starts from
+    # so the coarser scan changes only the bracket the root starts from, and
+    # a row of 51 points, the sweep's, or of 101 locates at the same double
     scn = load_scenario(CAD_SWEEP)
     profile, cav = scn.profile(), scn.cavity()
     dl = cav.length_for_shift(dw_ec)
-    coarse = sweep_grid(profile, cav, dl)
-    assert coarse.points == 101
-    twin = SweepGrid(center=coarse.center, half_span=coarse.half_span, points=2001)
+    row = sweep_grid(profile, cav, dl)
+    assert row.points == 51
+    coarse = SweepGrid(center=row.center, half_span=row.half_span, points=points)
+    twin = SweepGrid(center=row.center, half_span=row.half_span, points=2001)
     xtols = captured_xtols(monkeypatch)
     assert find_resonance(profile, cav, dl, coarse) == find_resonance(profile, cav, dl, twin)
     assert xtols == [_step(twin.half_span, twin.points) / 1e4] * 2
@@ -1379,7 +1384,7 @@ def per_shift_sweep(profile, cav: RingCavity, values) -> list[EnhancementSample]
 
     Its grids are `auto_grid`'s: a floor of 2,001 points, and a span of 10%
     of the shift where that is wider than 2.5 widths. The sweep's own grids
-    have 101 points over 2.5 widths, so it is also the oracle that the
+    have 51 points over 2.5 widths, so it is also the oracle that the
     coarser and narrower sweep grids locate every resonance at the same
     double as the old ones.
     """
@@ -1433,9 +1438,9 @@ def test_batched_sweep_equals_the_per_shift_loop_bit_for_bit(case):
     if any(auto_grid(profile, cav, cav.length_for_shift(dw)).points > 2001 for dw in shifts):
         event("grids above 2,001 points")
     assert sweep_enhancement(profile, cav, shifts) == want
-    # a sweep of up to 81 shifts is one scan pass; at seven grids a pass,
+    # a sweep of up to 160 shifts is one scan pass; at seven grids a pass,
     # as more shifts would be, these take several
-    with mock.patch.object(spectrum, "_SCAN_SAMPLES", 7 * 101):
+    with mock.patch.object(spectrum, "_SCAN_SAMPLES", 7 * spectrum._SWEEP_POINTS):
         assert sweep_enhancement(profile, cav, shifts) == want
 
 
@@ -1564,3 +1569,81 @@ def test_sweeps_and_traces_raise_no_warning(case):
                 run()
             except ComputationError as exc:
                 event(f"refused: {exc}")
+
+
+# ------------------------------------------------------- the root polish
+
+
+class RecordingRoundTrip:
+    """A round trip that records each frequency Psi is evaluated at."""
+
+    def __init__(self, rt):
+        self.rt, self.omegas = rt, []
+
+    def psi_and_slope(self, delta_length, omega):
+        self.omegas.append(omega)
+        return self.rt.psi_and_slope(delta_length, omega)
+
+
+def recording_polish(calls: list):
+    """`_psi_root`, appending to `calls` each call's round trip, the
+    frequencies that call evaluated Psi at, and the rest of its arguments."""
+    root = spectrum._psi_root
+
+    def recording(rt, *args):
+        polished = RecordingRoundTrip(rt)
+        calls.append((rt, polished.omegas, *args))
+        return root(polished, *args)
+
+    return recording
+
+
+def test_no_polish_evaluates_psi_twice_at_one_double(monkeypatch):
+    # a Newton step that lands on the double it was taken from would be
+    # taken again from the same Psi; the polish returns its offset instead
+    scn = load_scenario(CAD_SWEEP)
+    profile, cav = scn.profile(), scn.cavity()
+    calls = []
+    monkeypatch.setattr(spectrum, "_psi_root", recording_polish(calls))
+    sweep_enhancement(profile, cav, 2.0 * math.pi * scn.input_values()[1])
+    trace(profile, cav, cav.length_for_shift(1e-3 * profile.half_linewidth))
+    # 33 locates, and the trace's locate and two half-maximum crossings
+    assert len(calls) == 36
+    for _, omegas, *_ in calls:
+        assert len(set(omegas)) == len(omegas), omegas
+
+
+def polish_outcome(root, *args) -> str:
+    """What a root polish returns, as its repr, or the refusal it raises."""
+    try:
+        return repr(root(*args))
+    except ComputationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweep=cad_sweeps(), traced=cad_traces(), scale=st.floats(min_value=-3.0, max_value=3.0))
+def test_polish_returns_every_offset_of_the_loop_without_its_stop(sweep, traced, scale):
+    # every bracket a sweep's locates and a trace's locate and half-maximum
+    # crossings hand the polish, at its own tolerance and at that tolerance
+    # times 10^scale: the offset equals, bit for bit, that of the loop that
+    # evaluates Psi again at the double it has just evaluated
+    profile, cav, shifts = sweep
+    _, trace_profile, trace_cav, dw_ec = traced
+    calls = []
+    with mock.patch.object(spectrum, "_psi_root", recording_polish(calls)):
+        for run in (
+            lambda: sweep_enhancement(profile, cav, shifts),
+            lambda: trace(trace_profile, trace_cav, trace_cav.length_for_shift(dw_ec)),
+        ):
+            try:
+                run()
+            except ComputationError as exc:
+                event(f"refused: {str(exc)[:40]}")
+    for rt, _, *args in calls:
+        for xtol in (args[-1], args[-1] * 10.0 ** scale):
+            reference = RecordingRoundTrip(rt)
+            want = polish_outcome(rtsafe_psi_root, reference, *args[:-1], xtol)
+            assert polish_outcome(spectrum._psi_root, rt, *args[:-1], xtol) == want
+            if any(a == b for a, b in zip(reference.omegas, reference.omegas[1:])):
+                event("the loop evaluates one double twice in a row")
